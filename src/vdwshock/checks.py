@@ -21,17 +21,17 @@ from .geometry import reflected_line
 from .linear_acoustics import atan_zero_pi
 from .regular_reflection import (
     F_eval,
-    beta_r_from_angles,
     criterion,
     cubic_coefficients,
     cubic_value,
     solve_regular_reflection,
     table_generate,
     tan_phi_r_branches,
+    _beta_r_of,
     _bisection_root,
     _closed_form_root,
 )
-from .shock_relations import IncidentShockInput
+from .shock_relations import IncidentShockInput, check_incident_beta
 from .table_fixture import fixture_is_blank, fixture_value
 from .thermo import GasModel, reference_constants
 
@@ -181,13 +181,16 @@ def _scan_oracle_minus_branch(beta: float, t: float, gas: GasModel, n: int = 150
 
     Composes the reflected ratio with the deflection relation directly, so it
     is independent of both the discriminant formula and the printed deflection
-    elimination.
+    elimination.  The inputs are validated once; the scan then calls the
+    unchecked reflected-ratio kernel.
     """
+    check_incident_beta(beta, gas)
     g, bt = gas.gamma, gas.btilde
     tan_di = (beta - 1.0) * t / (1.0 + beta * t * t)
+    beta_r = _beta_r_of(beta, t, g, bt)
 
     def gfun(r):
-        br = beta_r_from_angles(beta, t, r, gas)
+        br = beta_r(r)
         return tan_di + (br - 1.0) * r / (1.0 + br * r * r)
 
     x = 1.0 + beta * t * t

@@ -67,27 +67,35 @@ class RunConfig:
 
 
 _FIELD_TYPES = {f.name: f for f in fields(RunConfig)}
+_COUNT_KEYS = ("xi_count", "theta_count", "rprime_count", "thetaprime_count",
+               "btilde_sweep_count")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _coerce(key: str, value):
+    """Type-check one config value; every scalar number must be finite."""
     if key not in _FIELD_TYPES:
         raise DomainError(f"unknown configuration key {key!r}")
     if key == "output":
         return None if value is None else str(value)
     if key in ("beta_grid", "btilde_grid"):
-        if not isinstance(value, (list, tuple)) or not value:
+        if not isinstance(value, (list, tuple)) or not value or not all(map(_is_number, value)):
             raise DomainError(f"{key} must be a non-empty array of numbers")
         return [float(v) for v in value]
-    if key in ("xi_count", "theta_count", "rprime_count", "thetaprime_count",
-               "btilde_sweep_count"):
+    if key == "beta_i" and value is None:
+        return None
+    if not _is_number(value):
+        raise DomainError(f"{key} must be a number, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise DomainError(f"{key} must be finite, got {value!r}")
+    if key in _COUNT_KEYS:
         iv = int(value)
         if iv != value:
             raise DomainError(f"{key} must be an integer, got {value!r}")
         return iv
-    if key == "beta_i" and value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise DomainError(f"{key} must be a number, got {value!r}")
     return float(value)
 
 
@@ -115,8 +123,7 @@ def validate_config(cfg: RunConfig) -> RunConfig:
         raise DomainError(f"xi_min must lie in (0, 1), got {cfg.xi_min}")
     if not 0.0 < cfg.btilde_sweep_max < 1.0:
         raise DomainError(f"btilde_sweep_max must lie in (0, 1), got {cfg.btilde_sweep_max}")
-    for key in ("xi_count", "theta_count", "rprime_count", "thetaprime_count",
-                "btilde_sweep_count"):
+    for key in _COUNT_KEYS:
         if getattr(cfg, key) < 2:
             raise DomainError(f"{key} must be at least 2")
     for name, grid in (("beta_grid", cfg.beta_grid), ("btilde_grid", cfg.btilde_grid)):

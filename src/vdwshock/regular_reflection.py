@@ -3,12 +3,19 @@
 The wedge condition reduces to a cubic in X = 1 + beta_i*tan^2(phi_i); its
 unique positive root fixes the threshold J = (x*-1)/beta_i that the squared
 tangent of the incidence angle must reach for a regular reflection to exist.
-The closed-form root is always cross-checked against a bracketing bisection.
+The closed-form root is accepted on an O(1) certificate (one sign change in
+the coefficients plus a sign bracket of width ROOT_AGREEMENT around it); when
+the certificate does not hold it is cross-checked against a bracketing
+bisection instead.
+
+Public functions validate (gamma, btilde, beta_i) once and then call the
+unchecked private kernels, which take the validated scalars directly.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import DetachmentError, DomainError, InternalInconsistencyError
@@ -66,9 +73,7 @@ class ReflectionSolution:
     state2: tuple[float, float, float, float]
 
 
-def _f_terms(beta_i: float, tan_sq_phi_i: float, gas: GasModel) -> tuple[float, float]:
-    g, bt, b = gas.gamma, gas.btilde, beta_i
-    t2 = tan_sq_phi_i
+def _f_terms(b: float, t2: float, g: float, bt: float) -> tuple[float, float]:
     a_coef = (g + 1.0 - 2.0 * bt) * b - (g - 1.0)
     term1 = t2 * (1.0 + b * b * t2) ** 2 * (1.0 - bt * b) ** 2
     term2 = (b - 1.0) * (1.0 + b * t2) * a_coef * ((g - 1.0 + 2.0 * bt * b) * b * t2 + (g + 1.0))
@@ -80,28 +85,41 @@ def F_eval(beta_i: float, tan_sq_phi_i: float, gas: GasModel) -> float:
     check_incident_beta(beta_i, gas)
     if tan_sq_phi_i < 0.0:
         raise DomainError("tan_sq_phi_i must be nonnegative")
-    term1, term2 = _f_terms(beta_i, tan_sq_phi_i, gas)
+    term1, term2 = _f_terms(beta_i, tan_sq_phi_i, gas.gamma, gas.btilde)
     return term1 - term2
+
+
+def _beta_r_of(b: float, tan_phi_i: float, g: float, bt: float) -> Callable[[float], float]:
+    """Unchecked reflected density ratio as a function of tan(phi_r).
+
+    The factors that depend only on the incident state are evaluated once.
+    Each is a subexpression that the one-piece formula evaluates first, in
+    the same order, so the result is bit-identical to it.
+    """
+    t2 = tan_phi_i * tan_phi_i
+    gb = (g + 1.0) * b
+    g_coef = g - 1.0 + 2.0 * bt * b
+    bbt2 = b * b * t2
+    num = (g + 1.0) * (1.0 + bbt2)
+
+    def beta_r(tan_phi_r: float) -> float:
+        r2 = tan_phi_r * tan_phi_r
+        den = gb * (1.0 + r2) + g_coef * (bbt2 - r2)
+        if den == 0.0:
+            raise DomainError("reflected-ratio denominator vanishes")
+        return num / den
+
+    return beta_r
 
 
 def beta_r_from_angles(beta_i: float, tan_phi_i: float, tan_phi_r: float, gas: GasModel) -> float:
     """Reflected density ratio from the two shock angles."""
     check_incident_beta(beta_i, gas)
-    g, bt, b = gas.gamma, gas.btilde, beta_i
-    t2 = tan_phi_i * tan_phi_i
-    r2 = tan_phi_r * tan_phi_r
-    den = (g + 1.0) * b * (1.0 + r2) + (g - 1.0 + 2.0 * bt * b) * (b * b * t2 - r2)
-    if den == 0.0:
-        raise DomainError("reflected-ratio denominator vanishes")
-    return (g + 1.0) * (1.0 + b * b * t2) / den
+    return _beta_r_of(beta_i, tan_phi_i, gas.gamma, gas.btilde)(tan_phi_r)
 
 
-def tan_delta_r(beta_i: float, tan_phi_i: float, tan_phi_r: float, gas: GasModel) -> float:
-    """Deflection tangent behind the reflected shock, angles eliminated."""
-    check_incident_beta(beta_i, gas)
-    g, bt, b = gas.gamma, gas.btilde, beta_i
-    t2 = tan_phi_i * tan_phi_i
-    r = tan_phi_r
+def _tan_delta_r(b: float, t: float, r: float, g: float, bt: float) -> float:
+    t2 = t * t
     r2 = r * r
     sec2 = 1.0 + r2
     two_cov = 2.0 * (1.0 - bt * b)
@@ -110,6 +128,31 @@ def tan_delta_r(beta_i: float, tan_phi_i: float, tan_phi_r: float, gas: GasModel
     if den == 0.0:
         raise DomainError("deflection denominator vanishes")
     return num / den
+
+
+def tan_delta_r(beta_i: float, tan_phi_i: float, tan_phi_r: float, gas: GasModel) -> float:
+    """Deflection tangent behind the reflected shock, angles eliminated."""
+    check_incident_beta(beta_i, gas)
+    return _tan_delta_r(beta_i, tan_phi_i, tan_phi_r, gas.gamma, gas.btilde)
+
+
+def _branches(b: float, t: float, g: float, bt: float) -> tuple[float, float, float]:
+    term1, term2 = _f_terms(b, t * t, g, bt)
+    f_value = term1 - term2
+    if f_value < 0.0:
+        if f_value >= -1e-12 * (abs(term1) + abs(term2)):
+            f_value = 0.0
+        else:
+            raise DetachmentError(
+                f"no regular reflection: F = {f_value} < 0 at beta_i={b}, "
+                f"tan_phi_i={t}"
+            )
+    t2 = t * t
+    a_coef = (g + 1.0 - 2.0 * bt) * b - (g - 1.0)
+    den = (1.0 + b * t2) * a_coef
+    lead = -t * (1.0 + b * b * t2) * (1.0 - bt * b)
+    root = math.sqrt(f_value)
+    return (lead - root) / den, (lead + root) / den, f_value
 
 
 def tan_phi_r_branches(
@@ -122,30 +165,10 @@ def tan_phi_r_branches(
     (F = 0 up to rounding) counts as attached, with the radicand clamped.
     """
     check_incident_beta(beta_i, gas)
-    term1, term2 = _f_terms(beta_i, tan_phi_i * tan_phi_i, gas)
-    f_value = term1 - term2
-    if f_value < 0.0:
-        if f_value >= -1e-12 * (abs(term1) + abs(term2)):
-            f_value = 0.0
-        else:
-            raise DetachmentError(
-                f"no regular reflection: F = {f_value} < 0 at beta_i={beta_i}, "
-                f"tan_phi_i={tan_phi_i}"
-            )
-    g, bt, b = gas.gamma, gas.btilde, beta_i
-    t = tan_phi_i
-    t2 = t * t
-    a_coef = (g + 1.0 - 2.0 * bt) * b - (g - 1.0)
-    den = (1.0 + b * t2) * a_coef
-    lead = -t * (1.0 + b * b * t2) * (1.0 - bt * b)
-    root = math.sqrt(f_value)
-    return (lead - root) / den, (lead + root) / den, f_value
+    return _branches(beta_i, tan_phi_i, gas.gamma, gas.btilde)
 
 
-def cubic_coefficients(beta_i: float, gas: GasModel) -> CubicForm:
-    """Coefficients h0..h3 of the threshold cubic in X = 1 + beta_i*tan^2(phi_i)."""
-    check_incident_beta(beta_i, gas)
-    g, bt, b = gas.gamma, gas.btilde, beta_i
+def _cubic(b: float, g: float, bt: float) -> CubicForm:
     c = (1.0 - bt * b) ** 2
     a_coef = (g + 1.0 - 2.0 * bt) * b - (g - 1.0)
     g_coef = g - 1.0 + 2.0 * bt * b
@@ -159,6 +182,12 @@ def cubic_coefficients(beta_i: float, gas: GasModel) -> CubicForm:
     m = b1 - b2 * b2 / 3.0
     n = b0 - b1 * b2 / 3.0 + 2.0 * b2 ** 3 / 27.0
     return CubicForm(h0=h0, h1=h1, h2=h2, h3=h3, m=m, n=n)
+
+
+def cubic_coefficients(beta_i: float, gas: GasModel) -> CubicForm:
+    """Coefficients h0..h3 of the threshold cubic in X = 1 + beta_i*tan^2(phi_i)."""
+    check_incident_beta(beta_i, gas)
+    return _cubic(beta_i, gas.gamma, gas.btilde)
 
 
 def cubic_value(cubic: CubicForm, x: float) -> float:
@@ -208,14 +237,43 @@ def _bisection_root(cubic: CubicForm) -> float:
     return 0.5 * (lo + hi)
 
 
+def _certified(cubic: CubicForm, x: float) -> bool:
+    """True when x is proven within ROOT_AGREEMENT of the unique positive root.
+
+    One sign change in (h3, h2, h1, h0), zeros skipped, means exactly one
+    positive root (Descartes); with h3 > 0 the cubic is negative below it and
+    positive above it on X > 0.  A sign bracket [x - ROOT_AGREEMENT,
+    x + ROOT_AGREEMENT] then pins the root, to the same rounding in
+    cubic_value that the bisection relies on.
+    """
+    signs = [h > 0.0 for h in (cubic.h3, cubic.h2, cubic.h1, cubic.h0) if h != 0.0]
+    changes = sum(a != b for a, b in zip(signs, signs[1:]))
+    if not cubic.h3 > 0.0 or changes != 1:
+        return False
+    lo = x - ROOT_AGREEMENT
+    hi = x + ROOT_AGREEMENT
+    return (
+        (lo <= 0.0 or cubic_value(cubic, lo) <= 0.0)
+        and hi > 0.0
+        and cubic_value(cubic, hi) > 0.0
+    )
+
+
 def positive_root(cubic: CubicForm) -> float:
-    """Unique positive zero of the threshold cubic, bisection-verified."""
+    """Unique positive zero of the threshold cubic, certified or bisection-verified.
+
+    The closed-form root is accepted in O(1) when _certified proves it within
+    ROOT_AGREEMENT of the unique positive root; otherwise it must agree with
+    an independent bisection to the same bound.  Either way its residual must
+    stay within 1e-9 of the cubic's scale.
+    """
     x_closed = _closed_form_root(cubic)
-    x_bisect = _bisection_root(cubic)
-    if abs(x_closed - x_bisect) > ROOT_AGREEMENT:
-        raise InternalInconsistencyError(
-            f"cubic root methods disagree: closed-form {x_closed} vs bisection {x_bisect}"
-        )
+    if not _certified(cubic, x_closed):
+        x_bisect = _bisection_root(cubic)
+        if abs(x_closed - x_bisect) > ROOT_AGREEMENT:
+            raise InternalInconsistencyError(
+                f"cubic root methods disagree: closed-form {x_closed} vs bisection {x_bisect}"
+            )
     residual = cubic_value(cubic, x_closed)
     scale = abs(cubic.h3) * max(abs(x_closed), 1.0) ** 3
     if abs(residual) > 1e-9 * scale:
@@ -238,7 +296,7 @@ def criterion(beta_i: float, gas: GasModel) -> CriterionReport:
         return CriterionReport(
             cubic=None, x_star=None, J=None, phi_star=None, admissible=False, upper_beta=upper
         )
-    cubic = cubic_coefficients(beta_i, gas)
+    cubic = _cubic(beta_i, gas.gamma, gas.btilde)
     x_star = positive_root(cubic)
     j_value = max(0.0, (x_star - 1.0) / beta_i)
     phi_star = math.atan(math.sqrt(j_value))
@@ -270,9 +328,9 @@ def solve_regular_reflection(
     g, bt, b = gas.gamma, gas.btilde, inp.beta_i
     t = math.tan(inp.phi_i)
 
-    minus, _plus, _f = tan_phi_r_branches(b, t, gas)  # raises DetachmentError when F < 0
-    beta_r = beta_r_from_angles(b, t, minus, gas)
-    tan_dr = tan_delta_r(b, t, minus, gas)
+    minus, _plus, _f = _branches(b, t, g, bt)  # raises DetachmentError when F < 0
+    beta_r = _beta_r_of(b, t, g, bt)(minus)
+    tan_dr = _tan_delta_r(b, t, minus, g, bt)
     tan_di = (b - 1.0) * t / (1.0 + b * t * t)
     if abs(tan_di + tan_dr) > 1e-10:
         raise InternalInconsistencyError(

@@ -7,7 +7,7 @@ import math
 
 from . import inner_singular, linear_acoustics, nonlinear_front, regular_reflection
 from .config import RunConfig
-from .errors import DomainError
+from .errors import DomainError, InternalInconsistencyError
 from .table_fixture import fixture_value
 from .thermo import GasModel, reference_constants
 
@@ -33,7 +33,11 @@ def csv_text(header: list[str], rows: list[list]) -> str:
 
 
 def json_text(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """Strict JSON: a NaN or infinity in the payload is an internal fault."""
+    try:
+        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise InternalInconsistencyError(f"non-finite value in JSON output: {exc}") from exc
 
 
 def _linspace(lo: float, hi: float, count: int) -> list[float]:

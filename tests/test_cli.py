@@ -5,8 +5,10 @@ import sys
 
 import pytest
 
+from vdwshock import cli
 from vdwshock.config import parse_config
-from vdwshock.errors import DomainError
+from vdwshock.errors import DomainError, InternalInconsistencyError
+from vdwshock.reports import json_text
 from vdwshock.table_fixture import FIXTURE_BETA, FIXTURE_BTILDE, fixture_is_blank
 
 COMMANDS = ("criterion", "table", "field", "front", "inner", "check")
@@ -51,6 +53,44 @@ class TestConfig:
     def test_invalid_values_rejected(self, overrides, fragment):
         with pytest.raises(DomainError, match=fragment):
             parse_config(None, overrides)
+
+
+class TestNonFiniteInput:
+    # each of these was accepted before: printed NaN as JSON, emitted inf
+    # cells, blamed an unrelated region gap, or blanked the S_D column
+    @pytest.mark.parametrize(
+        "command, key, raw",
+        [
+            ("criterion", "beta_i", "NaN"),
+            ("criterion", "epsilon", "NaN"),
+            ("front", "epsilon", "Infinity"),
+            ("field", "rho0", "NaN"),
+            ("inner", "eta", "NaN"),
+        ],
+    )
+    def test_rejected_naming_the_key(self, capsys, command, key, raw):
+        assert cli.main([command, f"--{key}", raw]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["kind"] == "validation"
+        assert error["message"].startswith(f"{key} must be finite")
+
+    @pytest.mark.parametrize("key", ["gamma", "alpha_deg", "xi_count", "t"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_every_scalar_key_rejects_non_finite(self, key, value):
+        with pytest.raises(DomainError, match=key):
+            parse_config(None, {key: value})
+
+    @pytest.mark.parametrize("grid", [["a"], [1.2, True], [None]])
+    def test_grid_entries_must_be_numbers(self, capsys, grid):
+        # a non-numeric entry used to escape as a ValueError traceback (exit 1)
+        assert cli.main(["table", "--beta_grid", json.dumps(grid)]) == 2
+        assert "beta_grid must be a non-empty array of numbers" in capsys.readouterr().err
+
+    def test_json_output_is_strict(self):
+        with pytest.raises(InternalInconsistencyError, match="non-finite"):
+            json_text({"J": math.nan})
 
 
 class TestExitCodes:

@@ -3,8 +3,15 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vdwshock.errors import DetachmentError, InternalInconsistencyError
+from vdwshock import regular_reflection
+from vdwshock.errors import (
+    AdmissibilityError,
+    DetachmentError,
+    DomainError,
+    InternalInconsistencyError,
+)
 from vdwshock.regular_reflection import (
+    ROOT_AGREEMENT,
     CubicForm,
     F_eval,
     beta_r_from_angles,
@@ -16,6 +23,9 @@ from vdwshock.regular_reflection import (
     table_generate,
     tan_delta_r,
     tan_phi_r_branches,
+    _beta_r_of,
+    _bisection_root,
+    _closed_form_root,
 )
 from vdwshock.shock_relations import IncidentShockInput, admissible_beta_bounds
 from vdwshock.table_fixture import FIXTURE_BETA, FIXTURE_BTILDE, fixture_is_blank
@@ -168,6 +178,96 @@ class TestPositiveRoot:
         bad = CubicForm(c.h0, c.h1, c.h2, c.h3, c.m, c.n + 0.5)
         with pytest.raises(InternalInconsistencyError):
             positive_root(bad)
+
+
+class TestRootCertificate:
+    def test_certified_on_dense_admissible_grid(self, monkeypatch):
+        # every admissible cell is accepted without the bisection fallback,
+        # and the certified root agrees with the bisection oracle
+        cubics = []
+        for i in range(12):
+            g = 1.05 + (3.0 - 1.05) * i / 11
+            for j in range(14):
+                bt = 0.98 * j / 14
+                upper = (g + 1.0) / (g - 1.0 + 2.0 * bt)
+                for k in range(1, 25):
+                    cubics.append(cubic_coefficients(1.0 + (upper - 1.0) * k / 24, GasModel(g, bt)))
+
+        def no_fallback(cubic):
+            raise AssertionError(f"certificate failed for {cubic}")
+
+        with monkeypatch.context() as m:
+            m.setattr(regular_reflection, "_bisection_root", no_fallback)
+            roots = [positive_root(c) for c in cubics]
+        assert len(roots) == 12 * 14 * 24
+        for c, x in zip(cubics, roots):
+            assert x == _closed_form_root(c)
+            assert abs(x - _bisection_root(c)) <= ROOT_AGREEMENT
+
+    def test_three_sign_changes_take_the_fallback(self, monkeypatch):
+        # (X-1)(X-2)(X-3) has three positive roots, so Descartes' rule
+        # certifies nothing and the bisection cross-check must run
+        h0, h1, h2, h3 = -6.0, 11.0, -6.0, 1.0
+        m = h1 - h2 * h2 / 3.0
+        n = h0 - h1 * h2 / 3.0 + 2.0 * h2 ** 3 / 27.0
+        calls = []
+
+        def spy(cubic):
+            calls.append(cubic)
+            return _bisection_root(cubic)
+
+        monkeypatch.setattr(regular_reflection, "_bisection_root", spy)
+        assert positive_root(CubicForm(h0, h1, h2, h3, m, n)) == pytest.approx(3.0, abs=1e-12)
+        assert len(calls) == 1
+
+
+ENTRY_POINTS = {
+    "beta_r_from_angles": lambda gas, b: beta_r_from_angles(b, 1.0, -0.5, gas),
+    "cubic_coefficients": lambda gas, b: cubic_coefficients(b, gas),
+    "tan_phi_r_branches": lambda gas, b: tan_phi_r_branches(b, 1.0, gas),
+    "tan_delta_r": lambda gas, b: tan_delta_r(b, 1.0, -0.5, gas),
+    "F_eval": lambda gas, b: F_eval(b, 1.0, gas),
+    "criterion": lambda gas, b: criterion(b, gas),
+}
+
+
+class TestValidationAfterKernelSplit:
+    @pytest.mark.parametrize("name", list(ENTRY_POINTS))
+    @pytest.mark.parametrize(
+        "gas, fragment",
+        [(GasModel(1.0, 0.0), "gamma"), (GasModel(0.5, 0.0), "gamma"),
+         (GasModel(1.4, 1.0), "btilde"), (GasModel(1.4, 1.5), "btilde")],
+    )
+    def test_bad_gas_raises(self, name, gas, fragment):
+        with pytest.raises(DomainError, match=fragment):
+            ENTRY_POINTS[name](gas, 1.2)
+
+    @pytest.mark.parametrize("name", [n for n in ENTRY_POINTS if n != "criterion"])
+    def test_beta_above_bound_raises(self, name, ideal_gas):
+        with pytest.raises(AdmissibilityError):
+            ENTRY_POINTS[name](ideal_gas, 6.5)
+
+    def test_criterion_flags_beta_above_bound(self, ideal_gas):
+        # criterion reports an inadmissible ratio instead of raising
+        assert not criterion(6.5, ideal_gas).admissible
+
+    def test_kernel_bit_identical_to_unhoisted_formula(self):
+        for g, bt, b, t in ((1.4, 0.0, 1.2, 1.0), (1.3, 0.27, 1.9, 0.37), (5 / 3, 0.6, 1.4, 3.1)):
+            gas = GasModel(g, bt)
+            kernel = _beta_r_of(b, t, g, bt)
+            for r in (-2.3, -0.71, -1e-3, 0.0, 0.42):
+                t2 = t * t
+                r2 = r * r
+                den = (g + 1.0) * b * (1.0 + r2) + (g - 1.0 + 2.0 * bt * b) * (b * b * t2 - r2)
+                whole = (g + 1.0) * (1.0 + b * b * t2) / den
+                assert kernel(r) == whole
+                assert beta_r_from_angles(b, t, r, gas) == whole
+
+    def test_kernel_keeps_pole_error(self):
+        # the scan oracle relies on this to step over a vanishing denominator;
+        # the unchecked kernel accepts b = 0, where it vanishes at r = 0
+        with pytest.raises(DomainError, match="denominator"):
+            _beta_r_of(0.0, 1.0, 1.4, 0.0)(0.0)
 
 
 class TestBranches:

@@ -69,6 +69,8 @@ class RunConfig:
 _FIELD_TYPES = {f.name: f for f in fields(RunConfig)}
 _COUNT_KEYS = ("xi_count", "theta_count", "rprime_count", "thetaprime_count",
                "btilde_sweep_count")
+#: largest grid count a config may ask for along one axis
+MAX_COUNT = 100_000
 
 
 def _is_number(value) -> bool:
@@ -126,6 +128,8 @@ def validate_config(cfg: RunConfig) -> RunConfig:
     for key in _COUNT_KEYS:
         if getattr(cfg, key) < 2:
             raise DomainError(f"{key} must be at least 2")
+        if getattr(cfg, key) > MAX_COUNT:
+            raise DomainError(f"{key} must be at most {MAX_COUNT}")
     for name, grid in (("beta_grid", cfg.beta_grid), ("btilde_grid", cfg.btilde_grid)):
         for v in grid:
             if not math.isfinite(v):

@@ -76,6 +76,39 @@ def reflected_line(theta: float, alpha: float, ref: ReferenceState) -> float:
     return ref.a0 * math.tan(alpha) / den
 
 
+def _loci(theta: float, alpha: float, ref: ReferenceState) -> tuple[float | None, float | None]:
+    """Incident and reflected loci at theta; None where a locus does not reach theta."""
+    inc = incident_locus(theta, ref) if theta < math.pi / 2.0 else None
+    zs = reflected_line(theta, alpha, ref) if alpha <= theta <= 2.0 * alpha else None
+    return inc, zs
+
+
+def _region(
+    zeta: float,
+    theta: float,
+    alpha: float,
+    a0: float,
+    eps: float,
+    inc: float | None,
+    zs: float | None,
+) -> str:
+    """Region decision of region_classify, given the loci of theta and eps = BOUNDARY_TOL*a0."""
+    if inc is not None and zeta >= inc - eps:
+        return OMEGA_0
+    if inc is not None and zs is not None and zs - eps <= zeta <= inc + eps:
+        return OMEGA_1
+    if theta >= 2.0 * alpha and zeta >= a0 - eps:
+        return OMEGA_1
+    if zs is not None and a0 - eps <= zeta <= zs + eps:
+        return OMEGA_2
+    if zeta <= a0 + eps:
+        return OMEGA_TILDE
+    raise RegionError(
+        f"point (zeta={zeta}, theta={theta}) not covered by the printed "
+        f"region decomposition (alpha > pi/4 leaves a gap)"
+    )
+
+
 def region_classify(
     pt: SelfSimilarPoint, alpha: float, ref: ReferenceState
 ) -> RegionLabel:
@@ -93,30 +126,14 @@ def region_classify(
         raise DomainError(f"theta={theta} outside the wedge domain [alpha, pi]")
 
     tags = []
-    inc = incident_locus(theta, ref) if theta < math.pi / 2.0 else None
-    zs = reflected_line(theta, alpha, ref) if alpha <= theta <= 2.0 * alpha else None
+    inc, zs = _loci(theta, alpha, ref)
     if inc is not None and abs(zeta - inc) <= eps:
         tags.append("incident")
     if zs is not None and abs(zeta - zs) <= eps:
         tags.append("reflected_line")
     if abs(zeta - a0) <= eps:
         tags.append("sonic_arc")
-
-    if inc is not None and zeta >= inc - eps:
-        region = OMEGA_0
-    elif inc is not None and zs is not None and zs - eps <= zeta <= inc + eps:
-        region = OMEGA_1
-    elif theta >= 2.0 * alpha and zeta >= a0 - eps:
-        region = OMEGA_1
-    elif zs is not None and a0 - eps <= zeta <= zs + eps:
-        region = OMEGA_2
-    elif zeta <= a0 + eps:
-        region = OMEGA_TILDE
-    else:
-        raise RegionError(
-            f"point (zeta={zeta}, theta={theta}) not covered by the printed "
-            f"region decomposition (alpha > pi/4 leaves a gap)"
-        )
+    region = _region(zeta, theta, alpha, a0, eps, inc, zs)
     return RegionLabel(region=region, boundaries=tuple(tags))
 
 

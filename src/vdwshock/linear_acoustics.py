@@ -11,14 +11,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 from .errors import DomainError, RegionError, SingularityError
 from .geometry import (
+    BOUNDARY_TOL,
     OMEGA_1,
     OMEGA_2,
     RegionLabel,
     SelfSimilarPoint,
+    _loci,
+    _region,
     make_point,
     region_classify,
 )
@@ -167,20 +170,29 @@ def first_order_piecewise(
     )
 
 
+def _interior_row(s: float, mu: float, cos_pi: float, sin_pi: float) -> tuple[float, float, float]:
+    """Radial factors of interior_density: (1-s^2m)cos(mu pi), (1+s^2m)sin(mu pi), 2s^m."""
+    sm = s ** mu
+    s2m = sm * sm
+    return (1.0 - s2m) * cos_pi, (1.0 + s2m) * sin_pi, 2.0 * sm
+
+
+def _interior_cell(num: float, den: float, two_sm: float, cos_b: float) -> float:
+    """interior_density from its radial factors and cos(mu*beta)."""
+    c = two_sm * cos_b
+    t1 = atan_zero_pi(num, -den + c)
+    t2 = atan_zero_pi(-num, den + c)
+    return 1.0 + (t1 + t2) / math.pi
+
+
 def interior_density(s: float, beta: float, mu: float) -> float:
     """Diffraction density as a function of the Busemann coordinate alone.
 
     Even in the wall-relative angle beta, which is what enforces the Neumann
     condition on the wedge face.
     """
-    sm = s ** mu
-    s2m = sm * sm
-    cos_pi = math.cos(mu * math.pi)
-    sin_pi = math.sin(mu * math.pi)
-    cos_b = math.cos(mu * beta)
-    t1 = atan_zero_pi((1.0 - s2m) * cos_pi, -(1.0 + s2m) * sin_pi + 2.0 * sm * cos_b)
-    t2 = atan_zero_pi(-(1.0 - s2m) * cos_pi, (1.0 + s2m) * sin_pi + 2.0 * sm * cos_b)
-    return 1.0 + (t1 + t2) / math.pi
+    terms = _interior_row(s, mu, math.cos(mu * math.pi), math.sin(mu * math.pi))
+    return _interior_cell(*terms, math.cos(mu * beta))
 
 
 def near_front_coefficient(theta: float, alpha: float) -> float:
@@ -199,6 +211,49 @@ def near_front_coefficient(theta: float, alpha: float) -> float:
     return math.sqrt(2.0) * mu * math.sin(2.0 * mu * math.pi) / (math.pi * den)
 
 
+def _checked_sigma(xi: float, ref: ReferenceState) -> float:
+    sigma = xi / ref.kappa0
+    if sigma > 1.0 + 1e-12:
+        raise DomainError(f"diffraction formula needs xi <= kappa0, got xi/kappa0={sigma}")
+    return sigma
+
+
+def _check_angle(theta: float, alpha: float) -> None:
+    if not alpha - 1e-15 <= theta <= math.pi + 1e-15:
+        raise DomainError(f"theta={theta} outside [alpha, pi]")
+
+
+def _arc_value(beta: float, alpha: float) -> float:
+    """One-sided limit on the sonic arc: 2 on the wall side of the merge ray, 1 beyond."""
+    return 2.0 if beta < alpha else 1.0
+
+
+def _radial(
+    sigma: float, mu: float, cos_pi: float, sin_pi: float
+) -> tuple[int, float | None, tuple[float, float, float] | None]:
+    """What diffracted_density needs of the radius: (formula tag, ring, interior).
+
+    On the arc (sigma >= 1) both parts are None; in the cancellation ring
+    ring = sqrt(1 - sigma); inside it interior holds the row factors of
+    interior_density.
+    """
+    if sigma >= 1.0:
+        return TAG_DIFFRACTION, None, None
+    if 1.0 - sigma < FRONT_RING:
+        return TAG_NEAR_FRONT, math.sqrt(max(0.0, 1.0 - sigma)), None
+    return TAG_DIFFRACTION, None, _interior_row(busemann_variable(sigma), mu, cos_pi, sin_pi)
+
+
+def _density(radial: tuple, theta: float, alpha: float, arc: float, cos_b: float) -> float:
+    """First-order density at angle theta of a _radial row, given the arc value and cos(mu*beta)."""
+    _, ring, interior = radial
+    if interior is not None:
+        return _interior_cell(*interior, cos_b)
+    if ring is None:
+        return arc
+    return arc + near_front_coefficient(theta, alpha) * ring  # singular at the merge point
+
+
 def diffracted_density(
     pt: SelfSimilarPoint, alpha: float, ref: ReferenceState
 ) -> FieldSample:
@@ -208,25 +263,14 @@ def diffracted_density(
     the cancellation ring just inside the arc the near-front asymptote is
     used instead, except at the merge point where that asymptote is singular.
     """
-    sigma = pt.xi / ref.kappa0
-    if sigma > 1.0 + 1e-12:
-        raise DomainError(f"diffraction formula needs xi <= kappa0, got xi/kappa0={sigma}")
-    if not alpha - 1e-15 <= pt.theta <= math.pi + 1e-15:
-        raise DomainError(f"theta={pt.theta} outside [alpha, pi]")
+    sigma = _checked_sigma(pt.xi, ref)
+    _check_angle(pt.theta, alpha)
     label = region_classify(pt, alpha, ref)
     mu = corner_exponent(alpha)
     beta = pt.theta - alpha
-
-    if sigma >= 1.0:
-        value = 2.0 if beta < alpha else 1.0
-        return FieldSample(pt, label, value, TAG_DIFFRACTION)
-    if 1.0 - sigma < FRONT_RING:
-        base = 2.0 if beta < alpha else 1.0
-        c52 = near_front_coefficient(pt.theta, alpha)  # singular at the merge point
-        value = base + c52 * math.sqrt(max(0.0, 1.0 - sigma))
-        return FieldSample(pt, label, value, TAG_NEAR_FRONT)
-    s = busemann_variable(sigma)
-    return FieldSample(pt, label, interior_density(s, beta, mu), TAG_DIFFRACTION)
+    radial = _radial(sigma, mu, math.cos(mu * math.pi), math.sin(mu * math.pi))
+    value = _density(radial, pt.theta, alpha, _arc_value(beta, alpha), math.cos(mu * beta))
+    return FieldSample(pt, label, value, radial[0])
 
 
 def diffracted_density_xi(
@@ -235,6 +279,43 @@ def diffracted_density_xi(
     """Convenience wrapper taking the reduced radius xi/kappa0 directly."""
     xi = xi_over_kappa0 * ref.kappa0
     return diffracted_density(make_point(xi * ref.c0, theta, ref), alpha, ref)
+
+
+def density_rows(
+    sigmas: list[float], thetas: list[float], alpha: float, ref: ReferenceState
+) -> Iterator[tuple[int, list[tuple[str, float]]]]:
+    """diffracted_density_xi over the grid sigmas x thetas, one row per sigma.
+
+    Yields (formula tag, [(region, rho1) for each theta]); every cell equals
+    the pointwise call.  What a row or a column shares is computed once, so
+    a cell costs one region decision and at most two arctangents.  Every
+    angle is checked before the first row; cells raise what the pointwise
+    call raises, the first in row-major order.  An empty grid yields nothing.
+    """
+    if not (sigmas and thetas):
+        return
+    # angles and loci before corner_exponent: the pointwise call meets them first
+    loci = []
+    for theta in thetas:
+        _check_angle(theta, alpha)
+        loci.append(_loci(theta, alpha, ref))
+    mu = corner_exponent(alpha)
+    cos_pi, sin_pi = math.cos(mu * math.pi), math.sin(mu * math.pi)
+    cols = [
+        (theta, inc, zs, _arc_value(theta - alpha, alpha), math.cos(mu * (theta - alpha)))
+        for theta, (inc, zs) in zip(thetas, loci)
+    ]
+    a0 = ref.a0
+    eps = BOUNDARY_TOL * a0
+    for sigma in sigmas:
+        pt = make_point(sigma * ref.kappa0 * ref.c0, thetas[0], ref)  # the row's first cell
+        zeta = pt.zeta
+        radial = _radial(_checked_sigma(pt.xi, ref), mu, cos_pi, sin_pi)
+        yield radial[0], [
+            (_region(zeta, theta, alpha, a0, eps, inc, zs),
+             _density(radial, theta, alpha, arc, cos_b))
+            for theta, inc, zs, arc, cos_b in cols
+        ]
 
 
 def density_pde_residual(

@@ -22,14 +22,22 @@ def fmt(value) -> str:
         return str(value)
     if isinstance(value, str):
         return value
-    s = format(float(value), ".12g")
+    return _fmt_float(float(value))
+
+
+def _fmt_float(value: float) -> str:
+    """fmt for a value known to be a float, without the type dispatch."""
+    s = format(value, ".12g")
     return "0" if s == "-0" else s
 
 
 def csv_text(header: list[str], rows: list[list]) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(fmt(cell) for cell in row) for row in rows)
-    return "\n".join(lines) + "\n"
+    return _csv(header, [",".join(fmt(cell) for cell in row) for row in rows])
+
+
+def _csv(header: list[str], lines: list[str]) -> str:
+    """CSV document from a header and already formatted data lines."""
+    return "\n".join([",".join(header), *lines]) + "\n"
 
 
 def json_text(payload) -> str:
@@ -92,17 +100,19 @@ def render_field(cfg: RunConfig) -> str:
     """First-order diffraction density over a (xi/kappa0, theta) grid as CSV."""
     gas = GasModel(gamma=cfg.gamma, btilde=cfg.btilde)
     ref = reference_constants(cfg.rho0, cfg.p0, gas)
-    alpha = cfg.alpha
-    rows = []
-    for sigma in _linspace(cfg.xi_min, 1.0, cfg.xi_count):
-        for theta in _linspace(alpha, math.pi, cfg.theta_count):
-            sample = linear_acoustics.diffracted_density_xi(sigma, theta, alpha, ref)
-            rows.append(
-                [sigma, math.degrees(theta), sample.region.region, sample.rho1,
-                 sample.formula_tag]
-            )
+    sigmas = _linspace(cfg.xi_min, 1.0, cfg.xi_count)
+    thetas = _linspace(cfg.alpha, math.pi, cfg.theta_count)
+    degrees = [_fmt_float(math.degrees(theta)) for theta in thetas]
+    lines = []
+    rows = linear_acoustics.density_rows(sigmas, thetas, cfg.alpha, ref)
+    for sigma, (tag, cells) in zip(sigmas, rows):
+        head = _fmt_float(sigma)
+        lines.extend(
+            f"{head},{deg},{region},{_fmt_float(rho1)},{tag}"
+            for deg, (region, rho1) in zip(degrees, cells)
+        )
     header = ["xi_over_kappa0", "theta", "region", "rho1", "formula_tag"]
-    return csv_text(header, rows)
+    return _csv(header, lines)
 
 
 def render_front(cfg: RunConfig) -> str:
@@ -120,7 +130,13 @@ def render_front(cfg: RunConfig) -> str:
         jump = nonlinear_front.gradient_jump(cfg.r, gas, cfg.rho0)
         locus = nonlinear_front.shock_locus(cfg.t, beta_angle, alpha, cfg.epsilon, gas, ref)
         strength = nonlinear_front.shock_strength(beta_angle, alpha, cfg.epsilon, gas)
-        rows.append([bt, jump, locus / cfg.t, strength])
+        row = [bt, jump, locus / cfg.t, strength]
+        if not all(map(math.isfinite, row)):
+            raise DomainError(
+                f"front quantities overflow at btilde={bt} for epsilon={cfg.epsilon} "
+                f"(r={cfg.r}, t={cfg.t})"
+            )
+        rows.append(row)
     header = ["btilde", "gradient_jump", "shock_locus_coeff", "shock_strength"]
     return csv_text(header, rows)
 

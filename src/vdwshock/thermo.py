@@ -46,6 +46,8 @@ def validate_gas(gas: GasModel) -> GasModel:
     """Return ``gas`` unchanged, raising on the first violated invariant."""
     if not gas.gamma > 1.0:
         raise DomainError(f"gamma must exceed 1, got {gas.gamma}")
+    if not math.isfinite(gas.gamma):
+        raise DomainError(f"gamma must be finite, got {gas.gamma}")
     if gas.btilde < 0.0:
         raise DomainError(f"btilde must be nonnegative, got {gas.btilde}")
     if not gas.btilde < 1.0:
@@ -102,6 +104,8 @@ def reference_constants(rho0: float, p0: float, gas: GasModel) -> ReferenceState
     validate_gas(gas)
     if rho0 <= 0.0 or p0 <= 0.0:
         raise DomainError("reference density and pressure must be positive")
+    if not (math.isfinite(rho0) and math.isfinite(p0)):
+        raise DomainError(f"reference density and pressure must be finite, got {rho0}, {p0}")
     a0 = math.sqrt(gas.gamma * p0 / (rho0 * (1.0 - gas.btilde)))
     kappa0 = (1.0 - gas.btilde) ** (-(gas.gamma + 1.0) / 2.0)
     return ReferenceState(rho0=rho0, p0=p0, a0=a0, kappa0=kappa0, c0=a0 / kappa0)

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from vdwshock import cli
-from vdwshock.config import parse_config
+from vdwshock.config import MAX_COUNT, parse_config
 from vdwshock.errors import DomainError, InternalInconsistencyError
 from vdwshock.reports import json_text
 from vdwshock.table_fixture import FIXTURE_BETA, FIXTURE_BTILDE, fixture_is_blank
@@ -91,6 +91,39 @@ class TestNonFiniteInput:
     def test_json_output_is_strict(self):
         with pytest.raises(InternalInconsistencyError, match="non-finite"):
             json_text({"J": math.nan})
+
+
+class TestCountBound:
+    # a count of 1e300 used to pass validation and then grow memory in the
+    # grid until the process was killed; parse_config alone shows the bound
+    # without starting that allocation
+    @pytest.mark.parametrize(
+        "command, key",
+        [
+            ("field", "xi_count"),
+            ("field", "theta_count"),
+            ("inner", "rprime_count"),
+            ("inner", "thetaprime_count"),
+            ("front", "btilde_sweep_count"),
+        ],
+    )
+    def test_huge_count_rejected_naming_the_key(self, command, key):
+        with pytest.raises(DomainError, match=f"{key} must be at most {MAX_COUNT}"):
+            parse_config(None, {key: 1e300})
+        with pytest.raises(DomainError, match=key):
+            parse_config(None, {key: MAX_COUNT + 1})
+        assert getattr(parse_config(None, {key: MAX_COUNT}), key) == MAX_COUNT
+
+
+class TestFrontOverflow:
+    def test_overflowing_epsilon_exits_two(self, capsys):
+        # used to exit 0 with inf in the locus and strength columns
+        assert cli.main(["front", "--epsilon", "1e308"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["kind"] == "validation"
+        assert "epsilon=1e+308" in error["message"]
 
 
 class TestExitCodes:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from vdwshock.errors import DomainError
+from vdwshock.regular_reflection import criterion
 from vdwshock.thermo import (
     GasModel,
     ThermoState,
@@ -22,6 +23,15 @@ class TestValidateGas:
     def test_gamma_at_one_rejected(self):
         with pytest.raises(DomainError, match="gamma must exceed 1"):
             validate_gas(GasModel(1.0, 0.0))
+
+    def test_infinite_gamma_rejected(self):
+        with pytest.raises(DomainError, match="gamma must be finite"):
+            validate_gas(GasModel(math.inf, 0.0))
+
+    def test_infinite_gamma_rejected_by_criterion(self):
+        # used to return an inadmissible report with upper_beta = nan
+        with pytest.raises(DomainError, match="gamma must be finite"):
+            criterion(1.2, GasModel(math.inf, 0.0))
 
     def test_btilde_at_one_rejected(self):
         with pytest.raises(DomainError, match="btilde must be below 1"):
@@ -129,3 +139,8 @@ class TestReferenceConstants:
     def test_rejects_bad_reference(self, ideal_gas):
         with pytest.raises(DomainError):
             reference_constants(-1.0, 1.0, ideal_gas)
+
+    @pytest.mark.parametrize("rho0, p0", [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (1.0, math.nan)])
+    def test_rejects_non_finite_reference(self, ideal_gas, rho0, p0):
+        with pytest.raises(DomainError, match="must be finite"):
+            reference_constants(rho0, p0, ideal_gas)

@@ -69,7 +69,7 @@ class RunConfig:
 _FIELD_TYPES = {f.name: f for f in fields(RunConfig)}
 _COUNT_KEYS = ("xi_count", "theta_count", "rprime_count", "thetaprime_count",
                "btilde_sweep_count")
-#: largest grid count a config may ask for along one axis
+#: largest grid count or grid length a config may ask for along one axis
 MAX_COUNT = 100_000
 
 
@@ -109,6 +109,8 @@ def validate_config(cfg: RunConfig) -> RunConfig:
         raise DomainError(f"btilde must lie in [0, 1), got {cfg.btilde}")
     if not 0.0 < cfg.alpha_deg < 90.0:
         raise DomainError(f"alpha_deg must lie in (0, 90), got {cfg.alpha_deg}")
+    if cfg.alpha == 0.0:
+        raise DomainError(f"alpha_deg is too small: {cfg.alpha_deg} degrees is 0 radians")
     if cfg.epsilon < 0.0:
         raise DomainError(f"epsilon must be nonnegative, got {cfg.epsilon}")
     if cfg.beta_i is not None and cfg.beta_i <= 0.0:
@@ -131,6 +133,8 @@ def validate_config(cfg: RunConfig) -> RunConfig:
         if getattr(cfg, key) > MAX_COUNT:
             raise DomainError(f"{key} must be at most {MAX_COUNT}")
     for name, grid in (("beta_grid", cfg.beta_grid), ("btilde_grid", cfg.btilde_grid)):
+        if len(grid) > MAX_COUNT:
+            raise DomainError(f"{name} must have at most {MAX_COUNT} entries")
         for v in grid:
             if not math.isfinite(v):
                 raise DomainError(f"{name} entries must be finite")

@@ -4,12 +4,14 @@ The wedge condition reduces to a cubic in X = 1 + beta_i*tan^2(phi_i); its
 unique positive root fixes the threshold J = (x*-1)/beta_i that the squared
 tangent of the incidence angle must reach for a regular reflection to exist.
 The closed-form root is accepted on an O(1) certificate (one sign change in
-the coefficients plus a sign bracket of width ROOT_AGREEMENT around it); when
-the certificate does not hold it is cross-checked against a bracketing
-bisection instead.
+the coefficients plus a sign bracket of width ROOT_AGREEMENT, or 16 ulps of a
+large root, around it); when the certificate does not hold it is
+cross-checked against a bracketing bisection instead.
 
 Public functions validate (gamma, btilde, beta_i) once and then call the
-unchecked private kernels, which take the validated scalars directly.
+unchecked private kernels, which take the validated scalars directly.  The
+scalar kernels _coeffs and _root are the one home of the cubic and its root;
+criterion, positive_root and the table renderer all run through them.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ from .thermo import GasModel, validate_gas
 
 #: closed-form root vs bisection agreement required before a root is accepted
 ROOT_AGREEMENT = 1e-10
+#: slackened bottom of the admissible band of density ratios
+_BAND_LOW = 1.0 - ENDPOINT_SLACK
 
 
 @dataclass(frozen=True)
@@ -168,7 +172,8 @@ def tan_phi_r_branches(
     return _branches(beta_i, tan_phi_i, gas.gamma, gas.btilde)
 
 
-def _cubic(b: float, g: float, bt: float) -> CubicForm:
+def _coeffs(b: float, g: float, bt: float) -> tuple[float, float, float, float, float, float]:
+    """Unchecked threshold cubic as the tuple (h0, h1, h2, h3, m, n)."""
     c = (1.0 - bt * b) ** 2
     a_coef = (g + 1.0 - 2.0 * bt) * b - (g - 1.0)
     g_coef = g - 1.0 + 2.0 * bt * b
@@ -181,26 +186,29 @@ def _cubic(b: float, g: float, bt: float) -> CubicForm:
     b0 = h0 / h3
     m = b1 - b2 * b2 / 3.0
     n = b0 - b1 * b2 / 3.0 + 2.0 * b2 ** 3 / 27.0
-    return CubicForm(h0=h0, h1=h1, h2=h2, h3=h3, m=m, n=n)
+    return h0, h1, h2, h3, m, n
 
 
 def cubic_coefficients(beta_i: float, gas: GasModel) -> CubicForm:
     """Coefficients h0..h3 of the threshold cubic in X = 1 + beta_i*tan^2(phi_i)."""
     check_incident_beta(beta_i, gas)
-    return _cubic(beta_i, gas.gamma, gas.btilde)
+    return CubicForm(*_coeffs(beta_i, gas.gamma, gas.btilde))
+
+
+def _value(h0: float, h1: float, h2: float, h3: float, x: float) -> float:
+    return ((h3 * x + h2) * x + h1) * x + h0
 
 
 def cubic_value(cubic: CubicForm, x: float) -> float:
-    return ((cubic.h3 * x + cubic.h2) * x + cubic.h1) * x + cubic.h0
+    return _value(cubic.h0, cubic.h1, cubic.h2, cubic.h3, x)
 
 
 def _cbrt(x: float) -> float:
     return math.copysign(abs(x) ** (1.0 / 3.0), x)
 
 
-def _closed_form_root(cubic: CubicForm) -> float:
-    """Largest real root of the cubic via radicals or the three-real-root cosine form."""
-    m, n = cubic.m, cubic.n
+def _closed(h2: float, h3: float, m: float, n: float) -> float:
+    """Largest real root via radicals or the three-real-root cosine form."""
     disc = n * n / 4.0 + m ** 3 / 27.0
     if disc >= 0.0:
         s = math.sqrt(disc)
@@ -211,7 +219,12 @@ def _closed_form_root(cubic: CubicForm) -> float:
         arg = 3.0 * n / (m * rho)
         arg = min(1.0, max(-1.0, arg))
         y = rho * math.cos(math.acos(arg) / 3.0)
-    return y - cubic.h2 / (3.0 * cubic.h3)
+    return y - h2 / (3.0 * h3)
+
+
+def _closed_form_root(cubic: CubicForm) -> float:
+    """Largest real root of the cubic via radicals or the three-real-root cosine form."""
+    return _closed(cubic.h2, cubic.h3, cubic.m, cubic.n)
 
 
 def _bisection_root(cubic: CubicForm) -> float:
@@ -237,50 +250,102 @@ def _bisection_root(cubic: CubicForm) -> float:
     return 0.5 * (lo + hi)
 
 
-def _certified(cubic: CubicForm, x: float) -> bool:
-    """True when x is proven within ROOT_AGREEMENT of the unique positive root.
+def _agreement(x: float) -> float:
+    """Root tolerance at x: ROOT_AGREEMENT, or 16 ulps where that is wider.
+
+    From about 5e5 on an absolute 1e-10 is less than one ulp of x (weak
+    shocks in a dense gas reach x* ~ 7e6), so neither a sign bracket nor two
+    root methods could meet it.  The 16-ulp floor takes over at 2**15 and
+    leaves every smaller root at ROOT_AGREEMENT.
+    """
+    tol = 16.0 * math.ulp(x)
+    return tol if tol > ROOT_AGREEMENT else ROOT_AGREEMENT
+
+
+def _certify(h0: float, h1: float, h2: float, h3: float, x: float, tol: float) -> bool:
+    """True when x is proven within tol of the cubic's unique positive root.
 
     One sign change in (h3, h2, h1, h0), zeros skipped, means exactly one
     positive root (Descartes); with h3 > 0 the cubic is negative below it and
-    positive above it on X > 0.  A sign bracket [x - ROOT_AGREEMENT,
-    x + ROOT_AGREEMENT] then pins the root, to the same rounding in
-    cubic_value that the bisection relies on.
+    positive above it on X > 0.  A sign bracket [x - tol, x + tol] then pins
+    the root, to the same rounding in cubic_value that the bisection relies
+    on.
     """
-    signs = [h > 0.0 for h in (cubic.h3, cubic.h2, cubic.h1, cubic.h0) if h != 0.0]
-    changes = sum(a != b for a, b in zip(signs, signs[1:]))
-    if not cubic.h3 > 0.0 or changes != 1:
+    if not h3 > 0.0:
         return False
-    lo = x - ROOT_AGREEMENT
-    hi = x + ROOT_AGREEMENT
+    changes = 0
+    sign = True
+    for h in (h2, h1, h0):
+        if h != 0.0 and (h > 0.0) != sign:
+            sign = not sign
+            changes += 1
+    if changes != 1:
+        return False
+    lo = x - tol
+    hi = x + tol
     return (
-        (lo <= 0.0 or cubic_value(cubic, lo) <= 0.0)
+        (lo <= 0.0 or _value(h0, h1, h2, h3, lo) <= 0.0)
         and hi > 0.0
-        and cubic_value(cubic, hi) > 0.0
+        and _value(h0, h1, h2, h3, hi) > 0.0
     )
+
+
+def _certified(cubic: CubicForm, x: float) -> bool:
+    """True when x is proven within _agreement(x) of the unique positive root."""
+    return _certify(cubic.h0, cubic.h1, cubic.h2, cubic.h3, x, _agreement(x))
+
+
+def _root(h0: float, h1: float, h2: float, h3: float, m: float, n: float) -> float:
+    """Unique positive zero of the cubic, certified or bisection-verified.
+
+    The closed-form root is accepted in O(1) when _certify proves it within
+    _agreement of the unique positive root; otherwise it must agree with an
+    independent bisection to the same bound.  Either way its residual must
+    stay within 1e-9 of the cubic's scale.
+    """
+    x = _closed(h2, h3, m, n)
+    tol = _agreement(x)
+    if not _certify(h0, h1, h2, h3, x, tol):
+        x_bisect = _bisection_root(CubicForm(h0, h1, h2, h3, m, n))
+        if abs(x - x_bisect) > tol:
+            raise InternalInconsistencyError(
+                f"cubic root methods disagree: closed-form {x} vs bisection {x_bisect}"
+            )
+    residual = _value(h0, h1, h2, h3, x)
+    scale = abs(h3) * max(abs(x), 1.0) ** 3
+    if abs(residual) > 1e-9 * scale:
+        raise InternalInconsistencyError(
+            f"cubic root residual {residual} exceeds tolerance at x={x}"
+        )
+    return x
 
 
 def positive_root(cubic: CubicForm) -> float:
     """Unique positive zero of the threshold cubic, certified or bisection-verified.
 
-    The closed-form root is accepted in O(1) when _certified proves it within
-    ROOT_AGREEMENT of the unique positive root; otherwise it must agree with
-    an independent bisection to the same bound.  Either way its residual must
-    stay within 1e-9 of the cubic's scale.
+    The closed-form root is accepted in O(1) when the certificate proves it
+    within ROOT_AGREEMENT (16 ulps for roots from 2**15 on) of the unique
+    positive root; otherwise it must agree with an independent bisection to
+    the same bound.  Either way its residual must stay within 1e-9 of the
+    cubic's scale.
     """
-    x_closed = _closed_form_root(cubic)
-    if not _certified(cubic, x_closed):
-        x_bisect = _bisection_root(cubic)
-        if abs(x_closed - x_bisect) > ROOT_AGREEMENT:
-            raise InternalInconsistencyError(
-                f"cubic root methods disagree: closed-form {x_closed} vs bisection {x_bisect}"
-            )
-    residual = cubic_value(cubic, x_closed)
-    scale = abs(cubic.h3) * max(abs(x_closed), 1.0) ** 3
-    if abs(residual) > 1e-9 * scale:
-        raise InternalInconsistencyError(
-            f"cubic root residual {residual} exceeds tolerance at x={x_closed}"
-        )
-    return x_closed
+    return _root(cubic.h0, cubic.h1, cubic.h2, cubic.h3, cubic.m, cubic.n)
+
+
+def _band(g: float, bt: float) -> tuple[float, float]:
+    """Incident bound (g+1)/(g-1+2*bt) and its slackened top for admissibility."""
+    upper = (g + 1.0) / (g - 1.0 + 2.0 * bt)
+    return upper, upper * (1.0 + ENDPOINT_SLACK)
+
+
+def _threshold(
+    b: float, g: float, bt: float
+) -> tuple[tuple[float, float, float, float, float, float], float, float, float]:
+    """Unchecked cubic, root, J and critical angle for an admissible ratio."""
+    h = _coeffs(b, g, bt)
+    x_star = _root(*h)
+    j_value = max(0.0, (x_star - 1.0) / b)
+    return h, x_star, j_value, math.atan(math.sqrt(j_value))
 
 
 def criterion(beta_i: float, gas: GasModel) -> CriterionReport:
@@ -290,18 +355,14 @@ def criterion(beta_i: float, gas: GasModel) -> CriterionReport:
     that excludes them (that is what blanks a table cell).
     """
     validate_gas(gas)
-    upper = (gas.gamma + 1.0) / (gas.gamma - 1.0 + 2.0 * gas.btilde)
-    admissible = 1.0 - ENDPOINT_SLACK <= beta_i <= upper * (1.0 + ENDPOINT_SLACK)
-    if not admissible:
+    upper, top = _band(gas.gamma, gas.btilde)
+    if not _BAND_LOW <= beta_i <= top:
         return CriterionReport(
             cubic=None, x_star=None, J=None, phi_star=None, admissible=False, upper_beta=upper
         )
-    cubic = _cubic(beta_i, gas.gamma, gas.btilde)
-    x_star = positive_root(cubic)
-    j_value = max(0.0, (x_star - 1.0) / beta_i)
-    phi_star = math.atan(math.sqrt(j_value))
+    h, x_star, j_value, phi_star = _threshold(beta_i, gas.gamma, gas.btilde)
     return CriterionReport(
-        cubic=cubic,
+        cubic=CubicForm(*h),
         x_star=x_star,
         J=j_value,
         phi_star=phi_star,
@@ -375,8 +436,9 @@ def table_generate(
     beta_grid: list[float], btilde_grid: list[float], gas_gamma: float
 ) -> dict[tuple[float, float], CriterionReport]:
     """Criterion reports over a (beta_i, btilde) grid at fixed gamma."""
+    gases = [GasModel(gamma=gas_gamma, btilde=bt) for bt in btilde_grid]
     out: dict[tuple[float, float], CriterionReport] = {}
     for beta in beta_grid:
-        for bt in btilde_grid:
-            out[(beta, bt)] = criterion(beta, GasModel(gamma=gas_gamma, btilde=bt))
+        for bt, gas in zip(btilde_grid, gases):
+            out[(beta, bt)] = criterion(beta, gas)
     return out

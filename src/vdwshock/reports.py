@@ -8,8 +8,8 @@ import math
 from . import inner_singular, linear_acoustics, nonlinear_front, regular_reflection
 from .config import RunConfig
 from .errors import DomainError, InternalInconsistencyError
-from .table_fixture import fixture_value
-from .thermo import GasModel, reference_constants
+from .table_fixture import fixture_column, fixture_row
+from .thermo import GasModel, reference_constants, validate_gas
 
 
 def fmt(value) -> str:
@@ -81,19 +81,36 @@ def render_criterion(cfg: RunConfig) -> str:
 
 
 def render_table(cfg: RunConfig) -> str:
-    """Threshold grid with a side-by-side fixture-comparison column as CSV."""
-    grid = regular_reflection.table_generate(cfg.beta_grid, cfg.btilde_grid, cfg.gamma)
-    rows = []
+    """Threshold grid with a side-by-side fixture-comparison column as CSV.
+
+    Each quantity is computed where it varies: per btilde column the gas
+    check, the admissible band and the fixture column; per beta row the
+    fixture row; per cell only the band test and the threshold kernel.
+    """
+    g = cfg.gamma
+    columns = []
+    for bt in cfg.btilde_grid:
+        validate_gas(GasModel(gamma=g, btilde=bt))
+        _upper, top = regular_reflection._band(g, bt)
+        columns.append((bt, f"{_fmt_float(bt)},", top, fixture_column(bt)))
+    lines = []
     for beta in cfg.beta_grid:
-        for bt in cfg.btilde_grid:
-            rep = grid[(beta, bt)]
-            fix = fixture_value(beta, bt)
-            j = rep.J if rep.admissible else None
-            diff = abs(j - fix) if (j is not None and fix is not None) else None
-            phi_deg = math.degrees(rep.phi_star) if rep.admissible else None
-            rows.append([beta, bt, rep.admissible, j, phi_deg, fix, diff])
+        head = _fmt_float(beta) + ","
+        fix_row = fixture_row(beta)
+        for bt, bt_cell, top, col in columns:
+            fix = None if fix_row is None or col is None else fix_row[col]
+            fix_cell = "" if fix is None else _fmt_float(fix)
+            if not regular_reflection._BAND_LOW <= beta <= top:
+                lines.append(f"{head}{bt_cell}false,,,{fix_cell},")
+                continue
+            _h, _x, j, phi = regular_reflection._threshold(beta, g, bt)
+            diff = "" if fix is None else _fmt_float(abs(j - fix))
+            lines.append(
+                f"{head}{bt_cell}true,{_fmt_float(j)},{_fmt_float(math.degrees(phi))},"
+                f"{fix_cell},{diff}"
+            )
     header = ["beta_i", "btilde", "admissible", "J", "phi_star_deg", "fixture_J", "abs_diff"]
-    return csv_text(header, rows)
+    return _csv(header, lines)
 
 
 def render_field(cfg: RunConfig) -> str:

@@ -35,15 +35,26 @@ _ROWS: dict[float, tuple[float | None, ...]] = {
 }
 
 
-def fixture_value(beta_i: float, btilde: float) -> float | None:
-    """Fixture threshold for a grid cell, or None for a blank/unknown cell."""
-    row = _ROWS.get(round(beta_i, 6))
-    if row is None:
-        return None
+def fixture_row(beta_i: float) -> tuple[float | None, ...] | None:
+    """Fixture row of a density ratio (matched to 6 decimals), or None."""
+    return _ROWS.get(round(beta_i, 6))
+
+
+def fixture_column(btilde: float) -> int | None:
+    """Index of the first fixture column within 1e-9 of btilde, or None."""
     for col, bt in enumerate(FIXTURE_BTILDE):
         if abs(bt - btilde) <= 1e-9:
-            return row[col]
+            return col
     return None
+
+
+def fixture_value(beta_i: float, btilde: float) -> float | None:
+    """Fixture threshold for a grid cell, or None for a blank/unknown cell."""
+    row = fixture_row(beta_i)
+    col = fixture_column(btilde)
+    if row is None or col is None:
+        return None
+    return row[col]
 
 
 def fixture_is_blank(beta_i: float, btilde: float) -> bool:

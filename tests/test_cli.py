@@ -114,6 +114,48 @@ class TestCountBound:
             parse_config(None, {key: MAX_COUNT + 1})
         assert getattr(parse_config(None, {key: MAX_COUNT}), key) == MAX_COUNT
 
+    @pytest.mark.parametrize("key", ["beta_grid", "btilde_grid"])
+    def test_long_grid_rejected_naming_the_key(self, key):
+        # two 100,001-entry grids used to pass: a 1e10-cell table
+        with pytest.raises(DomainError, match=f"{key} must have at most {MAX_COUNT} entries"):
+            parse_config(None, {key: [0.5] * (MAX_COUNT + 1)})
+        assert len(getattr(parse_config(None, {key: [0.5] * MAX_COUNT}), key)) == MAX_COUNT
+
+
+class TestAlphaUnderflow:
+    def test_zero_radians_exits_two(self, capsys):
+        # math.radians(5e-324) is 0.0; the field used to end in a
+        # ZeroDivisionError traceback (exit 1)
+        assert cli.main(["field", "--alpha_deg", "5e-324"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["kind"] == "validation"
+        assert error["message"].startswith("alpha_deg is too small")
+
+    def test_tiny_nonzero_radians_still_run(self, capsys):
+        assert cli.main(["field", "--alpha_deg", "1e-310", "--xi_count", "3",
+                         "--theta_count", "3"]) == 0
+        assert capsys.readouterr().out.startswith("xi_over_kappa0,")
+
+
+class TestWeakShockRoot:
+    # x* is about 7.3e6 here, where an absolute 1e-10 is a tenth of an ulp:
+    # the two root methods agree to a few ulps but used to exit 3
+    WEAK = ["--gamma", "2", "--btilde", "0.9999999999999"]
+
+    def test_criterion_exits_zero(self, capsys):
+        assert cli.main(["criterion", *self.WEAK, "--beta_i", "1.0000000000001"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["admissible"] is True
+        assert report["x_star"] == pytest.approx(7295401.0, rel=1e-12)
+
+    def test_table_exits_zero(self, capsys):
+        argv = ["table", "--gamma", "2", "--btilde_grid", "[0.9999999999999]",
+                "--beta_grid", "[1.0000000000001]"]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.split("\n")[1].startswith("1,1,true,7295400,")
+
 
 class TestFrontOverflow:
     def test_overflowing_epsilon_exits_two(self, capsys):

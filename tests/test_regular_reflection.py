@@ -220,6 +220,16 @@ class TestRootCertificate:
         assert positive_root(CubicForm(h0, h1, h2, h3, m, n)) == pytest.approx(3.0, abs=1e-12)
         assert len(calls) == 1
 
+    def test_large_root_agreement_is_ulp_aware(self, monkeypatch):
+        # at x* ~ 7.3e6 an absolute 1e-10 is below one ulp; the methods agree
+        # to a few ulps and both the certificate and the fallback accept that
+        c = cubic_coefficients(1.0000000000001, GasModel(2.0, 0.9999999999999))
+        x = positive_root(c)
+        assert x > 7e6
+        assert abs(x - _bisection_root(c)) <= 16.0 * math.ulp(x)
+        monkeypatch.setattr(regular_reflection, "_certify", lambda *args: False)
+        assert positive_root(c) == x
+
 
 ENTRY_POINTS = {
     "beta_r_from_angles": lambda gas, b: beta_r_from_angles(b, 1.0, -0.5, gas),

@@ -27,6 +27,7 @@ from .regular_reflection import (
     solve_regular_reflection,
     table_generate,
     tan_phi_r_branches,
+    _band,
     _beta_r_of,
     _bisection_root,
     _closed_form_root,
@@ -71,7 +72,7 @@ def check_cubic_self_consistency() -> CheckResult:
     for g in gammas:
         for bt in btildes:
             gas = GasModel(g, bt)
-            upper = (g + 1.0) / (g - 1.0 + 2.0 * bt)
+            upper = _band(g, bt)[0]
             for beta in betas:
                 if not 1.0 < beta <= upper * (1.0 + 1e-12):
                     continue
@@ -183,6 +184,13 @@ def _scan_oracle_minus_branch(beta: float, t: float, gas: GasModel, n: int = 150
     is independent of both the discriminant formula and the printed deflection
     elimination.  The inputs are validated once; the scan then calls the
     unchecked reflected-ratio kernel.
+
+    The scan runs upward from -bound to 0, so its sign-change brackets are
+    disjoint and ascending, and bisection never leaves its bracket.  The
+    first bracket whose root passes the pole-rejection test therefore holds
+    the least root, and the scan stops there: later brackets (the plus
+    branch among them) are neither bisected nor evaluated, so a DomainError
+    at a bisection point past that root is never met either.
     """
     check_incident_beta(beta, gas)
     g, bt = gas.gamma, gas.btilde
@@ -199,7 +207,6 @@ def _scan_oracle_minus_branch(beta: float, t: float, gas: GasModel, n: int = 150
     qb = 2.0 * t * (1.0 - bt * beta) * (1.0 + beta * beta * t * t)
     qc = (beta - 1.0) * ((g - 1.0 + 2.0 * bt * beta) * beta * t * t + (g + 1.0))
     bound = 1.0 + (abs(qb) + abs(qc)) / qa  # Cauchy bound on the quadratic roots
-    roots = []
     prev_r = -bound
     try:
         prev_g = gfun(prev_r)
@@ -208,10 +215,11 @@ def _scan_oracle_minus_branch(beta: float, t: float, gas: GasModel, n: int = 150
     for i in range(1, n + 1):
         r = -bound + bound * i / n  # scan up to 0
         try:
-            cur_g = gfun(r)
+            br = beta_r(r)
         except DomainError:
             prev_r, prev_g = r, math.nan
             continue
+        cur_g = tan_di + (br - 1.0) * r / (1.0 + br * r * r)  # gfun(r), inlined
         if math.isfinite(prev_g) and prev_g * cur_g <= 0.0 and prev_g != cur_g:
             lo, hi = prev_r, r
             glo = prev_g
@@ -226,11 +234,9 @@ def _scan_oracle_minus_branch(beta: float, t: float, gas: GasModel, n: int = 150
                     lo, glo = mid, gm
             root = 0.5 * (lo + hi)
             if abs(gfun(root)) < 1e-8:  # reject pole crossings
-                roots.append(root)
+                return root
         prev_r, prev_g = r, cur_g
-    if not roots:
-        raise AssertionError("scan oracle found no root")
-    return min(roots)
+    raise AssertionError("scan oracle found no root")
 
 
 def check_reflection_solve() -> CheckResult:
@@ -244,7 +250,7 @@ def check_reflection_solve() -> CheckResult:
         g = rng.uniform(1.1, 5.0 / 3.0)
         bt = rng.uniform(0.0, 0.7)
         gas = GasModel(g, bt)
-        upper = (g + 1.0) / (g - 1.0 + 2.0 * bt)
+        upper = _band(g, bt)[0]
         beta = rng.uniform(1.0 + 1e-3, min(upper * 0.999, 4.0))
         if beta <= 1.0:
             continue

@@ -189,10 +189,18 @@ def _coeffs(b: float, g: float, bt: float) -> tuple[float, float, float, float, 
     return h0, h1, h2, h3, m, n
 
 
+def _overflow(g: float, b: float) -> DomainError:
+    """The error for a cubic whose coefficients or root overflow a float."""
+    return DomainError(f"threshold cubic overflows a float at gamma={g}, beta_i={b}")
+
+
 def cubic_coefficients(beta_i: float, gas: GasModel) -> CubicForm:
     """Coefficients h0..h3 of the threshold cubic in X = 1 + beta_i*tan^2(phi_i)."""
     check_incident_beta(beta_i, gas)
-    return CubicForm(*_coeffs(beta_i, gas.gamma, gas.btilde))
+    try:
+        return CubicForm(*_coeffs(beta_i, gas.gamma, gas.btilde))
+    except OverflowError as exc:
+        raise _overflow(gas.gamma, beta_i) from exc
 
 
 def _value(h0: float, h1: float, h2: float, h3: float, x: float) -> float:
@@ -229,21 +237,22 @@ def _closed_form_root(cubic: CubicForm) -> float:
 
 def _bisection_root(cubic: CubicForm) -> float:
     """Unique positive zero by sign-change bisection, independent of radicals."""
+    h0, h1, h2, h3 = cubic.h0, cubic.h1, cubic.h2, cubic.h3
     hi = 1.0
     for _ in range(400):
-        if cubic_value(cubic, hi) > 0.0:
+        if _value(h0, h1, h2, h3, hi) > 0.0:
             break
         hi *= 2.0
     else:  # pragma: no cover - coefficients guarantee growth
         raise InternalInconsistencyError("cubic does not become positive")
     lo = hi / 2.0
-    while lo > 0.0 and cubic_value(cubic, lo) > 0.0:
+    while lo > 0.0 and _value(h0, h1, h2, h3, lo) > 0.0:
         lo /= 2.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if cubic_value(cubic, mid) > 0.0:
+        if _value(h0, h1, h2, h3, mid) > 0.0:
             hi = mid
         else:
             lo = mid
@@ -341,9 +350,16 @@ def _band(g: float, bt: float) -> tuple[float, float]:
 def _threshold(
     b: float, g: float, bt: float
 ) -> tuple[tuple[float, float, float, float, float, float], float, float, float]:
-    """Unchecked cubic, root, J and critical angle for an admissible ratio."""
-    h = _coeffs(b, g, bt)
-    x_star = _root(*h)
+    """Unchecked cubic, root, J and critical angle for an admissible ratio.
+
+    A float overflow in the cubic or its root is a DomainError naming gamma
+    and beta_i.
+    """
+    try:
+        h = _coeffs(b, g, bt)
+        x_star = _root(*h)
+    except OverflowError as exc:
+        raise _overflow(g, b) from exc
     j_value = max(0.0, (x_star - 1.0) / b)
     return h, x_star, j_value, math.atan(math.sqrt(j_value))
 

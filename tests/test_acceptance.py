@@ -17,8 +17,10 @@ red deliberately rather than loosened:
 """
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -65,12 +67,17 @@ def test_full_suite_runtime_budget(report):
 
 
 def test_check_command_round_trip():
-    # the CLI check subcommand serializes exactly the gate entries
+    # the CLI check subcommand serializes exactly the gate entries; the child
+    # imports the same package as this test, wherever it was imported from
+    src = str(Path(checks.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
     proc = subprocess.run(
         [sys.executable, "-m", "vdwshock.cli", "check"],
         capture_output=True,
         text=True,
         timeout=120,
+        env=env,
     )
     payload = json.loads(proc.stdout)
     assert {c["name"] for c in payload["checks"]} == {

@@ -1,7 +1,10 @@
 import json
 import math
+import os
+import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,12 +18,20 @@ COMMANDS = ("criterion", "table", "field", "front", "inner", "check")
 
 
 def run_cli(*args):
+    # the child imports the same package as this test, wherever it came from
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
     return subprocess.run(
         [sys.executable, "-m", "vdwshock.cli", *args],
         capture_output=True,
         text=True,
         timeout=120,
+        env={**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path},
     )
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
 
 
 class TestConfig:
@@ -166,6 +177,48 @@ class TestFrontOverflow:
         error = json.loads(err)["error"]
         assert error["kind"] == "validation"
         assert "epsilon=1e+308" in error["message"]
+
+
+class TestThresholdOverflow:
+    # the cubic's coefficients (2*b2**3) or its closed-form root (m**3)
+    # overflow a float at huge gamma; both used to end in a traceback
+    HUGE = ["--gamma", "2.6168464956334917e+41"]
+
+    def assert_validation_error(self, capsys):
+        out, err = capsys.readouterr()
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["kind"] == "validation"
+        assert "gamma=2.6168464956334917e+41" in error["message"]
+        assert "beta_i=0.999999999999" in error["message"]
+
+    def test_criterion_exits_two(self, capsys):
+        assert cli.main(["criterion", *self.HUGE, "--beta_i", "0.999999999999"]) == 2
+        self.assert_validation_error(capsys)
+
+    def test_table_exits_two(self, capsys):
+        assert cli.main(["table", *self.HUGE, "--beta_grid", "[0.999999999999]"]) == 2
+        self.assert_validation_error(capsys)
+
+    def test_huge_gamma_never_escapes(self, capsys):
+        rng = random.Random(41)
+        codes = set()
+        for _ in range(2000):
+            gamma = 10.0 ** rng.uniform(-9.0, 308.0) + 1.0
+            btilde = rng.choice([0.0, rng.uniform(0.0, 0.999)])
+            upper = (gamma + 1.0) / (gamma - 1.0 + 2.0 * btilde)
+            beta = rng.choice([1.0, 1.0 - 1e-12, 1.0 + 1e-12, upper, rng.uniform(1.0, upper)])
+            argv = ["criterion", "--gamma", repr(gamma), "--btilde", repr(btilde),
+                    "--beta_i", repr(beta)]
+            code = cli.main(argv)
+            out, _err = capsys.readouterr()
+            assert code in (0, 2, 3), argv
+            if code == 0:
+                json.loads(out, parse_constant=_reject_constant)
+            else:
+                assert out == "", argv
+            codes.add(code)
+        assert codes == {0, 2, 3}
 
 
 class TestExitCodes:

@@ -70,6 +70,11 @@ class TestCubicCoefficients:
         assert c.h0 == 0.0
         assert c.h1 == 0.0
 
+    def test_overflow_is_a_domain_error(self):
+        # 2*b2**3 overflows a float in _coeffs; it used to escape as OverflowError
+        with pytest.raises(DomainError, match=r"gamma=1e\+100, beta_i=0.999999999999"):
+            cubic_coefficients(0.999999999999, GasModel(1e100, 0.0))
+
     @pytest.mark.parametrize("beta, bt, g", admissible_cells())
     def test_sign_pattern_and_sum_identity(self, beta, bt, g):
         gas = GasModel(g, bt)
@@ -371,6 +376,11 @@ class TestCriterion:
         rep = criterion(1.2, ideal_gas)
         assert rep.J == pytest.approx(0.6420686534161867, rel=1e-12)
         assert math.tan(rep.phi_star) ** 2 == pytest.approx(rep.J, rel=1e-13)
+
+    def test_root_overflow_is_a_domain_error(self):
+        # m**3 overflows a float in the closed-form root
+        with pytest.raises(DomainError, match=r"gamma=2.6168464956334917e\+41"):
+            criterion(0.999999999999, GasModel(2.6168464956334917e41, 0.0))
 
     def test_threshold_increases_with_btilde(self):
         js = [criterion(1.4, GasModel(1.4, bt)).J for bt in (0.0, 0.1, 0.2, 0.3, 0.4)]

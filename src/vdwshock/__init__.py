@@ -26,7 +26,6 @@ from .geometry import (
 from .inner_singular import (
     InnerGeometry,
     InnerPoint,
-    InnerState,
     expansion_fan,
     inner_geometry,
     inner_linear,
@@ -39,7 +38,6 @@ from .inner_singular import (
     stretch,
 )
 from .linear_acoustics import (
-    DiffractionFrame,
     ExpansionCoefficients,
     FieldSample,
     busemann_variable,
@@ -47,7 +45,6 @@ from .linear_acoustics import (
     density_pde_residual,
     diffracted_density,
     diffracted_density_xi,
-    diffraction_frame,
     first_order_piecewise,
     interior_density,
     near_front_coefficient,
@@ -56,10 +53,8 @@ from .linear_acoustics import (
 )
 from .nonlinear_front import (
     FrontClassification,
-    FrontWave,
     c_beta,
     classify_front,
-    front_wave,
     gradient_jump,
     psi_root,
     rarefaction_profile,

@@ -32,7 +32,7 @@ from .regular_reflection import (
     _bisection_root,
     _closed_form_root,
 )
-from .shock_relations import IncidentShockInput, check_incident_beta
+from .shock_relations import IncidentShockInput, beta_upper, check_incident_beta
 from .table_fixture import fixture_is_blank, fixture_value
 from .thermo import GasModel, reference_constants
 
@@ -52,14 +52,8 @@ class CheckResult:
     note: str
 
 
-def _result(name, ok, residual, tolerance, note_ok, note_bad) -> CheckResult:
-    return CheckResult(
-        name=name,
-        status=PASS if ok else FAIL,
-        residual=residual,
-        tolerance=tolerance,
-        note=note_ok if ok else note_bad,
-    )
+def _result(name, ok, residual, tolerance, note) -> CheckResult:
+    return CheckResult(name, PASS if ok else FAIL, residual, tolerance, note)
 
 
 def check_cubic_self_consistency() -> CheckResult:
@@ -92,8 +86,7 @@ def check_cubic_self_consistency() -> CheckResult:
         f"max root disagreement={worst_root:.3e}, max coefficient-sum error={worst_sum:.3e}"
     )
     return _result(
-        "cubic_self_consistency", ok, max(worst_res, worst_root, worst_sum), 1e-9,
-        note, note,
+        "cubic_self_consistency", ok, max(worst_res, worst_root, worst_sum), 1e-9, note
     )
 
 
@@ -135,7 +128,7 @@ def check_table_trends() -> CheckResult:
             "it is reported, not patched."
         )
     return _result("table_trends", ok, float(len(col_viol) + len(row_viol) + len(blank_mismatch)),
-                   0.0, note, note)
+                   0.0, note)
 
 
 def check_table_fixture_comparison() -> CheckResult:
@@ -174,7 +167,7 @@ def check_branch_limits() -> CheckResult:
             worst = max(worst, abs(minus + t), abs(plus))
     ok = worst <= 1e-6
     note = f"max branch-limit deviation {worst:.3e} at beta_i = 1 + 1e-8"
-    return _result("branch_limits", ok, worst, 1e-6, note, note)
+    return _result("branch_limits", ok, worst, 1e-6, note)
 
 
 def _scan_oracle_minus_branch(beta: float, t: float, gas: GasModel, n: int = 1500) -> float:
@@ -271,7 +264,7 @@ def check_reflection_solve() -> CheckResult:
         worst_oracle = max(
             worst_oracle, abs(closed - oracle) / max(1.0, abs(closed))
         )
-        upper_r = (g + 1.0) / (g - 1.0 + 2.0 * bt * beta)
+        upper_r = beta_upper(g, bt * beta)
         if not 1.0 - 1e-12 <= sol.beta_r <= upper_r * (1.0 + 1e-12):
             return CheckResult(
                 "reflection_solve", FAIL, None, 1e-10,
@@ -283,7 +276,7 @@ def check_reflection_solve() -> CheckResult:
         f"{n_ok} solves; max deflection-cancel residual {worst_cancel:.3e}, "
         f"max closed-form vs scan-oracle deviation {worst_oracle:.3e}"
     )
-    return _result("reflection_solve", ok, max(worst_cancel, worst_oracle), 1e-9, note, note)
+    return _result("reflection_solve", ok, max(worst_cancel, worst_oracle), 1e-9, note)
 
 
 def check_geometry_incidence() -> CheckResult:
@@ -313,7 +306,7 @@ def check_geometry_incidence() -> CheckResult:
             mono_ok = False
     ok = worst <= 1e-12 and mono_ok
     note = f"max endpoint deviation {worst:.3e}; d(zeta*)/d(btilde) > 0 {'held' if mono_ok else 'VIOLATED'}"
-    return _result("geometry_incidence", ok, worst, 1e-12, note, note)
+    return _result("geometry_incidence", ok, worst, 1e-12, note)
 
 
 def _ideal_gas_density(sigma: float, theta: float, alpha: float) -> float:
@@ -390,7 +383,7 @@ def check_linear_field() -> CheckResult:
         f"center dev {worst_center:.3e} (tol 1e-6), arc dev {worst_arc:.3e} (tol 1e-3), "
         f"min FD order {min_order:.3f} (need >= 1.9), ideal-gas dev {worst_ideal:.3e}"
     )
-    return _result("linear_field", ok, worst_center, 1e-6, note, note)
+    return _result("linear_field", ok, worst_center, 1e-6, note)
 
 
 def check_front_corrections() -> CheckResult:
@@ -450,7 +443,7 @@ def check_front_corrections() -> CheckResult:
         f"max phase residual {worst_phase:.3e} (tol 1e-12); covolume trends "
         f"{'held' if trends_ok else 'VIOLATED'}; front continuity gap {worst_cont:.3e} (tol 1e-10)"
     )
-    return _result("front_corrections", ok, worst_phase, 1e-12, note, note)
+    return _result("front_corrections", ok, worst_phase, 1e-12, note)
 
 
 def check_inner_region() -> CheckResult:
@@ -511,7 +504,7 @@ def check_inner_region() -> CheckResult:
         f"boundary recovery dev {max(recov):.3e} (tol 1e-6); vertex residual {abs(vertex):.3e} "
         f"(tol 1e-12); documented-residual identity dev {worst_doc:.3e} (tol 1e-9)"
     )
-    return _result("inner_region", ok, worst_doc, 1e-9, note, note)
+    return _result("inner_region", ok, worst_doc, 1e-9, note)
 
 
 def _render_all_data_commands(cfg: RunConfig) -> dict[str, str]:
@@ -552,7 +545,7 @@ def check_cli_determinism(other_results: list[CheckResult]) -> CheckResult:
         else f"check cannot exit 0 while these checks fail: {fails}"
     )
     note = "; ".join(note_parts)
-    return _result("cli_determinism", ok, float(len(nondet) + len(fails)), 0.0, note, note)
+    return _result("cli_determinism", ok, float(len(nondet) + len(fails)), 0.0, note)
 
 
 def run_all_checks() -> list[CheckResult]:
@@ -574,16 +567,7 @@ def run_all_checks() -> list[CheckResult]:
 
 def report_payload(results: list[CheckResult]) -> dict:
     return {
-        "checks": [
-            {
-                "name": r.name,
-                "status": r.status,
-                "residual": r.residual,
-                "tolerance": r.tolerance,
-                "note": r.note,
-            }
-            for r in results
-        ],
+        "checks": [dict(vars(r)) for r in results],
         "counts": {
             "pass": sum(1 for r in results if r.status == PASS),
             "fail": sum(1 for r in results if r.status == FAIL),

@@ -78,21 +78,15 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     try:
-        if args.command == "criterion":
-            _emit(reports.render_criterion(cfg), cfg.output)
-        elif args.command == "table":
-            _emit(reports.render_table(cfg), cfg.output)
-        elif args.command == "field":
-            _emit(reports.render_field(cfg), cfg.output)
-        elif args.command == "front":
-            _emit(reports.render_front(cfg), cfg.output)
-        elif args.command == "inner":
-            _emit(reports.render_inner(cfg), cfg.output)
-        elif args.command == "check":
+        if args.command == "check":
             results = checks.run_all_checks()
             _emit(reports.json_text(checks.report_payload(results)), cfg.output)
             if any(r.status == checks.FAIL for r in results):
                 return 3
+        else:
+            # each data command has its renderer reports.render_<command>,
+            # looked up per call so that a wrapper patched onto reports is seen
+            _emit(getattr(reports, f"render_{args.command}")(cfg), cfg.output)
     except DomainError as exc:
         sys.stderr.write(_error_object("validation", exc))
         return 2

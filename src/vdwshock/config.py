@@ -8,14 +8,7 @@ from dataclasses import dataclass, field, fields
 
 from .errors import DomainError
 from .table_fixture import FIXTURE_BETA, FIXTURE_BTILDE
-
-
-def _default_beta_grid() -> list[float]:
-    return list(FIXTURE_BETA)
-
-
-def _default_btilde_grid() -> list[float]:
-    return list(FIXTURE_BTILDE)
+from .thermo import GasModel, validate_gas
 
 
 @dataclass
@@ -39,8 +32,8 @@ class RunConfig:
     beta_deg: float = 67.5
     r: float = 1.0
     t: float = 1.0
-    beta_grid: list[float] = field(default_factory=_default_beta_grid)
-    btilde_grid: list[float] = field(default_factory=_default_btilde_grid)
+    beta_grid: list[float] = field(default_factory=lambda: list(FIXTURE_BETA))
+    btilde_grid: list[float] = field(default_factory=lambda: list(FIXTURE_BTILDE))
     xi_min: float = 1e-6
     xi_count: int = 21
     theta_count: int = 25
@@ -103,10 +96,7 @@ def _coerce(key: str, value):
 
 def validate_config(cfg: RunConfig) -> RunConfig:
     """Re-check the module-level invariants at the CLI boundary."""
-    if not cfg.gamma > 1.0:
-        raise DomainError(f"gamma must exceed 1, got {cfg.gamma}")
-    if not 0.0 <= cfg.btilde < 1.0:
-        raise DomainError(f"btilde must lie in [0, 1), got {cfg.btilde}")
+    validate_gas(GasModel(cfg.gamma, cfg.btilde))
     if not 0.0 < cfg.alpha_deg < 90.0:
         raise DomainError(f"alpha_deg must lie in (0, 90), got {cfg.alpha_deg}")
     if cfg.alpha == 0.0:

@@ -24,13 +24,18 @@ OMEGA_2 = "Omega2"
 OMEGA_TILDE = "OmegaTilde"
 
 
+def check_angle(angle: float, name: str) -> None:
+    """Reject an angle outside the open interval (0, pi/2)."""
+    if not 0.0 < angle < math.pi / 2.0:
+        raise DomainError(f"{name} must lie in (0, pi/2), got {angle}")
+
+
 @dataclass(frozen=True)
 class WedgeConfig:
     alpha: float
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < math.pi / 2.0:
-            raise DomainError(f"wedge half-angle must lie in (0, pi/2), got {self.alpha}")
+        check_angle(self.alpha, "wedge half-angle")
 
 
 @dataclass(frozen=True)

@@ -34,12 +34,6 @@ class InnerPoint:
 
 
 @dataclass(frozen=True)
-class InnerState:
-    U: float
-    V: float
-
-
-@dataclass(frozen=True)
 class InnerGeometry:
     vartheta: float
     theta0: float

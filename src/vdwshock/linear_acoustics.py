@@ -22,6 +22,7 @@ from .geometry import (
     SelfSimilarPoint,
     _loci,
     _region,
+    check_angle,
     make_point,
     region_classify,
 )
@@ -63,13 +64,6 @@ class ExpansionCoefficients:
 
 
 @dataclass(frozen=True)
-class DiffractionFrame:
-    mu: float
-    beta_angle: float
-    s: float
-
-
-@dataclass(frozen=True)
 class FieldSample:
     point: SelfSimilarPoint
     region: RegionLabel
@@ -78,8 +72,7 @@ class FieldSample:
 
 
 def corner_exponent(alpha: float) -> float:
-    if not 0.0 < alpha < math.pi / 2.0:
-        raise DomainError(f"wedge half-angle must lie in (0, pi/2), got {alpha}")
+    check_angle(alpha, "wedge half-angle")
     return 0.5 * math.pi / (math.pi - alpha)
 
 
@@ -90,16 +83,6 @@ def busemann_variable(xi_over_kappa0: float) -> float:
         raise DomainError(f"xi/kappa0 must lie in [0, 1], got {sigma}")
     sigma = min(sigma, 1.0)
     return sigma / (1.0 + math.sqrt(max(0.0, 1.0 - sigma * sigma)))
-
-
-def diffraction_frame(
-    xi: float, theta: float, alpha: float, ref: ReferenceState
-) -> DiffractionFrame:
-    return DiffractionFrame(
-        mu=corner_exponent(alpha),
-        beta_angle=theta - alpha,
-        s=busemann_variable(xi / ref.kappa0),
-    )
 
 
 def atan_zero_pi(num: float, den: float) -> float:

@@ -30,24 +30,6 @@ class FrontClassification:
     alpha: float
 
 
-@dataclass(frozen=True)
-class FrontWave:
-    """Diagnostic bundle for one point of the diffracted front region.
-
-    Lambda is the wave-profile value -C*sqrt(tau); tau the fast phase
-    phi/delta with delta = epsilon^2.  Exposed for testing only, the CLI never
-    serializes these.
-    """
-
-    C_beta: float
-    Theta: float
-    delta_amp: float
-    Lambda: float | None
-    tau: float
-    psi: float | None
-    phi_phase: float
-
-
 def c_beta(beta_angle: float, alpha: float) -> float:
     """Matching coefficient of the front expansion along the ray beta.
 
@@ -112,38 +94,6 @@ def psi_root(phi_phase: float, r: float, C: float, epsilon: float, gas: GasModel
         raise DomainError(f"phase radicand negative ({radicand}); point beyond the fold")
     root = pi_term + math.sqrt(radicand)
     return root * root
-
-
-def front_wave(
-    r: float,
-    t: float,
-    beta_angle: float,
-    alpha: float,
-    epsilon: float,
-    gas: GasModel,
-    ref: ReferenceState,
-) -> FrontWave:
-    """Assemble the diagnostic front quantities at one (r, t) point."""
-    c_val = c_beta(beta_angle, alpha)
-    kind = classify_front(beta_angle, alpha).kind
-    c_case = -abs(c_val) if kind == "rarefaction" else abs(c_val)
-    delta = epsilon * epsilon
-    phi = ref.c0 * ref.kappa0 * t - r
-    tau = phi / delta if delta > 0.0 else math.inf
-    lam = -c_val * math.sqrt(tau) if 0.0 <= tau < math.inf else None
-    try:
-        psi = psi_root(phi, r, c_case, epsilon, gas)
-    except DomainError:
-        psi = None
-    return FrontWave(
-        C_beta=c_val,
-        Theta=beta_angle,
-        delta_amp=delta,
-        Lambda=lam,
-        tau=tau,
-        psi=psi,
-        phi_phase=phi,
-    )
 
 
 def rarefaction_profile(

@@ -21,9 +21,13 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import DetachmentError, DomainError, InternalInconsistencyError
+from .geometry import check_angle
 from .shock_relations import (
     ENDPOINT_SLACK,
     IncidentShockInput,
+    _jump,
+    _within,
+    beta_upper,
     check_incident_beta,
 )
 from .thermo import GasModel, validate_gas
@@ -194,6 +198,14 @@ def _overflow(g: float, b: float) -> DomainError:
     return DomainError(f"threshold cubic overflows a float at gamma={g}, beta_i={b}")
 
 
+def _full_covolume(g: float, bt: float, b: float) -> DomainError:
+    """The error for a state 1 whose covolume fraction btilde*beta_i rounds to 1."""
+    return DomainError(
+        f"covolume fraction btilde*beta_i of state 1 reaches 1 at gamma={g}, "
+        f"btilde={bt}, beta_i={b}"
+    )
+
+
 def cubic_coefficients(beta_i: float, gas: GasModel) -> CubicForm:
     """Coefficients h0..h3 of the threshold cubic in X = 1 + beta_i*tan^2(phi_i)."""
     check_incident_beta(beta_i, gas)
@@ -201,6 +213,8 @@ def cubic_coefficients(beta_i: float, gas: GasModel) -> CubicForm:
         return CubicForm(*_coeffs(beta_i, gas.gamma, gas.btilde))
     except OverflowError as exc:
         raise _overflow(gas.gamma, beta_i) from exc
+    except ZeroDivisionError as exc:  # h3 = 0
+        raise _full_covolume(gas.gamma, gas.btilde, beta_i) from exc
 
 
 def _value(h0: float, h1: float, h2: float, h3: float, x: float) -> float:
@@ -305,16 +319,13 @@ def _certified(cubic: CubicForm, x: float) -> bool:
 
 
 def _root(h0: float, h1: float, h2: float, h3: float, m: float, n: float) -> float:
-    """Unique positive zero of the cubic, certified or bisection-verified.
-
-    The closed-form root is accepted in O(1) when _certify proves it within
-    _agreement of the unique positive root; otherwise it must agree with an
-    independent bisection to the same bound.  Either way its residual must
-    stay within 1e-9 of the cubic's scale.
-    """
+    """positive_root on the coefficients as scalars; see there."""
     x = _closed(h2, h3, m, n)
     tol = _agreement(x)
     if not _certify(h0, h1, h2, h3, x, tol):
+        # an infinite root never certifies, so only this path needs the test
+        if not all(map(math.isfinite, (h0, h1, h2, h3, m, n, x))):
+            raise OverflowError("threshold cubic or its root is not finite")
         x_bisect = _bisection_root(CubicForm(h0, h1, h2, h3, m, n))
         if abs(x - x_bisect) > tol:
             raise InternalInconsistencyError(
@@ -343,7 +354,7 @@ def positive_root(cubic: CubicForm) -> float:
 
 def _band(g: float, bt: float) -> tuple[float, float]:
     """Incident bound (g+1)/(g-1+2*bt) and its slackened top for admissibility."""
-    upper = (g + 1.0) / (g - 1.0 + 2.0 * bt)
+    upper = beta_upper(g, bt)
     return upper, upper * (1.0 + ENDPOINT_SLACK)
 
 
@@ -352,14 +363,16 @@ def _threshold(
 ) -> tuple[tuple[float, float, float, float, float, float], float, float, float]:
     """Unchecked cubic, root, J and critical angle for an admissible ratio.
 
-    A float overflow in the cubic or its root is a DomainError naming gamma
-    and beta_i.
+    A float overflow in the cubic or its root, or a covolume fraction
+    btilde*beta_i that rounds to 1, is a DomainError naming the inputs.
     """
     try:
         h = _coeffs(b, g, bt)
         x_star = _root(*h)
     except OverflowError as exc:
         raise _overflow(g, b) from exc
+    except ZeroDivisionError as exc:  # h3 = 0
+        raise _full_covolume(g, bt, b) from exc
     j_value = max(0.0, (x_star - 1.0) / b)
     return h, x_star, j_value, math.atan(math.sqrt(j_value))
 
@@ -398,40 +411,27 @@ def solve_regular_reflection(
     internal inconsistency, never silently accepted).
     """
     check_incident_beta(inp.beta_i, gas)
-    if not 0.0 < alpha < math.pi / 2.0:
-        raise DomainError(f"wedge half-angle must lie in (0, pi/2), got {alpha}")
-    if not 0.0 < inp.phi_i < math.pi / 2.0:
-        raise DomainError(f"incidence angle must lie in (0, pi/2), got {inp.phi_i}")
+    check_angle(alpha, "wedge half-angle")
+    check_angle(inp.phi_i, "incidence angle")
     g, bt, b = gas.gamma, gas.btilde, inp.beta_i
     t = math.tan(inp.phi_i)
 
     minus, _plus, _f = _branches(b, t, g, bt)  # raises DetachmentError when F < 0
     beta_r = _beta_r_of(b, t, g, bt)(minus)
     tan_dr = _tan_delta_r(b, t, minus, g, bt)
-    tan_di = (b - 1.0) * t / (1.0 + b * t * t)
+    p1, tan_di, m0_sq, _ = _jump(b, t, g, bt)
     if abs(tan_di + tan_dr) > 1e-10:
         raise InternalInconsistencyError(
             f"deflections do not cancel: tan_di={tan_di}, tan_dr={tan_dr}"
         )
-    upper_r = (g + 1.0) / (g - 1.0 + 2.0 * bt * b)
-    if not (1.0 - ENDPOINT_SLACK <= beta_r <= upper_r * (1.0 + ENDPOINT_SLACK)):
+    upper_r = beta_upper(g, bt * b)
+    if not _within(beta_r, upper_r):
         raise InternalInconsistencyError(
             f"reflected ratio {beta_r} escaped its admissible band (1, {upper_r}) despite F >= 0"
         )
 
-    r2 = minus * minus
-    bb = bt * b
-    m2_sq = (
-        2.0 * (1.0 + beta_r * beta_r * r2) * (1.0 - bb * beta_r)
-        / ((g + 1.0) * beta_r - (g - 1.0 + 2.0 * bb * beta_r))
-    )
-    m0_sq = 2.0 * b * (1.0 - bt) * (1.0 + t * t) / ((g + 1.0) - b * (g - 1.0 + 2.0 * bt))
-
-    p1 = ((g + 1.0 - 2.0 * bt) * b - (g - 1.0)) / ((g + 1.0) - (g - 1.0 + 2.0 * bt) * b)
-    p2 = p1 * (
-        ((g + 1.0 - 2.0 * bb) * beta_r - (g - 1.0))
-        / ((g + 1.0) - beta_r * (g - 1.0 + 2.0 * bb))
-    )
+    p21, _, _, m2_sq = _jump(beta_r, minus, g, bt * b)  # state 1 has covolume bt*b
+    p2 = p1 * p21
     rho2 = b * beta_r
     a0 = math.sqrt(g / (1.0 - bt))
     a2 = math.sqrt(g * p2 / (rho2 * (1.0 - bt * rho2)))

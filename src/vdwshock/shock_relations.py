@@ -1,9 +1,12 @@
 """Oblique jump relations for the incident and reflected shocks.
 
 All relations are algebraic in tan(phi); trigonometric evaluation happens
-once at the API boundary.  Density ratios are checked against the
-compressive-shock bounds with a small relative slack so that grid points
-sitting exactly on an open endpoint are not spuriously rejected.
+once at the API boundary.  Both shocks obey one covolume Rankine-Hugoniot
+relation, _jump, which differs between them only in the covolume fraction of
+the upstream state: btilde ahead of the incident shock, btilde*beta_i ahead
+of the reflected one.  Density ratios are checked against the
+compressive-shock bound beta_upper with a small relative slack so that grid
+points sitting exactly on an open endpoint are not spuriously rejected.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import AdmissibilityError, DomainError
+from .geometry import check_angle
 from .thermo import GasModel, ReferenceState, validate_gas
 
 #: relative slack applied at the open endpoints of the admissibility intervals
@@ -41,19 +45,41 @@ class ReflectedShockInput:
 
 @dataclass(frozen=True)
 class ObliqueJump:
-    """Jump quantities across one oblique shock.
-
-    q_t, q_n are the tangential/normal pseudo-velocity components of the
-    upstream flow in units of the upstream sound speed; they are diagnostics
-    only and feed no downstream formula.
-    """
+    """Jump quantities across one oblique shock."""
 
     pressure_ratio: float
     tan_deflection: float
     M_up_sq: float
     M_down_sq: float
-    q_t: float
-    q_n: float
+
+
+def beta_upper(g: float, bb: float) -> float:
+    """Compressive-shock bound (g+1)/(g-1+2*bb) on the density ratio.
+
+    bb is the covolume fraction of the upstream state.
+    """
+    return (g + 1.0) / (g - 1.0 + 2.0 * bb)
+
+
+def _jump(beta: float, t: float, g: float, bb: float) -> tuple[float, float, float, float]:
+    """Unchecked jump across a shock of density ratio beta with tan(phi) = t.
+
+    bb is the covolume fraction of the upstream state.  Returns the pressure
+    ratio, the deflection tangent and the squared upstream and downstream
+    Mach numbers.  At or beyond the bound beta_upper(g, bb) the pressure
+    ratio has no positive denominator, which is a DomainError.
+    """
+    t2 = t * t
+    den_p = (g + 1.0) - (g - 1.0 + 2.0 * bb) * beta
+    if den_p <= 0.0:
+        raise DomainError("pressure-ratio denominator vanishes at the admissibility bound")
+    return (
+        ((g + 1.0 - 2.0 * bb) * beta - (g - 1.0)) / den_p,
+        (beta - 1.0) * t / (1.0 + beta * t2),
+        2.0 * beta * (1.0 - bb) * (1.0 + t2) / den_p,
+        2.0 * (1.0 - bb * beta) * (1.0 + beta * beta * t2)
+        / ((g + 1.0) * beta - (g - 1.0 + 2.0 * bb * beta)),
+    )
 
 
 def admissible_beta_bounds(gas: GasModel, beta_i: float | None = None) -> tuple[float, float]:
@@ -64,9 +90,9 @@ def admissible_beta_bounds(gas: GasModel, beta_i: float | None = None) -> tuple[
     """
     validate_gas(gas)
     if beta_i is None:
-        return 1.0, (gas.gamma + 1.0) / (gas.gamma - 1.0 + 2.0 * gas.btilde)
+        return 1.0, beta_upper(gas.gamma, gas.btilde)
     check_incident_beta(beta_i, gas)
-    return 1.0, (gas.gamma + 1.0) / (gas.gamma - 1.0 + 2.0 * gas.btilde * beta_i)
+    return 1.0, beta_upper(gas.gamma, gas.btilde * beta_i)
 
 
 def _within(beta: float, upper: float) -> bool:
@@ -75,7 +101,7 @@ def _within(beta: float, upper: float) -> bool:
 
 def check_incident_beta(beta_i: float, gas: GasModel) -> None:
     validate_gas(gas)
-    upper = (gas.gamma + 1.0) / (gas.gamma - 1.0 + 2.0 * gas.btilde)
+    upper = beta_upper(gas.gamma, gas.btilde)
     if not _within(beta_i, upper):
         raise AdmissibilityError(
             f"incident density ratio {beta_i} outside the admissible interval (1, {upper})"
@@ -84,62 +110,26 @@ def check_incident_beta(beta_i: float, gas: GasModel) -> None:
 
 def check_reflected_beta(beta_r: float, beta_i: float, gas: GasModel) -> None:
     check_incident_beta(beta_i, gas)
-    upper = (gas.gamma + 1.0) / (gas.gamma - 1.0 + 2.0 * gas.btilde * beta_i)
+    upper = beta_upper(gas.gamma, gas.btilde * beta_i)
     if not _within(beta_r, upper):
         raise AdmissibilityError(
             f"reflected density ratio {beta_r} outside the admissible interval (1, {upper})"
         )
 
 
-def _check_angle(phi: float, name: str) -> None:
-    if not 0.0 < phi < math.pi / 2.0:
-        raise DomainError(f"{name} must lie in (0, pi/2), got {phi}")
-
-
 def incident_oblique(inp: IncidentShockInput, gas: GasModel) -> ObliqueJump:
     """Pressure ratio, deflection and Mach numbers across the incident shock."""
     check_incident_beta(inp.beta_i, gas)
-    _check_angle(inp.phi_i, "incidence angle phi_i")
-    g, bt, beta = gas.gamma, gas.btilde, inp.beta_i
-    t = math.tan(inp.phi_i)
-    t2 = t * t
-
-    den_p = (g + 1.0) - (g - 1.0 + 2.0 * bt) * beta
-    if den_p == 0.0:
-        raise DomainError("pressure-ratio denominator vanishes at the admissibility bound")
-    pressure_ratio = ((g + 1.0 - 2.0 * bt) * beta - (g - 1.0)) / den_p
-    tan_deflection = (beta - 1.0) * t / (1.0 + beta * t2)
-    m_up = 2.0 * beta * (1.0 - bt) * (1.0 + t2) / den_p
-    m_down = (
-        2.0 * (1.0 - bt * beta) * (1.0 + beta * beta * t2)
-        / ((g + 1.0) * beta - (g - 1.0 + 2.0 * bt * beta))
-    )
-    q_n = math.sqrt(m_up) / math.sqrt(1.0 + t2)
-    return ObliqueJump(pressure_ratio, tan_deflection, m_up, m_down, q_t=q_n * t, q_n=q_n)
+    check_angle(inp.phi_i, "incidence angle phi_i")
+    return ObliqueJump(*_jump(inp.beta_i, math.tan(inp.phi_i), gas.gamma, gas.btilde))
 
 
 def reflected_oblique(beta_i: float, inp: ReflectedShockInput, gas: GasModel) -> ObliqueJump:
     """Jump quantities across the reflected shock riding on state 1."""
     check_reflected_beta(inp.beta_r, beta_i, gas)
-    _check_angle(inp.phi_r, "reflection angle phi_r")
-    g, bt = gas.gamma, gas.btilde
-    br = inp.beta_r
-    r = math.tan(inp.phi_r)
-    r2 = r * r
-    bb = bt * beta_i  # covolume fraction of state 1
-
-    den_p = (g + 1.0) - br * (g - 1.0 + 2.0 * bb)
-    if den_p == 0.0:
-        raise DomainError("pressure-ratio denominator vanishes at the admissibility bound")
-    pressure_ratio = ((g + 1.0 - 2.0 * bb) * br - (g - 1.0)) / den_p
-    m_up = 2.0 * br * (1.0 + r2) * (1.0 - bb) / den_p
-    m_down = (
-        2.0 * (1.0 + br * br * r2) * (1.0 - bb * br)
-        / ((g + 1.0) * br - (g - 1.0 + 2.0 * bb * br))
-    )
-    tan_deflection = (br - 1.0) * r / (1.0 + br * r2)
-    q_n = math.sqrt(m_up) / math.sqrt(1.0 + r2)
-    return ObliqueJump(pressure_ratio, tan_deflection, m_up, m_down, q_t=q_n * r, q_n=q_n)
+    check_angle(inp.phi_r, "reflection angle phi_r")
+    bb = gas.btilde * beta_i  # covolume fraction of state 1
+    return ObliqueJump(*_jump(inp.beta_r, math.tan(inp.phi_r), gas.gamma, bb))
 
 
 def normal_incident_state(beta_i: float, gas: GasModel, ref: ReferenceState) -> tuple[float, float]:
@@ -149,11 +139,7 @@ def normal_incident_state(beta_i: float, gas: GasModel, ref: ReferenceState) -> 
     itself sits on the locus zeta = a0*sec(theta).
     """
     check_incident_beta(beta_i, gas)
-    g, bt = gas.gamma, gas.btilde
-    den = (g + 1.0) - (g - 1.0) * beta_i - 2.0 * bt * beta_i
-    if den == 0.0:
-        raise DomainError("pressure-ratio denominator vanishes at the admissibility bound")
-    pressure_ratio = ((g + 1.0) * beta_i - (g - 1.0) - 2.0 * bt * beta_i) / den
+    pressure_ratio = _jump(beta_i, 0.0, gas.gamma, gas.btilde)[0]
     rho1 = beta_i * ref.rho0
     p1 = pressure_ratio * ref.p0
     u1 = math.sqrt(max(0.0, (p1 - ref.p0) * (rho1 - ref.rho0) / (ref.rho0 * rho1)))

@@ -200,6 +200,40 @@ class TestThresholdOverflow:
         assert cli.main(["table", *self.HUGE, "--beta_grid", "[0.999999999999]"]) == 2
         self.assert_validation_error(capsys)
 
+    # btilde*beta_i rounds to 1, so the cubic's leading coefficient h3 is 0
+    FULL = ["--gamma", "1.0000000000098845", "--btilde", "0.999999999999"]
+
+    def assert_full_covolume_error(self, capsys):
+        out, err = capsys.readouterr()
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["kind"] == "validation"
+        assert error["message"] == (
+            "covolume fraction btilde*beta_i of state 1 reaches 1 at "
+            "gamma=1.0000000000098845, btilde=0.999999999999, beta_i=1.000000000001"
+        )
+
+    def test_full_covolume_criterion_exits_two(self, capsys):
+        assert cli.main(["criterion", *self.FULL, "--beta_i", "1.000000000001"]) == 2
+        self.assert_full_covolume_error(capsys)
+
+    def test_full_covolume_table_exits_two(self, capsys):
+        argv = ["table", "--gamma", "1.0000000000098845", "--btilde_grid", "[0.999999999999]",
+                "--beta_grid", "[1.000000000001]"]
+        assert cli.main(argv) == 2
+        self.assert_full_covolume_error(capsys)
+
+    def test_infinite_coefficients_exit_two(self, capsys):
+        # _coeffs returns h2 = m = n = -inf; this used to exit 3
+        assert cli.main(["criterion", "--gamma", "1.8e289", "--beta_i", "1.000000000001"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error == {
+            "kind": "validation",
+            "message": "threshold cubic overflows a float at gamma=1.8e+289, beta_i=1.000000000001",
+        }
+
     def test_huge_gamma_never_escapes(self, capsys):
         rng = random.Random(41)
         codes = set()

@@ -14,7 +14,6 @@ from vdwshock.linear_acoustics import (
     corner_exponent,
     density_pde_residual,
     diffracted_density_xi,
-    diffraction_frame,
     first_order_piecewise,
     interior_density,
     near_front_coefficient,
@@ -166,11 +165,6 @@ class TestDiffractionFrame:
         assert busemann_variable(0.0) == 0.0
         assert busemann_variable(1.0) == 1.0
         assert 0.0 < busemann_variable(0.5) < 1.0
-
-    def test_frame_fields(self, ideal_ref):
-        frame = diffraction_frame(0.5, 1.2, ALPHA, ideal_ref)
-        assert frame.mu == pytest.approx(2.0 / 3.0, rel=1e-14)
-        assert frame.beta_angle == pytest.approx(1.2 - ALPHA, rel=1e-14)
 
 
 def ideal_reference_density(sigma, theta, alpha):

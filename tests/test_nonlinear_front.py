@@ -8,7 +8,6 @@ from vdwshock.linear_acoustics import near_front_coefficient, state2_expansion
 from vdwshock.nonlinear_front import (
     c_beta,
     classify_front,
-    front_wave,
     gradient_jump,
     psi_root,
     rarefaction_profile,
@@ -260,16 +259,3 @@ class TestShockLocusAndStrength:
         assert r_shock - front == pytest.approx(q * front, rel=1e-12)
         assert abs(r_envelope - r_shock) <= 2.0 * front * q * q
 
-
-class TestFrontWaveBundle:
-    def test_fields(self, covolume_gas, covolume_ref):
-        eps = 0.1
-        beta = ALPHA / 2.0
-        front = covolume_ref.c0 * covolume_ref.kappa0
-        wave = front_wave(0.8 * front, 1.0, beta, ALPHA, eps, covolume_gas, covolume_ref)
-        assert wave.delta_amp == eps * eps
-        assert wave.phi_phase == pytest.approx(0.2 * front, rel=1e-12)
-        assert wave.tau == pytest.approx(wave.phi_phase / eps**2, rel=1e-14)
-        assert wave.Theta == beta
-        assert wave.Lambda == pytest.approx(-wave.C_beta * math.sqrt(wave.tau), rel=1e-14)
-        assert wave.psi is not None

@@ -75,6 +75,11 @@ class TestCubicCoefficients:
         with pytest.raises(DomainError, match=r"gamma=1e\+100, beta_i=0.999999999999"):
             cubic_coefficients(0.999999999999, GasModel(1e100, 0.0))
 
+    def test_full_covolume_is_a_domain_error(self):
+        # btilde*beta_i rounds to 1, so h3 = 0; it used to escape as ZeroDivisionError
+        with pytest.raises(DomainError, match="covolume fraction .* reaches 1"):
+            cubic_coefficients(1.000000000001, GasModel(1.0000000000098845, 0.999999999999))
+
     @pytest.mark.parametrize("beta, bt, g", admissible_cells())
     def test_sign_pattern_and_sum_identity(self, beta, bt, g):
         gas = GasModel(g, bt)
@@ -381,6 +386,11 @@ class TestCriterion:
         # m**3 overflows a float in the closed-form root
         with pytest.raises(DomainError, match=r"gamma=2.6168464956334917e\+41"):
             criterion(0.999999999999, GasModel(2.6168464956334917e41, 0.0))
+
+    def test_infinite_coefficients_are_a_domain_error(self):
+        # h2, m and n come back -inf without an OverflowError being raised
+        with pytest.raises(DomainError, match=r"overflows a float at gamma=1.8e\+289"):
+            criterion(1.000000000001, GasModel(1.8e289, 0.0))
 
     def test_threshold_increases_with_btilde(self):
         js = [criterion(1.4, GasModel(1.4, bt)).J for bt in (0.0, 0.1, 0.2, 0.3, 0.4)]

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from vdwshock.errors import AdmissibilityError, DomainError
+from vdwshock.regular_reflection import criterion, solve_regular_reflection
 from vdwshock.shock_relations import (
     IncidentShockInput,
     ReflectedShockInput,
@@ -110,20 +111,9 @@ class TestNormalIncidentConsistency:
         assert u1 == pytest.approx(0.0, abs=1e-6)
 
 
-def reflected_primitive_oracle(beta_i, beta_r, phi_r, gas):
-    """Independent jump solve from conservation primitives.
-
-    Pressure behind the reflected shock comes from a bisection on the
-    enthalpy-Hugoniot relation h2 - h1 = (p2-p1)(V1+V2)/2; Mach numbers follow
-    from the momentum balance and the EOS sound speeds; the deflection from
-    normal-component reduction at preserved tangential velocity.
-    """
-    g, bt = gas.gamma, gas.btilde
-    rho1 = beta_i
-    p1 = ((g + 1.0) * beta_i - (g - 1.0) - 2.0 * bt * beta_i) / (
-        (g + 1.0) - (g - 1.0) * beta_i - 2.0 * bt * beta_i
-    )
-    rho2 = beta_r * rho1
+def hugoniot_pressure(rho1, p1, rho2, gas):
+    """Pressure behind a shock from (rho1, p1) to rho2, by bisection on the
+    enthalpy-Hugoniot relation h2 - h1 = (p2-p1)(V1+V2)/2 of the covolume EOS."""
     v1, v2 = 1.0 / rho1, 1.0 / rho2
 
     def hugoniot(p2):
@@ -144,7 +134,24 @@ def reflected_primitive_oracle(beta_i, beta_r, phi_r, gas):
             hi = mid
         else:
             lo = mid
-    p2 = 0.5 * (lo + hi)
+    return 0.5 * (lo + hi)
+
+
+def reflected_primitive_oracle(beta_i, beta_r, phi_r, gas):
+    """Independent jump solve from conservation primitives.
+
+    Pressure behind the reflected shock comes from hugoniot_pressure; Mach
+    numbers follow from the momentum balance and the EOS sound speeds; the
+    deflection from normal-component reduction at preserved tangential
+    velocity.
+    """
+    g, bt = gas.gamma, gas.btilde
+    rho1 = beta_i
+    p1 = ((g + 1.0) * beta_i - (g - 1.0) - 2.0 * bt * beta_i) / (
+        (g + 1.0) - (g - 1.0) * beta_i - 2.0 * bt * beta_i
+    )
+    rho2 = beta_r * rho1
+    p2 = hugoniot_pressure(rho1, p1, rho2, gas)
 
     w1_sq = (p2 - p1) * beta_r / (rho1 * (beta_r - 1.0))
     a1 = sound_speed(ThermoState(rho1, p1), gas)
@@ -190,6 +197,60 @@ class TestReflectedOblique:
         upper = admissible_beta_bounds(gas, beta_i=1.5)[1]
         with pytest.raises(AdmissibilityError):
             reflected_oblique(1.5, ReflectedShockInput(upper * 1.01, 0.5), gas)
+
+
+class TestSolveAgainstPrimitiveOracle:
+    """The reflected jump inside solve_regular_reflection rides on state 1, so
+    its covolume fraction is btilde*beta_i; the oracle knows only the EOS."""
+
+    @pytest.mark.parametrize(
+        "beta_i, alpha, btilde",
+        [(1.3, 0.4, 0.0), (1.6, 0.7, 0.2), (2.0, 0.3, 0.2)],
+    )
+    def test_state2_pressure_and_mach(self, beta_i, alpha, btilde):
+        gas = GasModel(1.4, btilde)
+        phi_i = 0.5 * (criterion(beta_i, gas).phi_star + math.pi / 2.0)
+        sol = solve_regular_reflection(IncidentShockInput(beta_i, phi_i), alpha, gas)
+        p_ratio, _, m2_sq, _ = reflected_primitive_oracle(beta_i, sol.beta_r, sol.phi_r, gas)
+        p1 = hugoniot_pressure(1.0, 1.0, beta_i, gas)
+        assert sol.state2[3] == pytest.approx(p1 * p_ratio, rel=1e-11)
+        assert sol.M2_sq == pytest.approx(m2_sq, rel=1e-11)
+
+
+SLACK_GAS = GasModel(1.4, 0.1)
+SLACK_UPPER = admissible_beta_bounds(SLACK_GAS)[1]
+SLACK_UPPER_R = admissible_beta_bounds(SLACK_GAS, beta_i=1.5)[1]
+IN_SLACK = 1.0 + 1e-12
+
+
+class TestSlackBand:
+    """Density ratios in [upper, upper*(1 + ENDPOINT_SLACK)] pass the
+    slackened admissibility check but have no positive pressure ratio."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: incident_oblique(
+                IncidentShockInput(SLACK_UPPER * IN_SLACK, 0.5), SLACK_GAS
+            ),
+            lambda: reflected_oblique(
+                1.5, ReflectedShockInput(SLACK_UPPER_R * IN_SLACK, 0.5), SLACK_GAS
+            ),
+            lambda: normal_incident_state(
+                SLACK_UPPER * IN_SLACK, SLACK_GAS, reference_constants(1.0, 1.0, SLACK_GAS)
+            ),
+            lambda: solve_regular_reflection(
+                IncidentShockInput(SLACK_UPPER, 1.2), 0.5, SLACK_GAS
+            ),
+            lambda: solve_regular_reflection(
+                IncidentShockInput(SLACK_UPPER * IN_SLACK, 1.2), 0.5, SLACK_GAS
+            ),
+        ],
+        ids=["incident", "reflected", "normal", "solve_at_bound", "solve_in_slack"],
+    )
+    def test_rejected_as_domain_error(self, call):
+        with pytest.raises(DomainError, match="pressure-ratio denominator vanishes"):
+            call()
 
 
 class TestAdmissibleBounds:

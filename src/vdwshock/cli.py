@@ -9,14 +9,43 @@ Exit codes: 0 success, 2 validation error, 3 internal-inconsistency detection
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import sys
 
-from . import checks, reports
+from . import reports
 from .config import parse_config
 from .errors import DomainError, InternalInconsistencyError
 
 COMMANDS = ("criterion", "table", "field", "front", "inner", "check")
+
+
+def _import_lazily(name: str):
+    """Register submodule ``name`` as an import would, but run its body on first use."""
+    full = f"{__package__}.{name}"
+    if full not in sys.modules:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        sys.modules[full] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[full])
+        setattr(sys.modules[__package__], name, sys.modules[full])
+    return sys.modules[full]
+
+
+# only the check command runs the gate; a lookup in sys.modules still finds it
+checks = _import_lazily("checks")
+
+# built once per process: parsing does not change the parser
+_PARSER = argparse.ArgumentParser(
+    prog="vdwshock",
+    description=(
+        "Closed-form weak-shock reflection-diffraction tables, fields and "
+        "verification reports for a covolume gas"
+    ),
+)
+_PARSER.add_argument("command", choices=COMMANDS)
+_PARSER.add_argument("--config", default=None, help="flat JSON config file")
+_PARSER.add_argument("--output", default=None, help="output path (default stdout)")
 
 
 def _parse_override_value(raw: str):
@@ -56,17 +85,7 @@ def _error_object(kind: str, exc: Exception) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="vdwshock",
-        description=(
-            "Closed-form weak-shock reflection-diffraction tables, fields and "
-            "verification reports for a covolume gas"
-        ),
-    )
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("--config", default=None, help="flat JSON config file")
-    parser.add_argument("--output", default=None, help="output path (default stdout)")
-    args, extra = parser.parse_known_args(argv)
+    args, extra = _PARSER.parse_known_args(argv)
 
     try:
         overrides = _collect_overrides(extra)

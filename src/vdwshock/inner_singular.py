@@ -79,10 +79,25 @@ def inner_geometry(
     )
 
 
+# unchecked kernels of the functions below, shared with the grid renderer
+def _parabola(theta_prime: float, geom: InnerGeometry) -> float:
+    """The term 0.5*kappa0*(theta' - theta0)^2 common to both shock parabolas."""
+    d = theta_prime - geom.theta0
+    return 0.5 * geom.kappa0 * d * d
+
+
+def _lift(eta: float) -> float:
+    """atan(sqrt(-eta))/pi: the diffracted state's rise above 1 (eta < 0)."""
+    return math.atan(math.sqrt(-eta)) / math.pi
+
+
+def _diffracted_locus(parabola: float, lift: float, geom: InnerGeometry) -> float:
+    return parabola + 0.5 * geom.vartheta * (2.0 + lift)
+
+
 def reflected_shock_locus(theta_prime: float, geom: InnerGeometry) -> float:
     """Inner parabola of the reflected shock."""
-    d = theta_prime - geom.theta0
-    return 0.5 * geom.kappa0 * d * d + 1.5 * geom.vartheta
+    return _parabola(theta_prime, geom) + 1.5 * geom.vartheta
 
 
 def shock_loci(theta_prime: float, eta: float, geom: InnerGeometry) -> tuple[float, float]:
@@ -94,11 +109,7 @@ def shock_loci(theta_prime: float, eta: float, geom: InnerGeometry) -> tuple[flo
     s_r = reflected_shock_locus(theta_prime, geom)
     if eta >= 0.0:
         raise DomainError(f"diffracted locus needs eta < 0, got {eta}")
-    d = theta_prime - geom.theta0
-    s_d = 0.5 * geom.kappa0 * d * d + 0.5 * geom.vartheta * (
-        2.0 + math.atan(math.sqrt(-eta)) / math.pi
-    )
-    return s_r, s_d
+    return s_r, _diffracted_locus(_parabola(theta_prime, geom), _lift(eta), geom)
 
 
 def inner_weak_solution(ip: InnerPoint, geom: InnerGeometry, kind: str) -> float:
@@ -109,9 +120,7 @@ def inner_weak_solution(ip: InnerPoint, geom: InnerGeometry, kind: str) -> float
         if ip.eta is None:
             raise DomainError("diffracted solution needs eta (theta' != 0)")
         _, s_d = shock_loci(ip.theta_prime, ip.eta, geom)  # enforces eta < 0
-        if ip.r_prime > s_d:
-            return 1.0
-        return 1.0 + math.atan(math.sqrt(-ip.eta)) / math.pi
+        return 1.0 if ip.r_prime > s_d else 1.0 + _lift(ip.eta)
     raise DomainError(f"kind must be '{KIND_REFLECTED}' or '{KIND_DIFFRACTED}', got {kind!r}")
 
 
@@ -131,7 +140,7 @@ def expansion_fan(x: float, theta_prime: float, geom: InnerGeometry) -> float:
             raise DomainError(
                 f"inner fan boundary value needs eta < 0, got eta={eta} (x={x})"
             )
-        return 1.0 + math.atan(math.sqrt(-eta)) / math.pi
+        return 1.0 + _lift(eta)
     if x > 2.0 * geom.vartheta / tp2:
         return 2.0
     return tp2 * math.sqrt(x)

@@ -117,6 +117,9 @@ def render_field(cfg: RunConfig) -> str:
     """First-order diffraction density over a (xi/kappa0, theta) grid as CSV."""
     gas = GasModel(gamma=cfg.gamma, btilde=cfg.btilde)
     ref = reference_constants(cfg.rho0, cfg.p0, gas)
+    if not 0.0 < ref.c0 < math.inf:  # the field's coordinates divide by c0
+        raise DomainError(f"c0 must be positive and finite, got {ref.c0} at gamma={cfg.gamma}, "
+                          f"btilde={cfg.btilde}, rho0={cfg.rho0}, p0={cfg.p0}")
     sigmas = _linspace(cfg.xi_min, 1.0, cfg.xi_count)
     thetas = _linspace(cfg.alpha, math.pi, cfg.theta_count)
     degrees = [_fmt_float(math.degrees(theta)) for theta in thetas]
@@ -140,51 +143,68 @@ def render_front(cfg: RunConfig) -> str:
         raise DomainError(
             "front command needs beta_deg > alpha_deg (shock side of the sonic ray)"
         )
-    rows = []
+    lines = []
     for bt in _linspace(0.0, cfg.btilde_sweep_max, cfg.btilde_sweep_count):
         gas = GasModel(gamma=cfg.gamma, btilde=bt)
         ref = reference_constants(cfg.rho0, cfg.p0, gas)
-        jump = nonlinear_front.gradient_jump(cfg.r, gas, cfg.rho0)
-        locus = nonlinear_front.shock_locus(cfg.t, beta_angle, alpha, cfg.epsilon, gas, ref)
-        strength = nonlinear_front.shock_strength(beta_angle, alpha, cfg.epsilon, gas)
-        row = [bt, jump, locus / cfg.t, strength]
+        try:
+            jump = nonlinear_front.gradient_jump(cfg.r, gas, cfg.rho0)
+            locus = nonlinear_front.shock_locus(cfg.t, beta_angle, alpha, cfg.epsilon, gas, ref)
+            strength = nonlinear_front.shock_strength(beta_angle, alpha, cfg.epsilon, gas)
+            row = [bt, jump, locus / cfg.t, strength]
+        except OverflowError:  # a power of a huge gamma raises where a product gives inf
+            row = [math.inf]
         if not all(map(math.isfinite, row)):
             raise DomainError(
-                f"front quantities overflow at btilde={bt} for epsilon={cfg.epsilon} "
-                f"(r={cfg.r}, t={cfg.t})"
+                f"front quantities overflow at btilde={bt} for gamma={cfg.gamma}, "
+                f"epsilon={cfg.epsilon} (r={cfg.r}, t={cfg.t})"
             )
-        rows.append(row)
+        lines.append(",".join(map(_fmt_float, row)))
     header = ["btilde", "gradient_jump", "shock_locus_coeff", "shock_strength"]
-    return csv_text(header, rows)
+    return _csv(header, lines)
 
 
 def render_inner(cfg: RunConfig) -> str:
     """Inner-region loci and piecewise fields over a (theta', r') grid as CSV.
 
     S_D uses the configured boundary label eta; the pointwise diffracted
-    solution uses each point's own eta and is blank where undefined.
+    solution uses each point's own eta and is blank where undefined.  Each
+    value is computed where it varies (grid, r' column, theta' row, cell).
     """
     gas = GasModel(gamma=cfg.gamma, btilde=cfg.btilde)
     ref = reference_constants(cfg.rho0, cfg.p0, gas)
     geom = inner_singular.inner_geometry(gas, ref, theta0=cfg.theta0)
-    rows = []
+    sonic = f"{_fmt_float(geom.sonic_S)},{_fmt_float(geom.sonic_R)}"
+    rps = _linspace(cfg.rprime_min, cfg.rprime_max, cfg.rprime_count)
+    if not all(map(math.isfinite, rps)):
+        raise DomainError(
+            f"r' grid overflows: rprime_min={cfg.rprime_min}, rprime_max={cfg.rprime_max}")
+    columns = [(rp, _fmt_float(rp)) for rp in rps]
+    lift_d = inner_singular._lift(cfg.eta) if cfg.eta < 0.0 else None
+    lines = []
     for tp in _linspace(cfg.thetaprime_min, cfg.thetaprime_max, cfg.thetaprime_count):
+        parabola = inner_singular._parabola(tp, geom)
         s_r = inner_singular.reflected_shock_locus(tp, geom)
-        s_d = None
-        if cfg.eta < 0.0:
-            _, s_d = inner_singular.shock_loci(tp, cfg.eta, geom)
-        for rp in _linspace(cfg.rprime_min, cfg.rprime_max, cfg.rprime_count):
-            eta = None
+        denom = geom.kappa0 * tp * tp
+        # S_R or a sonic line overflows, or theta'^2 underflows and eta with it
+        if not (math.isfinite(s_r) and math.isfinite(geom.sonic_R)) or (denom == 0.0 and tp != 0.0):
+            raise DomainError(
+                f"inner grid leaves the float range at theta_prime={tp} (gamma={cfg.gamma}, "
+                f"btilde={cfg.btilde}, theta0={cfg.theta0}, thetaprime_min={cfg.thetaprime_min}, "
+                f"thetaprime_max={cfg.thetaprime_max})")
+        s_d = "" if lift_d is None else _fmt_float(
+            inner_singular._diffracted_locus(parabola, lift_d, geom))
+        head, tail = f"{_fmt_float(tp)},", f",{_fmt_float(s_r)},{s_d},{sonic},"
+        for rp, rp_cell in columns:
+            u_ref = "1" if rp > s_r else "2"  # 1 beyond the reflected shock, 2 behind it
+            u_dif = ""
             if tp != 0.0:
-                eta = 2.0 * rp / (geom.kappa0 * tp * tp)
-            ip = inner_singular.InnerPoint(r_prime=rp, theta_prime=tp, eta=eta)
-            u_ref = inner_singular.inner_weak_solution(ip, geom, "reflected")
-            u_dif = None
-            if eta is not None and eta < 0.0:
-                u_dif = inner_singular.inner_weak_solution(ip, geom, "diffracted")
-            rows.append([tp, rp, s_r, s_d, geom.sonic_S, geom.sonic_R, u_ref, u_dif])
-    header = [
-        "theta_prime", "r_prime", "S_R", "S_D", "sonic_S", "sonic_R",
-        "U_reflected", "U_diffracted",
-    ]
-    return csv_text(header, rows)
+                eta = 2.0 * rp / denom
+                if eta < 0.0:  # 1 beyond the diffracted shock, 1 + lift behind it
+                    lift = inner_singular._lift(eta)
+                    s_dp = inner_singular._diffracted_locus(parabola, lift, geom)
+                    u_dif = _fmt_float(1.0 if rp > s_dp else 1.0 + lift)
+            lines.append(f"{head}{rp_cell}{tail}{u_ref},{u_dif}")
+    header = ["theta_prime", "r_prime", "S_R", "S_D", "sonic_S", "sonic_R",
+              "U_reflected", "U_diffracted"]
+    return _csv(header, lines)

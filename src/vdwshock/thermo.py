@@ -106,6 +106,12 @@ def reference_constants(rho0: float, p0: float, gas: GasModel) -> ReferenceState
         raise DomainError("reference density and pressure must be positive")
     if not (math.isfinite(rho0) and math.isfinite(p0)):
         raise DomainError(f"reference density and pressure must be finite, got {rho0}, {p0}")
-    a0 = math.sqrt(gas.gamma * p0 / (rho0 * (1.0 - gas.btilde)))
-    kappa0 = (1.0 - gas.btilde) ** (-(gas.gamma + 1.0) / 2.0)
+    try:
+        a0 = math.sqrt(gas.gamma * p0 / (rho0 * (1.0 - gas.btilde)))
+        kappa0 = (1.0 - gas.btilde) ** (-(gas.gamma + 1.0) / 2.0)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise DomainError(
+            f"reference constants a0, kappa0 leave the float range at gamma={gas.gamma}, "
+            f"btilde={gas.btilde}, rho0={rho0}, p0={p0}"
+        ) from exc
     return ReferenceState(rho0=rho0, p0=p0, a0=a0, kappa0=kappa0, c0=a0 / kappa0)

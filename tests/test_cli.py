@@ -179,6 +179,110 @@ class TestFrontOverflow:
         assert "epsilon=1e+308" in error["message"]
 
 
+def assert_validation_error(capsys, *fragments):
+    out, err = capsys.readouterr()
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "validation"
+    for fragment in fragments:
+        assert fragment in error["message"]
+
+
+class TestReferenceOverflow:
+    # kappa0 = (1 - btilde)**(-(gamma+1)/2) overflowed in reference_constants
+    # and ended in an OverflowError traceback (exit 1)
+    @pytest.mark.parametrize("argv", [
+        ["front", "--gamma", "1e16"],
+        ["inner", "--gamma", "1e16", "--btilde", "0.5"],
+        ["field", "--gamma", "1e16", "--btilde", "0.5"],
+    ])
+    def test_kappa0_exits_two_naming_gamma_and_btilde(self, capsys, argv):
+        assert cli.main(argv) == 2
+        assert_validation_error(capsys, "gamma=1e+16", "btilde=")
+
+    # the first two ended in a ZeroDivisionError traceback (exit 1): c0 or
+    # rho0*(1-btilde) underflowed to 0; the third printed nan (a0 = inf)
+    @pytest.mark.parametrize("argv", [
+        ["field", "--rho0", "1e300", "--p0", "1e-300"],
+        ["front", "--rho0", "5e-324", "--p0", "1e-310"],
+        ["field", "--rho0", "1", "--p0", "1e300", "--gamma", "1e300"],
+    ])
+    def test_sound_speed_exits_two_naming_rho0_and_p0(self, capsys, argv):
+        assert cli.main(argv) == 2
+        assert_validation_error(capsys, f"rho0={float(argv[2])}", f"p0={float(argv[4])}")
+
+    def test_huge_gamma_power_in_front_exits_two(self, capsys):
+        # (gamma + 1)**2 in shock_locus raised OverflowError (exit 1)
+        argv = ["front", "--gamma", "1e200", "--r", "1.7976931348623157e+308"]
+        assert cli.main(argv) == 2
+        assert_validation_error(capsys, "front quantities overflow", "gamma=1e+200")
+
+
+class TestInnerGridOverflow:
+    # the first three exited 0 with inf or nan in the CSV, the fourth exited 1
+    # with a ZeroDivisionError (theta'^2 underflows to 0 while theta' != 0)
+    @pytest.mark.parametrize("extra, fragments", [
+        (["--thetaprime_min", "1e300"], ["thetaprime_min=1e+300"]),
+        (["--thetaprime_max", "1e200"], ["thetaprime_max=1e+200"]),
+        (["--rprime_min", "-1e308", "--rprime_max", "1e308"],
+         ["rprime_min=-1e+308", "rprime_max=1e+308"]),
+        (["--thetaprime_min", "1e-310"], ["thetaprime_min=1e-310"]),
+        (["--theta0", "1e300"], ["theta0=1e+300"]),
+        (["--gamma", "100", "--btilde", "0.999999"], ["gamma=100.0", "btilde=0.999999"]),
+    ])
+    def test_exits_two_naming_the_key(self, capsys, extra, fragments):
+        assert cli.main(["inner", *extra]) == 2
+        assert_validation_error(capsys, *fragments)
+
+    def test_largest_finite_loci_still_run(self, capsys):
+        # S_R + sonic_R overflows here although each is finite
+        assert cli.main(["inner", "--gamma", "1.7976931348623157e+308"]) == 0
+        line = capsys.readouterr().out.split("\n")[1]
+        assert line.split(",")[2:6] == [
+            "1.34826985115e+308", "1.01120238836e+308", "8.98846567431e+307",
+            "1.79769313486e+308"]
+
+
+class TestExtremeFrontInner:
+    # every value is finite (the config rejects the rest), so a run either
+    # prints finite CSV or is a validation error with nothing printed
+    KEYS = {
+        "front": ("gamma", "btilde_sweep_max", "alpha_deg", "beta_deg", "epsilon", "r", "t",
+                  "rho0", "p0"),
+        "inner": ("gamma", "btilde", "rho0", "p0", "theta0", "eta", "rprime_min",
+                  "rprime_max", "thetaprime_min", "thetaprime_max"),
+    }
+    EXTREMES = (0.0, 5e-324, 1e-310, 1e-200, 1e-12, 1.0 - 1e-16, 1.0, 1.0 + 2.3e-16,
+                1e10, 1e16, 1e200, 1e300, 1.7976931348623157e308)
+
+    def value(self, rng):
+        if rng.random() < 0.5:
+            return rng.uniform(-5.0, 90.0)
+        return rng.choice((1.0, -1.0)) * rng.choice(self.EXTREMES)
+
+    def test_exit_zero_with_finite_csv_or_two_with_nothing(self, capsys):
+        rng = random.Random(53)
+        codes = set()
+        for i in range(1200):
+            command = ("front", "inner")[i % 2]
+            argv = [command]
+            for key in rng.sample(self.KEYS[command], rng.randint(1, 3)):
+                argv += [f"--{key}", repr(self.value(rng))]
+            code = cli.main(argv)
+            out, err = capsys.readouterr()
+            assert code in (0, 2), (argv, err)
+            codes.add(code)
+            if code == 2:
+                assert out == "", argv
+                continue
+            lines = out.split("\n")
+            assert lines[-1] == "" and len(lines) > 2, argv
+            for line in lines[1:-1]:
+                for cell in line.split(","):
+                    assert cell == "" or math.isfinite(float(cell)), (argv, line)
+        assert codes == {0, 2}
+
+
 class TestThresholdOverflow:
     # the cubic's coefficients (2*b2**3) or its closed-form root (m**3)
     # overflow a float at huge gamma; both used to end in a traceback
@@ -253,6 +357,40 @@ class TestThresholdOverflow:
                 assert out == "", argv
             codes.add(code)
         assert codes == {0, 2, 3}
+
+
+class TestParserAndImports:
+    def test_import_does_not_run_the_gate(self):
+        # cli registers vdwshock.checks (the benchmark's tracer looks it up in
+        # sys.modules) but its body runs only when the check command needs it
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = (
+            "import sys, vdwshock.cli as cli\n"
+            "m = sys.modules['vdwshock.checks']\n"
+            "print('run_all_checks' in object.__getattribute__(m, '__dict__'))\n"
+            "print(cli.checks.FAIL, 'run_all_checks' in vars(m), m is cli.checks)\n"
+            "import vdwshock.checks\n"
+            "print(vdwshock.checks is m)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=60, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("\n") == ["False", "fail True True", "True", ""]
+
+    def test_parser_reused_after_errors(self, capsys):
+        # the parser is built once per process; a rejected command line must
+        # leave it usable for the next call
+        for bad in ("plot", "render_inner"):
+            with pytest.raises(SystemExit) as exc:
+                cli.main([bad])
+            assert exc.value.code == 2
+            assert "invalid choice" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: vdwshock [-h]")
+        assert cli.main(["criterion", "--beta_i", "1.2"]) == 0
+        assert json.loads(capsys.readouterr().out)["beta_i"] == 1.2
 
 
 class TestExitCodes:

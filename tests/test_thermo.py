@@ -144,3 +144,15 @@ class TestReferenceConstants:
     def test_rejects_non_finite_reference(self, ideal_gas, rho0, p0):
         with pytest.raises(DomainError, match="must be finite"):
             reference_constants(rho0, p0, ideal_gas)
+
+    @pytest.mark.parametrize("gamma, btilde, rho0, p0", [
+        (1e16, 0.5, 1.0, 1.0),  # kappa0 overflows: the power used to raise OverflowError
+        (1.4, 0.5, 5e-324, 1e-310),  # rho0*(1-btilde) underflows: used to divide by zero
+    ])
+    def test_out_of_float_range_names_the_inputs(self, gamma, btilde, rho0, p0):
+        with pytest.raises(DomainError) as exc:
+            reference_constants(rho0, p0, GasModel(gamma, btilde))
+        assert str(exc.value) == (
+            f"reference constants a0, kappa0 leave the float range at gamma={gamma}, "
+            f"btilde={btilde}, rho0={rho0}, p0={p0}"
+        )

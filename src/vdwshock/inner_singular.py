@@ -52,7 +52,10 @@ def stretch(
     theta_prime = (pt.theta - 2.0 * alpha) / math.sqrt(epsilon)
     eta = None
     if theta_prime != 0.0:
-        eta = 2.0 * r_prime / (ref.kappa0 * theta_prime * theta_prime)
+        denom = ref.kappa0 * theta_prime * theta_prime
+        if denom == 0.0:
+            raise DomainError(f"theta'^2 underflows at epsilon={epsilon}, theta'={theta_prime}")
+        eta = 2.0 * r_prime / denom
     return InnerPoint(r_prime=r_prime, theta_prime=theta_prime, eta=eta)
 
 

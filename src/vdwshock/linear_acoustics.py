@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import DomainError, RegionError, SingularityError
 from .geometry import (
@@ -160,12 +160,21 @@ def _interior_row(s: float, mu: float, cos_pi: float, sin_pi: float) -> tuple[fl
     return (1.0 - s2m) * cos_pi, (1.0 + s2m) * sin_pi, 2.0 * sm
 
 
-def _interior_cell(num: float, den: float, two_sm: float, cos_b: float) -> float:
-    """interior_density from its radial factors and cos(mu*beta)."""
-    c = two_sm * cos_b
-    t1 = atan_zero_pi(num, -den + c)
-    t2 = atan_zero_pi(-num, den + c)
-    return 1.0 + (t1 + t2) / math.pi
+def _interior_cells(num: float, den: float, two_sm: float, cos_bs: Iterable[float]) -> list[float]:
+    """interior_density along a row of cos(mu*beta): atan_zero_pi inlined, -0.0 folded once."""
+    atan2, pi = math.atan2, math.pi
+    n1, n2 = num or 0.0, -num or 0.0  # -0.0 -> 0.0, as atan_zero_pi folds it
+    out = []
+    for cos_b in cos_bs:
+        c = two_sm * cos_b
+        t1 = atan2(n1, -den + c)
+        if t1 < 0.0:
+            t1 += pi
+        t2 = atan2(n2, den + c)
+        if t2 < 0.0:
+            t2 += pi
+        out.append(1.0 + (t1 + t2) / pi)
+    return out
 
 
 def interior_density(s: float, beta: float, mu: float) -> float:
@@ -175,7 +184,7 @@ def interior_density(s: float, beta: float, mu: float) -> float:
     condition on the wedge face.
     """
     terms = _interior_row(s, mu, math.cos(mu * math.pi), math.sin(mu * math.pi))
-    return _interior_cell(*terms, math.cos(mu * beta))
+    return _interior_cells(*terms, (math.cos(mu * beta),))[0]
 
 
 def near_front_coefficient(theta: float, alpha: float) -> float:
@@ -231,7 +240,7 @@ def _density(radial: tuple, theta: float, alpha: float, arc: float, cos_b: float
     """First-order density at angle theta of a _radial row, given the arc value and cos(mu*beta)."""
     _, ring, interior = radial
     if interior is not None:
-        return _interior_cell(*interior, cos_b)
+        return _interior_cells(*interior, (cos_b,))[0]
     if ring is None:
         return arc
     return arc + near_front_coefficient(theta, alpha) * ring  # singular at the merge point
@@ -284,19 +293,20 @@ def density_rows(
         loci.append(_loci(theta, alpha, ref))
     mu = corner_exponent(alpha)
     cos_pi, sin_pi = math.cos(mu * math.pi), math.sin(mu * math.pi)
-    cols = [
-        (theta, inc, zs, _arc_value(theta - alpha, alpha), math.cos(mu * (theta - alpha)))
-        for theta, (inc, zs) in zip(thetas, loci)
-    ]
+    cos_bs = [math.cos(mu * (theta - alpha)) for theta in thetas]
+    cols = [(theta, inc, zs, _arc_value(theta - alpha, alpha), cos_b)
+            for theta, (inc, zs), cos_b in zip(thetas, loci, cos_bs)]
     a0 = ref.a0
     eps = BOUNDARY_TOL * a0
     for sigma in sigmas:
         pt = make_point(sigma * ref.kappa0 * ref.c0, thetas[0], ref)  # the row's first cell
         zeta = pt.zeta
         radial = _radial(_checked_sigma(pt.xi, ref), mu, cos_pi, sin_pi)
+        # an interior row's densities in one kernel call; arc and ring cells one by one
+        rhos = None if radial[2] is None else iter(_interior_cells(*radial[2], cos_bs))
         yield radial[0], [
             (_region(zeta, theta, alpha, a0, eps, inc, zs),
-             _density(radial, theta, alpha, arc, cos_b))
+             _density(radial, theta, alpha, arc, cos_b) if rhos is None else next(rhos))
             for theta, inc, zs, arc, cos_b in cols
         ]
 

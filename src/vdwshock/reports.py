@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 
 from . import inner_singular, linear_acoustics, nonlinear_front, regular_reflection
 from .config import RunConfig
@@ -117,8 +118,8 @@ def render_field(cfg: RunConfig) -> str:
     """First-order diffraction density over a (xi/kappa0, theta) grid as CSV."""
     gas = GasModel(gamma=cfg.gamma, btilde=cfg.btilde)
     ref = reference_constants(cfg.rho0, cfg.p0, gas)
-    if not 0.0 < ref.c0 < math.inf:  # the field's coordinates divide by c0
-        raise DomainError(f"c0 must be positive and finite, got {ref.c0} at gamma={cfg.gamma}, "
+    if not sys.float_info.min <= ref.c0 < math.inf:  # coordinates divide by c0: keep it normal
+        raise DomainError(f"c0 must be a finite normal float, got {ref.c0} at gamma={cfg.gamma}, "
                           f"btilde={cfg.btilde}, rho0={cfg.rho0}, p0={cfg.p0}")
     sigmas = _linspace(cfg.xi_min, 1.0, cfg.xi_count)
     thetas = _linspace(cfg.alpha, math.pi, cfg.theta_count)
@@ -127,8 +128,9 @@ def render_field(cfg: RunConfig) -> str:
     rows = linear_acoustics.density_rows(sigmas, thetas, cfg.alpha, ref)
     for sigma, (tag, cells) in zip(sigmas, rows):
         head = _fmt_float(sigma)
+        ring = tag == linear_acoustics.TAG_NEAR_FRONT  # elsewhere rho1 >= 1 cannot print "-0"
         lines.extend(
-            f"{head},{deg},{region},{_fmt_float(rho1)},{tag}"
+            f"{head},{deg},{region},{_fmt_float(rho1) if ring else f'{rho1:.12g}'},{tag}"
             for deg, (region, rho1) in zip(degrees, cells)
         )
     header = ["xi_over_kappa0", "theta", "region", "rho1", "formula_tag"]

@@ -106,12 +106,17 @@ def reference_constants(rho0: float, p0: float, gas: GasModel) -> ReferenceState
         raise DomainError("reference density and pressure must be positive")
     if not (math.isfinite(rho0) and math.isfinite(p0)):
         raise DomainError(f"reference density and pressure must be finite, got {rho0}, {p0}")
+    den = rho0 * (1.0 - gas.btilde)
+    a0 = math.sqrt(gas.gamma * p0 / den) if den > 0.0 else 0.0
+    if not 0.0 < a0 < math.inf:  # the quotient left the float range: root each factor
+        a0 = math.sqrt(gas.gamma) * (math.sqrt(p0) / math.sqrt(rho0)) / math.sqrt(1.0 - gas.btilde)
     try:
-        a0 = math.sqrt(gas.gamma * p0 / (rho0 * (1.0 - gas.btilde)))
         kappa0 = (1.0 - gas.btilde) ** (-(gas.gamma + 1.0) / 2.0)
-    except (OverflowError, ZeroDivisionError) as exc:
+    except OverflowError:
+        kappa0 = math.inf
+    if not (0.0 < a0 < math.inf and kappa0 < math.inf):
         raise DomainError(
             f"reference constants a0, kappa0 leave the float range at gamma={gas.gamma}, "
             f"btilde={gas.btilde}, rho0={rho0}, p0={p0}"
-        ) from exc
+        )
     return ReferenceState(rho0=rho0, p0=p0, a0=a0, kappa0=kappa0, c0=a0 / kappa0)

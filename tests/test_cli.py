@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from vdwshock import cli
 from vdwshock.config import MAX_COUNT, parse_config
@@ -200,16 +203,43 @@ class TestReferenceOverflow:
         assert cli.main(argv) == 2
         assert_validation_error(capsys, "gamma=1e+16", "btilde=")
 
-    # the first two ended in a ZeroDivisionError traceback (exit 1): c0 or
-    # rho0*(1-btilde) underflowed to 0; the third printed nan (a0 = inf)
+    # a0 = sqrt(gamma*p0/(rho0*(1-btilde))) itself exceeds the float range
     @pytest.mark.parametrize("argv", [
-        ["field", "--rho0", "1e300", "--p0", "1e-300"],
-        ["front", "--rho0", "5e-324", "--p0", "1e-310"],
-        ["field", "--rho0", "1", "--p0", "1e300", "--gamma", "1e300"],
+        ["field", "--rho0", "5e-324", "--p0", "1e300"],
+        ["front", "--rho0", "5e-324", "--p0", "1.7976931348623157e308"],
+        ["field", "--rho0", "1e-300", "--p0", "1e300", "--gamma", "1e300"],
     ])
     def test_sound_speed_exits_two_naming_rho0_and_p0(self, capsys, argv):
         assert cli.main(argv) == 2
         assert_validation_error(capsys, f"rho0={float(argv[2])}", f"p0={float(argv[4])}")
+
+    # a0 fits a float although the quotient under its root does not (or
+    # rho0*(1-btilde) underflows); these printed a locus coefficient of 0 or
+    # were rejected as out of range
+    @pytest.mark.parametrize("argv", [
+        ["front", "--rho0", "1e300", "--p0", "1e-300"],
+        ["field", "--rho0", "1e300", "--p0", "1e-300"],
+        ["front", "--rho0", "5e-324", "--p0", "1e-310"],
+        ["field", "--rho0", "1", "--p0", "1e300", "--gamma", "1e300"],
+    ])
+    def test_representable_sound_speed_kept(self, capsys, argv):
+        assert cli.main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        if argv[0] == "field":  # a0 scales the coordinates, not the field
+            assert cli.main(["field"]) == 0
+            assert out == capsys.readouterr().out
+            return
+        lines = out.split("\n")
+        assert lines[-1] == "" and len(lines) > 2
+        # the locus coefficient scales with a0 and stays nonzero
+        assert all(0.0 < float(line.split(",")[2]) < math.inf for line in lines[1:-1])
+
+    def test_subnormal_c0_exits_two(self, capsys):
+        # a0 ~ 2e-316 is kept, but the field's coordinates would lose their
+        # digits dividing by a subnormal c0
+        assert cli.main(["field", "--rho0", "1.7976931348623157e308", "--p0", "5e-324"]) == 2
+        assert_validation_error(capsys, "c0 must be a finite normal float", "rho0=1.79")
 
     def test_huge_gamma_power_in_front_exits_two(self, capsys):
         # (gamma + 1)**2 in shock_locus raised OverflowError (exit 1)
@@ -281,6 +311,57 @@ class TestExtremeFrontInner:
                 for cell in line.split(","):
                     assert cell == "" or math.isfinite(float(cell)), (argv, line)
         assert codes == {0, 2}
+
+
+def _edge_floats(valid, *edges):
+    """Half from ``valid``, half NaN, +-Inf, +-1e308, subnormals or an edge +- k ulps."""
+    specials = st.sampled_from(
+        (math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324, -5e-324, 1e-310, 0.0, -0.0))
+    near = st.tuples(st.sampled_from(edges), st.sampled_from((-4, -2, -1, 0, 1, 2, 4))).map(
+        lambda ek: ek[0] + ek[1] * math.ulp(ek[0]))
+    return st.one_of(valid, st.one_of(specials, near))
+
+
+class TestFieldFuzz:
+    # the row kernel and the reference constants driven through the CLI;
+    # rho0 and p0 span the float range, where a0 needs its scaled form
+    SCALE = st.floats(-320.0, 308.0).map(lambda e: 10.0**e)
+    KEYS = {
+        "alpha_deg": _edge_floats(st.floats(0.0, 90.0, exclude_min=True, exclude_max=True),
+                                  0.0, 1.0, 45.0, 90.0),
+        "btilde": _edge_floats(st.floats(0.0, 1.0, exclude_max=True), 0.0, 1.0),
+        "gamma": _edge_floats(st.floats(1.0, 10.0, exclude_min=True), 1.0),
+        "xi_min": _edge_floats(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), 0.0, 1.0),
+        "rho0": _edge_floats(SCALE, 0.0, 1.0),
+        "p0": _edge_floats(SCALE, 0.0, 1.0),
+    }
+
+    @given(over=st.fixed_dictionaries({}, optional=KEYS),
+           xi_count=st.integers(2, 4), theta_count=st.integers(2, 4))
+    # a0 in its scaled form, and near-front ring rows
+    @example(over={"rho0": 1e300, "p0": 1e-300}, xi_count=3, theta_count=3)
+    @example(over={"xi_min": 1.0 - 4 * math.ulp(1.0), "alpha_deg": 30.0}, xi_count=4,
+             theta_count=4)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_exit_zero_with_finite_rows_or_two_with_nothing(self, over, xi_count, theta_count):
+        argv = ["field", "--xi_count", str(xi_count), "--theta_count", str(theta_count)]
+        for key, value in over.items():
+            argv += [f"--{key}", json.dumps(value)]  # NaN and Infinity as JSON spells them
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        out = out.getvalue()
+        assert code in (0, 2), (argv, err.getvalue())
+        if code == 2:
+            assert out == "", argv
+            return
+        lines = out.split("\n")
+        assert lines[0] == "xi_over_kappa0,theta,region,rho1,formula_tag"
+        assert lines[-1] == "" and len(lines) == 2 + xi_count * theta_count, argv
+        for line in lines[1:-1]:
+            xi, theta, _region, rho1, tag = line.split(",")
+            assert all(math.isfinite(float(cell)) for cell in (xi, theta, rho1)), (argv, line)
+            assert tag in ("51", "52"), (argv, line)
 
 
 class TestThresholdOverflow:

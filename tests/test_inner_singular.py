@@ -59,6 +59,14 @@ class TestStretch:
         with pytest.raises(DomainError):
             stretch(pt, 0.5, 0.0, ideal_ref)
 
+    def test_underflowing_theta_prime_square_raises_domain_error(self, ideal_ref):
+        # kappa0*theta'^2 underflows to 0 while theta' != 0: this ended in a
+        # bare ZeroDivisionError
+        alpha = math.pi / 4
+        pt = make_point(1.0, 2.0 * alpha + 4e-16, ideal_ref)
+        with pytest.raises(DomainError, match=r"epsilon=1e\+300, theta'=4\.4\d*e-166"):
+            stretch(pt, alpha, 1e300, ideal_ref)
+
 
 class TestInnerLinear:
     def test_far_field_behind_incident(self, ideal_ref):

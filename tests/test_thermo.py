@@ -147,7 +147,7 @@ class TestReferenceConstants:
 
     @pytest.mark.parametrize("gamma, btilde, rho0, p0", [
         (1e16, 0.5, 1.0, 1.0),  # kappa0 overflows: the power used to raise OverflowError
-        (1.4, 0.5, 5e-324, 1e-310),  # rho0*(1-btilde) underflows: used to divide by zero
+        (1.4, 0.5, 5e-324, 1e300),  # rho0*(1-btilde) underflows and a0 overflows
     ])
     def test_out_of_float_range_names_the_inputs(self, gamma, btilde, rho0, p0):
         with pytest.raises(DomainError) as exc:
@@ -156,3 +156,13 @@ class TestReferenceConstants:
             f"reference constants a0, kappa0 leave the float range at gamma={gamma}, "
             f"btilde={btilde}, rho0={rho0}, p0={p0}"
         )
+
+    @pytest.mark.parametrize("btilde, rho0, p0", [
+        (0.0, 1e300, 1e-300),  # the quotient underflows: a0 came out 0
+        (0.0, 1e-300, 1e300),  # the quotient overflows: a0 came out inf
+        (0.5, 5e-324, 1e-310),  # rho0*(1-btilde) underflows: used to raise
+    ])
+    def test_representable_a0_survives_an_out_of_range_quotient(self, btilde, rho0, p0):
+        ref = reference_constants(rho0, p0, GasModel(1.4, btilde))
+        want = math.sqrt(1.4) * math.sqrt(p0) / math.sqrt(rho0) / math.sqrt(1.0 - btilde)
+        assert ref.a0 == pytest.approx(want, rel=1e-12)

@@ -30,7 +30,7 @@ from .regular_reflection import (
     _band,
     _beta_r_of,
     _bisection_root,
-    _closed_form_root,
+    _closed,
 )
 from .shock_relations import IncidentShockInput, beta_upper, check_incident_beta
 from .table_fixture import fixture_is_blank, fixture_value
@@ -72,7 +72,7 @@ def check_cubic_self_consistency() -> CheckResult:
                     continue
                 cells += 1
                 cubic = cubic_coefficients(beta, gas)
-                x_c = _closed_form_root(cubic)
+                x_c = _closed(cubic)
                 x_b = _bisection_root(cubic)
                 worst_root = max(worst_root, abs(x_c - x_b))
                 scale = cubic.h3 * x_c ** 3

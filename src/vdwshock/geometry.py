@@ -30,6 +30,12 @@ def check_angle(angle: float, name: str) -> None:
         raise DomainError(f"{name} must lie in (0, pi/2), got {angle}")
 
 
+def check_theta(theta: float, alpha: float) -> None:
+    """Reject a polar angle outside the wedge domain [alpha, pi], up to 1e-15."""
+    if not alpha - 1e-15 <= theta <= math.pi + 1e-15:
+        raise DomainError(f"theta={theta} outside the wedge domain [alpha, pi]")
+
+
 @dataclass(frozen=True)
 class WedgeConfig:
     alpha: float
@@ -127,8 +133,7 @@ def region_classify(
     """
     theta, zeta, a0 = pt.theta, pt.zeta, ref.a0
     eps = BOUNDARY_TOL * a0
-    if theta < alpha - 1e-15 or theta > math.pi + 1e-15:
-        raise DomainError(f"theta={theta} outside the wedge domain [alpha, pi]")
+    check_theta(theta, alpha)
 
     tags = []
     inc, zs = _loci(theta, alpha, ref)

@@ -10,6 +10,7 @@ mu = (pi/2)/(pi - alpha), with arctangents taken on the [0, pi] branch.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
@@ -23,6 +24,7 @@ from .geometry import (
     _loci,
     _region,
     check_angle,
+    check_theta,
     make_point,
     region_classify,
 )
@@ -146,8 +148,7 @@ def first_order_piecewise(
     if label.region == OMEGA_2 and "sonic_arc" not in label.boundaries:
         return FieldSample(pt, label, 2.0, TAG_PIECEWISE)
     if "sonic_arc" in label.boundaries:
-        value = 2.0 if pt.theta < 2.0 * alpha else 1.0
-        return FieldSample(pt, label, value, TAG_PIECEWISE)
+        return FieldSample(pt, label, _arc_value(pt.theta - alpha, alpha), TAG_PIECEWISE)
     raise RegionError(
         f"piecewise field covers Omega1/Omega2 only, point is in {label.region}"
     )
@@ -197,6 +198,11 @@ def near_front_coefficient(theta: float, alpha: float) -> float:
     beta = theta - alpha
     if abs(beta - alpha) <= 1e-12:
         raise SingularityError("near-front expansion is singular at theta = 2*alpha")
+    return _front_coefficient(mu, beta)
+
+
+def _front_coefficient(mu: float, beta: float) -> float:
+    """Unchecked near_front_coefficient on the ray beta; exactly -c_beta(beta, alpha)."""
     den = math.cos(mu * beta) ** 2 - math.sin(mu * math.pi) ** 2
     if den == 0.0:
         raise SingularityError("near-front expansion denominator vanished")
@@ -204,15 +210,14 @@ def near_front_coefficient(theta: float, alpha: float) -> float:
 
 
 def _checked_sigma(xi: float, ref: ReferenceState) -> float:
+    """xi/kappa0, with xi = zeta/c0 only meaningful for a finite normal c0."""
+    if not sys.float_info.min <= ref.c0 < math.inf:
+        raise DomainError(f"c0 must be a finite normal float, got {ref.c0} at rho0={ref.rho0}, "
+                          f"p0={ref.p0} (a0={ref.a0}, kappa0={ref.kappa0})")
     sigma = xi / ref.kappa0
     if sigma > 1.0 + 1e-12:
         raise DomainError(f"diffraction formula needs xi <= kappa0, got xi/kappa0={sigma}")
     return sigma
-
-
-def _check_angle(theta: float, alpha: float) -> None:
-    if not alpha - 1e-15 <= theta <= math.pi + 1e-15:
-        raise DomainError(f"theta={theta} outside [alpha, pi]")
 
 
 def _arc_value(beta: float, alpha: float) -> float:
@@ -256,7 +261,7 @@ def diffracted_density(
     used instead, except at the merge point where that asymptote is singular.
     """
     sigma = _checked_sigma(pt.xi, ref)
-    _check_angle(pt.theta, alpha)
+    check_theta(pt.theta, alpha)
     label = region_classify(pt, alpha, ref)
     mu = corner_exponent(alpha)
     beta = pt.theta - alpha
@@ -289,7 +294,7 @@ def density_rows(
     # angles and loci before corner_exponent: the pointwise call meets them first
     loci = []
     for theta in thetas:
-        _check_angle(theta, alpha)
+        check_theta(theta, alpha)
         loci.append(_loci(theta, alpha, ref))
     mu = corner_exponent(alpha)
     cos_pi, sin_pi = math.cos(mu * math.pi), math.sin(mu * math.pi)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import ClassificationError, DomainError, SingularityError
-from .linear_acoustics import corner_exponent
+from .linear_acoustics import _front_coefficient, corner_exponent
 from .thermo import GasModel, ReferenceState, validate_gas
 
 
@@ -40,9 +40,7 @@ def c_beta(beta_angle: float, alpha: float) -> float:
         raise DomainError(f"ray angle must lie in [0, pi - alpha), got {beta_angle}")
     if abs(beta_angle - alpha) <= 1e-12:
         raise SingularityError("matching coefficient is singular on the sonic ray")
-    mu = corner_exponent(alpha)
-    den = math.sin(mu * math.pi) ** 2 - math.cos(mu * beta_angle) ** 2
-    return math.sqrt(2.0) * mu * math.sin(2.0 * mu * math.pi) / (math.pi * den)
+    return -_front_coefficient(corner_exponent(alpha), beta_angle)
 
 
 def classify_front(beta_angle: float, alpha: float) -> FrontClassification:
@@ -158,7 +156,7 @@ def shock_locus(
         epsilon * epsilon * (gas.gamma + 1.0) ** 2 * c_val * c_val
         / (4.0 * (1.0 - gas.btilde) ** 2)
     )
-    return ref.c0 * ref.kappa0 * t * (1.0 + q)
+    return ref.a0 * t * (1.0 + q)  # c0*kappa0 = a0, and c0 alone can underflow
 
 
 def shock_strength(beta_angle: float, alpha: float, epsilon: float, gas: GasModel) -> float:

@@ -9,9 +9,9 @@ large root, around it); when the certificate does not hold it is
 cross-checked against a bracketing bisection instead.
 
 Public functions validate (gamma, btilde, beta_i) once and then call the
-unchecked private kernels, which take the validated scalars directly.  The
-scalar kernels _coeffs and _root are the one home of the cubic and its root;
-criterion, positive_root and the table renderer all run through them.
+unchecked private kernels, which take the validated scalars directly.  Each
+operation on the cubic has one function, which takes any 6-tuple (h0, h1, h2,
+h3, m, n): a CubicForm, or on the table's hot path the plain tuple of _coeffs.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DetachmentError, DomainError, InternalInconsistencyError
 from .geometry import check_angle
@@ -38,8 +39,7 @@ ROOT_AGREEMENT = 1e-10
 _BAND_LOW = 1.0 - ENDPOINT_SLACK
 
 
-@dataclass(frozen=True)
-class CubicForm:
+class CubicForm(NamedTuple):
     """Coefficients of the threshold cubic and its depressed-form constants.
 
     m and n are the constants of the shifted cubic y^3 + m*y + n = 0 obtained
@@ -193,44 +193,35 @@ def _coeffs(b: float, g: float, bt: float) -> tuple[float, float, float, float, 
     return h0, h1, h2, h3, m, n
 
 
-def _overflow(g: float, b: float) -> DomainError:
-    """The error for a cubic whose coefficients or root overflow a float."""
+def _cubic_error(exc: ArithmeticError, g: float, bt: float, b: float) -> DomainError:
+    """The error for a cubic that overflows a float, or whose h3 = 0 as btilde*beta_i rounds to 1."""
+    if isinstance(exc, ZeroDivisionError):
+        return DomainError(f"covolume fraction btilde*beta_i of state 1 reaches 1 at gamma={g}, "
+                           f"btilde={bt}, beta_i={b}")
     return DomainError(f"threshold cubic overflows a float at gamma={g}, beta_i={b}")
-
-
-def _full_covolume(g: float, bt: float, b: float) -> DomainError:
-    """The error for a state 1 whose covolume fraction btilde*beta_i rounds to 1."""
-    return DomainError(
-        f"covolume fraction btilde*beta_i of state 1 reaches 1 at gamma={g}, "
-        f"btilde={bt}, beta_i={b}"
-    )
 
 
 def cubic_coefficients(beta_i: float, gas: GasModel) -> CubicForm:
     """Coefficients h0..h3 of the threshold cubic in X = 1 + beta_i*tan^2(phi_i)."""
     check_incident_beta(beta_i, gas)
     try:
-        return CubicForm(*_coeffs(beta_i, gas.gamma, gas.btilde))
-    except OverflowError as exc:
-        raise _overflow(gas.gamma, beta_i) from exc
-    except ZeroDivisionError as exc:  # h3 = 0
-        raise _full_covolume(gas.gamma, gas.btilde, beta_i) from exc
+        return CubicForm._make(_coeffs(beta_i, gas.gamma, gas.btilde))
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise _cubic_error(exc, gas.gamma, gas.btilde, beta_i) from exc
 
 
-def _value(h0: float, h1: float, h2: float, h3: float, x: float) -> float:
+def cubic_value(cubic: tuple[float, ...], x: float) -> float:
+    h0, h1, h2, h3, _m, _n = cubic
     return ((h3 * x + h2) * x + h1) * x + h0
-
-
-def cubic_value(cubic: CubicForm, x: float) -> float:
-    return _value(cubic.h0, cubic.h1, cubic.h2, cubic.h3, x)
 
 
 def _cbrt(x: float) -> float:
     return math.copysign(abs(x) ** (1.0 / 3.0), x)
 
 
-def _closed(h2: float, h3: float, m: float, n: float) -> float:
+def _closed(cubic: tuple[float, ...]) -> float:
     """Largest real root via radicals or the three-real-root cosine form."""
+    _h0, _h1, h2, h3, m, n = cubic
     disc = n * n / 4.0 + m ** 3 / 27.0
     if disc >= 0.0:
         s = math.sqrt(disc)
@@ -244,29 +235,23 @@ def _closed(h2: float, h3: float, m: float, n: float) -> float:
     return y - h2 / (3.0 * h3)
 
 
-def _closed_form_root(cubic: CubicForm) -> float:
-    """Largest real root of the cubic via radicals or the three-real-root cosine form."""
-    return _closed(cubic.h2, cubic.h3, cubic.m, cubic.n)
-
-
-def _bisection_root(cubic: CubicForm) -> float:
+def _bisection_root(cubic: tuple[float, ...]) -> float:
     """Unique positive zero by sign-change bisection, independent of radicals."""
-    h0, h1, h2, h3 = cubic.h0, cubic.h1, cubic.h2, cubic.h3
     hi = 1.0
     for _ in range(400):
-        if _value(h0, h1, h2, h3, hi) > 0.0:
+        if cubic_value(cubic, hi) > 0.0:
             break
         hi *= 2.0
     else:  # pragma: no cover - coefficients guarantee growth
         raise InternalInconsistencyError("cubic does not become positive")
     lo = hi / 2.0
-    while lo > 0.0 and _value(h0, h1, h2, h3, lo) > 0.0:
+    while lo > 0.0 and cubic_value(cubic, lo) > 0.0:
         lo /= 2.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if _value(h0, h1, h2, h3, mid) > 0.0:
+        if cubic_value(cubic, mid) > 0.0:
             hi = mid
         else:
             lo = mid
@@ -285,7 +270,7 @@ def _agreement(x: float) -> float:
     return tol if tol > ROOT_AGREEMENT else ROOT_AGREEMENT
 
 
-def _certify(h0: float, h1: float, h2: float, h3: float, x: float, tol: float) -> bool:
+def _certify(cubic: tuple[float, ...], x: float, tol: float) -> bool:
     """True when x is proven within tol of the cubic's unique positive root.
 
     One sign change in (h3, h2, h1, h0), zeros skipped, means exactly one
@@ -294,6 +279,7 @@ def _certify(h0: float, h1: float, h2: float, h3: float, x: float, tol: float) -
     the root, to the same rounding in cubic_value that the bisection relies
     on.
     """
+    h0, h1, h2, h3, _m, _n = cubic
     if not h3 > 0.0:
         return False
     changes = 0
@@ -307,40 +293,13 @@ def _certify(h0: float, h1: float, h2: float, h3: float, x: float, tol: float) -
     lo = x - tol
     hi = x + tol
     return (
-        (lo <= 0.0 or _value(h0, h1, h2, h3, lo) <= 0.0)
+        (lo <= 0.0 or cubic_value(cubic, lo) <= 0.0)
         and hi > 0.0
-        and _value(h0, h1, h2, h3, hi) > 0.0
+        and cubic_value(cubic, hi) > 0.0
     )
 
 
-def _certified(cubic: CubicForm, x: float) -> bool:
-    """True when x is proven within _agreement(x) of the unique positive root."""
-    return _certify(cubic.h0, cubic.h1, cubic.h2, cubic.h3, x, _agreement(x))
-
-
-def _root(h0: float, h1: float, h2: float, h3: float, m: float, n: float) -> float:
-    """positive_root on the coefficients as scalars; see there."""
-    x = _closed(h2, h3, m, n)
-    tol = _agreement(x)
-    if not _certify(h0, h1, h2, h3, x, tol):
-        # an infinite root never certifies, so only this path needs the test
-        if not all(map(math.isfinite, (h0, h1, h2, h3, m, n, x))):
-            raise OverflowError("threshold cubic or its root is not finite")
-        x_bisect = _bisection_root(CubicForm(h0, h1, h2, h3, m, n))
-        if abs(x - x_bisect) > tol:
-            raise InternalInconsistencyError(
-                f"cubic root methods disagree: closed-form {x} vs bisection {x_bisect}"
-            )
-    residual = _value(h0, h1, h2, h3, x)
-    scale = abs(h3) * max(abs(x), 1.0) ** 3
-    if abs(residual) > 1e-9 * scale:
-        raise InternalInconsistencyError(
-            f"cubic root residual {residual} exceeds tolerance at x={x}"
-        )
-    return x
-
-
-def positive_root(cubic: CubicForm) -> float:
+def positive_root(cubic: tuple[float, ...]) -> float:
     """Unique positive zero of the threshold cubic, certified or bisection-verified.
 
     The closed-form root is accepted in O(1) when the certificate proves it
@@ -349,7 +308,24 @@ def positive_root(cubic: CubicForm) -> float:
     the same bound.  Either way its residual must stay within 1e-9 of the
     cubic's scale.
     """
-    return _root(cubic.h0, cubic.h1, cubic.h2, cubic.h3, cubic.m, cubic.n)
+    x = _closed(cubic)
+    tol = _agreement(x)
+    if not _certify(cubic, x, tol):
+        # an infinite root never certifies, so only this path needs the test
+        if not all(map(math.isfinite, (*cubic, x))):
+            raise OverflowError("threshold cubic or its root is not finite")
+        x_bisect = _bisection_root(cubic)
+        if abs(x - x_bisect) > tol:
+            raise InternalInconsistencyError(
+                f"cubic root methods disagree: closed-form {x} vs bisection {x_bisect}"
+            )
+    residual = cubic_value(cubic, x)
+    scale = abs(cubic[3]) * max(abs(x), 1.0) ** 3  # cubic[3] is h3
+    if abs(residual) > 1e-9 * scale:
+        raise InternalInconsistencyError(
+            f"cubic root residual {residual} exceeds tolerance at x={x}"
+        )
+    return x
 
 
 def _band(g: float, bt: float) -> tuple[float, float]:
@@ -368,11 +344,9 @@ def _threshold(
     """
     try:
         h = _coeffs(b, g, bt)
-        x_star = _root(*h)
-    except OverflowError as exc:
-        raise _overflow(g, b) from exc
-    except ZeroDivisionError as exc:  # h3 = 0
-        raise _full_covolume(g, bt, b) from exc
+        x_star = positive_root(h)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise _cubic_error(exc, g, bt, b) from exc
     j_value = max(0.0, (x_star - 1.0) / b)
     return h, x_star, j_value, math.atan(math.sqrt(j_value))
 
@@ -391,7 +365,7 @@ def criterion(beta_i: float, gas: GasModel) -> CriterionReport:
         )
     h, x_star, j_value, phi_star = _threshold(beta_i, gas.gamma, gas.btilde)
     return CriterionReport(
-        cubic=CubicForm(*h),
+        cubic=CubicForm._make(h),
         x_star=x_star,
         J=j_value,
         phi_star=phi_star,

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from vdwshock import cli
-from vdwshock.config import MAX_COUNT, parse_config
+from vdwshock.config import MAX_COUNT, RunConfig, parse_config
 from vdwshock.errors import DomainError, InternalInconsistencyError
 from vdwshock.reports import json_text
 from vdwshock.table_fixture import FIXTURE_BETA, FIXTURE_BTILDE, fixture_is_blank
@@ -215,12 +215,15 @@ class TestReferenceOverflow:
 
     # a0 fits a float although the quotient under its root does not (or
     # rho0*(1-btilde) underflows); these printed a locus coefficient of 0 or
-    # were rejected as out of range
+    # were rejected as out of range.  In the last front row c0 = a0/kappa0
+    # underflows although a0 does not: the locus used to be c0*kappa0*t.
     @pytest.mark.parametrize("argv", [
         ["front", "--rho0", "1e300", "--p0", "1e-300"],
         ["field", "--rho0", "1e300", "--p0", "1e-300"],
         ["front", "--rho0", "5e-324", "--p0", "1e-310"],
         ["field", "--rho0", "1", "--p0", "1e300", "--gamma", "1e300"],
+        ["front", "--rho0", "1e300", "--p0", "1e-300", "--gamma", "50",
+         "--btilde_sweep_max", "0.9"],
     ])
     def test_representable_sound_speed_kept(self, capsys, argv):
         assert cli.main(argv) == 0
@@ -362,6 +365,50 @@ class TestFieldFuzz:
             xi, theta, _region, rho1, tag = line.split(",")
             assert all(math.isfinite(float(cell)) for cell in (xi, theta, rho1)), (argv, line)
             assert tag in ("51", "52"), (argv, line)
+
+
+class TestFrontFuzz:
+    # the covolume sweep of the front quantities driven through the CLI;
+    # rho0 and p0 span the float range, where c0 = a0/kappa0 can underflow
+    KEYS = {
+        "gamma": _edge_floats(st.floats(1.0, 60.0, exclude_min=True), 1.0),
+        "btilde_sweep_max": _edge_floats(
+            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), 0.0, 1.0),
+        "alpha_deg": _edge_floats(st.floats(0.0, 90.0, exclude_min=True, exclude_max=True),
+                                  0.0, 1.0, 45.0, 90.0),
+        "beta_deg": _edge_floats(st.floats(0.0, 180.0, exclude_min=True, exclude_max=True),
+                                 0.0, 45.0, 67.5, 90.0, 180.0),
+        "epsilon": _edge_floats(st.floats(0.0, 10.0), 0.0, 1.0),
+        "rho0": _edge_floats(TestFieldFuzz.SCALE, 0.0, 1.0),
+        "p0": _edge_floats(TestFieldFuzz.SCALE, 0.0, 1.0),
+    }
+
+    @given(over=st.fixed_dictionaries({}, optional=KEYS),
+           count=st.one_of(st.none(), st.integers(2, 15)))
+    # the last row's c0 underflows: its locus coefficient printed 0
+    @example(over={"rho0": 1e300, "p0": 1e-300, "gamma": 50.0, "btilde_sweep_max": 0.9},
+             count=None)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_exit_zero_with_positive_loci_or_two_with_nothing(self, over, count):
+        argv = ["front"] if count is None else ["front", "--btilde_sweep_count", str(count)]
+        for key, value in over.items():
+            argv += [f"--{key}", json.dumps(value)]  # NaN and Infinity as JSON spells them
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        out = out.getvalue()
+        assert code in (0, 2), (argv, err.getvalue())
+        if code == 2:
+            assert out == "", argv
+            return
+        rows = RunConfig().btilde_sweep_count if count is None else count
+        lines = out.split("\n")
+        assert lines[0] == "btilde,gradient_jump,shock_locus_coeff,shock_strength"
+        assert lines[-1] == "" and len(lines) == 2 + rows, argv
+        for line in lines[1:-1]:
+            cells = [float(cell) for cell in line.split(",")]
+            assert len(cells) == 4 and all(map(math.isfinite, cells)), (argv, line)
+            assert cells[2] > 0.0, (argv, line)
 
 
 class TestThresholdOverflow:

@@ -13,6 +13,7 @@ from vdwshock.geometry import (
     reflected_line,
     region_classify,
 )
+from vdwshock.linear_acoustics import diffracted_density_xi
 from vdwshock.thermo import GasModel, reference_constants
 
 
@@ -111,6 +112,15 @@ class TestRegionClassify:
     def test_below_wedge_rejected(self, ideal_ref):
         with pytest.raises(DomainError):
             region_classify(make_point(1.0, 0.2, ideal_ref), 0.5, ideal_ref)
+
+    @pytest.mark.parametrize("theta", [math.nan, 0.2, math.pi + 1e-14])
+    def test_theta_outside_the_wedge_domain(self, ideal_ref, theta):
+        # one range test for the region map and the diffraction formula; a
+        # NaN theta used to slip past it here and fail later in a locus
+        with pytest.raises(DomainError, match=r"outside the wedge domain \[alpha, pi\]"):
+            region_classify(make_point(1.0, theta, ideal_ref), 0.5, ideal_ref)
+        with pytest.raises(DomainError, match=r"outside the wedge domain \[alpha, pi\]"):
+            diffracted_density_xi(0.5, theta, 0.5, ideal_ref)
 
     def test_partition_is_exclusive(self):
         # one hundred thousand samples overall, each landing in exactly one

@@ -13,6 +13,7 @@ from vdwshock.linear_acoustics import (
     busemann_variable,
     corner_exponent,
     density_pde_residual,
+    density_rows,
     diffracted_density_xi,
     first_order_piecewise,
     interior_density,
@@ -225,6 +226,17 @@ class TestDiffractedDensity:
     def test_outside_arc_rejected(self, ideal_ref):
         with pytest.raises(DomainError):
             diffracted_density_xi(1.0 + 1e-6, 1.0, ALPHA, ideal_ref)
+
+    def test_subnormal_c0_rejected_pointwise_and_by_rows(self):
+        # a0 ~ 2e-316 is representable, but xi = zeta/c0 loses its digits:
+        # this point used to print 1.3859075741790097 where rho0 = p0 = 1
+        # gives 1.3859075722339207
+        ref = reference_constants(1.7976931348623157e308, 5e-324, GasModel(1.4))
+        assert 0.0 < ref.c0 < 2.2250738585072014e-308
+        with pytest.raises(DomainError, match="c0 must be a finite normal float.*rho0="):
+            diffracted_density_xi(0.5, 1.5, ALPHA, ref)
+        with pytest.raises(DomainError, match="c0 must be a finite normal float.*rho0="):
+            list(density_rows([0.5], [1.5], ALPHA, ref))
 
     def test_range_bounded_by_uniform_states(self, covolume_ref):
         values = []

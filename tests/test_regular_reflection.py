@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +26,9 @@ from vdwshock.regular_reflection import (
     tan_phi_r_branches,
     _beta_r_of,
     _bisection_root,
-    _closed_form_root,
+    _certify,
+    _closed,
+    _coeffs,
 )
 from vdwshock.shock_relations import IncidentShockInput, admissible_beta_bounds
 from vdwshock.table_fixture import FIXTURE_BETA, FIXTURE_BTILDE, fixture_is_blank
@@ -211,7 +214,7 @@ class TestRootCertificate:
             roots = [positive_root(c) for c in cubics]
         assert len(roots) == 12 * 14 * 24
         for c, x in zip(cubics, roots):
-            assert x == _closed_form_root(c)
+            assert x == _closed(c)
             assert abs(x - _bisection_root(c)) <= ROOT_AGREEMENT
 
     def test_three_sign_changes_take_the_fallback(self, monkeypatch):
@@ -239,6 +242,35 @@ class TestRootCertificate:
         assert abs(x - _bisection_root(c)) <= 16.0 * math.ulp(x)
         monkeypatch.setattr(regular_reflection, "_certify", lambda *args: False)
         assert positive_root(c) == x
+
+
+class TestOneCubicType:
+    # each cubic kernel takes any 6-tuple (h0, h1, h2, h3, m, n): the plain
+    # tuple of _coeffs on the table's hot path, a CubicForm from the API
+    def test_plain_tuple_and_cubic_form_agree_bit_for_bit(self):
+        rng = random.Random(20261018)
+
+        def results(cubic):
+            x = positive_root(cubic)
+            values = (x, _closed(cubic), _bisection_root(cubic), cubic_value(cubic, x),
+                      cubic_value(cubic, 0.5 * x), cubic_value(cubic, 2.0 * x))
+            return [v.hex() for v in values] + [_certify(cubic, x, ROOT_AGREEMENT)]
+
+        for _ in range(400):
+            g = rng.uniform(1.05, 3.0)
+            bt = rng.uniform(0.0, 0.95)
+            b = rng.uniform(1.0, (g + 1.0) / (g - 1.0 + 2.0 * bt))
+            plain = _coeffs(b, g, bt)
+            form = cubic_coefficients(b, GasModel(g, bt))
+            assert type(plain) is tuple and type(form) is CubicForm
+            assert results(plain) == results(form)
+
+    def test_criterion_reports_the_public_cubic(self, covolume_gas):
+        for beta in (1.0, 1.7, 2.3):
+            cubic = criterion(beta, covolume_gas).cubic
+            assert type(cubic) is CubicForm
+            assert cubic == cubic_coefficients(beta, covolume_gas)
+            assert cubic._fields == ("h0", "h1", "h2", "h3", "m", "n")
 
 
 ENTRY_POINTS = {

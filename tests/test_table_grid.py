@@ -113,8 +113,8 @@ def test_bisection_fallback_keeps_the_bytes(monkeypatch):
     bisection = regular_reflection._bisection_root
     monkeypatch.setattr(regular_reflection, "_certify", lambda *args: False)
     monkeypatch.setattr(regular_reflection, "_bisection_root", spy)
-    assert not regular_reflection._certified(
-        regular_reflection.cubic_coefficients(2.0, GasModel(1.4, 0.0)), 2.0
+    assert not regular_reflection._certify(
+        regular_reflection.cubic_coefficients(2.0, GasModel(1.4, 0.0)), 2.0, 1e-10
     )
     assert [render_table(cfg) for cfg in cfgs] == certified
     admissible_cells = sum(text.count(",true,") for text in certified)

@@ -10,6 +10,7 @@ line and the sonic arc zeta = a0.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError, RegionError
@@ -67,6 +68,10 @@ class RegionLabel:
 
 
 def make_point(zeta: float, theta: float, ref: ReferenceState) -> SelfSimilarPoint:
+    """Point (zeta, theta); xi = zeta/c0 keeps its digits only for a finite normal c0."""
+    if not sys.float_info.min <= ref.c0 < math.inf:
+        raise DomainError(f"c0 must be a finite normal float, got {ref.c0} at rho0={ref.rho0}, "
+                          f"p0={ref.p0} (a0={ref.a0}, kappa0={ref.kappa0})")
     if zeta < 0.0:
         raise DomainError(f"similarity radius must be nonnegative, got {zeta}")
     return SelfSimilarPoint(zeta=zeta, theta=theta, xi=zeta / ref.c0)

@@ -10,7 +10,6 @@ mu = (pi/2)/(pi - alpha), with arctangents taken on the [0, pi] branch.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
@@ -210,10 +209,6 @@ def _front_coefficient(mu: float, beta: float) -> float:
 
 
 def _checked_sigma(xi: float, ref: ReferenceState) -> float:
-    """xi/kappa0, with xi = zeta/c0 only meaningful for a finite normal c0."""
-    if not sys.float_info.min <= ref.c0 < math.inf:
-        raise DomainError(f"c0 must be a finite normal float, got {ref.c0} at rho0={ref.rho0}, "
-                          f"p0={ref.p0} (a0={ref.a0}, kappa0={ref.kappa0})")
     sigma = xi / ref.kappa0
     if sigma > 1.0 + 1e-12:
         raise DomainError(f"diffraction formula needs xi <= kappa0, got xi/kappa0={sigma}")

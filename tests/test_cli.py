@@ -244,6 +244,13 @@ class TestReferenceOverflow:
         assert cli.main(["field", "--rho0", "1.7976931348623157e308", "--p0", "5e-324"]) == 2
         assert_validation_error(capsys, "c0 must be a finite normal float", "rho0=1.79")
 
+    def test_zero_c0_exits_two(self, capsys):
+        # a0 ~ 2e-299 is kept, but c0 = a0/kappa0 underflows to 0: dividing by
+        # it in the field's coordinates raised ZeroDivisionError (exit 1)
+        argv = ["field", "--rho0", "1e300", "--p0", "1e-300", "--gamma", "50", "--btilde", "0.9"]
+        assert cli.main(argv) == 2
+        assert_validation_error(capsys, "c0 must be a finite normal float", "rho0=1e+300")
+
     def test_huge_gamma_power_in_front_exits_two(self, capsys):
         # (gamma + 1)**2 in shock_locus raised OverflowError (exit 1)
         argv = ["front", "--gamma", "1e200", "--r", "1.7976931348623157e+308"]
@@ -343,6 +350,9 @@ class TestFieldFuzz:
            xi_count=st.integers(2, 4), theta_count=st.integers(2, 4))
     # a0 in its scaled form, and near-front ring rows
     @example(over={"rho0": 1e300, "p0": 1e-300}, xi_count=3, theta_count=3)
+    # c0 = a0/kappa0 underflows to 0 although a0 does not
+    @example(over={"rho0": 1e300, "p0": 1e-300, "gamma": 50.0, "btilde": 0.9}, xi_count=2,
+             theta_count=2)
     @example(over={"xi_min": 1.0 - 4 * math.ulp(1.0), "alpha_deg": 30.0}, xi_count=4,
              theta_count=4)
     @settings(max_examples=300, deadline=None, derandomize=True)

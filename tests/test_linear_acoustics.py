@@ -227,16 +227,22 @@ class TestDiffractedDensity:
         with pytest.raises(DomainError):
             diffracted_density_xi(1.0 + 1e-6, 1.0, ALPHA, ideal_ref)
 
-    def test_subnormal_c0_rejected_pointwise_and_by_rows(self):
-        # a0 ~ 2e-316 is representable, but xi = zeta/c0 loses its digits:
-        # this point used to print 1.3859075741790097 where rho0 = p0 = 1
-        # gives 1.3859075722339207
-        ref = reference_constants(1.7976931348623157e308, 5e-324, GasModel(1.4))
-        assert 0.0 < ref.c0 < 2.2250738585072014e-308
-        with pytest.raises(DomainError, match="c0 must be a finite normal float.*rho0="):
-            diffracted_density_xi(0.5, 1.5, ALPHA, ref)
-        with pytest.raises(DomainError, match="c0 must be a finite normal float.*rho0="):
-            list(density_rows([0.5], [1.5], ALPHA, ref))
+    # a0 ~ 2e-316 is representable, but xi = zeta/c0 loses its digits: this
+    # point used to print 1.3859075741790097 where rho0 = p0 = 1 gives
+    # 1.3859075722339207.  With a0 ~ 2e-299 and kappa0 ~ 3e25, c0 = a0/kappa0
+    # underflows to 0 and xi = zeta/c0 raised ZeroDivisionError.
+    @pytest.mark.parametrize("args, c0_range", [
+        ((1.7976931348623157e308, 5e-324, GasModel(1.4)), (5e-324, 2.2250738585072014e-308)),
+        ((1e300, 1e-300, GasModel(50.0, 0.9)), (0.0, 0.0)),
+    ], ids=["subnormal", "zero"])
+    def test_non_normal_c0_rejected_pointwise_and_by_rows(self, args, c0_range):
+        ref = reference_constants(*args)
+        assert c0_range[0] <= ref.c0 <= c0_range[1] and ref.a0 > 0.0
+        for call in (lambda: diffracted_density_xi(0.5, 1.5, ALPHA, ref),
+                     lambda: list(density_rows([0.5], [1.5], ALPHA, ref)),
+                     lambda: make_point(1.0, 1.5, ref)):
+            with pytest.raises(DomainError, match="c0 must be a finite normal float.*rho0="):
+                call()
 
     def test_range_bounded_by_uniform_states(self, covolume_ref):
         values = []

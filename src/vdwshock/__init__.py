@@ -16,7 +16,6 @@ from .geometry import (
     PseudoFlowState,
     RegionLabel,
     SelfSimilarPoint,
-    WedgeConfig,
     eigenvalues_and_type,
     incident_locus,
     make_point,

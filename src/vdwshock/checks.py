@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import inner_singular, linear_acoustics, nonlinear_front
 from .config import RunConfig
@@ -43,8 +43,7 @@ DOCUMENTED = "discrepancy-documented"
 _SEED = 20260811
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     status: str
     residual: float | None
@@ -527,8 +526,8 @@ def check_cli_determinism(other_results: list[CheckResult]) -> CheckResult:
     first = _render_all_data_commands(cfg)
     second = _render_all_data_commands(cfg)
     nondet = sorted(name for name in first if first[name] != second[name])
-    check_payload_a = reports.json_text([r.__dict__ for r in other_results])
-    check_payload_b = reports.json_text([r.__dict__ for r in other_results])
+    check_payload_a = reports.json_text([r._asdict() for r in other_results])
+    check_payload_b = reports.json_text([r._asdict() for r in other_results])
     if check_payload_a != check_payload_b:
         nondet.append("check")
     fails = sorted(r.name for r in other_results if r.status == FAIL)
@@ -567,7 +566,7 @@ def run_all_checks() -> list[CheckResult]:
 
 def report_payload(results: list[CheckResult]) -> dict:
     return {
-        "checks": [dict(vars(r)) for r in results],
+        "checks": [r._asdict() for r in results],
         "counts": {
             "pass": sum(1 for r in results if r.status == PASS),
             "fail": sum(1 for r in results if r.status == FAIL),

@@ -4,15 +4,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 from .errors import DomainError
 from .table_fixture import FIXTURE_BETA, FIXTURE_BTILDE
 from .thermo import GasModel, validate_gas
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     """All CLI inputs.  Angles are degrees here; the library works in radians.
 
     beta_i defaults to 1 + epsilon when left unset.  beta_deg is the front
@@ -32,8 +31,8 @@ class RunConfig:
     beta_deg: float = 67.5
     r: float = 1.0
     t: float = 1.0
-    beta_grid: list[float] = field(default_factory=lambda: list(FIXTURE_BETA))
-    btilde_grid: list[float] = field(default_factory=lambda: list(FIXTURE_BTILDE))
+    beta_grid: tuple[float, ...] = FIXTURE_BETA
+    btilde_grid: tuple[float, ...] = FIXTURE_BTILDE
     xi_min: float = 1e-6
     xi_count: int = 21
     theta_count: int = 25
@@ -59,7 +58,6 @@ class RunConfig:
         return 1.0 + self.epsilon if self.beta_i is None else self.beta_i
 
 
-_FIELD_TYPES = {f.name: f for f in fields(RunConfig)}
 _COUNT_KEYS = ("xi_count", "theta_count", "rprime_count", "thetaprime_count",
                "btilde_sweep_count")
 #: largest grid count or grid length a config may ask for along one axis
@@ -72,14 +70,14 @@ def _is_number(value) -> bool:
 
 def _coerce(key: str, value):
     """Type-check one config value; every scalar number must be finite."""
-    if key not in _FIELD_TYPES:
+    if key not in RunConfig._fields:
         raise DomainError(f"unknown configuration key {key!r}")
     if key == "output":
         return None if value is None else str(value)
     if key in ("beta_grid", "btilde_grid"):
         if not isinstance(value, (list, tuple)) or not value or not all(map(_is_number, value)):
             raise DomainError(f"{key} must be a non-empty array of numbers")
-        return [float(v) for v in value]
+        return tuple(float(v) for v in value)
     if key == "beta_i" and value is None:
         return None
     if not _is_number(value):
@@ -154,7 +152,5 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
         merged.update(data)
     if overrides:
         merged.update(overrides)
-    cfg = RunConfig()
-    for key, value in merged.items():
-        setattr(cfg, key, _coerce(key, value))
+    cfg = RunConfig(**{key: _coerce(key, value) for key, value in merged.items()})
     return validate_config(cfg)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, RegionError
 from .thermo import ReferenceState
@@ -37,16 +37,7 @@ def check_theta(theta: float, alpha: float) -> None:
         raise DomainError(f"theta={theta} outside the wedge domain [alpha, pi]")
 
 
-@dataclass(frozen=True)
-class WedgeConfig:
-    alpha: float
-
-    def __post_init__(self):
-        check_angle(self.alpha, "wedge half-angle")
-
-
-@dataclass(frozen=True)
-class SelfSimilarPoint:
+class SelfSimilarPoint(NamedTuple):
     """Point (zeta, theta) with the reduced radius xi = zeta/c0 alongside."""
 
     zeta: float
@@ -54,15 +45,13 @@ class SelfSimilarPoint:
     xi: float
 
 
-@dataclass(frozen=True)
-class PseudoFlowState:
+class PseudoFlowState(NamedTuple):
     U: float
     V: float
     a: float
 
 
-@dataclass(frozen=True)
-class RegionLabel:
+class RegionLabel(NamedTuple):
     region: str
     boundaries: tuple[str, ...] = ()
 

@@ -12,8 +12,7 @@ measured and reported, never patched.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import DomainError
 from .geometry import SelfSimilarPoint
@@ -24,8 +23,7 @@ KIND_REFLECTED = "reflected"
 KIND_DIFFRACTED = "diffracted"
 
 
-@dataclass(frozen=True)
-class InnerPoint:
+class InnerPoint(NamedTuple):
     """Stretched coordinates; eta = 2*r'/(kappa0*theta'^2) when theta' != 0."""
 
     r_prime: float
@@ -33,8 +31,7 @@ class InnerPoint:
     eta: float | None
 
 
-@dataclass(frozen=True)
-class InnerGeometry:
+class InnerGeometry(NamedTuple):
     vartheta: float
     theta0: float
     sonic_S: float

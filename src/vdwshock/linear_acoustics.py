@@ -10,8 +10,7 @@ mu = (pi/2)/(pi - alpha), with arctangents taken on the [0, pi] branch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import DomainError, RegionError, SingularityError
 from .geometry import (
@@ -39,8 +38,7 @@ TAG_DIFFRACTION = 51
 TAG_NEAR_FRONT = 52
 
 
-@dataclass(frozen=True)
-class ExpansionCoefficients:
+class ExpansionCoefficients(NamedTuple):
     """Perturbation coefficients of the uniform states in the shock strength.
 
     State-1 entries are the first- and second-order coefficients of the
@@ -64,8 +62,7 @@ class ExpansionCoefficients:
     V2_1: float | None = None
 
 
-@dataclass(frozen=True)
-class FieldSample:
+class FieldSample(NamedTuple):
     point: SelfSimilarPoint
     region: RegionLabel
     rho1: float

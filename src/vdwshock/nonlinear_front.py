@@ -15,16 +15,14 @@ profile therefore uses -|C(beta)|; classification is purely geometric.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import ClassificationError, DomainError, SingularityError
 from .linear_acoustics import _front_coefficient, corner_exponent
 from .thermo import GasModel, ReferenceState, validate_gas
 
 
-@dataclass(frozen=True)
-class FrontClassification:
+class FrontClassification(NamedTuple):
     kind: str  # "rarefaction" | "shock"
     beta_angle: float
     alpha: float

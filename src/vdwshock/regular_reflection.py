@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import DetachmentError, DomainError, InternalInconsistencyError
@@ -54,8 +53,7 @@ class CubicForm(NamedTuple):
     n: float
 
 
-@dataclass(frozen=True)
-class CriterionReport:
+class CriterionReport(NamedTuple):
     cubic: CubicForm | None
     x_star: float | None
     J: float | None
@@ -64,8 +62,7 @@ class CriterionReport:
     upper_beta: float
 
 
-@dataclass(frozen=True)
-class ReflectionSolution:
+class ReflectionSolution(NamedTuple):
     """Reflected-shock quantities and the uniform state behind it.
 
     phi_r is the signed angle whose tangent solves the wedge condition; the

@@ -60,18 +60,14 @@ def render_criterion(cfg: RunConfig) -> str:
     gas = GasModel(gamma=cfg.gamma, btilde=cfg.btilde)
     beta_i = cfg.resolved_beta_i()
     rep = regular_reflection.criterion(beta_i, gas)
+    cubic = rep.cubic._asdict() if rep.cubic else dict.fromkeys(regular_reflection.CubicForm._fields)
     payload = {
         "beta_i": beta_i,
         "gamma": cfg.gamma,
         "btilde": cfg.btilde,
         "admissible": rep.admissible,
         "upper_beta": rep.upper_beta,
-        "h0": rep.cubic.h0 if rep.cubic else None,
-        "h1": rep.cubic.h1 if rep.cubic else None,
-        "h2": rep.cubic.h2 if rep.cubic else None,
-        "h3": rep.cubic.h3 if rep.cubic else None,
-        "m": rep.cubic.m if rep.cubic else None,
-        "n": rep.cubic.n if rep.cubic else None,
+        **cubic,
         "x_star": rep.x_star,
         "J": rep.J,
         "phi_star_rad": rep.phi_star,

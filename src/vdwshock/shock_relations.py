@@ -12,7 +12,7 @@ points sitting exactly on an open endpoint are not spuriously rejected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import AdmissibilityError, DomainError
 from .geometry import check_angle
@@ -22,29 +22,24 @@ from .thermo import GasModel, ReferenceState, validate_gas
 ENDPOINT_SLACK = 1e-12
 
 
-@dataclass(frozen=True)
-class IncidentShockInput:
+class IncidentShockInput(NamedTuple):
     """Incident shock described by its density ratio and incidence angle."""
 
     beta_i: float
     phi_i: float
-    epsilon: float = field(default=None)  # type: ignore[assignment]
 
-    def __post_init__(self):
-        if self.epsilon is None:
-            object.__setattr__(self, "epsilon", self.beta_i - 1.0)
-        elif abs(self.epsilon - (self.beta_i - 1.0)) > 1e-12 * max(1.0, self.beta_i):
-            raise DomainError("epsilon must equal beta_i - 1")
+    @property
+    def epsilon(self) -> float:
+        """Shock strength beta_i - 1."""
+        return self.beta_i - 1.0
 
 
-@dataclass(frozen=True)
-class ReflectedShockInput:
+class ReflectedShockInput(NamedTuple):
     beta_r: float
     phi_r: float
 
 
-@dataclass(frozen=True)
-class ObliqueJump:
+class ObliqueJump(NamedTuple):
     """Jump quantities across one oblique shock."""
 
     pressure_ratio: float
@@ -71,7 +66,7 @@ def _jump(beta: float, t: float, g: float, bb: float) -> tuple[float, float, flo
     """
     t2 = t * t
     den_p = (g + 1.0) - (g - 1.0 + 2.0 * bb) * beta
-    if den_p <= 0.0:
+    if den_p <= 0.0 or not beta < beta_upper(g, bb):
         raise DomainError("pressure-ratio denominator vanishes at the admissibility bound")
     return (
         ((g + 1.0 - 2.0 * bb) * beta - (g - 1.0)) / den_p,

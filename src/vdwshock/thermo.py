@@ -8,27 +8,24 @@ ReferenceState built from the upstream density and pressure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
-class GasModel:
+class GasModel(NamedTuple):
     """Specific-heat ratio and scaled excluded volume btilde = b*rho0."""
 
     gamma: float
     btilde: float = 0.0
 
 
-@dataclass(frozen=True)
-class ThermoState:
+class ThermoState(NamedTuple):
     rho: float
     p: float
 
 
-@dataclass(frozen=True)
-class ReferenceState:
+class ReferenceState(NamedTuple):
     """Upstream state with the derived constants of the asymptotic formulas.
 
     kappa0 = (1 - btilde)^(-(gamma+1)/2) and c0 = a0/kappa0 are the reduced

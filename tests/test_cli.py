@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import io
 import json
 import math
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import vdwshock
 from vdwshock import cli
 from vdwshock.config import MAX_COUNT, RunConfig, parse_config
 from vdwshock.errors import DomainError, InternalInconsistencyError
@@ -18,6 +20,18 @@ from vdwshock.reports import json_text
 from vdwshock.table_fixture import FIXTURE_BETA, FIXTURE_BTILDE, fixture_is_blank
 
 COMMANDS = ("criterion", "table", "field", "front", "inner", "check")
+
+
+def _criterion_keys():
+    # the benchmark rejects a criterion report whose keys differ from this set
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.CRITERION_KEYS
+
+
+CRITERION_KEYS = _criterion_keys()
 
 
 def run_cli(*args):
@@ -421,6 +435,52 @@ class TestFrontFuzz:
             assert cells[2] > 0.0, (argv, line)
 
 
+class TestInnerFuzz:
+    # the hoisted inner grid driven through the CLI; the loci, the sonic
+    # lines and the stretched grid itself can leave the float range
+    ANGLE = st.floats(-10.0, 10.0)
+    KEYS = {
+        "gamma": _edge_floats(st.floats(1.0, 60.0, exclude_min=True), 1.0),
+        "btilde": _edge_floats(st.floats(0.0, 1.0, exclude_max=True), 0.0, 1.0),
+        "rho0": _edge_floats(TestFieldFuzz.SCALE, 0.0, 1.0),
+        "p0": _edge_floats(TestFieldFuzz.SCALE, 0.0, 1.0),
+        "theta0": _edge_floats(ANGLE, 0.0),
+        "eta": _edge_floats(ANGLE, 0.0, -1.0),
+        "rprime_min": _edge_floats(ANGLE, 0.0, -3.0),
+        "rprime_max": _edge_floats(ANGLE, 0.0, 6.0),
+        "thetaprime_min": _edge_floats(ANGLE, 0.0, -3.0),
+        "thetaprime_max": _edge_floats(ANGLE, 0.0, 3.0),
+    }
+
+    @given(over=st.fixed_dictionaries({}, optional=KEYS),
+           rprime_count=st.integers(2, 4), thetaprime_count=st.integers(2, 4))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_exit_zero_with_finite_rows_or_two_with_nothing(self, over, rprime_count,
+                                                            thetaprime_count):
+        argv = ["inner", "--rprime_count", str(rprime_count),
+                "--thetaprime_count", str(thetaprime_count)]
+        for key, value in over.items():
+            argv += [f"--{key}", json.dumps(value)]  # NaN and Infinity as JSON spells them
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        out = out.getvalue()
+        assert code in (0, 2), (argv, err.getvalue())
+        if code == 2:
+            assert out == "", argv
+            return
+        lines = out.split("\n")
+        assert lines[0] == ("theta_prime,r_prime,S_R,S_D,sonic_S,sonic_R,"
+                            "U_reflected,U_diffracted")
+        assert lines[-1] == "" and len(lines) == 2 + rprime_count * thetaprime_count, argv
+        for line in lines[1:-1]:
+            *numbers, u_ref, u_dif = line.split(",")
+            # S_D is blank when the configured eta labels no diffracted shock
+            assert all(cell == "" or math.isfinite(float(cell)) for cell in numbers), (argv, line)
+            assert u_ref in ("1", "2"), (argv, line)
+            assert u_dif == "" or 1.0 <= float(u_dif) <= 1.5, (argv, line)
+
+
 class TestThresholdOverflow:
     # the cubic's coefficients (2*b2**3) or its closed-form root (m**3)
     # overflow a float at huge gamma; both used to end in a traceback
@@ -504,6 +564,7 @@ class TestParserAndImports:
         src = str(Path(cli.__file__).resolve().parents[1])
         code = (
             "import sys, vdwshock.cli as cli\n"
+            "print('dataclasses' in sys.modules)\n"
             "m = sys.modules['vdwshock.checks']\n"
             "print('run_all_checks' in object.__getattribute__(m, '__dict__'))\n"
             "print(cli.checks.FAIL, 'run_all_checks' in vars(m), m is cli.checks)\n"
@@ -513,7 +574,15 @@ class TestParserAndImports:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               timeout=60, env={**os.environ, "PYTHONPATH": src})
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split("\n") == ["False", "fail True True", "True", ""]
+        assert proc.stdout.split("\n") == ["False", "False", "fail True True", "True", ""]
+
+    def test_every_record_is_a_named_tuple(self):
+        records = [obj for obj in vars(vdwshock).values()
+                   if isinstance(obj, type) and not issubclass(obj, Exception)]
+        records += [RunConfig, cli.checks.CheckResult]
+        assert len(records) == 19
+        assert all(issubclass(r, tuple) and r._fields for r in records), records
+        assert not hasattr(vdwshock, "WedgeConfig")
 
     def test_parser_reused_after_errors(self, capsys):
         # the parser is built once per process; a rejected command line must
@@ -588,6 +657,8 @@ class TestCriterionCommand:
         payload = json.loads(proc.stdout)
         assert payload["admissible"] is False
         assert payload["J"] is None
+        assert all(payload[key] is None for key in ("h0", "h1", "h2", "h3", "m", "n"))
+        assert set(payload) == CRITERION_KEYS
 
 
 class TestTableCommand:

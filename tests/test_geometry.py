@@ -6,7 +6,7 @@ import pytest
 from vdwshock.errors import DomainError, RegionError
 from vdwshock.geometry import (
     PseudoFlowState,
-    WedgeConfig,
+    check_angle,
     eigenvalues_and_type,
     incident_locus,
     make_point,
@@ -19,12 +19,12 @@ from vdwshock.thermo import GasModel, reference_constants
 
 class TestWedgeConfig:
     def test_valid(self):
-        WedgeConfig(0.7)
+        check_angle(0.7, "wedge half-angle")
 
     @pytest.mark.parametrize("alpha", [0.0, math.pi / 2, -0.1])
     def test_invalid(self, alpha):
         with pytest.raises(DomainError):
-            WedgeConfig(alpha)
+            check_angle(alpha, "wedge half-angle")
 
 
 class TestIncidentLocus:

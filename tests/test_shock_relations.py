@@ -80,8 +80,6 @@ class TestIncidentOblique:
     def test_epsilon_field(self):
         inp = IncidentShockInput(1.25, 0.5)
         assert inp.epsilon == pytest.approx(0.25, rel=1e-15)
-        with pytest.raises(DomainError):
-            IncidentShockInput(1.25, 0.5, epsilon=0.5)
 
 
 class TestNormalIncidentConsistency:
@@ -221,6 +219,10 @@ SLACK_GAS = GasModel(1.4, 0.1)
 SLACK_UPPER = admissible_beta_bounds(SLACK_GAS)[1]
 SLACK_UPPER_R = admissible_beta_bounds(SLACK_GAS, beta_i=1.5)[1]
 IN_SLACK = 1.0 + 1e-12
+# at exactly its bound this gas's pressure-ratio denominator rounds to a tiny
+# positive number instead of 0
+ROUNDING_GAS = GasModel(2.0, 0.2)
+ROUNDING_UPPER = admissible_beta_bounds(ROUNDING_GAS)[1]
 
 
 class TestSlackBand:
@@ -236,8 +238,12 @@ class TestSlackBand:
             lambda: reflected_oblique(
                 1.5, ReflectedShockInput(SLACK_UPPER_R * IN_SLACK, 0.5), SLACK_GAS
             ),
+            lambda: incident_oblique(IncidentShockInput(ROUNDING_UPPER, 0.5), ROUNDING_GAS),
             lambda: normal_incident_state(
                 SLACK_UPPER * IN_SLACK, SLACK_GAS, reference_constants(1.0, 1.0, SLACK_GAS)
+            ),
+            lambda: normal_incident_state(
+                ROUNDING_UPPER, ROUNDING_GAS, reference_constants(1.0, 1.0, ROUNDING_GAS)
             ),
             lambda: solve_regular_reflection(
                 IncidentShockInput(SLACK_UPPER, 1.2), 0.5, SLACK_GAS
@@ -246,7 +252,8 @@ class TestSlackBand:
                 IncidentShockInput(SLACK_UPPER * IN_SLACK, 1.2), 0.5, SLACK_GAS
             ),
         ],
-        ids=["incident", "reflected", "normal", "solve_at_bound", "solve_in_slack"],
+        ids=["incident", "reflected", "incident_at_bound", "normal", "normal_at_bound",
+             "solve_at_bound", "solve_in_slack"],
     )
     def test_rejected_as_domain_error(self, call):
         with pytest.raises(DomainError, match="pressure-ratio denominator vanishes"):

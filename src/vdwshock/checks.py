@@ -27,7 +27,6 @@ from .regular_reflection import (
     solve_regular_reflection,
     table_generate,
     tan_phi_r_branches,
-    _band,
     _beta_r_of,
     _bisection_root,
     _closed,
@@ -41,6 +40,8 @@ FAIL = "fail"
 DOCUMENTED = "discrepancy-documented"
 
 _SEED = 20260811
+#: points of the scan oracle's grid on [-bound, 0]
+_SCAN_POINTS = 1500
 
 
 class CheckResult(NamedTuple):
@@ -65,7 +66,7 @@ def check_cubic_self_consistency() -> CheckResult:
     for g in gammas:
         for bt in btildes:
             gas = GasModel(g, bt)
-            upper = _band(g, bt)[0]
+            upper = beta_upper(g, bt)
             for beta in betas:
                 if not 1.0 < beta <= upper * (1.0 + 1e-12):
                     continue
@@ -169,7 +170,7 @@ def check_branch_limits() -> CheckResult:
     return _result("branch_limits", ok, worst, 1e-6, note)
 
 
-def _scan_oracle_minus_branch(beta: float, t: float, gas: GasModel, n: int = 1500) -> float:
+def _scan_oracle_minus_branch(beta: float, t: float, gas: GasModel) -> float:
     """Most negative root of the wedge condition by dense scan plus bisection.
 
     Composes the reflected ratio with the deflection relation directly, so it
@@ -204,6 +205,7 @@ def _scan_oracle_minus_branch(beta: float, t: float, gas: GasModel, n: int = 150
         prev_g = gfun(prev_r)
     except DomainError:
         prev_g = math.nan
+    n = _SCAN_POINTS
     for i in range(1, n + 1):
         r = -bound + bound * i / n  # scan up to 0
         try:
@@ -242,10 +244,8 @@ def check_reflection_solve() -> CheckResult:
         g = rng.uniform(1.1, 5.0 / 3.0)
         bt = rng.uniform(0.0, 0.7)
         gas = GasModel(g, bt)
-        upper = _band(g, bt)[0]
+        upper = beta_upper(g, bt)
         beta = rng.uniform(1.0 + 1e-3, min(upper * 0.999, 4.0))
-        if beta <= 1.0:
-            continue
         rep = criterion(beta, gas)
         phi_star = rep.phi_star
         phi_hi = math.pi / 2.0 - 0.02

@@ -92,11 +92,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.output is not None:
             overrides["output"] = args.output
         cfg = parse_config(args.config, overrides)
-    except DomainError as exc:
-        sys.stderr.write(_error_object("validation", exc))
-        return 2
-
-    try:
         if args.command == "check":
             results = checks.run_all_checks()
             _emit(reports.json_text(checks.report_payload(results)), cfg.output)

@@ -43,8 +43,7 @@ class ExpansionCoefficients(NamedTuple):
 
     State-1 entries are the first- and second-order coefficients of the
     head-on jump (density, pressure, radial/angular pseudo-velocity, sound
-    speed) plus the cubic-order entropy coefficient.  The state-2 first-order
-    triple is populated only by state2_expansion.
+    speed) plus the cubic-order entropy coefficient.
     """
 
     rho_1: float
@@ -57,9 +56,6 @@ class ExpansionCoefficients(NamedTuple):
     a_1: float
     a_2: float
     s_3: float
-    rho2_1: float | None = None
-    U2_1: float | None = None
-    V2_1: float | None = None
 
 
 class FieldSample(NamedTuple):

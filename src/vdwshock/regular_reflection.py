@@ -23,7 +23,6 @@ from typing import NamedTuple
 from .errors import DetachmentError, DomainError, InternalInconsistencyError
 from .geometry import check_angle
 from .shock_relations import (
-    ENDPOINT_SLACK,
     IncidentShockInput,
     _jump,
     _within,
@@ -34,8 +33,6 @@ from .thermo import GasModel, validate_gas
 
 #: closed-form root vs bisection agreement required before a root is accepted
 ROOT_AGREEMENT = 1e-10
-#: slackened bottom of the admissible band of density ratios
-_BAND_LOW = 1.0 - ENDPOINT_SLACK
 
 
 class CubicForm(NamedTuple):
@@ -325,12 +322,6 @@ def positive_root(cubic: tuple[float, ...]) -> float:
     return x
 
 
-def _band(g: float, bt: float) -> tuple[float, float]:
-    """Incident bound (g+1)/(g-1+2*bt) and its slackened top for admissibility."""
-    upper = beta_upper(g, bt)
-    return upper, upper * (1.0 + ENDPOINT_SLACK)
-
-
 def _threshold(
     b: float, g: float, bt: float
 ) -> tuple[tuple[float, float, float, float, float, float], float, float, float]:
@@ -355,8 +346,8 @@ def criterion(beta_i: float, gas: GasModel) -> CriterionReport:
     that excludes them (that is what blanks a table cell).
     """
     validate_gas(gas)
-    upper, top = _band(gas.gamma, gas.btilde)
-    if not _BAND_LOW <= beta_i <= top:
+    upper = beta_upper(gas.gamma, gas.btilde)
+    if not _within(beta_i, upper):
         return CriterionReport(
             cubic=None, x_star=None, J=None, phi_star=None, admissible=False, upper_beta=upper
         )

@@ -8,6 +8,7 @@ import math
 from . import inner_singular, linear_acoustics, nonlinear_front, regular_reflection
 from .config import RunConfig
 from .errors import DomainError, InternalInconsistencyError
+from .shock_relations import _within, beta_upper
 from .table_fixture import fixture_column, fixture_row
 from .thermo import GasModel, reference_constants, validate_gas
 
@@ -87,16 +88,16 @@ def render_table(cfg: RunConfig) -> str:
     columns = []
     for bt in cfg.btilde_grid:
         validate_gas(GasModel(gamma=g, btilde=bt))
-        _upper, top = regular_reflection._band(g, bt)
-        columns.append((bt, f"{_fmt_float(bt)},", top, fixture_column(bt)))
+        upper = beta_upper(g, bt)
+        columns.append((bt, f"{_fmt_float(bt)},", upper, fixture_column(bt)))
     lines = []
     for beta in cfg.beta_grid:
         head = _fmt_float(beta) + ","
         fix_row = fixture_row(beta)
-        for bt, bt_cell, top, col in columns:
+        for bt, bt_cell, upper, col in columns:
             fix = None if fix_row is None or col is None else fix_row[col]
             fix_cell = "" if fix is None else _fmt_float(fix)
-            if not regular_reflection._BAND_LOW <= beta <= top:
+            if not _within(beta, upper):
                 lines.append(f"{head}{bt_cell}false,,,{fix_cell},")
                 continue
             _h, _x, j, phi = regular_reflection._threshold(beta, g, bt)
@@ -120,9 +121,9 @@ def render_field(cfg: RunConfig) -> str:
     rows = linear_acoustics.density_rows(sigmas, thetas, cfg.alpha, ref)
     for sigma, (tag, cells) in zip(sigmas, rows):
         head = _fmt_float(sigma)
-        ring = tag == linear_acoustics.TAG_NEAR_FRONT  # elsewhere rho1 >= 1 cannot print "-0"
+        # rho1 is >= 1 or arc + c*ring with arc 1 or 2: never -0.0, so no "-0" guard
         lines.extend(
-            f"{head},{deg},{region},{_fmt_float(rho1) if ring else f'{rho1:.12g}'},{tag}"
+            f"{head},{deg},{region},{rho1:.12g},{tag}"
             for deg, (region, rho1) in zip(degrees, cells)
         )
     header = ["xi_over_kappa0", "theta", "region", "rho1", "formula_tag"]

@@ -10,10 +10,6 @@ from __future__ import annotations
 
 FIXTURE_BTILDE = (0.0, 0.02, 0.04, 0.06, 0.08, 0.1, 0.3, 0.5, 0.7)
 
-FIXTURE_BETA = (
-    1.2, 1.4, 1.6, 1.8, 2.0, 2.2, 2.4, 2.6, 2.8, 3.0, 3.2, 3.4, 3.6, 3.8, 4.0,
-)
-
 _N = None
 
 _ROWS: dict[float, tuple[float | None, ...]] = {
@@ -33,6 +29,8 @@ _ROWS: dict[float, tuple[float | None, ...]] = {
     3.8: (1.0518, 1.2715, 1.5749, 1.9996, 2.6049, 3.4884, _N, _N, _N),
     4.0: (1.0513, 1.2897, 1.6259, 2.1069, 2.8088, 3.8619, _N, _N, _N),
 }
+
+FIXTURE_BETA = tuple(_ROWS)
 
 
 def fixture_row(beta_i: float) -> tuple[float | None, ...] | None:

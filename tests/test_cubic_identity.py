@@ -6,14 +6,22 @@ identity in all four symbols, and the float kernel _coeffs is compared with
 the exact coefficients (and the exact depressed constants m, n) at rational
 points, so a slip in any coefficient formula fails here even though the
 table and criterion paths would agree with each other.
+
+The reflected-angle quadratic gets the same treatment: the wedge condition,
+composed from the kernel _beta_r_of and the deflection relation as the
+gate's scan oracle composes it, factorises into (beta*t - r) times the
+quadratic Q(r) whose roots tan_phi_r_branches returns, and Q's
+half-discriminant is the radicand of _f_terms.  The closed form is then an
+identity in all five symbols rather than a sampled agreement.
 """
 
 import pytest
 import sympy as sp
 
-from vdwshock.regular_reflection import _coeffs
+from vdwshock.regular_reflection import _beta_r_of, _branches, _coeffs, _f_terms
 
 beta, t, gamma, btilde, X = sp.symbols("beta t gamma btilde X", positive=True)
+r = sp.symbols("r", real=True)  # tan(phi_r); negative on the physical branch
 
 
 def radicand():
@@ -71,3 +79,58 @@ def test_coeffs_kernel_against_exact_coefficients(b, g, bt):
     got = _coeffs(b, g, bt)
     for name, x, e in zip(("h0", "h1", "h2", "h3", "m", "n"), got, exact):
         assert abs(sp.Rational(x) - e) <= sp.Rational(1, 10 ** 12) * abs(e), name
+
+
+def exact(expr):
+    # the kernels' float constants (1.0, 2.0) are exact binary values
+    return expr.xreplace({f: sp.Rational(f) for f in expr.atoms(sp.Float)})
+
+
+def reflected_quadratic():
+    """(A, B, C) of Q(r) = A*r**2 + 2*B*r + C, the wedge condition's quadratic."""
+    a_coef = (gamma + 1 - 2 * btilde) * beta - (gamma - 1)
+    return (
+        (1 + beta * t ** 2) * a_coef,
+        t * (1 + beta ** 2 * t ** 2) * (1 - btilde * beta),
+        (beta - 1) * ((gamma - 1 + 2 * btilde * beta) * beta * t ** 2 + gamma + 1),
+    )
+
+
+def test_wedge_condition_factorises_into_the_reflected_quadratic():
+    # tan(delta_i) + tan(delta_r) with delta_r from the printed reflected
+    # ratio, as the scan oracle composes them
+    beta_r = exact(_beta_r_of(beta, t, gamma, btilde)(r))
+    tan_di = (beta - 1) * t / (1 + beta * t ** 2)
+    wedge = tan_di + (beta_r - 1) * r / (1 + beta_r * r ** 2)
+    num_r, den_r = sp.fraction(beta_r)
+    # clear the denominators 1 + beta*t**2 and (1 + beta_r*r**2)*den_r
+    cleared = sp.cancel(wedge * (1 + beta * t ** 2) * (den_r + num_r * r ** 2))
+    a, b, c = reflected_quadratic()
+    quadratic = a * r ** 2 + 2 * b * r + c
+    assert sp.expand(cleared - (beta * t - r) * quadratic) == 0
+
+
+def test_half_discriminant_is_the_f_terms_radicand():
+    a, b, c = reflected_quadratic()
+    term1, term2 = _f_terms(beta, t ** 2, gamma, btilde)
+    assert sp.expand(b ** 2 - a * c - exact(term1 - term2)) == 0
+    assert sp.expand(b ** 2 - a * c - radicand()) == 0
+
+
+@pytest.mark.parametrize(
+    "b, tan_i, g, bt",
+    [(1.2, 2.0, 1.4, 0.0), (2.0, 3.0, 5.0 / 3.0, 0.1), (1.5, 4.0, 1.1, 0.3),
+     (3.0, 6.0, 1.4, 0.2)],
+)
+def test_branches_kernel_returns_the_quadratic_roots(b, tan_i, g, bt):
+    point = {beta: sp.Rational(b), t: sp.Rational(tan_i), gamma: sp.Rational(g),
+             btilde: sp.Rational(bt)}
+    a, half_b, c = (e.subs(point) for e in reflected_quadratic())
+    disc = half_b ** 2 - a * c
+    assert disc > 0  # attached: two real roots
+    roots = ((-half_b - sp.sqrt(disc)) / a, (-half_b + sp.sqrt(disc)) / a)
+    minus, plus, f_value = _branches(b, tan_i, g, bt)
+    for got, want in zip((minus, plus), roots):
+        want = sp.N(want, 30)
+        assert abs(sp.Rational(got) - want) <= sp.Float(1e-12, 30) * max(1, abs(want))
+    assert abs(sp.Rational(f_value) - disc) <= sp.Rational(1, 10 ** 12) * abs(disc)

@@ -73,9 +73,12 @@ def _collect_overrides(extra: list[str]) -> dict:
 def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise DomainError(f"cannot write output file {output}: {exc}") from exc
 
 
 def _error_object(kind: str, exc: Exception) -> str:

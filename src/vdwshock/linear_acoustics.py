@@ -146,16 +146,16 @@ def first_order_piecewise(
     )
 
 
-def _interior_row(s: float, mu: float, cos_pi: float, sin_pi: float) -> tuple[float, float, float]:
-    """Radial factors of interior_density: (1-s^2m)cos(mu pi), (1+s^2m)sin(mu pi), 2s^m."""
+def _interior_cells(s: float, mu: float, cos_bs: Iterable[float]) -> list[float]:
+    """interior_density at Busemann radius s along a row of cos(mu*beta).
+
+    The radial factors (1-s^2m)cos(mu pi), (1+s^2m)sin(mu pi) and 2s^m are
+    formed once per row, atan_zero_pi is inlined and its -0.0 fold done once.
+    """
+    atan2, pi = math.atan2, math.pi
     sm = s ** mu
     s2m = sm * sm
-    return (1.0 - s2m) * cos_pi, (1.0 + s2m) * sin_pi, 2.0 * sm
-
-
-def _interior_cells(num: float, den: float, two_sm: float, cos_bs: Iterable[float]) -> list[float]:
-    """interior_density along a row of cos(mu*beta): atan_zero_pi inlined, -0.0 folded once."""
-    atan2, pi = math.atan2, math.pi
+    num, den, two_sm = (1.0 - s2m) * math.cos(mu * pi), (1.0 + s2m) * math.sin(mu * pi), 2.0 * sm
     n1, n2 = num or 0.0, -num or 0.0  # -0.0 -> 0.0, as atan_zero_pi folds it
     out = []
     for cos_b in cos_bs:
@@ -176,8 +176,7 @@ def interior_density(s: float, beta: float, mu: float) -> float:
     Even in the wall-relative angle beta, which is what enforces the Neumann
     condition on the wedge face.
     """
-    terms = _interior_row(s, mu, math.cos(mu * math.pi), math.sin(mu * math.pi))
-    return _interior_cells(*terms, (math.cos(mu * beta),))[0]
+    return _interior_cells(s, mu, (math.cos(mu * beta),))[0]
 
 
 def near_front_coefficient(theta: float, alpha: float) -> float:
@@ -213,30 +212,24 @@ def _arc_value(beta: float, alpha: float) -> float:
     return 2.0 if beta < alpha else 1.0
 
 
-def _radial(
-    sigma: float, mu: float, cos_pi: float, sin_pi: float
-) -> tuple[int, float | None, tuple[float, float, float] | None]:
-    """What diffracted_density needs of the radius: (formula tag, ring, interior).
+def _row(
+    sigma: float, alpha: float, mu: float, thetas: list[float], arcs: list[float],
+    cos_bs: list[float],
+) -> tuple[int, list[float]]:
+    """Formula tag and first-order densities of the radius sigma at the angles thetas.
 
-    On the arc (sigma >= 1) both parts are None; in the cancellation ring
-    ring = sqrt(1 - sigma); inside it interior holds the row factors of
-    interior_density.
+    arcs and cos_bs hold each angle's arc value and cos(mu*beta).  On the arc
+    (sigma >= 1) the density is the one-sided arc value; in the cancellation
+    ring the near-front asymptote, singular at the merge point; inside it the
+    closed form in the Busemann variable.
     """
     if sigma >= 1.0:
-        return TAG_DIFFRACTION, None, None
+        return TAG_DIFFRACTION, arcs
     if 1.0 - sigma < FRONT_RING:
-        return TAG_NEAR_FRONT, math.sqrt(max(0.0, 1.0 - sigma)), None
-    return TAG_DIFFRACTION, None, _interior_row(busemann_variable(sigma), mu, cos_pi, sin_pi)
-
-
-def _density(radial: tuple, theta: float, alpha: float, arc: float, cos_b: float) -> float:
-    """First-order density at angle theta of a _radial row, given the arc value and cos(mu*beta)."""
-    _, ring, interior = radial
-    if interior is not None:
-        return _interior_cells(*interior, (cos_b,))[0]
-    if ring is None:
-        return arc
-    return arc + near_front_coefficient(theta, alpha) * ring  # singular at the merge point
+        ring = math.sqrt(max(0.0, 1.0 - sigma))
+        return TAG_NEAR_FRONT, [arc + near_front_coefficient(theta, alpha) * ring
+                                for theta, arc in zip(thetas, arcs)]
+    return TAG_DIFFRACTION, _interior_cells(busemann_variable(sigma), mu, cos_bs)
 
 
 def diffracted_density(
@@ -249,13 +242,12 @@ def diffracted_density(
     used instead, except at the merge point where that asymptote is singular.
     """
     sigma = _checked_sigma(pt.xi, ref)
-    check_theta(pt.theta, alpha)
     label = region_classify(pt, alpha, ref)
     mu = corner_exponent(alpha)
     beta = pt.theta - alpha
-    radial = _radial(sigma, mu, math.cos(mu * math.pi), math.sin(mu * math.pi))
-    value = _density(radial, pt.theta, alpha, _arc_value(beta, alpha), math.cos(mu * beta))
-    return FieldSample(pt, label, value, radial[0])
+    tag, (value,) = _row(sigma, alpha, mu, [pt.theta], [_arc_value(beta, alpha)],
+                         [math.cos(mu * beta)])
+    return FieldSample(pt, label, value, tag)
 
 
 def diffracted_density_xi(
@@ -285,23 +277,17 @@ def density_rows(
         check_theta(theta, alpha)
         loci.append(_loci(theta, alpha, ref))
     mu = corner_exponent(alpha)
-    cos_pi, sin_pi = math.cos(mu * math.pi), math.sin(mu * math.pi)
+    arcs = [_arc_value(theta - alpha, alpha) for theta in thetas]
     cos_bs = [math.cos(mu * (theta - alpha)) for theta in thetas]
-    cols = [(theta, inc, zs, _arc_value(theta - alpha, alpha), cos_b)
-            for theta, (inc, zs), cos_b in zip(thetas, loci, cos_bs)]
     a0 = ref.a0
     eps = BOUNDARY_TOL * a0
     for sigma in sigmas:
         pt = make_point(sigma * ref.kappa0 * ref.c0, thetas[0], ref)  # the row's first cell
         zeta = pt.zeta
-        radial = _radial(_checked_sigma(pt.xi, ref), mu, cos_pi, sin_pi)
-        # an interior row's densities in one kernel call; arc and ring cells one by one
-        rhos = None if radial[2] is None else iter(_interior_cells(*radial[2], cos_bs))
-        yield radial[0], [
-            (_region(zeta, theta, alpha, a0, eps, inc, zs),
-             _density(radial, theta, alpha, arc, cos_b) if rhos is None else next(rhos))
-            for theta, inc, zs, arc, cos_b in cols
-        ]
+        # a ring row's densities come before its regions: no ring cell has a region error
+        tag, rhos = _row(_checked_sigma(pt.xi, ref), alpha, mu, thetas, arcs, cos_bs)
+        yield tag, [(_region(zeta, theta, alpha, a0, eps, inc, zs), rho)
+                    for theta, (inc, zs), rho in zip(thetas, loci, rhos)]
 
 
 def density_pde_residual(

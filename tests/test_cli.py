@@ -77,11 +77,47 @@ class TestConfig:
             ({"gamma": 1.0}, "gamma"),
             ({"xi_count": 1}, "xi_count"),
             ({"no_such_key": 1.0}, "no_such_key"),
+            ({"gamma": "abc"}, "gamma must be a number"),
+            ({"xi_count": 2.5}, "xi_count must be an integer"),
+            ({"beta_i": -1.0}, "beta_i must be positive"),
+            ({"beta_grid": [math.inf]}, "beta_grid entries must be finite"),
+            ({"btilde_grid": [1.5]}, r"btilde_grid entries must lie in \[0, 1\)"),
         ],
     )
     def test_invalid_values_rejected(self, overrides, fragment):
         with pytest.raises(DomainError, match=fragment):
             parse_config(None, overrides)
+
+    @pytest.mark.parametrize("kind, fragment", [
+        ("missing", "cannot read config file"),
+        ("directory", "cannot read config file"),
+        ("invalid", "is not valid JSON"),
+        ("array", "config file must hold a JSON object"),
+    ])
+    def test_unusable_config_file_rejected(self, tmp_path, kind, fragment):
+        path = tmp_path / "run.json"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "invalid":
+            path.write_text("{gamma: 1.4")
+        elif kind == "array":
+            path.write_text(json.dumps([{"gamma": 1.4}]))
+        with pytest.raises(DomainError, match=fragment):
+            parse_config(str(path))
+
+    @pytest.mark.parametrize("argv, fragment", [
+        (["criterion", "gamma", "1.4"], "expected --key value pairs, got 'gamma'"),
+        (["criterion", "--gamma"], "missing value for option '--gamma'"),
+    ])
+    def test_malformed_overrides_exit_two(self, capsys, argv, fragment):
+        assert cli.main(argv) == 2
+        assert_validation_error(capsys, fragment)
+
+    def test_null_beta_i_is_the_default(self, capsys):
+        assert cli.main(["criterion"]) == 0
+        default = capsys.readouterr().out
+        assert cli.main(["criterion", "--beta_i", "null"]) == 0
+        assert capsys.readouterr().out == default
 
 
 class TestNonFiniteInput:
@@ -726,6 +762,18 @@ class TestDeterminism:
         written = run_cli("table", "--output", str(out))
         assert written.returncode == 0
         assert out.read_text() == streamed.stdout
+
+    @pytest.mark.parametrize("command", ["criterion", "check"])
+    @pytest.mark.parametrize("target", ["missing_dir", "directory"])
+    def test_unwritable_output_exits_two(self, tmp_path, command, target):
+        # check runs the gate before it writes
+        out = tmp_path / "no" / "x.json" if target == "missing_dir" else tmp_path
+        proc = run_cli(command, "--output", str(out))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        error = json.loads(proc.stderr)["error"]
+        assert error["kind"] == "validation"
+        assert error["message"].startswith(f"cannot write output file {out}: ")
 
 
 class TestCriterionCommand:

@@ -203,3 +203,9 @@ def test_merge_ray_in_ring_raises_like_pointwise(xi_min, k, theta_count):
     with pytest.raises(SingularityError) as point_exc:
         pointwise_lines(cfg)
     assert str(grid_exc.value) == str(point_exc.value)
+
+
+@pytest.mark.parametrize("sigmas, thetas", [([], [1.0, 2.0]), ([0.5, 0.9], [])])
+def test_empty_grid_yields_nothing(sigmas, thetas):
+    ref = reference_constants(1.0, 1.0, GasModel(1.4))
+    assert list(density_rows(sigmas, thetas, math.pi / 4.0, ref)) == []

@@ -1,4 +1,7 @@
-"""Mutation matrix of the release gate over the threshold and reflection path.
+"""Mutation matrix of the release gate over its guarded kernels.
+
+The kernels are those of the threshold and reflection path, the diffraction
+field, the nonlinear front, the inner region and the reference constants.
 
 Each mutant scales one result of one private kernel by (1 + 1e-7) in every
 vdwshock module that binds the kernel's name, then runs the whole gate.  A
@@ -29,9 +32,18 @@ MODULES = [vdwshock] + [
 ]
 
 
+def _scaled(value):
+    if isinstance(value, float):
+        return value * SCALE
+    if isinstance(value, (list, tuple)):
+        return type(value)(map(_scaled, value))
+    return value  # a formula tag or a locus that does not reach the ray
+
+
 def scale_result(func):
+    # every float the kernel returns, alone or in a list or tuple
     def mutant(*args):
-        return func(*args) * SCALE
+        return _scaled(func(*args))
     return mutant
 
 
@@ -41,6 +53,15 @@ def scale_item(index):
             out = list(func(*args))
             out[index] *= SCALE
             return tuple(out)
+        return mutant
+    return wrap
+
+
+def scale_field(field):
+    def wrap(func):
+        def mutant(*args):
+            out = func(*args)
+            return out._replace(**{field: getattr(out, field) * SCALE})
         return mutant
     return wrap
 
@@ -63,6 +84,11 @@ MUTANTS = {
     **{f"_jump.{out}": ("_jump", scale_item(k)) for k, out in
        enumerate(("pressure_ratio", "tan_deflection", "M_up_sq", "M_down_sq"))},
     "beta_upper": ("beta_upper", scale_result),
+    **{name: (name, scale_result) for name in (
+        "_row", "_interior_cells", "_front_coefficient", "_arc_value", "_loci",
+        "gradient_jump", "shock_strength", "shock_locus", "psi_root", "_parabola", "_lift")},
+    **{f"reference_constants.{field}": ("reference_constants", scale_field(field))
+       for field in ("a0", "kappa0", "c0")},
 }
 
 #: mutants the gate does not kill, with the gap each one shows
@@ -74,6 +100,26 @@ SURVIVORS = {
     "_jump.M_down_sq": "no check reads M2_sq or the speeds built from it",
     "beta_upper": "no check compares the band edge with an independent bound, and a "
                   "1e-7 shift moves no sampled ratio or default table cell across it",
+    "_front_coefficient": "linear_field samples no radius in the 1e-14 cancellation ring, "
+                          "and front_corrections reads c_beta only through strengths it "
+                          "tests for monotonicity in btilde, which a uniform scale preserves",
+    "_arc_value": "linear_field takes its arc limits at sigma = 1 - 5e-13 through the "
+                  "interior formula; no check samples the arc itself or the ring",
+    "_loci": "no check reads a region label: geometry_incidence calls reflected_line "
+             "itself, and the field checks read only rho1",
+    "gradient_jump": "front_corrections tests the gradient jump only for decrease in "
+                     "btilde, which a uniform scale preserves",
+    "shock_strength": "front_corrections tests the front strength only for increase in "
+                      "btilde, which a uniform scale preserves",
+    "shock_locus": "front_corrections tests the shock locus only for increase in btilde, "
+                   "which a uniform scale preserves",
+    "_lift": "inner_region reads the lift only in the recovery 1 + lift(-1) = 1.25, whose "
+             "1e-6 tolerance a 2.5e-8 shift passes",
+    "reference_constants.a0": "geometry_incidence takes its expected endpoints from the "
+                              "same a0, and no check compares a0 with sqrt(gamma*p0/"
+                              "(rho0*(1-btilde)))",
+    "reference_constants.c0": "the field's points round-trip xi -> zeta = xi*c0 -> xi, "
+                              "which cancels the scale; no check compares c0 with a0/kappa0",
 }
 
 

@@ -42,6 +42,8 @@ DOCUMENTED = "discrepancy-documented"
 _SEED = 20260811
 #: points of the scan oracle's grid on [-bound, 0]
 _SCAN_POINTS = 1500
+#: brackets the scan oracle starts below the wedge quadratic's least root
+_MARGIN = 2
 
 
 class CheckResult(NamedTuple):
@@ -178,12 +180,25 @@ def _scan_oracle_minus_branch(beta: float, t: float, gas: GasModel) -> float:
     elimination.  The inputs are validated once; the scan then calls the
     unchecked reflected-ratio kernel.
 
-    The scan runs upward from -bound to 0, so its sign-change brackets are
-    disjoint and ascending, and bisection never leaves its bracket.  The
-    first bracket whose root passes the pole-rejection test therefore holds
-    the least root, and the scan stops there: later brackets (the plus
-    branch among them) are neither bisected nor evaluated, so a DomainError
-    at a bisection point past that root is never met either.
+    The scan runs upward to 0, so its sign-change brackets are disjoint and
+    ascending, and bisection never leaves its bracket.  The first bracket
+    whose root passes the pole-rejection test therefore holds the least
+    root, and the scan stops there: later brackets (the plus branch among
+    them) are neither bisected nor evaluated, so a DomainError at a
+    bisection point past that root is never met either.
+
+    The scan also starts late: _MARGIN brackets below the least root of the
+    quadratic factor of the cleared wedge condition.  It starts at -bound
+    when that root is not a float in (-bound, 0]: when the quadratic has no
+    real root, or when t <= 0, where its roots are positive.  The result is
+    the one the scan from -bound gives, bit for bit.  An accepted root has
+    |gfun| < 1e-8 in a sign-change bracket without a pole, so it is a zero
+    of the cleared condition, which is (beta*t - r) times the quadratic;
+    with t > 0 its zeros in [-bound, 0] are the quadratic's roots.  No
+    skipped bracket therefore holds an accepted root, skipped pole brackets
+    were always rejected, and a DomainError inside one is now never met.
+    From the start on, every grid point is the same float expression, so
+    the same first bracket gets the same bisection.
     """
     check_incident_beta(beta, gas)
     g, bt = gas.gamma, gas.btilde
@@ -200,13 +215,19 @@ def _scan_oracle_minus_branch(beta: float, t: float, gas: GasModel) -> float:
     qb = 2.0 * t * (1.0 - bt * beta) * (1.0 + beta * beta * t * t)
     qc = (beta - 1.0) * ((g - 1.0 + 2.0 * bt * beta) * beta * t * t + (g + 1.0))
     bound = 1.0 + (abs(qb) + abs(qc)) / qa  # Cauchy bound on the quadratic roots
-    prev_r = -bound
+    n = _SCAN_POINTS
+    start = 1
+    disc = qb * qb - 4.0 * qa * qc
+    if disc >= 0.0:
+        hint = (-qb - math.sqrt(disc)) / (2.0 * qa)  # t > 0: qa, qb > 0, no cancellation
+        if -bound < hint <= 0.0:  # false for t <= 0, an infinity or a nan
+            start = max(1, int((hint + bound) / bound * n) - _MARGIN)
+    prev_r = -bound + bound * (start - 1) / n
     try:
         prev_g = gfun(prev_r)
     except DomainError:
         prev_g = math.nan
-    n = _SCAN_POINTS
-    for i in range(1, n + 1):
+    for i in range(start, n + 1):
         r = -bound + bound * i / n  # scan up to 0
         try:
             br = beta_r(r)

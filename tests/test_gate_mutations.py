@@ -57,11 +57,17 @@ def scale_item(index):
     return wrap
 
 
-def scale_field(field):
+def scale_field(field, index=None):
+    # one field of a record result, or one item of a tuple field
     def wrap(func):
         def mutant(*args):
             out = func(*args)
-            return out._replace(**{field: getattr(out, field) * SCALE})
+            value = getattr(out, field)
+            if index is None:
+                value *= SCALE
+            else:
+                value = (*value[:index], value[index] * SCALE, *value[index + 1:])
+            return out._replace(**{field: value})
         return mutant
     return wrap
 
@@ -78,12 +84,18 @@ def scale_ratio(func):
 MUTANTS = {
     **{f"_coeffs.h{k}": ("_coeffs", scale_item(k)) for k in range(4)},
     "_closed": ("_closed", scale_result),
+    "positive_root": ("positive_root", scale_result),
     "_beta_r_of": ("_beta_r_of", scale_ratio),
     "_branches.minus": ("_branches", scale_item(0)),
     "_tan_delta_r": ("_tan_delta_r", scale_result),
     **{f"_jump.{out}": ("_jump", scale_item(k)) for k, out in
        enumerate(("pressure_ratio", "tan_deflection", "M_up_sq", "M_down_sq"))},
     "beta_upper": ("beta_upper", scale_result),
+    **{f"solve_regular_reflection.{field}": ("solve_regular_reflection", scale_field(field))
+       for field in ("beta_r", "phi_r", "delta_r", "M2_sq")},
+    **{f"solve_regular_reflection.state2.{name}": ("solve_regular_reflection",
+                                                   scale_field("state2", k))
+       for k, name in enumerate(("rho2", "u2", "v2", "p2"))},
     **{name: (name, scale_result) for name in (
         "_row", "_interior_cells", "_front_coefficient", "_arc_value", "_loci",
         "gradient_jump", "shock_strength", "shock_locus", "psi_root", "_parabola", "_lift")},
@@ -98,6 +110,16 @@ SURVIVORS = {
     "_jump.M_up_sq": "no check reads the incident upstream Mach number or the wall-point "
                      "speed u2 built from it",
     "_jump.M_down_sq": "no check reads M2_sq or the speeds built from it",
+    "positive_root": "check_cubic_self_consistency calls _closed and _bisection_root "
+                     "directly; positive_root reaches the gate only through the two "
+                     "deliberate failures and the critical angle that reflection_solve "
+                     "uses only to draw its incidence angles",
+    "solve_regular_reflection.beta_r": "reflection_solve checks the reflected ratio only "
+                                       "against its band bounds, which a 1e-7 shift stays "
+                                       "within; no check compares it with an oracle",
+    "solve_regular_reflection.M2_sq": "no check reads M2_sq",
+    **{f"solve_regular_reflection.state2.{name}": f"no check reads {name}, or any part of "
+       "the state behind the reflected shock" for name in ("rho2", "u2", "v2", "p2")},
     "beta_upper": "no check compares the band edge with an independent bound, and a "
                   "1e-7 shift moves no sampled ratio or default table cell across it",
     "_front_coefficient": "linear_field samples no radius in the 1e-14 cancellation ring, "

@@ -1,9 +1,10 @@
-"""The gate's scan oracle stops at its first accepted root.
+"""The gate's scan oracle starts near the least root and stops at it.
 
-``full_scan_oracle`` below is the oracle as it was before the early exit: it
-bisects every sign-change bracket of the same 1,500-point scan and returns
-the least accepted root.  The shipped oracle must return the same float, or
-raise the same exception, on every input.
+``full_scan_oracle`` below is the oracle as it was before the early exit and
+the guided start: it scans the same 1,500-point grid from -bound, bisects
+every sign-change bracket and returns the least accepted root.  The shipped
+oracle must return the same float, or raise the same exception, on every
+input.
 """
 
 import math
@@ -13,7 +14,8 @@ import pytest
 
 from vdwshock import checks
 from vdwshock.errors import DomainError
-from vdwshock.shock_relations import check_incident_beta
+from vdwshock.regular_reflection import criterion
+from vdwshock.shock_relations import beta_upper, check_incident_beta
 from vdwshock.thermo import GasModel
 
 
@@ -68,6 +70,15 @@ def full_scan_oracle(beta, t, gas, n=1500):
     return min(roots)
 
 
+def wedge_disc(beta, t, gas):
+    """Discriminant of the wedge quadratic, as the shipped oracle forms it."""
+    g, bt = gas.gamma, gas.btilde
+    qa = (1.0 + beta * t * t) * ((g + 1.0 - 2.0 * bt) * beta - (g - 1.0))
+    qb = 2.0 * t * (1.0 - bt * beta) * (1.0 + beta * beta * t * t)
+    qc = (beta - 1.0) * ((g - 1.0 + 2.0 * bt * beta) * beta * t * t + (g + 1.0))
+    return qb * qb - 4.0 * qa * qc
+
+
 def outcome(oracle, *args):
     try:
         return ("value", oracle(*args))
@@ -109,9 +120,48 @@ def test_gate_samples_match_the_full_scan(gate_samples):
         assert assert_same(args)[0] == "value"
 
 
+def record_points(monkeypatch):
+    """Every reflected-ratio argument the oracles evaluate, in call order."""
+    real = checks._beta_r_of
+    points = []
+
+    def recorded(*args):
+        beta_r = real(*args)
+
+        def spy(r):
+            points.append(r)
+            return beta_r(r)
+
+        return spy
+
+    monkeypatch.setattr(checks, "_beta_r_of", recorded)
+    return points
+
+
+def test_gate_scans_few_reflected_ratios(monkeypatch):
+    # the scan from -bound made 121,605 reflected-ratio calls over the gate's
+    # 200 solves; the guided start makes 9,747
+    points = record_points(monkeypatch)
+    assert checks.check_reflection_solve().status == checks.PASS
+    assert len(points) <= 12_000, len(points)
+
+
 def test_seeded_inputs_match_the_full_scan():
     rng = random.Random(5150)
-    kinds = {"value": 0, "no root": 0, "domain": 0}
+    kinds = {"value": 0, "no root": 0, "domain": 0, "full scan": 0}
+
+    def check(beta, t, gas):
+        kind, detail = assert_same((beta, t, gas))
+        if kind == "value":
+            kinds["value"] += 1
+        elif detail == "scan oracle found no root":
+            kinds["no root"] += 1
+        else:
+            kinds["domain"] += 1
+        if kind == "value" or detail == "scan oracle found no root":
+            # past the band check: a negative discriminant scans from -bound
+            kinds["full scan"] += wedge_disc(beta, t, gas) < 0.0
+
     for _ in range(1000):
         g = rng.uniform(1.05, 3.0)
         bt = rng.choice([0.0, rng.uniform(0.0, 0.9)])
@@ -122,32 +172,46 @@ def test_seeded_inputs_match_the_full_scan():
         else:
             beta = rng.uniform(1.0 + 1e-4, upper)
         # angles below critical are detached: the scan finds no root
-        t = math.tan(rng.uniform(0.01, math.pi / 2.0 - 0.01))
-        kind, detail = assert_same((beta, t, gas))
-        if kind == "value":
-            kinds["value"] += 1
-        elif detail == "scan oracle found no root":
-            kinds["no root"] += 1
-        else:
-            kinds["domain"] += 1
+        check(beta, math.tan(rng.uniform(0.01, math.pi / 2.0 - 0.01)), gas)
     assert min(kinds.values()) >= 20, kinds
 
+    def in_band():
+        gas = GasModel(rng.uniform(1.05, 3.0), rng.choice([0.0, rng.uniform(0.0, 0.9)]))
+        return rng.uniform(1.0 + 1e-3, 0.999 * beta_upper(gas.gamma, gas.btilde)), gas
 
-def test_rejected_pole_and_domain_error_below_the_root(monkeypatch):
-    beta, t, gas = 2.0, math.tan(math.radians(70.0)), GasModel(1.4, 0.2)
-    root = checks._scan_oracle_minus_branch(beta, t, gas)
-    assert root < -0.5
-    # a pole of the wedge function at 1.75*root and a DomainError window at
-    # 1.35*root, both between the scan's start (-bound = -3.13) and the root
-    pole, domain, width = 1.75 * root, 1.35 * root, 0.03 * abs(root)
+    # near grazing the two quadratic roots merge and the locator is weakest;
+    # just below it the discriminant turns negative
+    for _ in range(10):
+        beta, gas = in_band()
+        phi_star = criterion(beta, gas).phi_star
+        for k in range(3, 15):
+            for sign in (1.0, -1.0):
+                check(beta, math.tan(phi_star * (1.0 + sign * 10.0 ** -k)), gas)
+    assert kinds["full scan"] >= 100, kinds
+    # with t < 0 both quadratic roots are positive, and the cleared condition's
+    # other zero, r = beta*t, is negative: the scan starts at -bound
+    found = kinds["value"]
+    for _ in range(50):
+        beta, gas = in_band()
+        check(beta, -math.tan(rng.uniform(0.01, math.pi / 2.0 - 0.01)), gas)
+    assert kinds["value"] - found >= 10, kinds
+
+
+def poison(monkeypatch, pole, width, domain=None):
+    """Inject a pole (and a DomainError window) into the reflected ratio.
+
+    Returns one hit counter per oracle call, in call order.
+    """
     real = checks._beta_r_of
-    hits = {"pole": 0, "domain": 0}
+    calls = []
 
     def patched(b, tan_phi_i, g, bt):
         beta_r = real(b, tan_phi_i, g, bt)
+        hits = {"pole": 0, "domain": 0}
+        calls.append(hits)
 
         def poisoned(r):
-            if abs(r - domain) < width:
+            if domain is not None and abs(r - domain) < width:
                 hits["domain"] += 1
                 raise DomainError("reflected-ratio denominator vanishes")
             if abs(r - pole) < width:
@@ -161,9 +225,42 @@ def test_rejected_pole_and_domain_error_below_the_root(monkeypatch):
         return poisoned
 
     monkeypatch.setattr(checks, "_beta_r_of", patched)
-    assert assert_same((beta, t, gas)) == ("value", root)
-    assert hits["domain"] >= 2
-    assert hits["pole"] >= 20  # the pole bracket was bisected and then rejected
+    return calls
+
+
+POLE_CASE = (2.0, math.tan(math.radians(70.0)), GasModel(1.4, 0.2))
+
+
+def test_rejected_pole_and_domain_error_below_the_root(monkeypatch):
+    root = checks._scan_oracle_minus_branch(*POLE_CASE)
+    assert root < -0.5
+    # a pole of the wedge function at 1.75*root and a DomainError window at
+    # 1.35*root, both between -bound = -3.13 and the root; the shipped oracle
+    # starts its scan above both, so only the reference meets them
+    calls = poison(monkeypatch, 1.75 * root, 0.03 * abs(root), domain=1.35 * root)
+    assert assert_same(POLE_CASE) == ("value", root)
+    reference, shipped = calls  # assert_same runs the reference first
+    assert shipped == {"pole": 0, "domain": 0}
+    assert reference["domain"] >= 2
+    assert reference["pole"] >= 20  # the pole bracket was bisected and then rejected
+
+
+def test_rejected_pole_between_the_scan_start_and_the_root(monkeypatch):
+    points = record_points(monkeypatch)
+    root = checks._scan_oracle_minus_branch(*POLE_CASE)
+    monkeypatch.undo()
+    # the shipped scan's first two grid points, both below the root
+    first, second = points[:2]
+    step = second - first
+    assert second + step < root
+    # the wedge function is positive below the root; a pole a quarter step
+    # above the second point makes that point negative, so the shipped scan
+    # bisects the brackets on both sides of it and rejects both roots
+    calls = poison(monkeypatch, second + 0.25 * step, 0.5 * step)
+    assert assert_same(POLE_CASE) == ("value", root)
+    reference, shipped = calls
+    assert shipped["pole"] >= 20
+    assert reference["pole"] >= 20
 
 
 def test_gate_fails_a_shifted_closed_form(monkeypatch):

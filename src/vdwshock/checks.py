@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from . import inner_singular, linear_acoustics, nonlinear_front
 from .config import RunConfig
-from .errors import DomainError
+from .errors import DomainError, InternalInconsistencyError
 from .geometry import reflected_line
 from .linear_acoustics import atan_zero_pi
 from .regular_reflection import (
@@ -199,6 +199,10 @@ def _scan_oracle_minus_branch(beta: float, t: float, gas: GasModel) -> float:
     were always rejected, and a DomainError inside one is now never met.
     From the start on, every grid point is the same float expression, so
     the same first bracket gets the same bisection.
+
+    Near grazing the two roots can share one bracket, which then shows no
+    sign change; with no accepted root the scan raises
+    InternalInconsistencyError.
     """
     check_incident_beta(beta, gas)
     g, bt = gas.gamma, gas.btilde
@@ -251,7 +255,7 @@ def _scan_oracle_minus_branch(beta: float, t: float, gas: GasModel) -> float:
             if abs(gfun(root)) < 1e-8:  # reject pole crossings
                 return root
         prev_r, prev_g = r, cur_g
-    raise AssertionError("scan oracle found no root")
+    raise InternalInconsistencyError("scan oracle found no root")
 
 
 def check_reflection_solve() -> CheckResult:
@@ -279,7 +283,13 @@ def check_reflection_solve() -> CheckResult:
         t = math.tan(phi)
         tan_di = (beta - 1.0) * t / (1.0 + beta * t * t)
         worst_cancel = max(worst_cancel, abs(tan_di + math.tan(sol.delta_r)))
-        oracle = _scan_oracle_minus_branch(beta, t, gas)
+        try:
+            oracle = _scan_oracle_minus_branch(beta, t, gas)
+        except InternalInconsistencyError as exc:
+            return CheckResult(
+                "reflection_solve", FAIL, None, 1e-9,
+                f"{exc} at beta={beta}, phi={phi}, gas={gas}",
+            )
         closed = math.tan(sol.phi_r)
         worst_oracle = max(
             worst_oracle, abs(closed - oracle) / max(1.0, abs(closed))

@@ -8,6 +8,7 @@ import math
 from . import inner_singular, linear_acoustics, nonlinear_front, regular_reflection
 from .config import RunConfig
 from .errors import DomainError, InternalInconsistencyError
+from .geometry import OMEGA_TILDE
 from .shock_relations import _within, beta_upper
 from .table_fixture import fixture_column, fixture_row
 from .thermo import GasModel, reference_constants, validate_gas
@@ -118,14 +119,20 @@ def render_field(cfg: RunConfig) -> str:
     thetas = _linspace(cfg.alpha, math.pi, cfg.theta_count)
     degrees = [_fmt_float(math.degrees(theta)) for theta in thetas]
     lines = []
+    tilde_cols = {}  # tag -> the columns of an all-OmegaTilde row, as %-templates
     rows = linear_acoustics.density_rows(sigmas, thetas, cfg.alpha, ref)
-    for sigma, (tag, cells) in zip(sigmas, rows):
+    for sigma, (tag, regions, rhos) in zip(sigmas, rows):
         head = _fmt_float(sigma)
-        # rho1 is >= 1 or arc + c*ring with arc 1 or 2: never -0.0, so no "-0" guard
-        lines.extend(
-            f"{head},{deg},{region},{rho1:.12g},{tag}"
-            for deg, (region, rho1) in zip(degrees, cells)
-        )
+        # rho1 is >= 1 or arc + c*ring with arc 1 or 2: never -0.0, so no "-0" guard;
+        # "%.12g" is the formatter of f"{rho1:.12g}", and no head holds a "%"
+        if regions is None:
+            cols = tilde_cols.get(tag)
+            if cols is None:
+                cols = tilde_cols[tag] = [f",{deg},{OMEGA_TILDE},%.12g,{tag}" for deg in degrees]
+            lines.append((head + ("\n" + head).join(cols)) % tuple(rhos))
+        else:
+            lines.extend(f"{head},{deg},{region},{rho1:.12g},{tag}"
+                         for deg, region, rho1 in zip(degrees, regions, rhos))
     header = ["xi_over_kappa0", "theta", "region", "rho1", "formula_tag"]
     return _csv(header, lines)
 

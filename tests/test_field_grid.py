@@ -13,8 +13,8 @@ import random
 import pytest
 
 from vdwshock.config import parse_config
-from vdwshock.errors import SingularityError
-from vdwshock.geometry import make_point
+from vdwshock.errors import DomainError, SingularityError
+from vdwshock.geometry import OMEGA_TILDE, make_point
 from vdwshock.linear_acoustics import (
     TAG_NEAR_FRONT,
     atan_zero_pi,
@@ -113,6 +113,14 @@ def grid_rows(cfg):
     return ref, sigmas, thetas, list(density_rows(sigmas, thetas, cfg.alpha, ref))
 
 
+def row_regions(regions, thetas):
+    # density_rows yields None for a row that is OmegaTilde in every cell
+    if regions is None:
+        return [OMEGA_TILDE] * len(thetas)
+    assert len(regions) == len(thetas)
+    return regions
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_density_rows_bit_identical_to_pointwise(seed):
     # the CSV keeps 12 digits; the kernels must agree to the last bit, sign
@@ -123,11 +131,12 @@ def test_density_rows_bit_identical_to_pointwise(seed):
         cfg = parse_config(None, random_overrides(rng, kind))
         ref, sigmas, thetas, rows = grid_rows(cfg)
         assert len(rows) == len(sigmas)
-        for sigma, (tag, cells) in zip(sigmas, rows):
-            assert len(cells) == len(thetas)
+        for sigma, (tag, regions, rhos) in zip(sigmas, rows):
+            assert len(rhos) == len(thetas)
+            regions = row_regions(regions, thetas)
             # the reduced radius the row is evaluated at, after the point round trip
             row_sigma = make_point(sigma * ref.kappa0 * ref.c0, cfg.alpha, ref).xi / ref.kappa0
-            for theta, (region, rho1) in zip(thetas, cells):
+            for theta, region, rho1 in zip(thetas, regions, rhos):
                 sample = diffracted_density_xi(sigma, theta, cfg.alpha, ref)
                 assert (tag, region, rho1.hex()) == (
                     sample.formula_tag, sample.region.region, sample.rho1.hex()
@@ -146,9 +155,56 @@ def test_non_ring_rows_never_below_one(seed):
     rng = random.Random(200 + seed)
     for kind in KINDS:
         cfg = parse_config(None, random_overrides(rng, kind))
-        for tag, cells in grid_rows(cfg)[3]:
+        for tag, _regions, rhos in grid_rows(cfg)[3]:
             if tag != TAG_NEAR_FRONT:
-                assert all(rho1 >= 1.0 for _, rho1 in cells), (cfg, tag)
+                assert all(rho1 >= 1.0 for rho1 in rhos), (cfg, tag)
+
+
+def outcome(call, *args):
+    try:
+        return "value", call(*args)
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+#: radii 1 - k*1e-13 straddling the row floor a0*(1 - 1e-12), arc row first,
+#: and above the arc up to where _checked_sigma rejects the radius
+BOUNDARY_SIGMAS = [1.0 - k * 1e-13 for k in range(41)] + [1.0 + k * 1e-13 for k in range(1, 13)]
+
+
+@pytest.mark.parametrize("over", [
+    {"gamma": 1.4, "btilde": 0.0, "alpha_deg": 31.0},
+    {"gamma": 2.2, "btilde": 0.45, "rho0": 0.7, "p0": 1.6, "alpha_deg": 17.0},
+    {"gamma": 1.6, "btilde": 0.2, "alpha_deg": 71.0},
+], ids=["ideal", "covolume", "wide_wedge"])
+def test_row_shortcut_at_its_boundary(over):
+    # rows below the floor get their regions once, the rest cell by cell;
+    # either way every cell is the pointwise call, or raises what it raises
+    cfg = parse_config(None, {**over, "theta_count": 37, "xi_count": 41,
+                              "xi_min": 1.0 - 40e-13})
+    ref = reference_constants(cfg.rho0, cfg.p0, GasModel(cfg.gamma, cfg.btilde))
+    thetas = _linspace(cfg.alpha, math.pi, cfg.theta_count)
+    kinds = {"row": 0, "cell": 0, "raised": 0}
+    labels = set()
+    for sigma in BOUNDARY_SIGMAS:
+        kind, got = outcome(lambda: list(density_rows([sigma], thetas, cfg.alpha, ref)))
+        want = [outcome(diffracted_density_xi, sigma, theta, cfg.alpha, ref) for theta in thetas]
+        raised = [w for w in want if w[0] != "value"]
+        if raised:
+            assert (kind, got) == raised[0], sigma
+            kinds["raised"] += 1
+            continue
+        assert kind == "value", (sigma, got)
+        ((tag, regions, rhos),) = got
+        kinds["row" if regions is None else "cell"] += 1
+        regions = row_regions(regions, thetas)
+        labels.update(regions)
+        assert [(tag, region, rho1.hex()) for region, rho1 in zip(regions, rhos)] == [
+            (s.formula_tag, s.region.region, s.rho1.hex()) for _, s in want], sigma
+    assert min(kinds.values()) >= 1, kinds
+    assert labels > {OMEGA_TILDE}, labels  # the cell-by-cell rows are not all OmegaTilde
+    grid = outcome(lambda: render_field(cfg).split("\n")[:-1])
+    assert grid == outcome(pointwise_lines, cfg), cfg
 
 
 #: sha256 of render_field on about 10^4 cells per kind, recorded before the
@@ -186,6 +242,14 @@ def test_scale_output_digest(kind):
     ring_cells = out.count(f",{TAG_NEAR_FRONT}\n")
     assert ring_cells >= (2 if kind == "ring" else 1) * SCALE_SHAPES[kind][1]
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SCALE_DIGESTS[kind]
+
+
+@pytest.mark.parametrize("kind", ["plain", "wide_wedge"])
+def test_scale_rows_decide_their_region_once(kind):
+    # every row but the arc row lies below the floor, where render_field
+    # formats the whole row in one call; the ring grid has its rows near the arc
+    rows = grid_rows(parse_config(None, scale_overrides(kind)))[3]
+    assert [regions is None for _, regions, _ in rows] == [True] * 99 + [False]
 
 
 @pytest.mark.parametrize("xi_min", [1.0 - 1e-15, 1.0 - 1e-13])

@@ -3,8 +3,9 @@
 The kernels are those of the threshold and reflection path, the diffraction
 field, the nonlinear front, the inner region and the reference constants.
 
-Each mutant scales one result of one private kernel by (1 + 1e-7) in every
-vdwshock module that binds the kernel's name, then runs the whole gate.  A
+Each mutant scales one result of one private kernel by (1 + 1e-7), or for
+the region decision swaps the Omega1 and Omega2 labels, in every vdwshock
+module that binds the kernel's name, then runs the whole gate.  A
 mutant is killed when a check other than the two deliberate failures
 (table_trends and cli_determinism) fails, or when the gate raises.  The kill
 matrix (mutant x check) is printed; run with ``pytest -s`` or ``-rA`` to see
@@ -80,6 +81,16 @@ def scale_ratio(func):
     return mutant
 
 
+def swap_regions(func):
+    # the region decision returns a label, which no scale moves
+    swap = {"Omega1": "Omega2", "Omega2": "Omega1"}
+
+    def mutant(*args):
+        region = func(*args)
+        return swap.get(region, region)
+    return mutant
+
+
 #: mutant id -> (kernel name, wrapper)
 MUTANTS = {
     **{f"_coeffs.h{k}": ("_coeffs", scale_item(k)) for k in range(4)},
@@ -101,6 +112,7 @@ MUTANTS = {
         "gradient_jump", "shock_strength", "shock_locus", "psi_root", "_parabola", "_lift")},
     **{f"reference_constants.{field}": ("reference_constants", scale_field(field))
        for field in ("a0", "kappa0", "c0")},
+    "_region": ("_region", swap_regions),
 }
 
 #: mutants the gate does not kill, with the gap each one shows
@@ -142,6 +154,7 @@ SURVIVORS = {
                               "(rho0*(1-btilde)))",
     "reference_constants.c0": "the field's points round-trip xi -> zeta = xi*c0 -> xi, "
                               "which cancels the scale; no check compares c0 with a0/kappa0",
+    "_region": "no check reads a region label",
 }
 
 

@@ -7,13 +7,14 @@ oracle must return the same float, or raise the same exception, on every
 input.
 """
 
+import json
 import math
 import random
 
 import pytest
 
-from vdwshock import checks
-from vdwshock.errors import DomainError
+from vdwshock import checks, cli
+from vdwshock.errors import DomainError, InternalInconsistencyError
 from vdwshock.regular_reflection import criterion
 from vdwshock.shock_relations import beta_upper, check_incident_beta
 from vdwshock.thermo import GasModel
@@ -66,7 +67,7 @@ def full_scan_oracle(beta, t, gas, n=1500):
                 roots.append(root)
         prev_r, prev_g = r, cur_g
     if not roots:
-        raise AssertionError("scan oracle found no root")
+        raise InternalInconsistencyError("scan oracle found no root")
     return min(roots)
 
 
@@ -82,7 +83,7 @@ def wedge_disc(beta, t, gas):
 def outcome(oracle, *args):
     try:
         return ("value", oracle(*args))
-    except (AssertionError, DomainError) as exc:
+    except (InternalInconsistencyError, DomainError) as exc:
         return (type(exc), str(exc))
 
 
@@ -272,3 +273,22 @@ def test_gate_fails_a_shifted_closed_form(monkeypatch):
 
     monkeypatch.setattr(checks, "solve_regular_reflection", shifted)
     assert checks.check_reflection_solve().status == checks.FAIL
+
+
+#: phi = phi_star*(1 + 1e-12): the two roots share one bracket of the scan
+GRAZING = (1.4550751703330582, math.tan(1.3843853475196815),
+           GasModel(1.176139738330361, 0.5932036158560628))
+
+
+def test_grazing_input_fails_the_gate_with_a_report(monkeypatch, capsys):
+    assert outcome(checks._scan_oracle_minus_branch, *GRAZING) == (
+        InternalInconsistencyError, "scan oracle found no root")
+    real = checks._scan_oracle_minus_branch
+    monkeypatch.setattr(checks, "_scan_oracle_minus_branch", lambda *args: real(*GRAZING))
+    assert cli.main(["check"]) == 3
+    out, err = capsys.readouterr()
+    assert err == ""
+    report = {r["name"]: r for r in json.loads(out)["checks"]}
+    solve = report["reflection_solve"]
+    assert solve["status"] == checks.FAIL
+    assert solve["note"].startswith("scan oracle found no root at beta="), solve

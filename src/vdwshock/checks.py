@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import pairwise
 from typing import NamedTuple
 
 from . import inner_singular, linear_acoustics, nonlinear_front
@@ -92,31 +93,26 @@ def check_cubic_self_consistency() -> CheckResult:
     )
 
 
-def _default_table():
-    cfg = RunConfig()
-    return table_generate(cfg.beta_grid, cfg.btilde_grid, 1.4), cfg
+def _dips(points, dip) -> list[tuple]:
+    """Key pairs of consecutive (key, value) points whose values satisfy dip(prev, cur)."""
+    return [(k0, k1) for (k0, v0), (k1, v1) in pairwise(points) if dip(v0, v1)]
 
 
-def check_table_trends() -> CheckResult:
+def check_table_trends(grid: dict, cfg: RunConfig) -> CheckResult:
     """Blank pattern against the fixture plus strict grid monotonicity."""
-    grid, cfg = _default_table()
-    blank_mismatch = []
-    for beta in cfg.beta_grid:
-        for bt in cfg.btilde_grid:
-            if (not grid[(beta, bt)].admissible) != fixture_is_blank(beta, bt):
-                blank_mismatch.append((beta, bt))
-    col_viol = []
-    for bt in cfg.btilde_grid:
-        vals = [(b, grid[(b, bt)].J) for b in cfg.beta_grid if grid[(b, bt)].admissible]
-        for i in range(1, len(vals)):
-            if vals[i][1] <= vals[i - 1][1]:
-                col_viol.append((vals[i - 1][0], vals[i][0], bt))
-    row_viol = []
-    for beta in cfg.beta_grid:
-        vals = [(bt, grid[(beta, bt)].J) for bt in cfg.btilde_grid if grid[(beta, bt)].admissible]
-        for i in range(1, len(vals)):
-            if vals[i][1] <= vals[i - 1][1]:
-                row_viol.append((beta, vals[i - 1][0], vals[i][0]))
+    blank_mismatch = [(beta, bt) for beta in cfg.beta_grid for bt in cfg.btilde_grid
+                      if (not grid[(beta, bt)].admissible) != fixture_is_blank(beta, bt)]
+
+    def line(cells):  # (key, J) of the admissible (key, cell) pairs
+        return [(key, grid[cell].J) for key, cell in cells if grid[cell].admissible]
+
+    def no_rise(prev, cur):  # a NaN compares false and is no dip
+        return cur <= prev
+
+    col_viol = [(b0, b1, bt) for bt in cfg.btilde_grid for b0, b1 in
+                _dips(line((b, (b, bt)) for b in cfg.beta_grid), no_rise)]
+    row_viol = [(beta, bt0, bt1) for beta in cfg.beta_grid for bt0, bt1 in
+                _dips(line((bt, (beta, bt)) for bt in cfg.btilde_grid), no_rise)]
     ok = not blank_mismatch and not col_viol and not row_viol
     if ok:
         note = "blank pattern matches fixture; rows and columns strictly monotone"
@@ -133,28 +129,16 @@ def check_table_trends() -> CheckResult:
                    0.0, note)
 
 
-def check_table_fixture_comparison() -> CheckResult:
+def check_table_fixture_comparison(grid: dict) -> CheckResult:
     """Absolute-value comparison against the stored fixture (non-gating)."""
-    grid, cfg = _default_table()
-    worst = 0.0
-    cells = 0
-    for beta in cfg.beta_grid:
-        for bt in cfg.btilde_grid:
-            rep = grid[(beta, bt)]
-            fix = fixture_value(beta, bt)
-            if rep.admissible and fix is not None:
-                cells += 1
-                worst = max(worst, abs(rep.J - fix))
+    diffs = [abs(rep.J - fix) for (beta, bt), rep in grid.items()
+             if rep.admissible and (fix := fixture_value(beta, bt)) is not None]
+    worst = max([0.0, *diffs])
     return CheckResult(
-        name="table_fixture_comparison",
-        status=DOCUMENTED,
-        residual=worst,
-        tolerance=None,
-        note=(
-            f"max |J - fixture| = {worst:.4f} over {cells} populated cells; the fixture's "
-            "producing formula/parameters are unstated and do not match the printed "
-            "cubic at any gamma, so only the blank pattern is gated"
-        ),
+        "table_fixture_comparison", DOCUMENTED, worst, None,
+        f"max |J - fixture| = {worst:.4f} over {len(diffs)} populated cells; the fixture's "
+        "producing formula/parameters are unstated and do not match the printed "
+        "cubic at any gamma, so only the blank pattern is gated",
     )
 
 
@@ -286,20 +270,16 @@ def check_reflection_solve() -> CheckResult:
         try:
             oracle = _scan_oracle_minus_branch(beta, t, gas)
         except InternalInconsistencyError as exc:
-            return CheckResult(
-                "reflection_solve", FAIL, None, 1e-9,
-                f"{exc} at beta={beta}, phi={phi}, gas={gas}",
-            )
+            return _result("reflection_solve", False, None, 1e-9,
+                           f"{exc} at beta={beta}, phi={phi}, gas={gas}")
         closed = math.tan(sol.phi_r)
         worst_oracle = max(
             worst_oracle, abs(closed - oracle) / max(1.0, abs(closed))
         )
         upper_r = beta_upper(g, bt * beta)
         if not 1.0 - 1e-12 <= sol.beta_r <= upper_r * (1.0 + 1e-12):
-            return CheckResult(
-                "reflection_solve", FAIL, None, 1e-10,
-                f"reflected ratio bound violated at beta={beta}, gas={gas}",
-            )
+            return _result("reflection_solve", False, None, 1e-10,
+                           f"reflected ratio bound violated at beta={beta}, gas={gas}")
         n_ok += 1
     ok = n_ok == 200 and worst_cancel <= 1e-10 and worst_oracle <= 1e-9
     note = (
@@ -447,11 +427,10 @@ def check_front_corrections() -> CheckResult:
         jumps.append(nonlinear_front.gradient_jump(1.0, gas, 1.0))
         loci.append(nonlinear_front.shock_locus(1.0, beta_sh, alpha, eps, gas, ref))
         strengths.append(nonlinear_front.shock_strength(beta_sh, alpha, eps, gas))
-    trends_ok = (
-        all(jumps[i + 1] < jumps[i] for i in range(14))
-        and all(loci[i + 1] > loci[i] for i in range(14))
-        and all(strengths[i + 1] > strengths[i] for i in range(14))
-    )
+    # the jump falls and the locus and strength rise strictly; a NaN breaks each
+    trends_ok = not (_dips(enumerate(jumps), lambda a, b: not b < a)
+                     or _dips(enumerate(loci), lambda a, b: not b > a)
+                     or _dips(enumerate(strengths), lambda a, b: not b > a))
 
     worst_cont = 0.0
     beta_r_angle = alpha / 2.0
@@ -537,52 +516,36 @@ def check_inner_region() -> CheckResult:
     return _result("inner_region", ok, worst_doc, 1e-9, note)
 
 
-def _render_all_data_commands(cfg: RunConfig) -> dict[str, str]:
-    from . import reports
-
-    return {
-        "criterion": reports.render_criterion(cfg),
-        "table": reports.render_table(cfg),
-        "field": reports.render_field(cfg),
-        "front": reports.render_front(cfg),
-        "inner": reports.render_inner(cfg),
-    }
-
-
-def check_cli_determinism(other_results: list[CheckResult]) -> CheckResult:
+def check_cli_determinism(other_results: list[CheckResult], cfg: RunConfig) -> CheckResult:
     """Byte-identical reruns of every command, plus the zero-fail exit clause."""
     from . import reports
 
-    cfg = RunConfig()
-    first = _render_all_data_commands(cfg)
-    second = _render_all_data_commands(cfg)
+    commands = ("criterion", "table", "field", "front", "inner")
+    first, second = ({c: getattr(reports, f"render_{c}")(cfg) for c in commands} for _ in range(2))
     nondet = sorted(name for name in first if first[name] != second[name])
-    check_payload_a = reports.json_text([r._asdict() for r in other_results])
-    check_payload_b = reports.json_text([r._asdict() for r in other_results])
-    if check_payload_a != check_payload_b:
+    payloads = [reports.json_text([r._asdict() for r in other_results]) for _ in range(2)]
+    if payloads[0] != payloads[1]:
         nondet.append("check")
     fails = sorted(r.name for r in other_results if r.status == FAIL)
-    ok = not nondet and not fails
-    note_parts = []
-    note_parts.append(
-        "all command outputs byte-identical across reruns"
-        if not nondet
-        else f"non-deterministic commands: {nondet}"
-    )
-    note_parts.append(
-        "zero fail entries"
-        if not fails
-        else f"check cannot exit 0 while these checks fail: {fails}"
-    )
-    note = "; ".join(note_parts)
-    return _result("cli_determinism", ok, float(len(nondet) + len(fails)), 0.0, note)
+    reruns = (f"non-deterministic commands: {nondet}" if nondet
+              else "all command outputs byte-identical across reruns")
+    exits = (f"check cannot exit 0 while these checks fail: {fails}" if fails
+             else "zero fail entries")
+    return _result("cli_determinism", not nondet and not fails, float(len(nondet) + len(fails)),
+                   0.0, f"{reruns}; {exits}")
 
 
 def run_all_checks() -> list[CheckResult]:
-    """All release-gate checks in their criterion order."""
+    """All release-gate checks in their criterion order.
+
+    The default threshold table is built once per call and shared by the two
+    table checks; it is not cached across calls.
+    """
+    cfg = RunConfig()
+    grid = table_generate(cfg.beta_grid, cfg.btilde_grid, 1.4)
     results = [
         check_cubic_self_consistency(),
-        check_table_trends(),
+        check_table_trends(grid, cfg),
         check_branch_limits(),
         check_reflection_solve(),
         check_geometry_incidence(),
@@ -590,17 +553,12 @@ def run_all_checks() -> list[CheckResult]:
         check_front_corrections(),
         check_inner_region(),
     ]
-    fixture = check_table_fixture_comparison()
-    determinism = check_cli_determinism(results)
-    return results + [determinism, fixture]
+    fixture = check_table_fixture_comparison(grid)
+    return results + [check_cli_determinism(results, cfg), fixture]
 
 
 def report_payload(results: list[CheckResult]) -> dict:
     return {
         "checks": [r._asdict() for r in results],
-        "counts": {
-            "pass": sum(1 for r in results if r.status == PASS),
-            "fail": sum(1 for r in results if r.status == FAIL),
-            "discrepancy-documented": sum(1 for r in results if r.status == DOCUMENTED),
-        },
+        "counts": {s: sum(r.status == s for r in results) for s in (PASS, FAIL, DOCUMENTED)},
     }

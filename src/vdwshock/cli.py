@@ -19,21 +19,17 @@ from .errors import DomainError, InternalInconsistencyError
 
 COMMANDS = ("criterion", "table", "field", "front", "inner", "check")
 
-
-def _import_lazily(name: str):
-    """Register submodule ``name`` as an import would, but run its body on first use."""
-    full = f"{__package__}.{name}"
-    if full not in sys.modules:
-        spec = importlib.util.find_spec(full)
-        spec.loader = importlib.util.LazyLoader(spec.loader)
-        sys.modules[full] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(sys.modules[full])
-        setattr(sys.modules[__package__], name, sys.modules[full])
-    return sys.modules[full]
-
-
-# only the check command runs the gate; a lookup in sys.modules still finds it
-checks = _import_lazily("checks")
+# only the check command runs the gate: vdwshock.checks is registered as an
+# import would register it, so a lookup in sys.modules finds it, but its body
+# runs on first use
+_CHECKS = f"{__package__}.checks"
+if _CHECKS not in sys.modules:
+    _spec = importlib.util.find_spec(_CHECKS)
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    sys.modules[_CHECKS] = importlib.util.module_from_spec(_spec)
+    _spec.loader.exec_module(sys.modules[_CHECKS])
+    sys.modules[__package__].checks = sys.modules[_CHECKS]
+checks = sys.modules[_CHECKS]
 
 # built once per process: parsing does not change the parser
 _PARSER = argparse.ArgumentParser(

@@ -66,6 +66,22 @@ def test_full_suite_runtime_budget(report):
         assert result.status in (checks.PASS, checks.FAIL, checks.DOCUMENTED)
 
 
+def test_each_run_builds_the_default_table_once(monkeypatch):
+    # the two table checks share one table per run, and no run reuses another's
+    calls = []
+    table_generate = checks.table_generate
+
+    def counting(*args):
+        calls.append(args)
+        return table_generate(*args)
+
+    monkeypatch.setattr(checks, "table_generate", counting)
+    checks.run_all_checks()
+    assert len(calls) == 1
+    checks.run_all_checks()
+    assert len(calls) == 2
+
+
 def test_check_command_round_trip():
     # the CLI check subcommand serializes exactly the gate entries; the child
     # imports the same package as this test, wherever it was imported from

@@ -2,10 +2,13 @@
 
 Every refactor and optimisation must leave these bytes unchanged.  The
 digests are the ``defaults`` entries the benchmark records; they are copied
-here so that the test suite stands on its own.
+here so that the test suite stands on its own, and a test keeps the two
+copies equal.
 """
 
 import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
@@ -30,3 +33,9 @@ def test_default_output_digest(capsys, command):
     out, err = capsys.readouterr()
     assert code == EXIT_CODES.get(command, 0), err
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DEFAULT_DIGESTS[command]
+
+
+def test_digests_match_the_benchmark_record():
+    # a re-pin must update both copies
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+    assert json.loads(path.read_text(encoding="utf-8"))["defaults"] == DEFAULT_DIGESTS

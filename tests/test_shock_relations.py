@@ -201,18 +201,38 @@ class TestSolveAgainstPrimitiveOracle:
     """The reflected jump inside solve_regular_reflection rides on state 1, so
     its covolume fraction is btilde*beta_i; the oracle knows only the EOS."""
 
-    @pytest.mark.parametrize(
+    CASES = pytest.mark.parametrize(
         "beta_i, alpha, btilde",
         [(1.3, 0.4, 0.0), (1.6, 0.7, 0.2), (2.0, 0.3, 0.2)],
     )
-    def test_state2_pressure_and_mach(self, beta_i, alpha, btilde):
+
+    @staticmethod
+    def solve(beta_i, alpha, btilde):
         gas = GasModel(1.4, btilde)
         phi_i = 0.5 * (criterion(beta_i, gas).phi_star + math.pi / 2.0)
         sol = solve_regular_reflection(IncidentShockInput(beta_i, phi_i), alpha, gas)
         p_ratio, _, m2_sq, _ = reflected_primitive_oracle(beta_i, sol.beta_r, sol.phi_r, gas)
         p1 = hugoniot_pressure(1.0, 1.0, beta_i, gas)
-        assert sol.state2[3] == pytest.approx(p1 * p_ratio, rel=1e-11)
+        return gas, phi_i, sol, p1, p1 * p_ratio, m2_sq
+
+    @CASES
+    def test_state2_pressure_and_mach(self, beta_i, alpha, btilde):
+        _, _, sol, _, p2, m2_sq = self.solve(beta_i, alpha, btilde)
+        assert sol.state2[3] == pytest.approx(p2, rel=1e-11)
         assert sol.M2_sq == pytest.approx(m2_sq, rel=1e-11)
+
+    @CASES
+    def test_state2_density_and_velocity(self, beta_i, alpha, btilde):
+        # behind the reflected shock the flow runs along the wall at the
+        # wall-point pseudo-speed q0 less its own pseudo-speed q2
+        gas, phi_i, sol, p1, p2, m2_sq = self.solve(beta_i, alpha, btilde)
+        w0_sq = (p1 - 1.0) * beta_i / (beta_i - 1.0)  # normal momentum, rho0 = p0 = 1
+        q0 = math.sqrt(w0_sq * (1.0 + math.tan(phi_i) ** 2))
+        rho2 = beta_i * sol.beta_r
+        q2 = math.sqrt(m2_sq) * sound_speed(ThermoState(rho2, p2), gas)
+        assert sol.state2[:3] == pytest.approx(
+            (rho2, (q0 - q2) * math.cos(alpha), (q0 - q2) * math.sin(alpha)), rel=1e-11
+        )
 
 
 SLACK_GAS = GasModel(1.4, 0.1)

@@ -25,12 +25,12 @@ from .regular_reflection import (
     criterion,
     cubic_coefficients,
     cubic_value,
+    positive_root,
     solve_regular_reflection,
     table_generate,
     tan_phi_r_branches,
     _beta_r_of,
     _bisection_root,
-    _closed,
 )
 from .shock_relations import IncidentShockInput, beta_upper, check_incident_beta
 from .table_fixture import fixture_is_blank, fixture_value
@@ -60,7 +60,7 @@ def _result(name, ok, residual, tolerance, note) -> CheckResult:
 
 
 def check_cubic_self_consistency() -> CheckResult:
-    """Root residual, root-method agreement and coefficient-sum identity."""
+    """Residual of positive_root's root, its bisection agreement, coefficient-sum identity."""
     betas = [1.1 + 0.1 * i for i in range(29)]
     btildes = [0.05 * i for i in range(15)]
     gammas = [1.1, 1.4, 5.0 / 3.0]
@@ -75,7 +75,7 @@ def check_cubic_self_consistency() -> CheckResult:
                     continue
                 cells += 1
                 cubic = cubic_coefficients(beta, gas)
-                x_c = _closed(cubic)
+                x_c = positive_root(cubic)
                 x_b = _bisection_root(cubic)
                 worst_root = max(worst_root, abs(x_c - x_b))
                 scale = cubic.h3 * x_c ** 3

@@ -3,15 +3,19 @@
 The wedge condition reduces to a cubic in X = 1 + beta_i*tan^2(phi_i); its
 unique positive root fixes the threshold J = (x*-1)/beta_i that the squared
 tangent of the incidence angle must reach for a regular reflection to exist.
-The closed-form root is accepted on an O(1) certificate (one sign change in
+positive_root is the one home of root finding: one flat function computes
+the closed-form root, accepts it on an O(1) certificate (one sign change in
 the coefficients plus a sign bracket of width ROOT_AGREEMENT, or 16 ulps of a
-large root, around it); when the certificate does not hold it is
-cross-checked against a bracketing bisection instead.
+large root, around it) and checks its residual, with no helper call on that
+path; only when the certificate does not hold does it call the bracketing
+bisection, _bisection_root, as a cross-check.
 
 Public functions validate (gamma, btilde, beta_i) once and then call the
 unchecked private kernels, which take the validated scalars directly.  Each
 operation on the cubic has one function, which takes any 6-tuple (h0, h1, h2,
 h3, m, n): a CubicForm, or on the table's hot path the plain tuple of _coeffs.
+positive_root and _bisection_root write cubic_value's Horner expression out in
+place, so every value they test is the same float as cubic_value's.
 """
 
 from __future__ import annotations
@@ -209,112 +213,93 @@ def cubic_value(cubic: tuple[float, ...], x: float) -> float:
     return ((h3 * x + h2) * x + h1) * x + h0
 
 
-def _cbrt(x: float) -> float:
-    return math.copysign(abs(x) ** (1.0 / 3.0), x)
-
-
-def _closed(cubic: tuple[float, ...]) -> float:
-    """Largest real root via radicals or the three-real-root cosine form."""
-    _h0, _h1, h2, h3, m, n = cubic
-    disc = n * n / 4.0 + m ** 3 / 27.0
-    if disc >= 0.0:
-        s = math.sqrt(disc)
-        y = _cbrt(-n / 2.0 + s) + _cbrt(-n / 2.0 - s)
-    else:
-        # casus irreducibilis: three real roots, keep the largest
-        rho = 2.0 * math.sqrt(-m / 3.0)
-        arg = 3.0 * n / (m * rho)
-        arg = min(1.0, max(-1.0, arg))
-        y = rho * math.cos(math.acos(arg) / 3.0)
-    return y - h2 / (3.0 * h3)
-
-
 def _bisection_root(cubic: tuple[float, ...]) -> float:
     """Unique positive zero by sign-change bisection, independent of radicals."""
+    h0, h1, h2, h3, _m, _n = cubic
     hi = 1.0
     for _ in range(400):
-        if cubic_value(cubic, hi) > 0.0:
+        if ((h3 * hi + h2) * hi + h1) * hi + h0 > 0.0:
             break
         hi *= 2.0
     else:  # pragma: no cover - coefficients guarantee growth
         raise InternalInconsistencyError("cubic does not become positive")
     lo = hi / 2.0
-    while lo > 0.0 and cubic_value(cubic, lo) > 0.0:
+    while lo > 0.0 and ((h3 * lo + h2) * lo + h1) * lo + h0 > 0.0:
         lo /= 2.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if cubic_value(cubic, mid) > 0.0:
+        if ((h3 * mid + h2) * mid + h1) * mid + h0 > 0.0:
             hi = mid
         else:
             lo = mid
     return 0.5 * (lo + hi)
 
 
-def _agreement(x: float) -> float:
-    """Root tolerance at x: ROOT_AGREEMENT, or 16 ulps where that is wider.
-
-    From about 5e5 on an absolute 1e-10 is less than one ulp of x (weak
-    shocks in a dense gas reach x* ~ 7e6), so neither a sign bracket nor two
-    root methods could meet it.  The 16-ulp floor takes over at 2**15 and
-    leaves every smaller root at ROOT_AGREEMENT.
-    """
-    tol = 16.0 * math.ulp(x)
-    return tol if tol > ROOT_AGREEMENT else ROOT_AGREEMENT
-
-
-def _certify(cubic: tuple[float, ...], x: float, tol: float) -> bool:
-    """True when x is proven within tol of the cubic's unique positive root.
-
-    One sign change in (h3, h2, h1, h0), zeros skipped, means exactly one
-    positive root (Descartes); with h3 > 0 the cubic is negative below it and
-    positive above it on X > 0.  A sign bracket [x - tol, x + tol] then pins
-    the root, to the same rounding in cubic_value that the bisection relies
-    on.
-    """
-    h0, h1, h2, h3, _m, _n = cubic
-    if not h3 > 0.0:
-        return False
-    changes = 0
-    sign = True
-    for h in (h2, h1, h0):
-        if h != 0.0 and (h > 0.0) != sign:
-            sign = not sign
-            changes += 1
-    if changes != 1:
-        return False
-    lo = x - tol
-    hi = x + tol
-    return (
-        (lo <= 0.0 or cubic_value(cubic, lo) <= 0.0)
-        and hi > 0.0
-        and cubic_value(cubic, hi) > 0.0
-    )
-
-
 def positive_root(cubic: tuple[float, ...]) -> float:
     """Unique positive zero of the threshold cubic, certified or bisection-verified.
 
-    The closed-form root is accepted in O(1) when the certificate proves it
-    within ROOT_AGREEMENT (16 ulps for roots from 2**15 on) of the unique
-    positive root; otherwise it must agree with an independent bisection to
-    the same bound.  Either way its residual must stay within 1e-9 of the
-    cubic's scale.
+    The closed-form root (radicals, or the cosine form when three roots are
+    real) is accepted in O(1) when a certificate proves it within the
+    agreement width tol of the unique positive root: one sign change in
+    (h3, h2, h1, h0), zeros skipped, means exactly one positive root
+    (Descartes), and with h3 > 0 the cubic is negative below it and positive
+    above it on X > 0, so a sign bracket [x - tol, x + tol] pins the root to
+    the rounding of the Horner value that the bisection relies on too.
+    Otherwise the root must agree with an independent bisection to tol.
+    Either way its residual must stay within 1e-9 of the cubic's scale.
     """
-    x = _closed(cubic)
-    tol = _agreement(x)
-    if not _certify(cubic, x, tol):
+    h0, h1, h2, h3, m, n = cubic
+    disc = n * n / 4.0 + m ** 3 / 27.0
+    if disc >= 0.0:
+        s = math.sqrt(disc)
+        q = -n / 2.0
+        u = q + s
+        v = q - s
+        y = math.copysign(abs(u) ** (1.0 / 3.0), u) + math.copysign(abs(v) ** (1.0 / 3.0), v)
+    else:
+        # casus irreducibilis: three real roots, keep the largest
+        rho = 2.0 * math.sqrt(-m / 3.0)
+        arg = 3.0 * n / (m * rho)
+        if not arg > -1.0:  # as min(1.0, max(-1.0, arg)), which sends a NaN to -1
+            arg = -1.0
+        elif not arg < 1.0:
+            arg = 1.0
+        y = rho * math.cos(math.acos(arg) / 3.0)
+    x = y - h2 / (3.0 * h3)
+    # ROOT_AGREEMENT, or 16 ulps where that is wider: from about 5e5 on an
+    # absolute 1e-10 is less than one ulp of x (weak shocks in a dense gas
+    # reach x* ~ 7e6), so neither a sign bracket nor two root methods could
+    # meet it.  The 16-ulp floor takes over at 2**15 and leaves every smaller
+    # root at ROOT_AGREEMENT.
+    tol = 16.0 * math.ulp(x)
+    if not tol > ROOT_AGREEMENT:
+        tol = ROOT_AGREEMENT
+    lo = x - tol
+    hi = x + tol
+    # the certificate: h3 > 0, one sign change in (h2, h1, h0) after it (h0
+    # not positive, some coefficient negative, no negative h2 before a
+    # positive h1), and the sign bracket, which no NaN coefficient or root passes
+    if not (
+        h3 > 0.0
+        and not h0 > 0.0
+        and (h0 < 0.0 or h1 < 0.0 or h2 < 0.0)
+        and not (h2 < 0.0 and h1 > 0.0)
+        and (lo <= 0.0 or ((h3 * lo + h2) * lo + h1) * lo + h0 <= 0.0)
+        and hi > 0.0
+        and ((h3 * hi + h2) * hi + h1) * hi + h0 > 0.0
+    ):
         # an infinite root never certifies, so only this path needs the test
-        if not all(map(math.isfinite, (*cubic, x))):
+        if not all(map(math.isfinite, (h0, h1, h2, h3, m, n, x))):
             raise OverflowError("threshold cubic or its root is not finite")
         x_bisect = _bisection_root(cubic)
         if abs(x - x_bisect) > tol:
             raise InternalInconsistencyError(
                 f"cubic root methods disagree: closed-form {x} vs bisection {x_bisect}"
             )
-    residual = cubic_value(cubic, x)
-    scale = abs(cubic[3]) * max(abs(x), 1.0) ** 3  # cubic[3] is h3
+    residual = ((h3 * x + h2) * x + h1) * x + h0
+    scale = abs(h3) * max(abs(x), 1.0) ** 3
     if abs(residual) > 1e-9 * scale:
         raise InternalInconsistencyError(
             f"cubic root residual {residual} exceeds tolerance at x={x}"

@@ -82,31 +82,40 @@ def render_table(cfg: RunConfig) -> str:
     """Threshold grid with a side-by-side fixture-comparison column as CSV.
 
     Each quantity is computed where it varies: per btilde column the gas
-    check, the admissible band and the fixture column; per beta row the
-    fixture row; per cell only the band test and the threshold kernel.
+    check, the admissible band, the fixture column and the cell templates;
+    per beta row the fixture row and one % call; per cell only the band test
+    and the threshold kernel.
     """
     g = cfg.gamma
     columns = []
     for bt in cfg.btilde_grid:
         validate_gas(GasModel(gamma=g, btilde=bt))
-        upper = beta_upper(g, bt)
-        columns.append((bt, f"{_fmt_float(bt)},", upper, fixture_column(bt)))
+        bt_cell = f"{_fmt_float(bt)},"
+        admitted = bt_cell + "true,%.12g,%.12g,,"  # an admissible cell with no fixture value
+        columns.append((bt, bt_cell, beta_upper(g, bt), fixture_column(bt), admitted))
     lines = []
     for beta in cfg.beta_grid:
         head = _fmt_float(beta) + ","
         fix_row = fixture_row(beta)
-        for bt, bt_cell, upper, col in columns:
+        cells = []
+        values = []
+        for bt, bt_cell, upper, col, admitted in columns:
             fix = None if fix_row is None or col is None else fix_row[col]
             fix_cell = "" if fix is None else _fmt_float(fix)
             if not _within(beta, upper):
-                lines.append(f"{head}{bt_cell}false,,,{fix_cell},")
+                cells.append(f"{bt_cell}false,,,{fix_cell},")
                 continue
             _h, _x, j, phi = regular_reflection._threshold(beta, g, bt)
-            diff = "" if fix is None else _fmt_float(abs(j - fix))
-            lines.append(
-                f"{head}{bt_cell}true,{_fmt_float(j)},{_fmt_float(math.degrees(phi))},"
-                f"{fix_cell},{diff}"
-            )
+            # J = max(0.0, .), phi_star_deg = degrees(atan(sqrt(J))) and abs_diff = abs(.)
+            # are never -0.0, so "%.12g" prints them as _fmt_float does; no cell holds a "%"
+            if fix is None:
+                cells.append(admitted)
+                values += j, math.degrees(phi)
+            else:
+                cells.append(f"{bt_cell}true,%.12g,%.12g,{fix_cell},%.12g")
+                values += j, math.degrees(phi), abs(j - fix)
+        if cells:  # a hand-built RunConfig may hold an empty btilde grid
+            lines.append((head + ("\n" + head).join(cells)) % tuple(values))
     header = ["beta_i", "btilde", "admissible", "J", "phi_star_deg", "fixture_J", "abs_diff"]
     return _csv(header, lines)
 

@@ -94,7 +94,6 @@ def swap_regions(func):
 #: mutant id -> (kernel name, wrapper)
 MUTANTS = {
     **{f"_coeffs.h{k}": ("_coeffs", scale_item(k)) for k in range(4)},
-    "_closed": ("_closed", scale_result),
     "positive_root": ("positive_root", scale_result),
     "_beta_r_of": ("_beta_r_of", scale_ratio),
     "_branches.minus": ("_branches", scale_item(0)),
@@ -122,10 +121,6 @@ SURVIVORS = {
     "_jump.M_up_sq": "no check reads the incident upstream Mach number or the wall-point "
                      "speed u2 built from it",
     "_jump.M_down_sq": "no check reads M2_sq or the speeds built from it",
-    "positive_root": "check_cubic_self_consistency calls _closed and _bisection_root "
-                     "directly; positive_root reaches the gate only through the two "
-                     "deliberate failures and the critical angle that reflection_solve "
-                     "uses only to draw its incidence angles",
     "solve_regular_reflection.beta_r": "reflection_solve checks the reflected ratio only "
                                        "against its band bounds, which a 1e-7 shift stays "
                                        "within; no check compares it with an oracle",

@@ -26,8 +26,6 @@ from vdwshock.regular_reflection import (
     tan_phi_r_branches,
     _beta_r_of,
     _bisection_root,
-    _certify,
-    _closed,
     _coeffs,
 )
 from vdwshock.shock_relations import IncidentShockInput, admissible_beta_bounds
@@ -46,6 +44,25 @@ def admissible_cells():
     return cells
 
 
+def closed_form_root(cubic):
+    # the reference closed form: largest real root via radicals or the
+    # three-real-root cosine form, as positive_root must compute it bit for bit
+    _h0, _h1, h2, h3, m, n = cubic
+
+    def cbrt(x):
+        return math.copysign(abs(x) ** (1.0 / 3.0), x)
+
+    disc = n * n / 4.0 + m ** 3 / 27.0
+    if disc >= 0.0:
+        s = math.sqrt(disc)
+        y = cbrt(-n / 2.0 + s) + cbrt(-n / 2.0 - s)
+    else:
+        rho = 2.0 * math.sqrt(-m / 3.0)
+        arg = min(1.0, max(-1.0, 3.0 * n / (m * rho)))
+        y = rho * math.cos(math.acos(arg) / 3.0)
+    return y - h2 / (3.0 * h3)
+
+
 def bisect_cubic(cubic, lo, hi):
     # independent bracketing oracle for the unique positive zero
     assert cubic_value(cubic, lo) <= 0.0 < cubic_value(cubic, hi)
@@ -58,6 +75,17 @@ def bisect_cubic(cubic, lo, hi):
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+def bisection_reference(cubic):
+    # _bisection_root as a loop over cubic_value, which it must match bit for bit
+    hi = 1.0
+    while cubic_value(cubic, hi) <= 0.0:
+        hi *= 2.0
+    lo = hi / 2.0
+    while lo > 0.0 and cubic_value(cubic, lo) > 0.0:
+        lo /= 2.0
+    return bisect_cubic(cubic, lo, hi)
 
 
 class TestCubicCoefficients:
@@ -214,15 +242,15 @@ class TestRootCertificate:
             roots = [positive_root(c) for c in cubics]
         assert len(roots) == 12 * 14 * 24
         for c, x in zip(cubics, roots):
-            assert x == _closed(c)
-            assert abs(x - _bisection_root(c)) <= ROOT_AGREEMENT
+            assert x.hex() == closed_form_root(c).hex()
+            x_bisect = _bisection_root(c)
+            assert x_bisect.hex() == bisection_reference(c).hex()
+            assert abs(x - x_bisect) <= ROOT_AGREEMENT
 
     def test_three_sign_changes_take_the_fallback(self, monkeypatch):
-        # (X-1)(X-2)(X-3) has three positive roots, so Descartes' rule
+        # (X-1)(X-2)(X-3) has three sign changes and (X+1)(X-1)(X-3) two, with
+        # h0 > 0; both have several positive roots, so Descartes' rule
         # certifies nothing and the bisection cross-check must run
-        h0, h1, h2, h3 = -6.0, 11.0, -6.0, 1.0
-        m = h1 - h2 * h2 / 3.0
-        n = h0 - h1 * h2 / 3.0 + 2.0 * h2 ** 3 / 27.0
         calls = []
 
         def spy(cubic):
@@ -230,18 +258,34 @@ class TestRootCertificate:
             return _bisection_root(cubic)
 
         monkeypatch.setattr(regular_reflection, "_bisection_root", spy)
-        assert positive_root(CubicForm(h0, h1, h2, h3, m, n)) == pytest.approx(3.0, abs=1e-12)
-        assert len(calls) == 1
+        for h0, h1, h2, h3 in ((-6.0, 11.0, -6.0, 1.0), (3.0, -1.0, -3.0, 1.0)):
+            m = h1 - h2 * h2 / 3.0
+            n = h0 - h1 * h2 / 3.0 + 2.0 * h2 ** 3 / 27.0
+            x = positive_root(CubicForm(h0, h1, h2, h3, m, n))
+            assert x == pytest.approx(3.0, abs=1e-12)
+        assert len(calls) == 2
 
     def test_large_root_agreement_is_ulp_aware(self, monkeypatch):
         # at x* ~ 7.3e6 an absolute 1e-10 is below one ulp; the methods agree
-        # to a few ulps and both the certificate and the fallback accept that
+        # to a few ulps and the certificate accepts that
         c = cubic_coefficients(1.0000000000001, GasModel(2.0, 0.9999999999999))
         x = positive_root(c)
         assert x > 7e6
         assert abs(x - _bisection_root(c)) <= 16.0 * math.ulp(x)
-        monkeypatch.setattr(regular_reflection, "_certify", lambda *args: False)
-        assert positive_root(c) == x
+        # at x* ~ 7.4e19 the sign bracket fails, and the fallback accepts a
+        # bisection root 16 ulps (about 1.3e5) away
+        c = cubic_coefficients(2.639596502525662, GasModel(1.0000000002338196, 0.378845781470042))
+        calls = []
+
+        def spy(cubic):
+            calls.append(cubic)
+            return _bisection_root(cubic)
+
+        monkeypatch.setattr(regular_reflection, "_bisection_root", spy)
+        x = positive_root(c)
+        assert x > 7e19 and len(calls) == 1
+        assert x.hex() == closed_form_root(c).hex()
+        assert ROOT_AGREEMENT < abs(x - _bisection_root(c)) <= 16.0 * math.ulp(x)
 
 
 class TestOneCubicType:
@@ -252,9 +296,11 @@ class TestOneCubicType:
 
         def results(cubic):
             x = positive_root(cubic)
-            values = (x, _closed(cubic), _bisection_root(cubic), cubic_value(cubic, x),
+            assert x.hex() == closed_form_root(cubic).hex()
+            assert _bisection_root(cubic).hex() == bisection_reference(cubic).hex()
+            values = (x, _bisection_root(cubic), cubic_value(cubic, x),
                       cubic_value(cubic, 0.5 * x), cubic_value(cubic, 2.0 * x))
-            return [v.hex() for v in values] + [_certify(cubic, x, ROOT_AGREEMENT)]
+            return [v.hex() for v in values]
 
         for _ in range(400):
             g = rng.uniform(1.05, 3.0)

@@ -138,22 +138,26 @@ def gradient_jump(r: float, gas: GasModel, rho0: float) -> float:
     return (1.0 - gas.btilde) * rho0 / ((gas.gamma + 1.0) * r)
 
 
-def shock_locus(
-    t: float,
-    beta_angle: float,
-    alpha: float,
-    epsilon: float,
-    gas: GasModel,
-    ref: ReferenceState,
-) -> float:
+def _shock_terms(g: float, bt: float, epsilon: float, c_val: float) -> tuple[float, float]:
+    """Unchecked (q, strength) of the diffracted shock, which sits at a0*t*(1 + q)."""
+    try:
+        q = epsilon * epsilon * (g + 1.0) ** 2 * c_val * c_val / (4.0 * (1.0 - bt) ** 2)
+    except OverflowError:  # a power of a huge gamma raises where a product gives inf
+        q = math.inf
+    strength = epsilon * epsilon * c_val * c_val * (g + 1.0) / (2.0 * (1.0 - bt))
+    if not (math.isfinite(q) and math.isfinite(strength)):
+        raise DomainError(f"diffracted shock terms leave the float range at gamma={g}, "
+                          f"btilde={bt}, epsilon={epsilon}")
+    return q, strength
+
+
+def shock_locus(t: float, beta_angle: float, alpha: float, epsilon: float, gas: GasModel,
+                ref: ReferenceState) -> float:
     """Equal-area position of the diffracted shock on the ray beta at time t."""
+    validate_gas(gas)
     if classify_front(beta_angle, alpha).kind != "shock":
         raise ClassificationError("shock locus needs beta > alpha")
-    c_val = c_beta(beta_angle, alpha)
-    q = (
-        epsilon * epsilon * (gas.gamma + 1.0) ** 2 * c_val * c_val
-        / (4.0 * (1.0 - gas.btilde) ** 2)
-    )
+    q, _ = _shock_terms(gas.gamma, gas.btilde, epsilon, c_beta(beta_angle, alpha))
     return ref.a0 * t * (1.0 + q)  # c0*kappa0 = a0, and c0 alone can underflow
 
 
@@ -162,5 +166,4 @@ def shock_strength(beta_angle: float, alpha: float, epsilon: float, gas: GasMode
     validate_gas(gas)
     if classify_front(beta_angle, alpha).kind != "shock":
         raise ClassificationError("shock strength needs beta > alpha")
-    c_val = c_beta(beta_angle, alpha)
-    return epsilon * epsilon * c_val * c_val * (gas.gamma + 1.0) / (2.0 * (1.0 - gas.btilde))
+    return _shock_terms(gas.gamma, gas.btilde, epsilon, c_beta(beta_angle, alpha))[1]

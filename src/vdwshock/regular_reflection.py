@@ -258,7 +258,7 @@ def positive_root(cubic: tuple[float, ...]) -> float:
         u = q + s
         v = q - s
         y = math.copysign(abs(u) ** (1.0 / 3.0), u) + math.copysign(abs(v) ** (1.0 / 3.0), v)
-    else:
+    elif disc < 0.0:
         # casus irreducibilis: three real roots, keep the largest
         rho = 2.0 * math.sqrt(-m / 3.0)
         arg = 3.0 * n / (m * rho)
@@ -267,6 +267,8 @@ def positive_root(cubic: tuple[float, ...]) -> float:
         elif not arg < 1.0:
             arg = 1.0
         y = rho * math.cos(math.acos(arg) / 3.0)
+    else:  # a NaN discriminant, which the clamp above would turn into a finite root
+        raise OverflowError("threshold cubic or its root is not finite")
     x = y - h2 / (3.0 * h3)
     # ROOT_AGREEMENT, or 16 ulps where that is wider: from about 5e5 on an
     # absolute 1e-10 is less than one ulp of x (weak shocks in a dense gas

@@ -148,29 +148,30 @@ def render_field(cfg: RunConfig) -> str:
 
 def render_front(cfg: RunConfig) -> str:
     """Covolume sweep of the front quantities (gradient jump, locus, strength)."""
-    alpha = cfg.alpha
-    beta_angle = cfg.beta_angle
+    alpha, beta_angle = cfg.alpha, cfg.beta_angle
     if beta_angle <= alpha:
-        raise DomainError(
-            "front command needs beta_deg > alpha_deg (shock side of the sonic ray)"
-        )
+        raise DomainError("front command needs beta_deg > alpha_deg (shock side of the sonic ray)")
+    c_val = None
     lines = []
     for bt in _linspace(0.0, cfg.btilde_sweep_max, cfg.btilde_sweep_count):
         gas = GasModel(gamma=cfg.gamma, btilde=bt)
         ref = reference_constants(cfg.rho0, cfg.p0, gas)
+        jump = nonlinear_front.gradient_jump(cfg.r, gas, cfg.rho0)
+        if c_val is None:  # class and C hang on the angles alone: evaluated once, where
+            # row 0 first needed them, so that every error keeps its precedence
+            nonlinear_front.classify_front(beta_angle, alpha)  # raises on the sonic ray
+            c_val = nonlinear_front.c_beta(beta_angle, alpha)
         try:
-            jump = nonlinear_front.gradient_jump(cfg.r, gas, cfg.rho0)
-            locus = nonlinear_front.shock_locus(cfg.t, beta_angle, alpha, cfg.epsilon, gas, ref)
-            strength = nonlinear_front.shock_strength(beta_angle, alpha, cfg.epsilon, gas)
-            row = [bt, jump, locus / cfg.t, strength]
-        except OverflowError:  # a power of a huge gamma raises where a product gives inf
-            row = [math.inf]
+            q, strength = nonlinear_front._shock_terms(cfg.gamma, bt, cfg.epsilon, c_val)
+        except DomainError:  # reported below with the sweep's own message
+            q = strength = math.inf
+        row = (bt, jump, ref.a0 * cfg.t * (1.0 + q) / cfg.t, strength)
         if not all(map(math.isfinite, row)):
-            raise DomainError(
-                f"front quantities overflow at btilde={bt} for gamma={cfg.gamma}, "
-                f"epsilon={cfg.epsilon} (r={cfg.r}, t={cfg.t})"
-            )
-        lines.append(",".join(map(_fmt_float, row)))
+            raise DomainError(f"front quantities overflow at btilde={bt} for gamma={cfg.gamma}, "
+                              f"epsilon={cfg.epsilon} (r={cfg.r}, t={cfg.t})")
+        # no -0.0, so "%.12g" prints each cell as _fmt_float: bt = 0.0 + step*i, jump and
+        # locus are positive factors, and in eps*eps*C*C*... (x*C)*C is >= +0.0 for x >= +0.0
+        lines.append("%.12g,%.12g,%.12g,%.12g" % row)
     header = ["btilde", "gradient_jump", "shock_locus_coeff", "shock_strength"]
     return _csv(header, lines)
 
@@ -194,7 +195,6 @@ def render_inner(cfg: RunConfig) -> str:
     lift_d = inner_singular._lift(cfg.eta) if cfg.eta < 0.0 else None
     lines = []
     for tp in _linspace(cfg.thetaprime_min, cfg.thetaprime_max, cfg.thetaprime_count):
-        parabola = inner_singular._parabola(tp, geom)
         s_r = inner_singular.reflected_shock_locus(tp, geom)
         denom = geom.kappa0 * tp * tp
         # S_R or a sonic line overflows, or theta'^2 underflows and eta with it
@@ -204,17 +204,17 @@ def render_inner(cfg: RunConfig) -> str:
                 f"btilde={cfg.btilde}, theta0={cfg.theta0}, thetaprime_min={cfg.thetaprime_min}, "
                 f"thetaprime_max={cfg.thetaprime_max})")
         s_d = "" if lift_d is None else _fmt_float(
-            inner_singular._diffracted_locus(parabola, lift_d, geom))
+            inner_singular._diffracted_locus(inner_singular._parabola(tp, geom), lift_d, geom))
         head, tail = f"{_fmt_float(tp)},", f",{_fmt_float(s_r)},{s_d},{sonic},"
         for rp, rp_cell in columns:
             u_ref = "1" if rp > s_r else "2"  # 1 beyond the reflected shock, 2 behind it
             u_dif = ""
             if tp != 0.0:
                 eta = 2.0 * rp / denom
-                if eta < 0.0:  # 1 beyond the diffracted shock, 1 + lift behind it
-                    lift = inner_singular._lift(eta)
-                    s_dp = inner_singular._diffracted_locus(parabola, lift, geom)
-                    u_dif = _fmt_float(1.0 if rp > s_dp else 1.0 + lift)
+                # eta < 0 (not rp < 0: eta can underflow to -0.0) means r' < 0 < S_D =
+                # parabola + vartheta*(1 + lift/2): always behind the diffracted shock
+                if eta < 0.0:
+                    u_dif = _fmt_float(1.0 + inner_singular._lift(eta))
             lines.append(f"{head}{rp_cell}{tail}{u_ref},{u_dif}")
     header = ["theta_prime", "r_prime", "S_R", "S_D", "sonic_S", "sonic_R",
               "U_reflected", "U_diffracted"]

@@ -1,0 +1,197 @@
+"""The covolume sweep of the front command against a pointwise rebuild.
+
+render_front classifies the ray and evaluates C(beta) once per sweep and
+formats each row in one % call; the rebuild below evaluates every row
+through the public gradient_jump, shock_locus and shock_strength, each of
+which classifies the ray and evaluates C again, and formats it with the
+public fmt and csv_text, so the two must agree byte for byte.  Both go
+through the same unchecked shock-side kernel of nonlinear_front, so that
+kernel is pinned separately, to the last bit, against the formulas written
+out in full.  Where a sweep fails, the error the renderer raises first is
+pinned, because hoisting C out of the rows must not change which one that is.
+"""
+
+import json
+import math
+import random
+
+import pytest
+
+from vdwshock import cli
+from vdwshock.config import parse_config
+from vdwshock.errors import DomainError
+from vdwshock.nonlinear_front import (
+    _shock_terms,
+    c_beta,
+    gradient_jump,
+    shock_locus,
+    shock_strength,
+)
+from vdwshock.reports import _linspace, csv_text, render_front
+from vdwshock.thermo import GasModel, reference_constants
+
+HEADER = ["btilde", "gradient_jump", "shock_locus_coeff", "shock_strength"]
+
+
+def pointwise_text(cfg):
+    alpha, beta = cfg.alpha, cfg.beta_angle
+    rows = []
+    for bt in _linspace(0.0, cfg.btilde_sweep_max, cfg.btilde_sweep_count):
+        gas = GasModel(cfg.gamma, bt)
+        ref = reference_constants(cfg.rho0, cfg.p0, gas)
+        jump = gradient_jump(cfg.r, gas, cfg.rho0)
+        locus = shock_locus(cfg.t, beta, alpha, cfg.epsilon, gas, ref)
+        strength = shock_strength(beta, alpha, cfg.epsilon, gas)
+        rows.append([bt, jump, locus / cfg.t, strength])
+    return csv_text(HEADER, rows)
+
+
+KINDS = ("plain", "near_sonic", "near_outer_edge", "dense_gas", "zero_strength", "scaled")
+
+
+def random_overrides(rng, kind):
+    alpha_deg = rng.uniform(2.0, 85.0)
+    over = {
+        "gamma": rng.uniform(1.05, 3.0),
+        "alpha_deg": alpha_deg,
+        "beta_deg": rng.uniform(alpha_deg + 0.5, 179.5 - alpha_deg),
+        "epsilon": rng.uniform(0.01, 0.3),
+        "btilde_sweep_max": rng.uniform(0.05, 0.9),
+        "btilde_sweep_count": rng.randint(2, 30),
+    }
+    if kind == "near_sonic":  # C is large, the class still "shock"
+        over["beta_deg"] = alpha_deg + 10.0 ** rng.uniform(-8.0, -3.0)
+    elif kind == "near_outer_edge":
+        over["beta_deg"] = 180.0 - alpha_deg - 10.0 ** rng.uniform(-8.0, -1.0)
+    elif kind == "dense_gas":  # 1 - btilde down to 1e-12 in the last row
+        over["btilde_sweep_max"] = 1.0 - 10.0 ** rng.uniform(-12.0, -1.0)
+    elif kind == "zero_strength":
+        over["epsilon"] = 0.0
+    elif kind == "scaled":
+        for key in ("rho0", "p0", "r", "t"):
+            over[key] = 10.0 ** rng.uniform(-30.0, 30.0)
+    return over
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_sweep_matches_pointwise_rebuild(seed):
+    rng = random.Random(seed)
+    for i in range(18):
+        kind = KINDS[i % len(KINDS)]
+        cfg = parse_config(None, random_overrides(rng, kind))
+        want = pointwise_text(cfg)
+        assert render_front(cfg) == want, (kind, cfg)
+        assert want.count("\n") == cfg.btilde_sweep_count + 1
+        if kind == "zero_strength":
+            assert all(line.endswith(",0") for line in want.split("\n")[1:-1])
+
+
+def test_default_sweep_matches_pointwise_rebuild():
+    cfg = parse_config(None, {})
+    assert render_front(cfg) == pointwise_text(cfg)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_kernel_bit_identical_to_printed_formulas(seed):
+    # the two formulas as printed, written out in full: a change of one ulp
+    # (say (g+1)*(g+1) for (g+1)**2) breaks equality here even where it does
+    # not reach the 12 digits of the CSV
+    rng = random.Random(2000 + seed)
+    for _ in range(2000):
+        g = 1.0 + 10.0 ** rng.uniform(-3.0, 3.0)
+        bt = rng.uniform(0.0, 0.99)
+        eps = rng.uniform(0.0, 0.5)
+        c = rng.uniform(-5.0, 5.0)
+        q = eps * eps * (g + 1.0) ** 2 * c * c / (4.0 * (1.0 - bt) ** 2)
+        strength = eps * eps * c * c * (g + 1.0) / (2.0 * (1.0 - bt))
+        assert _shock_terms(g, bt, eps, c) == (q, strength)
+
+
+class TestKernelOverflow:
+    alpha = math.pi / 4
+    beta = math.radians(67.5)
+
+    def test_locus_power_of_huge_gamma(self):
+        # (gamma + 1)**2 raised a bare OverflowError out of shock_locus
+        gas = GasModel(1e200, 0.0)
+        ref = reference_constants(1.0, 1.0, gas)
+        with pytest.raises(DomainError, match=r"gamma=1e\+200, btilde=0.0, epsilon=0.1$"):
+            shock_locus(1.0, self.beta, self.alpha, 0.1, gas, ref)
+
+    def test_strength_product_overflow(self):
+        # this returned inf
+        with pytest.raises(DomainError,
+                           match=r"gamma=1e\+308, btilde=0.9999999999, epsilon=0.3$"):
+            shock_strength(self.beta, self.alpha, 0.3, GasModel(1e308, 0.9999999999))
+
+    def test_strength_shares_the_locus_range(self):
+        # the strength alone fits a float here, the locus excess q does not
+        with pytest.raises(DomainError, match=r"leave the float range at gamma=1e\+200"):
+            shock_strength(self.beta, self.alpha, 0.3, GasModel(1e200, 0.0))
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_non_finite_strength_parameter(self, eps):
+        with pytest.raises(DomainError, match=f"epsilon={eps}$"):
+            shock_strength(self.beta, self.alpha, eps, GasModel(1.4, 0.0))
+
+    def test_locus_validates_its_gas(self):
+        # btilde = 1 used to divide by zero in the locus formula
+        ref = reference_constants(1.0, 1.0, GasModel(1.4))
+        with pytest.raises(DomainError, match="btilde must be below 1"):
+            shock_locus(1.0, self.beta, self.alpha, 0.1, GasModel(1.4, 1.0), ref)
+
+    def test_kernel_names_its_inputs(self):
+        with pytest.raises(DomainError, match=r"gamma=2.5, btilde=0.5, epsilon=1e\+200$"):
+            _shock_terms(2.5, 0.5, 1e200, c_beta(self.beta, self.alpha))
+
+
+def cli_error(capsys, argv):
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert out == ""
+    return code, json.loads(err)["error"]["message"]
+
+
+SONIC = "front type is undefined on the sonic ray beta = alpha"
+# radians(beta_deg) rounds up to pi - alpha although beta_deg < 180 - alpha_deg
+EDGE = ["--alpha_deg", "75.65354478572928", "--beta_deg", "104.3464552142707"]
+EDGE_MESSAGE = "ray angle must lie in [0, pi - alpha), got 1.821189206273829"
+A0_OVERFLOW = ["--rho0", "5e-324", "--p0", "1.7976931348623157e308"]
+A0_MESSAGE = ("reference constants a0, kappa0 leave the float range at gamma=1.4, btilde=0.0, "
+              "rho0=5e-324, p0=1.7976931348623157e+308")
+LATE_KAPPA0 = ["--gamma", "5000", "--btilde_sweep_max", "0.99999"]
+LATE_KAPPA0_MESSAGE = ("reference constants a0, kappa0 leave the float range at gamma=5000.0, "
+                       "btilde=0.28571142857142856, rho0=1.0, p0=1.0")
+
+
+class TestErrorPrecedence:
+    def test_huge_gamma_exact_stderr(self, capsys):
+        assert cli.main(["front", "--gamma", "1e200"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            '{"error": {"kind": "validation", "message": "front quantities overflow at '
+            'btilde=0.0 for gamma=1e+200, epsilon=0.1 (r=1.0, t=1.0)"}}\n')
+
+    @pytest.mark.parametrize("argv, message", [
+        # the classification's message, not the matching coefficient's
+        (["--beta_deg", "45.00000000001"], SONIC),
+        # kappa0 overflows in a later row, after row 0 evaluated C
+        (LATE_KAPPA0, LATE_KAPPA0_MESSAGE),
+        (LATE_KAPPA0 + ["--beta_deg", "45.00000000001"], SONIC),
+        # C is evaluated after row 0's reference constants ...
+        (A0_OVERFLOW + ["--beta_deg", "45.00000000001"], A0_MESSAGE),
+        (A0_OVERFLOW + EDGE, A0_MESSAGE),
+        # ... and before any row's shock-side terms or later reference constants
+        (EDGE, EDGE_MESSAGE),
+        (EDGE + ["--gamma", "1e200"], EDGE_MESSAGE),
+        (EDGE + LATE_KAPPA0, EDGE_MESSAGE),
+        # the shock-side terms overflow in the last row only
+        (["--gamma", "2.0280823421539695", "--epsilon", "1.3021680102891774e+147",
+          "--btilde_sweep_max", "0.9999981979134793"],
+         "front quantities overflow at btilde=0.9999981979134793 for gamma=2.0280823421539695, "
+         "epsilon=1.3021680102891774e+147 (r=1.0, t=1.0)"),
+    ])
+    def test_first_error_wins(self, capsys, argv, message):
+        code, got = cli_error(capsys, ["front", *argv])
+        assert (code, got) == (2, message)

@@ -3,16 +3,39 @@
 Every refactor and optimisation must leave these bytes unchanged.  The
 digests are the ``defaults`` entries the benchmark records; they are copied
 here so that the test suite stands on its own, and a test keeps the two
-copies equal.
+copies equal.  The small_cmds workload's first seeds are replayed against
+the benchmark's own record too, so the non-default bytes of front, inner
+and criterion are pinned here as well.
 """
 
+import contextlib
 import hashlib
+import importlib.util
+import io
 import json
 from pathlib import Path
 
 import pytest
 
 from vdwshock import cli
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _workloads():
+    # the benchmark's own input generator and output checks, read from perfbench/
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _workloads()
+
+
+def _record():
+    return json.loads((PERFBENCH / "golden.json").read_text(encoding="utf-8"))
+
 
 DEFAULT_DIGESTS = {
     "check": "28222e88edba5f659cd4482a30f66473b4e2d2a367ae87f293568b7b6586b6ee",
@@ -22,6 +45,8 @@ DEFAULT_DIGESTS = {
     "inner": "a28567b418f7add29db705d23069d94389bbbb713cfd7c3e479208242d2e9064",
     "table": "7d4b0bc88333e9136020ce0caf6519b6b3b67693c548e865d7d16ceafb437ea6",
 }
+
+DIGEST_CHARS = 12  # the benchmark stores each input's output digest as a sha256 prefix
 
 #: the gate exits 3 because two acceptance checks fail on purpose
 EXIT_CODES = {"check": 3}
@@ -37,5 +62,21 @@ def test_default_output_digest(capsys, command):
 
 def test_digests_match_the_benchmark_record():
     # a re-pin must update both copies
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
-    assert json.loads(path.read_text(encoding="utf-8"))["defaults"] == DEFAULT_DIGESTS
+    assert _record()["defaults"] == DEFAULT_DIGESTS
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_small_cmds_replay_matches_the_benchmark_record(seed):
+    # the non-default front, inner and criterion bytes the benchmark pins:
+    # each input's output digest prefix, in the benchmark's loop order
+    invs = workloads.generate("small_cmds", seed)
+    shipped = _record()["workloads"]["small_cmds"][str(seed)]
+    assert workloads.inputs_digest(invs) == shipped["inputs"]
+    prefixes = []
+    for inv in invs:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(list(inv.argv))
+        workloads.check_output(inv, code, out.getvalue(), err.getvalue())
+        prefixes.append(hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()[:DIGEST_CHARS])
+    assert prefixes == shipped["outputs"]

@@ -213,6 +213,16 @@ class TestPositiveRoot:
         for frac in (1.15, 1.5, 2.0):
             assert cubic_value(c, frac * x) > 0.0
 
+    @pytest.mark.parametrize("m, n", [
+        (-12.0, math.nan),  # returned 2.0000000000000004: the clamp sent arg = NaN to -1
+        (math.nan, 0.0),
+        (-12.0, math.inf),
+    ])
+    def test_non_finite_depressed_constants_raise(self, m, n):
+        # X**3 - 2X - 4 has the root X = 2, which no NaN constant may certify
+        with pytest.raises(OverflowError, match="threshold cubic or its root is not finite"):
+            positive_root(CubicForm(-4.0, -2.0, 0.0, 1.0, m, n))
+
     def test_method_disagreement_reported(self):
         # poisoned depressed constants must trip the cross-check, not pass
         c = cubic_coefficients(1.2, GasModel(1.4, 0.0))

@@ -10,6 +10,7 @@ mu = (pi/2)/(pi - alpha), with arctangents taken on the [0, pi] branch.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import DomainError, RegionError, SingularityError
@@ -260,25 +261,25 @@ def diffracted_density_xi(
 
 def density_rows(
     sigmas: list[float], thetas: list[float], alpha: float, ref: ReferenceState
-) -> Iterator[tuple[int, list[str] | None, list[float]]]:
+) -> Iterator[tuple[int, tuple[str, ...], list[float]]]:
     """diffracted_density_xi over the grid sigmas x thetas, one row per sigma.
 
-    Yields (formula tag, regions, [rho1 for each theta]), where regions is
-    None when every cell of the row is OmegaTilde and the list of each
-    cell's region otherwise; every cell equals the pointwise call.  What a
-    row or a column shares is computed once, so a cell costs at most two
-    arctangents, plus a region decision in the rows that need one.  Every
-    angle is checked before the first row; cells raise what the pointwise
-    call raises, the first in row-major order.  An empty grid yields nothing.
+    Yields (formula tag, (each cell's region), [rho1 for each theta]); every
+    cell equals the pointwise call.  What a row or a column shares is
+    computed once, so a cell costs at most two arctangents.  Every angle is
+    checked before the first row; cells raise what the pointwise call
+    raises, the first in row-major order.  An empty grid yields nothing.
 
-    The region is decided once per row below a floor.  _region returns
-    Omega0 only for zeta >= inc - eps, Omega1 only for zeta >= zs - eps or
-    zeta >= a0 - eps, Omega2 only for zeta >= a0 - eps, and otherwise
-    OmegaTilde when zeta <= a0 + eps, the one branch that does not raise.
-    So a row with zeta below floor = min(a0 - eps, inc - eps and zs - eps
-    over every locus that reaches an angle of the grid) is OmegaTilde in
-    every cell, and no RegionError is skipped.  Rows at or above the floor
-    (the arc row and those within about 1e-12 of it) decide cell by cell.
+    A row's regions are decided by where its zeta falls among the bounds
+    _region compares it with: a0 - eps, a0 + eps and inc -/+ eps, zs -/+ eps
+    of every locus that reaches an angle of the grid.  The key
+    (bisect_left, bisect_right) of zeta in these sorted bounds fixes the
+    outcome of each >= and <= test in _region, and theta >= 2*alpha is fixed
+    per column, so rows with one key share one regions tuple, decided at the
+    first of them.  A RegionError can only come from that first row, and it
+    comes after the row's densities, as in the pointwise call.  Rows below
+    every bound (all but the arc row and those within about 1e-12 of it)
+    share the key (0, 0).
     """
     if not (sigmas and thetas):
         return
@@ -292,17 +293,19 @@ def density_rows(
     cos_bs = [math.cos(mu * (theta - alpha)) for theta in thetas]
     a0 = ref.a0
     eps = BOUNDARY_TOL * a0
-    floor = min([a0 - eps] + [x - eps for pair in loci for x in pair if x is not None])
+    bounds = sorted({b for x in [a0, *(x for pair in loci for x in pair if x is not None)]
+                     for b in (x - eps, x + eps)})
+    by_key = {}  # (bisect_left, bisect_right) of zeta in bounds -> the row's regions
     for sigma in sigmas:
         pt = make_point(sigma * ref.kappa0 * ref.c0, thetas[0], ref)  # the row's first cell
         zeta = pt.zeta
-        # a ring row's densities come before its regions: no ring cell has a region error
         tag, rhos = _row(_checked_sigma(pt.xi, ref), alpha, mu, thetas, arcs, cos_bs)
-        if zeta < floor:
-            yield tag, None, rhos
-        else:
-            yield tag, [_region(zeta, theta, alpha, a0, eps, inc, zs)
-                        for theta, (inc, zs) in zip(thetas, loci)], rhos
+        key = bisect_left(bounds, zeta), bisect_right(bounds, zeta)
+        regions = by_key.get(key)
+        if regions is None:
+            regions = by_key[key] = tuple(_region(zeta, theta, alpha, a0, eps, inc, zs)
+                                          for theta, (inc, zs) in zip(thetas, loci))
+        yield tag, regions, rhos
 
 
 def density_pde_residual(

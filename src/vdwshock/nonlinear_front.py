@@ -135,7 +135,16 @@ def gradient_jump(r: float, gas: GasModel, rho0: float) -> float:
     validate_gas(gas)
     if r <= 0.0:
         raise DomainError("gradient jump needs r > 0")
-    return (1.0 - gas.btilde) * rho0 / ((gas.gamma + 1.0) * r)
+    jump = _gradient_jump(gas.gamma, gas.btilde, r, rho0)
+    if not math.isfinite(jump):
+        raise DomainError(f"gradient jump leaves the float range at r={r}, gamma={gas.gamma}, "
+                          f"btilde={gas.btilde}, rho0={rho0}")
+    return jump
+
+
+def _gradient_jump(g: float, bt: float, r: float, rho0: float) -> float:
+    """Unchecked gradient_jump of the gas (g, bt)."""
+    return (1.0 - bt) * rho0 / ((g + 1.0) * r)
 
 
 def _shock_terms(g: float, bt: float, epsilon: float, c_val: float) -> tuple[float, float]:
@@ -158,7 +167,11 @@ def shock_locus(t: float, beta_angle: float, alpha: float, epsilon: float, gas: 
     if classify_front(beta_angle, alpha).kind != "shock":
         raise ClassificationError("shock locus needs beta > alpha")
     q, _ = _shock_terms(gas.gamma, gas.btilde, epsilon, c_beta(beta_angle, alpha))
-    return ref.a0 * t * (1.0 + q)  # c0*kappa0 = a0, and c0 alone can underflow
+    locus = ref.a0 * t * (1.0 + q)  # c0*kappa0 = a0, and c0 alone can underflow
+    if not math.isfinite(locus):
+        raise DomainError(f"shock locus leaves the float range at t={t}, a0={ref.a0}, "
+                          f"gamma={gas.gamma}, btilde={gas.btilde}, epsilon={epsilon}")
+    return locus
 
 
 def shock_strength(beta_angle: float, alpha: float, epsilon: float, gas: GasModel) -> float:

@@ -8,7 +8,6 @@ import math
 from . import inner_singular, linear_acoustics, nonlinear_front, regular_reflection
 from .config import RunConfig
 from .errors import DomainError, InternalInconsistencyError
-from .geometry import OMEGA_TILDE
 from .shock_relations import _within, beta_upper
 from .table_fixture import fixture_column, fixture_row
 from .thermo import GasModel, reference_constants, validate_gas
@@ -128,20 +127,17 @@ def render_field(cfg: RunConfig) -> str:
     thetas = _linspace(cfg.alpha, math.pi, cfg.theta_count)
     degrees = [_fmt_float(math.degrees(theta)) for theta in thetas]
     lines = []
-    tilde_cols = {}  # tag -> the columns of an all-OmegaTilde row, as %-templates
+    templates = {}  # (tag, regions) -> the row's columns as %-templates
     rows = linear_acoustics.density_rows(sigmas, thetas, cfg.alpha, ref)
     for sigma, (tag, regions, rhos) in zip(sigmas, rows):
         head = _fmt_float(sigma)
         # rho1 is >= 1 or arc + c*ring with arc 1 or 2: never -0.0, so no "-0" guard;
-        # "%.12g" is the formatter of f"{rho1:.12g}", and no head holds a "%"
-        if regions is None:
-            cols = tilde_cols.get(tag)
-            if cols is None:
-                cols = tilde_cols[tag] = [f",{deg},{OMEGA_TILDE},%.12g,{tag}" for deg in degrees]
-            lines.append((head + ("\n" + head).join(cols)) % tuple(rhos))
-        else:
-            lines.extend(f"{head},{deg},{region},{rho1:.12g},{tag}"
-                         for deg, region, rho1 in zip(degrees, regions, rhos))
+        # "%.12g" is the formatter of f"{rho1:.12g}", and no head, angle or region holds a "%"
+        cols = templates.get((tag, regions))
+        if cols is None:
+            cols = templates[tag, regions] = [f",{deg},{region},%.12g,{tag}"
+                                              for deg, region in zip(degrees, regions)]
+        lines.append((head + ("\n" + head).join(cols)) % tuple(rhos))
     header = ["xi_over_kappa0", "theta", "region", "rho1", "formula_tag"]
     return _csv(header, lines)
 
@@ -156,7 +152,8 @@ def render_front(cfg: RunConfig) -> str:
     for bt in _linspace(0.0, cfg.btilde_sweep_max, cfg.btilde_sweep_count):
         gas = GasModel(gamma=cfg.gamma, btilde=bt)
         ref = reference_constants(cfg.rho0, cfg.p0, gas)
-        jump = nonlinear_front.gradient_jump(cfg.r, gas, cfg.rho0)
+        # the gas is checked by reference_constants, r > 0 by the config
+        jump = nonlinear_front._gradient_jump(cfg.gamma, bt, cfg.r, cfg.rho0)
         if c_val is None:  # class and C hang on the angles alone: evaluated once, where
             # row 0 first needed them, so that every error keeps its precedence
             nonlinear_front.classify_front(beta_angle, alpha)  # raises on the sonic ray

@@ -12,9 +12,18 @@ import random
 
 import pytest
 
+from vdwshock import linear_acoustics
 from vdwshock.config import parse_config
 from vdwshock.errors import DomainError, SingularityError
-from vdwshock.geometry import OMEGA_TILDE, make_point
+from vdwshock.geometry import (
+    BOUNDARY_TOL,
+    OMEGA_1,
+    OMEGA_2,
+    OMEGA_TILDE,
+    _loci,
+    _region,
+    make_point,
+)
 from vdwshock.linear_acoustics import (
     TAG_NEAR_FRONT,
     atan_zero_pi,
@@ -113,12 +122,27 @@ def grid_rows(cfg):
     return ref, sigmas, thetas, list(density_rows(sigmas, thetas, cfg.alpha, ref))
 
 
-def row_regions(regions, thetas):
-    # density_rows yields None for a row that is OmegaTilde in every cell
-    if regions is None:
-        return [OMEGA_TILDE] * len(thetas)
-    assert len(regions) == len(thetas)
-    return regions
+def region_signature(sigma, thetas, alpha, ref):
+    # the outcome of every comparison _region can make at the row's zeta: with
+    # the angle tests fixed per column, rows with one signature share their regions
+    zeta = make_point(sigma * ref.kappa0 * ref.c0, alpha, ref).zeta
+    eps = BOUNDARY_TOL * ref.a0
+    loci = {x for theta in thetas for x in _loci(theta, alpha, ref) if x is not None}
+    bounds = sorted({b for x in loci | {ref.a0} for b in (x - eps, x + eps)})
+    return tuple((zeta >= b, zeta <= b) for b in bounds)
+
+
+@pytest.fixture
+def region_calls(monkeypatch):
+    # counts the region decisions density_rows makes, one per (row, angle) decided
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return _region(*args)
+
+    monkeypatch.setattr(linear_acoustics, "_region", spy)
+    return calls
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -132,8 +156,7 @@ def test_density_rows_bit_identical_to_pointwise(seed):
         ref, sigmas, thetas, rows = grid_rows(cfg)
         assert len(rows) == len(sigmas)
         for sigma, (tag, regions, rhos) in zip(sigmas, rows):
-            assert len(rhos) == len(thetas)
-            regions = row_regions(regions, thetas)
+            assert len(rhos) == len(thetas) == len(regions)
             # the reduced radius the row is evaluated at, after the point round trip
             row_sigma = make_point(sigma * ref.kappa0 * ref.c0, cfg.alpha, ref).xi / ref.kappa0
             for theta, region, rho1 in zip(thetas, regions, rhos):
@@ -167,25 +190,54 @@ def outcome(call, *args):
         return type(exc), str(exc)
 
 
-#: radii 1 - k*1e-13 straddling the row floor a0*(1 - 1e-12), arc row first,
-#: and above the arc up to where _checked_sigma rejects the radius
+def rows_against_pointwise(sigmas, thetas, alpha, ref):
+    # density_rows up to its first error against the pointwise calls in
+    # row-major order: the same cells to the bit, then the same exception
+    got = []
+    kind, err = outcome(lambda: got.extend(density_rows(sigmas, thetas, alpha, ref)))
+    want = []
+    for sigma in sigmas:
+        cells = [outcome(diffracted_density_xi, sigma, theta, alpha, ref) for theta in thetas]
+        raised = [cell for cell in cells if cell[0] != "value"]
+        if raised:
+            assert (kind, err) == raised[0], sigma
+            break
+        want.append([(s.formula_tag, s.region.region, s.rho1.hex()) for _, s in cells])
+    else:
+        assert kind == "value", err
+    assert [[(tag, region, rho1.hex()) for region, rho1 in zip(regions, rhos)]
+            for tag, regions, rhos in got] == want
+    return got
+
+
+#: radii 1 - k*1e-13 straddling the arc's lower bound a0*(1 - 1e-12), arc row
+#: first, and above the arc up to where _checked_sigma rejects the radius
 BOUNDARY_SIGMAS = [1.0 - k * 1e-13 for k in range(41)] + [1.0 + k * 1e-13 for k in range(1, 13)]
 
+BOUNDARY_OVERS = {
+    "ideal": {"gamma": 1.4, "btilde": 0.0, "alpha_deg": 31.0},
+    "covolume": {"gamma": 2.2, "btilde": 0.45, "rho0": 0.7, "p0": 1.6, "alpha_deg": 17.0},
+    "wide_wedge": {"gamma": 1.6, "btilde": 0.2, "alpha_deg": 71.0},
+}
+BOUNDARY_CONFIGS = pytest.mark.parametrize("over", BOUNDARY_OVERS.values(), ids=BOUNDARY_OVERS)
 
-@pytest.mark.parametrize("over", [
-    {"gamma": 1.4, "btilde": 0.0, "alpha_deg": 31.0},
-    {"gamma": 2.2, "btilde": 0.45, "rho0": 0.7, "p0": 1.6, "alpha_deg": 17.0},
-    {"gamma": 1.6, "btilde": 0.2, "alpha_deg": 71.0},
-], ids=["ideal", "covolume", "wide_wedge"])
-def test_row_shortcut_at_its_boundary(over):
-    # rows below the floor get their regions once, the rest cell by cell;
-    # either way every cell is the pointwise call, or raises what it raises
+
+def boundary_grid(over):
     cfg = parse_config(None, {**over, "theta_count": 37, "xi_count": 41,
                               "xi_min": 1.0 - 40e-13})
     ref = reference_constants(cfg.rho0, cfg.p0, GasModel(cfg.gamma, cfg.btilde))
-    thetas = _linspace(cfg.alpha, math.pi, cfg.theta_count)
-    kinds = {"row": 0, "cell": 0, "raised": 0}
+    return cfg, ref, _linspace(cfg.alpha, math.pi, cfg.theta_count)
+
+
+@BOUNDARY_CONFIGS
+def test_row_shortcut_at_its_boundary(over, region_calls):
+    # rows below every bound share one region decision, rows in the arc band
+    # one per signature; either way every cell is the pointwise call, or
+    # raises what it raises
+    cfg, ref, thetas = boundary_grid(over)
+    kinds = {"below": 0, "band": 0, "raised": 0}
     labels = set()
+    passed = []
     for sigma in BOUNDARY_SIGMAS:
         kind, got = outcome(lambda: list(density_rows([sigma], thetas, cfg.alpha, ref)))
         want = [outcome(diffracted_density_xi, sigma, theta, cfg.alpha, ref) for theta in thetas]
@@ -196,15 +248,88 @@ def test_row_shortcut_at_its_boundary(over):
             continue
         assert kind == "value", (sigma, got)
         ((tag, regions, rhos),) = got
-        kinds["row" if regions is None else "cell"] += 1
-        regions = row_regions(regions, thetas)
+        signature = region_signature(sigma, thetas, cfg.alpha, ref)
+        kinds["below" if not any(ge for ge, _le in signature) else "band"] += 1
         labels.update(regions)
         assert [(tag, region, rho1.hex()) for region, rho1 in zip(regions, rhos)] == [
             (s.formula_tag, s.region.region, s.rho1.hex()) for _, s in want], sigma
+        passed.append(sigma)
     assert min(kinds.values()) >= 1, kinds
-    assert labels > {OMEGA_TILDE}, labels  # the cell-by-cell rows are not all OmegaTilde
+    assert labels > {OMEGA_TILDE}, labels  # the arc band rows are not all OmegaTilde
+    region_calls.clear()
+    rows = list(density_rows(passed, thetas, cfg.alpha, ref))
+    signatures = [region_signature(sigma, thetas, cfg.alpha, ref) for sigma in passed]
+    assert len(region_calls) == len(thetas) * len(set(signatures))
+    shared = {signature: regions for signature, (_, regions, _) in zip(signatures, rows)}
+    assert all(regions is shared[signature]
+               for signature, (_, regions, _) in zip(signatures, rows))
     grid = outcome(lambda: render_field(cfg).split("\n")[:-1])
     assert grid == outcome(pointwise_lines, cfg), cfg
+
+
+def stepped_sigmas(bound, ref, steps=8):
+    # every float sigma whose zeta = sigma*kappa0*c0 runs from steps values below
+    # bound to steps values above it, so a zeta equal to bound is among them
+    # wherever a float sigma reaches it
+    def zeta(sigma):
+        return sigma * ref.kappa0 * ref.c0
+
+    sigma = bound / ref.kappa0 / ref.c0
+    while zeta(sigma) >= bound:
+        sigma = math.nextafter(sigma, 0.0)
+    for _ in range(steps):
+        sigma = math.nextafter(sigma, 0.0)
+    out, above = [], 0
+    while above < steps:
+        out.append(sigma)
+        above += zeta(sigma) > bound
+        sigma = math.nextafter(sigma, 2.0)
+    return out, [zeta(sigma) for sigma in out]
+
+
+@BOUNDARY_CONFIGS
+def test_rows_stepped_across_the_arc_bounds(over, region_calls):
+    # one float step of sigma at a time across a0 - eps and a0 + eps, the
+    # bounds where the arc band begins and ends
+    cfg, ref, thetas = boundary_grid(over)
+    eps = BOUNDARY_TOL * ref.a0
+    lower, upper = ref.a0 - eps, ref.a0 + eps
+    sigmas, zetas = stepped_sigmas(lower, ref)
+    assert zetas[0] < lower < zetas[-1]
+    region_calls.clear()
+    rows = rows_against_pointwise(sigmas, thetas, cfg.alpha, ref)
+    assert len(rows) == len(sigmas)  # no region or radius error below the arc
+    signatures = {region_signature(sigma, thetas, cfg.alpha, ref) for sigma in sigmas}
+    assert len(signatures) >= 2
+    assert len(region_calls) == len(thetas) * len(signatures)
+    if cfg.btilde == 0.0:
+        # kappa0 = 1 and sigma < 1: a step of sigma moves zeta by at most one ulp
+        assert lower in zetas
+    sigmas, zetas = stepped_sigmas(upper, ref)
+    assert zetas[0] < upper < zetas[-1]
+    rows_against_pointwise(sigmas, thetas, cfg.alpha, ref)
+
+
+@pytest.mark.parametrize("name", ["ideal", "covolume"])
+def test_rows_stepped_across_a_locus_in_the_arc_band(name, region_calls):
+    # 1e-6 short of the merge ray the reflected line lies about 5e-13*a0 above
+    # a0, so its bound zs - eps falls inside the arc band, where that column
+    # turns from Omega2 to Omega1
+    cfg, ref, thetas = boundary_grid(BOUNDARY_OVERS[name])
+    theta = 2.0 * cfg.alpha - 1e-6
+    thetas = sorted([*thetas, theta])
+    column = thetas.index(theta)
+    eps = BOUNDARY_TOL * ref.a0
+    bound = _loci(theta, cfg.alpha, ref)[1] - eps
+    assert ref.a0 - eps < bound < ref.a0
+    sigmas, zetas = stepped_sigmas(bound, ref)
+    assert zetas[0] < bound < zetas[-1]
+    region_calls.clear()
+    rows = rows_against_pointwise(sigmas, thetas, cfg.alpha, ref)
+    assert len(rows) == len(sigmas)
+    assert {regions[column] for _, regions, _ in rows} == {OMEGA_1, OMEGA_2}
+    signatures = {region_signature(sigma, thetas, cfg.alpha, ref) for sigma in sigmas}
+    assert len(region_calls) == len(thetas) * len(signatures)
 
 
 #: sha256 of render_field on about 10^4 cells per kind, recorded before the
@@ -245,11 +370,15 @@ def test_scale_output_digest(kind):
 
 
 @pytest.mark.parametrize("kind", ["plain", "wide_wedge"])
-def test_scale_rows_decide_their_region_once(kind):
-    # every row but the arc row lies below the floor, where render_field
-    # formats the whole row in one call; the ring grid has its rows near the arc
-    rows = grid_rows(parse_config(None, scale_overrides(kind)))[3]
-    assert [regions is None for _, regions, _ in rows] == [True] * 99 + [False]
+def test_scale_rows_decide_their_region_once(kind, region_calls):
+    # the 99 rows below every bound share one signature and one region
+    # decision, and the arc row has its own; the ring grid has its rows near the arc
+    cfg = parse_config(None, scale_overrides(kind))
+    ref, sigmas, thetas, rows = grid_rows(cfg)
+    signatures = [region_signature(sigma, thetas, cfg.alpha, ref) for sigma in sigmas]
+    assert signatures[:99] == [signatures[0]] * 99 != [signatures[99]] * 99
+    assert len(region_calls) == 2 * len(thetas)
+    assert [regions is rows[0][1] for _, regions, _ in rows] == [True] * 99 + [False]
 
 
 @pytest.mark.parametrize("xi_min", [1.0 - 1e-15, 1.0 - 1e-13])

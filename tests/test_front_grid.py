@@ -5,9 +5,9 @@ formats each row in one % call; the rebuild below evaluates every row
 through the public gradient_jump, shock_locus and shock_strength, each of
 which classifies the ray and evaluates C again, and formats it with the
 public fmt and csv_text, so the two must agree byte for byte.  Both go
-through the same unchecked shock-side kernel of nonlinear_front, so that
-kernel is pinned separately, to the last bit, against the formulas written
-out in full.  Where a sweep fails, the error the renderer raises first is
+through the same unchecked kernels of nonlinear_front, the shock-side terms
+and the gradient jump, so those are pinned separately, to the last bit,
+against the formulas written out in full.  Where a sweep fails, the error the renderer raises first is
 pinned, because hoisting C out of the rows must not change which one that is.
 """
 
@@ -21,6 +21,7 @@ from vdwshock import cli
 from vdwshock.config import parse_config
 from vdwshock.errors import DomainError
 from vdwshock.nonlinear_front import (
+    _gradient_jump,
     _shock_terms,
     c_beta,
     gradient_jump,
@@ -93,7 +94,7 @@ def test_default_sweep_matches_pointwise_rebuild():
 
 @pytest.mark.parametrize("seed", range(3))
 def test_kernel_bit_identical_to_printed_formulas(seed):
-    # the two formulas as printed, written out in full: a change of one ulp
+    # the three formulas as printed, written out in full: a change of one ulp
     # (say (g+1)*(g+1) for (g+1)**2) breaks equality here even where it does
     # not reach the 12 digits of the CSV
     rng = random.Random(2000 + seed)
@@ -105,6 +106,8 @@ def test_kernel_bit_identical_to_printed_formulas(seed):
         q = eps * eps * (g + 1.0) ** 2 * c * c / (4.0 * (1.0 - bt) ** 2)
         strength = eps * eps * c * c * (g + 1.0) / (2.0 * (1.0 - bt))
         assert _shock_terms(g, bt, eps, c) == (q, strength)
+        r, rho0 = 10.0 ** rng.uniform(-30.0, 30.0), 10.0 ** rng.uniform(-30.0, 30.0)
+        assert _gradient_jump(g, bt, r, rho0) == (1.0 - bt) * rho0 / ((g + 1.0) * r)
 
 
 class TestKernelOverflow:
@@ -139,6 +142,19 @@ class TestKernelOverflow:
         ref = reference_constants(1.0, 1.0, GasModel(1.4))
         with pytest.raises(DomainError, match="btilde must be below 1"):
             shock_locus(1.0, self.beta, self.alpha, 0.1, GasModel(1.4, 1.0), ref)
+
+    def test_locus_product_overflow(self):
+        # a0*t*(1 + q) leaves the float range with a finite q: this returned inf
+        ref = reference_constants(1.0, 1.0, GasModel(1.4))
+        with pytest.raises(DomainError, match=r"shock locus leaves the float range at "
+                           rf"t=1.7e\+308, a0={ref.a0}, gamma=1.4, btilde=0.0, epsilon=0.1$"):
+            shock_locus(1.7e308, self.beta, self.alpha, 0.1, GasModel(1.4), ref)
+
+    def test_gradient_jump_overflow(self):
+        # this returned inf
+        with pytest.raises(DomainError, match=r"gradient jump leaves the float range at "
+                           r"r=5e-324, gamma=1.4, btilde=0.5, rho0=1e\+300$"):
+            gradient_jump(5e-324, GasModel(1.4, 0.5), 1e300)
 
     def test_kernel_names_its_inputs(self):
         with pytest.raises(DomainError, match=r"gamma=2.5, btilde=0.5, epsilon=1e\+200$"):

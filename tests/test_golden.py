@@ -3,9 +3,9 @@
 Every refactor and optimisation must leave these bytes unchanged.  The
 digests are the ``defaults`` entries the benchmark records; they are copied
 here so that the test suite stands on its own, and a test keeps the two
-copies equal.  The small_cmds workload's first seeds are replayed against
-the benchmark's own record too, so the non-default bytes of front, inner
-and criterion are pinned here as well.
+copies equal.  The small_cmds and field_grid workloads' first seeds are
+replayed against the benchmark's own record too, so the non-default bytes of
+front, inner, criterion and field are pinned here as well.
 """
 
 import contextlib
@@ -65,12 +65,10 @@ def test_digests_match_the_benchmark_record():
     assert _record()["defaults"] == DEFAULT_DIGESTS
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_small_cmds_replay_matches_the_benchmark_record(seed):
-    # the non-default front, inner and criterion bytes the benchmark pins:
+def replay(workload, seed):
     # each input's output digest prefix, in the benchmark's loop order
-    invs = workloads.generate("small_cmds", seed)
-    shipped = _record()["workloads"]["small_cmds"][str(seed)]
+    invs = workloads.generate(workload, seed)
+    shipped = _record()["workloads"][workload][str(seed)]
     assert workloads.inputs_digest(invs) == shipped["inputs"]
     prefixes = []
     for inv in invs:
@@ -80,3 +78,15 @@ def test_small_cmds_replay_matches_the_benchmark_record(seed):
         workloads.check_output(inv, code, out.getvalue(), err.getvalue())
         prefixes.append(hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()[:DIGEST_CHARS])
     assert prefixes == shipped["outputs"]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_small_cmds_replay_matches_the_benchmark_record(seed):
+    # the non-default front, inner and criterion bytes the benchmark pins
+    replay("small_cmds", seed)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_field_grid_replay_matches_the_benchmark_record(seed):
+    # the field bytes at about 10^4 cells, near-front and arc-band rows included
+    replay("field_grid", seed)

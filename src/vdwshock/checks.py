@@ -162,14 +162,15 @@ def _scan_oracle_minus_branch(beta: float, t: float, gas: GasModel) -> float:
     Composes the reflected ratio with the deflection relation directly, so it
     is independent of both the discriminant formula and the printed deflection
     elimination.  The inputs are validated once; the scan then calls the
-    unchecked reflected-ratio kernel.
+    unchecked reflected-ratio kernel; gfun is NaN at its poles (DomainError),
+    so a NaN grid value shows no sign change, and a bisection that lands on a
+    pole ends at its bracket's top and rejects it unless |gfun| < 1e-8 there.
 
     The scan runs upward to 0, so its sign-change brackets are disjoint and
     ascending, and bisection never leaves its bracket.  The first bracket
     whose root passes the pole-rejection test therefore holds the least
     root, and the scan stops there: later brackets (the plus branch among
-    them) are neither bisected nor evaluated, so a DomainError at a
-    bisection point past that root is never met either.
+    them) are neither bisected nor evaluated.
 
     The scan also starts late: _MARGIN brackets below the least root of the
     quadratic factor of the cleared wedge condition.  It starts at -bound
@@ -179,10 +180,10 @@ def _scan_oracle_minus_branch(beta: float, t: float, gas: GasModel) -> float:
     |gfun| < 1e-8 in a sign-change bracket without a pole, so it is a zero
     of the cleared condition, which is (beta*t - r) times the quadratic;
     with t > 0 its zeros in [-bound, 0] are the quadratic's roots.  No
-    skipped bracket therefore holds an accepted root, skipped pole brackets
-    were always rejected, and a DomainError inside one is now never met.
-    From the start on, every grid point is the same float expression, so
-    the same first bracket gets the same bisection.
+    skipped bracket therefore holds an accepted root, and skipped pole
+    brackets are rejected anyway.  From the start on, every grid point is
+    the same float expression, so the same first bracket gets the same
+    bisection.
 
     Near grazing the two roots can share one bracket, which then shows no
     sign change; with no accepted root the scan raises
@@ -194,7 +195,10 @@ def _scan_oracle_minus_branch(beta: float, t: float, gas: GasModel) -> float:
     beta_r = _beta_r_of(beta, t, g, bt)
 
     def gfun(r):
-        br = beta_r(r)
+        try:
+            br = beta_r(r)
+        except DomainError:
+            return math.nan
         return tan_di + (br - 1.0) * r / (1.0 + br * r * r)
 
     x = 1.0 + beta * t * t
@@ -211,18 +215,10 @@ def _scan_oracle_minus_branch(beta: float, t: float, gas: GasModel) -> float:
         if -bound < hint <= 0.0:  # false for t <= 0, an infinity or a nan
             start = max(1, int((hint + bound) / bound * n) - _MARGIN)
     prev_r = -bound + bound * (start - 1) / n
-    try:
-        prev_g = gfun(prev_r)
-    except DomainError:
-        prev_g = math.nan
+    prev_g = gfun(prev_r)
     for i in range(start, n + 1):
         r = -bound + bound * i / n  # scan up to 0
-        try:
-            br = beta_r(r)
-        except DomainError:
-            prev_r, prev_g = r, math.nan
-            continue
-        cur_g = tan_di + (br - 1.0) * r / (1.0 + br * r * r)  # gfun(r), inlined
+        cur_g = gfun(r)
         if math.isfinite(prev_g) and prev_g * cur_g <= 0.0 and prev_g != cur_g:
             lo, hi = prev_r, r
             glo = prev_g

@@ -87,19 +87,16 @@ def main(argv: list[str] | None = None) -> int:
     args, extra = _PARSER.parse_known_args(argv)
 
     try:
-        overrides = _collect_overrides(extra)
-        if args.output is not None:
-            overrides["output"] = args.output
-        cfg = parse_config(args.config, overrides)
+        cfg = parse_config(args.config, _collect_overrides(extra))
         if args.command == "check":
             results = checks.run_all_checks()
-            _emit(reports.json_text(checks.report_payload(results)), cfg.output)
+            _emit(reports.json_text(checks.report_payload(results)), args.output)
             if any(r.status == checks.FAIL for r in results):
                 return 3
         else:
             # each data command has its renderer reports.render_<command>,
             # looked up per call so that a wrapper patched onto reports is seen
-            _emit(getattr(reports, f"render_{args.command}")(cfg), cfg.output)
+            _emit(getattr(reports, f"render_{args.command}")(cfg), args.output)
     except DomainError as exc:
         sys.stderr.write(_error_object("validation", exc))
         return 2

@@ -44,7 +44,6 @@ class RunConfig(NamedTuple):
     thetaprime_count: int = 13
     btilde_sweep_max: float = 0.7
     btilde_sweep_count: int = 15
-    output: str | None = None
 
     @property
     def alpha(self) -> float:
@@ -72,8 +71,6 @@ def _coerce(key: str, value):
     """Type-check one config value; every scalar number must be finite."""
     if key not in RunConfig._fields:
         raise DomainError(f"unknown configuration key {key!r}")
-    if key == "output":
-        return None if value is None else str(value)
     if key in ("beta_grid", "btilde_grid"):
         if not isinstance(value, (list, tuple)) or not value or not all(map(_is_number, value)):
             raise DomainError(f"{key} must be a non-empty array of numbers")

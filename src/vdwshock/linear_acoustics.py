@@ -136,15 +136,13 @@ def first_order_piecewise(
     (theta < 2*alpha), 1 beyond it.
     """
     label = region_classify(pt, alpha, ref)
-    if label.region == OMEGA_1 and "sonic_arc" not in label.boundaries:
-        return FieldSample(pt, label, 1.0, TAG_PIECEWISE)
-    if label.region == OMEGA_2 and "sonic_arc" not in label.boundaries:
-        return FieldSample(pt, label, 2.0, TAG_PIECEWISE)
-    if "sonic_arc" in label.boundaries:
-        return FieldSample(pt, label, _arc_value(pt.theta - alpha, alpha), TAG_PIECEWISE)
-    raise RegionError(
-        f"piecewise field covers Omega1/Omega2 only, point is in {label.region}"
-    )
+    rho = (_arc_value(pt.theta - alpha, alpha) if "sonic_arc" in label.boundaries
+           else {OMEGA_1: 1.0, OMEGA_2: 2.0}.get(label.region))
+    if rho is None:
+        raise RegionError(
+            f"piecewise field covers Omega1/Omega2 only, point is in {label.region}"
+        )
+    return FieldSample(pt, label, rho, TAG_PIECEWISE)
 
 
 def _interior_cells(s: float, mu: float, cos_bs: Iterable[float]) -> list[float]:

@@ -94,22 +94,21 @@ def _within(beta: float, upper: float) -> bool:
     return beta >= 1.0 - ENDPOINT_SLACK and beta <= upper * (1.0 + ENDPOINT_SLACK)
 
 
+def _check_band(shock: str, beta: float, upper: float) -> None:
+    if not _within(beta, upper):
+        raise AdmissibilityError(
+            f"{shock} density ratio {beta} outside the admissible interval (1, {upper})"
+        )
+
+
 def check_incident_beta(beta_i: float, gas: GasModel) -> None:
     validate_gas(gas)
-    upper = beta_upper(gas.gamma, gas.btilde)
-    if not _within(beta_i, upper):
-        raise AdmissibilityError(
-            f"incident density ratio {beta_i} outside the admissible interval (1, {upper})"
-        )
+    _check_band("incident", beta_i, beta_upper(gas.gamma, gas.btilde))
 
 
 def check_reflected_beta(beta_r: float, beta_i: float, gas: GasModel) -> None:
     check_incident_beta(beta_i, gas)
-    upper = beta_upper(gas.gamma, gas.btilde * beta_i)
-    if not _within(beta_r, upper):
-        raise AdmissibilityError(
-            f"reflected density ratio {beta_r} outside the admissible interval (1, {upper})"
-        )
+    _check_band("reflected", beta_r, beta_upper(gas.gamma, gas.btilde * beta_i))
 
 
 def incident_oblique(inp: IncidentShockInput, gas: GasModel) -> ObliqueJump:

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 from .errors import DomainError
 from .geometry import SelfSimilarPoint
 from .linear_acoustics import atan_zero_pi
-from .thermo import GasModel, ReferenceState, validate_gas
+from .thermo import GasModel, ReferenceState, check_positive, validate_gas
 
 KIND_REFLECTED = "reflected"
 KIND_DIFFRACTED = "diffracted"
@@ -43,8 +43,7 @@ def stretch(
     pt: SelfSimilarPoint, alpha: float, epsilon: float, ref: ReferenceState
 ) -> InnerPoint:
     """Map an outer point to the stretched frame centered on the merge point."""
-    if epsilon <= 0.0:
-        raise DomainError("stretching needs epsilon > 0")
+    check_positive(epsilon, "epsilon", "stretching")
     r_prime = (pt.xi - ref.kappa0) / epsilon
     theta_prime = (pt.theta - 2.0 * alpha) / math.sqrt(epsilon)
     eta = None
@@ -133,6 +132,8 @@ def expansion_fan(x: float, theta_prime: float, geom: InnerGeometry) -> float:
     """
     if theta_prime == 0.0:
         raise DomainError("fan profile needs theta' != 0")
+    if not (math.isfinite(x) and math.isfinite(theta_prime)):
+        raise DomainError(f"fan profile needs finite x and theta', got {x}, {theta_prime}")
     tp2 = theta_prime * theta_prime
     if x < geom.vartheta / tp2:
         eta = 2.0 * x / geom.kappa0
@@ -198,8 +199,7 @@ def similarity_residual(
     f = sqrt(x) the sub-operator vanishes identically and the full residual
     equals kappa0*(1-vartheta)/(2x), another documented closed-form property.
     """
-    if x <= 0.0:
-        raise DomainError("similarity residual needs x > 0")
+    check_positive(x, "x", "similarity residual")
     if theta_prime == 0.0:
         raise DomainError("similarity residual needs theta' != 0")
     tp2 = theta_prime * theta_prime

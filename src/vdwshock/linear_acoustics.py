@@ -74,7 +74,7 @@ def corner_exponent(alpha: float) -> float:
 def busemann_variable(xi_over_kappa0: float) -> float:
     """Map the reduced radius on [0, 1] to the Busemann disk coordinate."""
     sigma = xi_over_kappa0
-    if sigma < 0.0 or sigma > 1.0 + 1e-12:
+    if not 0.0 <= sigma <= 1.0 + 1e-12:
         raise DomainError(f"xi/kappa0 must lie in [0, 1], got {sigma}")
     sigma = min(sigma, 1.0)
     return sigma / (1.0 + math.sqrt(max(0.0, 1.0 - sigma * sigma)))

@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 
 from .errors import ClassificationError, DomainError, SingularityError
 from .linear_acoustics import _front_coefficient, corner_exponent
-from .thermo import GasModel, ReferenceState, validate_gas
+from .thermo import GasModel, ReferenceState, check_positive, validate_gas
 
 
 class FrontClassification(NamedTuple):
@@ -62,9 +62,8 @@ def transport_residual(
     amplitude of the form profile(tau)/sqrt(r) carried along characteristics.
     """
     validate_gas(gas)
-    if r <= 0.0:
-        raise DomainError("transport residual needs r > 0")
-    if h <= 0.0 or r - h <= 0.0:
+    check_positive(r, "r", "transport residual")
+    if not (h > 0.0 and r - h > 0.0):
         raise DomainError("stencil leaves the domain; shrink h")
     a0 = a_profile(r, tau)
     a_r = (a_profile(r + h, tau) - a_profile(r - h, tau)) / (2.0 * h)
@@ -80,13 +79,12 @@ def psi_root(phi_phase: float, r: float, C: float, epsilon: float, gas: GasModel
     reduces to the linear phase at eps = 0 and vanishes on the front for C < 0.
     """
     validate_gas(gas)
-    if r <= 0.0:
-        raise DomainError("phase root needs r > 0")
-    if epsilon < 0.0:
+    check_positive(r, "r", "phase root")
+    if not epsilon >= 0.0:
         raise DomainError("shock strength must be nonnegative")
     pi_term = epsilon * C * (gas.gamma + 1.0) * math.sqrt(r) / (2.0 * (1.0 - gas.btilde))
     radicand = phi_phase + pi_term * pi_term
-    if radicand < 0.0:
+    if not radicand >= 0.0:
         raise DomainError(f"phase radicand negative ({radicand}); point beyond the fold")
     root = pi_term + math.sqrt(radicand)
     return root * root
@@ -133,8 +131,8 @@ def rarefaction_profile(
 def gradient_jump(r: float, gas: GasModel, rho0: float) -> float:
     """Radial density-gradient jump across the rarefaction front at radius r."""
     validate_gas(gas)
-    if r <= 0.0:
-        raise DomainError("gradient jump needs r > 0")
+    check_positive(r, "r", "gradient jump")
+    check_positive(rho0, "rho0", "gradient jump")
     jump = _gradient_jump(gas.gamma, gas.btilde, r, rho0)
     if not math.isfinite(jump):
         raise DomainError(f"gradient jump leaves the float range at r={r}, gamma={gas.gamma}, "
@@ -164,6 +162,7 @@ def shock_locus(t: float, beta_angle: float, alpha: float, epsilon: float, gas: 
                 ref: ReferenceState) -> float:
     """Equal-area position of the diffracted shock on the ray beta at time t."""
     validate_gas(gas)
+    check_positive(t, "t", "shock locus")
     if classify_front(beta_angle, alpha).kind != "shock":
         raise ClassificationError("shock locus needs beta > alpha")
     q, _ = _shock_terms(gas.gamma, gas.btilde, epsilon, c_beta(beta_angle, alpha))

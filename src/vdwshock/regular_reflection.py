@@ -89,8 +89,8 @@ def _f_terms(b: float, t2: float, g: float, bt: float) -> tuple[float, float]:
 def F_eval(beta_i: float, tan_sq_phi_i: float, gas: GasModel) -> float:
     """Radicand of the reflected-angle formula; >= 0 iff regular reflection."""
     check_incident_beta(beta_i, gas)
-    if tan_sq_phi_i < 0.0:
-        raise DomainError("tan_sq_phi_i must be nonnegative")
+    if not 0.0 <= tan_sq_phi_i < math.inf:
+        raise DomainError(f"tan_sq_phi_i must be nonnegative and finite, got {tan_sq_phi_i}")
     term1, term2 = _f_terms(beta_i, tan_sq_phi_i, gas.gamma, gas.btilde)
     return term1 - term2
 

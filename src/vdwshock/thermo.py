@@ -52,11 +52,21 @@ def validate_gas(gas: GasModel) -> GasModel:
     return gas
 
 
+def check_positive(value: float, name: str, where: str) -> None:
+    """Reject a value that is not a finite float above 0 (NaN included)."""
+    if not value > 0.0:
+        raise DomainError(f"{where} needs {name} > 0")
+    if value == math.inf:
+        raise DomainError(f"{where} needs a finite {name}, got {value}")
+
+
 def _check_state(state: ThermoState, b: float) -> None:
-    if state.rho <= 0.0:
+    if not state.rho > 0.0:
         raise DomainError(f"density must be positive, got {state.rho}")
-    if state.p <= 0.0:
+    if not state.p > 0.0:
         raise DomainError(f"pressure must be positive, got {state.p}")
+    if math.inf in (state.rho, state.p):
+        raise DomainError(f"density and pressure must be finite, got {state.rho}, {state.p}")
     if b * state.rho >= 1.0:
         raise DomainError(f"covolume fraction b*rho must stay below 1, got {b * state.rho}")
 

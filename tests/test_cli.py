@@ -775,6 +775,16 @@ class TestDeterminism:
         assert error["kind"] == "validation"
         assert error["message"].startswith(f"cannot write output file {out}: ")
 
+    def test_output_key_in_config_file_is_unknown(self, tmp_path):
+        # the output path is the --output flag only
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"output": str(tmp_path / "x.csv")}))
+        proc = run_cli("table", "--config", str(path))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert json.loads(proc.stderr)["error"]["message"] == "unknown configuration key 'output'"
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestCriterionCommand:
     def test_json_shape(self):

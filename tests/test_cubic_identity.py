@@ -13,12 +13,23 @@ gate's scan oracle composes it, factorises into (beta*t - r) times the
 quadratic Q(r) whose roots tan_phi_r_branches returns, and Q's
 half-discriminant is the radicand of _f_terms.  The closed form is then an
 identity in all five symbols rather than a sampled agreement.
+
+For the ideal gas (btilde = 0) the threshold J = tan^2(phi_star) has a
+closed-form maximum over beta: J_max = (gamma+1)/(3-gamma), reached at the
+larger root beta* of (g-2)(g+1)b^2 - 2g(g-3)b + (g-2)(g-3), which meets the
+band's top (g+1)/(g-1) at gamma_c = (7 + sqrt(33))/8.  At gamma = 1.4 that
+is J_max = 1.5 at beta* = 3.3124 < 4, so the default table's gamma = 1.4
+column cannot rise strictly over beta up to 4 (the red table_trends check).
 """
 
+import math
+
+import mpmath
 import pytest
 import sympy as sp
 
-from vdwshock.regular_reflection import _beta_r_of, _branches, _coeffs, _f_terms
+from vdwshock.regular_reflection import _beta_r_of, _branches, _coeffs, _f_terms, criterion
+from vdwshock.thermo import GasModel
 
 beta, t, gamma, btilde, X = sp.symbols("beta t gamma btilde X", positive=True)
 r = sp.symbols("r", real=True)  # tan(phi_r); negative on the physical branch
@@ -134,3 +145,57 @@ def test_branches_kernel_returns_the_quadratic_roots(b, tan_i, g, bt):
         want = sp.N(want, 30)
         assert abs(sp.Rational(got) - want) <= sp.Float(1e-12, 30) * max(1, abs(want))
     assert abs(sp.Rational(f_value) - disc) <= sp.Rational(1, 10 ** 12) * abs(disc)
+
+
+def beta_star_quadratic(g, b):
+    return (g - 2) * (g + 1) * b ** 2 - 2 * g * (g - 3) * b + (g - 2) * (g - 3)
+
+
+def beta_star(g, sqrt):
+    """Larger root of beta_star_quadratic in b; its leading coefficient is < 0 for 1 < g < 2."""
+    a, b, c = (g - 2) * (g + 1), -2 * g * (g - 3), (g - 2) * (g - 3)
+    return (-b - sqrt(b * b - 4 * a * c)) / (2 * a)
+
+
+@pytest.mark.parametrize("g", ["1.2", "1.4", "1.5"])
+def test_ideal_gas_threshold_is_stationary_at_j_max(g):
+    # G(beta, J) = F(beta, 1 + beta*J) vanishes on the threshold curve J(beta);
+    # dJ/dbeta = -G_beta/G_J, so the curve is stationary where G_beta = 0 too
+    j = sp.symbols("J", positive=True)
+    x = 1 + beta * j
+    big_g = sum(h.subs(btilde, 0) * x ** k for k, h in enumerate(printed_coefficients()))
+    values = sp.lambdify((beta, j, gamma), (big_g, sp.diff(big_g, beta)), modules="mpmath")
+    with mpmath.workdps(50):
+        g = mpmath.mpf(g)
+        b_star = beta_star(g, mpmath.sqrt)
+        assert abs(beta_star_quadratic(g, b_star)) < mpmath.mpf(10) ** -45
+        for value in values(b_star, (g + 1) / (3 - g), g):
+            assert abs(value) < mpmath.mpf(10) ** -45
+
+
+def test_beta_star_meets_the_band_top_at_gamma_c():
+    # the band top is a root of the quadratic exactly where 4g^2 - 7g + 1 = 0,
+    # and at the larger zero gamma_c it is the larger root, beta*
+    g = sp.symbols("g")
+    top = (g + 1) / (g - 1)
+    assert sp.cancel(beta_star_quadratic(g, top) * (g - 1) ** 2 - 4 * (4 * g ** 2 - 7 * g + 1)) == 0
+    gamma_c = (7 + sp.sqrt(33)) / 8
+    assert sp.expand(4 * gamma_c ** 2 - 7 * gamma_c + 1) == 0
+    assert sp.simplify(beta_star(gamma_c, sp.sqrt) - top.subs(g, gamma_c)) == 0
+
+
+@pytest.mark.parametrize("g", [1.2, 1.4, 1.5])
+def test_criterion_peaks_at_j_max(g):
+    gas = GasModel(g, 0.0)
+    b_star = beta_star(g, math.sqrt)
+    j_max = (g + 1.0) / (3.0 - g)
+    peak = criterion(b_star, gas).J
+    assert abs(peak - j_max) <= 4 * math.ulp(j_max)
+    assert criterion(b_star - 1e-3, gas).J < peak
+    assert criterion(b_star + 1e-3, gas).J < peak
+
+
+def test_criterion_peak_at_gamma_1_4_is_exactly_three_halves():
+    b_star = beta_star(1.4, math.sqrt)
+    assert round(b_star, 6) == 3.312376
+    assert criterion(b_star, GasModel(1.4, 0.0)).J == 1.5

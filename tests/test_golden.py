@@ -3,9 +3,10 @@
 Every refactor and optimisation must leave these bytes unchanged.  The
 digests are the ``defaults`` entries the benchmark records; they are copied
 here so that the test suite stands on its own, and a test keeps the two
-copies equal.  The small_cmds and field_grid workloads' first seeds are
-replayed against the benchmark's own record too, so the non-default bytes of
-front, inner, criterion and field are pinned here as well.
+copies equal.  The small_cmds, field_grid and threshold_table workloads'
+first seeds are replayed against the benchmark's own record too, so the
+non-default bytes of front, inner, criterion, field and table are pinned here
+as well.  The gate workload runs the default check, pinned above.
 """
 
 import contextlib
@@ -90,3 +91,9 @@ def test_small_cmds_replay_matches_the_benchmark_record(seed):
 def test_field_grid_replay_matches_the_benchmark_record(seed):
     # the field bytes at about 10^4 cells, near-front and arc-band rows included
     replay("field_grid", seed)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_threshold_table_replay_matches_the_benchmark_record(seed):
+    # the table bytes over dense grids at seeded gamma
+    replay("threshold_table", seed)

@@ -4,17 +4,23 @@ Usage: vdwshock <command> [--config FILE] [--output PATH] [--key value ...]
 Commands: criterion, table, field, front, inner, check.
 Exit codes: 0 success, 2 validation error, 3 internal-inconsistency detection
 (including a verification report with failing entries).
+
+A command line in the plain grammar ``<command> (--key value)*``, with every
+key spelled exactly, is read by one walk over argv (``_walk``).  Every other
+command line, among them ``-h``, ``--key=value``, abbreviated options and
+malformed ones, goes to argparse, which is imported and built only then and
+gives the same result the walk would wherever both apply.
 """
 
 from __future__ import annotations
 
-import argparse
+import functools
 import importlib.util
 import json
 import sys
 
 from . import reports
-from .config import parse_config
+from .config import RunConfig, parse_config
 from .errors import DomainError, InternalInconsistencyError
 
 COMMANDS = ("criterion", "table", "field", "front", "inner", "check")
@@ -31,17 +37,58 @@ if _CHECKS not in sys.modules:
     sys.modules[__package__].checks = sys.modules[_CHECKS]
 checks = sys.modules[_CHECKS]
 
-# built once per process: parsing does not change the parser
-_PARSER = argparse.ArgumentParser(
-    prog="vdwshock",
-    description=(
-        "Closed-form weak-shock reflection-diffraction tables, fields and "
-        "verification reports for a covolume gas"
-    ),
-)
-_PARSER.add_argument("command", choices=COMMANDS)
-_PARSER.add_argument("--config", default=None, help="flat JSON config file")
-_PARSER.add_argument("--output", default=None, help="output path (default stdout)")
+
+@functools.cache
+def _parser():
+    """The argparse parser, built on first use: parsing does not change it."""
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        prog="vdwshock",
+        description=(
+            "Closed-form weak-shock reflection-diffraction tables, fields and "
+            "verification reports for a covolume gas"
+        ),
+    )
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", default=None, help="flat JSON config file")
+    parser.add_argument("--output", default=None, help="output path (default stdout)")
+    return parser
+
+
+_FIELD_KEYS = frozenset(f"--{field}" for field in RunConfig._fields)
+# argparse passes a value of one of these shapes through to the extras right
+# after its key, as a negative number or as an unknown option; any other
+# value that starts with "-" it may read as -h, an abbreviation or an error
+_SIGNED_STARTS = frozenset("-" + c for c in "0123456789.")
+
+
+def _walk(argv: list[str]):
+    """(command, config, output, extras) of a plain command line, else None.
+
+    Plain means ``<command> (--key value)*`` where each key is ``--config``,
+    ``--output`` or ``--<RunConfig field>``, a config or output value does not
+    start with "-", and a field value does not start with "-" unless a digit
+    or "." follows it.  On such a command line argparse's parse_known_args
+    gives the same four values; the extras keep argv's order.
+    """
+    if not argv or argv[0] not in COMMANDS or not len(argv) % 2:
+        return None
+    config = output = None
+    extras = []
+    for i in range(1, len(argv), 2):
+        key, value = argv[i], argv[i + 1]
+        if key in _FIELD_KEYS:
+            if value[:1] == "-" and value[:2] not in _SIGNED_STARTS:
+                return None
+            extras += key, value
+        elif key == "--config" and value[:1] != "-":
+            config = value
+        elif key == "--output" and value[:1] != "-":
+            output = value
+        else:
+            return None
+    return argv[0], config, output, extras
 
 
 def _parse_override_value(raw: str):
@@ -84,19 +131,25 @@ def _error_object(kind: str, exc: Exception) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args, extra = _PARSER.parse_known_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    parsed = _walk(argv)
+    if parsed is None:
+        args, extra = _parser().parse_known_args(argv)
+        parsed = args.command, args.config, args.output, extra
+    command, config, output, extra = parsed
 
     try:
-        cfg = parse_config(args.config, _collect_overrides(extra))
-        if args.command == "check":
+        cfg = parse_config(config, _collect_overrides(extra))
+        if command == "check":
             results = checks.run_all_checks()
-            _emit(reports.json_text(checks.report_payload(results)), args.output)
+            _emit(reports.json_text(checks.report_payload(results)), output)
             if any(r.status == checks.FAIL for r in results):
                 return 3
         else:
             # each data command has its renderer reports.render_<command>,
             # looked up per call so that a wrapper patched onto reports is seen
-            _emit(getattr(reports, f"render_{args.command}")(cfg), args.output)
+            _emit(getattr(reports, f"render_{command}")(cfg), output)
     except DomainError as exc:
         sys.stderr.write(_error_object("validation", exc))
         return 2

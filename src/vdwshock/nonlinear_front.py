@@ -72,6 +72,12 @@ def transport_residual(
     return a_r + coeff * a0 * a_t + a0 / (2.0 * r)
 
 
+def check_strength(epsilon: float) -> None:
+    """Reject a shock strength epsilon that is negative, NaN or infinite."""
+    if not 0.0 <= epsilon < math.inf:
+        raise DomainError(f"shock strength must be nonnegative and finite, got epsilon={epsilon}")
+
+
 def psi_root(phi_phase: float, r: float, C: float, epsilon: float, gas: GasModel) -> float:
     """Positive root of the implicit phase equation behind the front.
 
@@ -80,14 +86,17 @@ def psi_root(phi_phase: float, r: float, C: float, epsilon: float, gas: GasModel
     """
     validate_gas(gas)
     check_positive(r, "r", "phase root")
-    if not epsilon >= 0.0:
-        raise DomainError("shock strength must be nonnegative")
+    check_strength(epsilon)
     pi_term = epsilon * C * (gas.gamma + 1.0) * math.sqrt(r) / (2.0 * (1.0 - gas.btilde))
     radicand = phi_phase + pi_term * pi_term
     if not radicand >= 0.0:
         raise DomainError(f"phase radicand negative ({radicand}); point beyond the fold")
     root = pi_term + math.sqrt(radicand)
-    return root * root
+    psi = root * root
+    if not psi < math.inf:  # an infinite phi or C, or a root whose square overflows
+        raise DomainError(f"phase root leaves the float range at phi={phi_phase}, C={C}, "
+                          f"epsilon={epsilon}, r={r}")
+    return psi
 
 
 def rarefaction_profile(
@@ -107,6 +116,7 @@ def rarefaction_profile(
     epsilon^2 * C / sqrt(r), continuous across the front.  state2 is the
     first-order triple (rho, U, V) of the reflected state on this ray.
     """
+    check_strength(epsilon)
     if classify_front(beta_angle, alpha).kind != "rarefaction":
         raise ClassificationError("rarefaction profile needs beta < alpha")
     rho2_1, u2_1, v2_1 = state2
@@ -163,6 +173,7 @@ def shock_locus(t: float, beta_angle: float, alpha: float, epsilon: float, gas: 
     """Equal-area position of the diffracted shock on the ray beta at time t."""
     validate_gas(gas)
     check_positive(t, "t", "shock locus")
+    check_strength(epsilon)
     if classify_front(beta_angle, alpha).kind != "shock":
         raise ClassificationError("shock locus needs beta > alpha")
     q, _ = _shock_terms(gas.gamma, gas.btilde, epsilon, c_beta(beta_angle, alpha))
@@ -176,6 +187,7 @@ def shock_locus(t: float, beta_angle: float, alpha: float, epsilon: float, gas: 
 def shock_strength(beta_angle: float, alpha: float, epsilon: float, gas: GasModel) -> float:
     """Density jump across the diffracted shock, in units of rho0."""
     validate_gas(gas)
+    check_strength(epsilon)
     if classify_front(beta_angle, alpha).kind != "shock":
         raise ClassificationError("shock strength needs beta > alpha")
     return _shock_terms(gas.gamma, gas.btilde, epsilon, c_beta(beta_angle, alpha))[1]

@@ -7,7 +7,9 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -710,9 +712,26 @@ class TestParserAndImports:
         assert all(issubclass(r, tuple) and r._fields for r in records), records
         assert not hasattr(vdwshock, "WedgeConfig")
 
+    def test_plain_command_line_leaves_argparse_unimported(self):
+        # argparse is built only for a command line outside the plain grammar
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = (
+            "import io, sys, contextlib, vdwshock.cli as cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.main(['front'])\n"
+            "print(code, 'argparse' in sys.modules)\n"
+            "cli.main(['--help'])\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=60, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        first, usage = proc.stdout.split("\n", 1)
+        assert first == "0 False"
+        assert usage.startswith("usage: vdwshock [-h]")
+
     def test_parser_reused_after_errors(self, capsys):
-        # the parser is built once per process; a rejected command line must
-        # leave it usable for the next call
+        # the parser is built at most once per process; a rejected command
+        # line must leave it usable for the next call
         for bad in ("plot", "render_inner"):
             with pytest.raises(SystemExit) as exc:
                 cli.main([bad])
@@ -724,6 +743,105 @@ class TestParserAndImports:
         assert capsys.readouterr().out.startswith("usage: vdwshock [-h]")
         assert cli.main(["criterion", "--beta_i", "1.2"]) == 0
         assert json.loads(capsys.readouterr().out)["beta_i"] == 1.2
+
+
+def _argparse_result(argv):
+    """(command, config, output, extras) from argparse, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            ns, extras = cli._parser().parse_known_args(argv)
+        except SystemExit:
+            return None
+    return ns.command, ns.config, ns.output, extras
+
+
+def _main_outcome(argv, walk):
+    """Exit code, stdout, stderr and written files of cli.main in a fresh directory."""
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                    mock.patch.object(cli, "_walk", cli._walk if walk else lambda argv: None):
+                try:
+                    code = cli.main(list(argv))
+                except SystemExit as exc:
+                    code = ("exit", exc.code)
+            files = {p.name: p.read_bytes() for p in Path(tmp).iterdir() if p.is_file()}
+        finally:
+            os.chdir(cwd)
+    return code, out.getvalue(), err.getvalue(), files
+
+
+_WALK_KEYS = [f"--{field}" for field in RunConfig._fields] + ["--config", "--output"]
+_ODD_KEYS = ["--conf", "--o", "--h", "--help", "-h", "--", "--config=a", "--xi-count"]
+_VALUES = ["1", "-1", "-.5", "-1e3", "-x", "-", "--", "", "a b", "[1, 2]", "null", "-h"]
+_JUNK = ["plot", "gamma", "render_front"]
+
+
+def _argvs(commands):
+    """Argvs in or near the plain grammar.
+
+    Half are ``<command> (--key value)*`` with exact keys; the other half are
+    such an argv with one token replaced, or one inserted, by a junk word,
+    an odd key, a value or a command.
+    """
+    pairs = st.lists(st.tuples(st.sampled_from(_WALK_KEYS), st.sampled_from(_VALUES)),
+                     max_size=3)
+    plain = st.tuples(st.sampled_from(commands), pairs).map(
+        lambda t: [t[0], *(tok for pair in t[1] for tok in pair)])
+    odd = st.sampled_from(_JUNK + _ODD_KEYS + _VALUES + commands)
+
+    def edit(t):
+        argv, at, token, insert = t
+        at = min(at, len(argv) - (not insert))
+        return argv[:at] + [token] + argv[at + (not insert):]
+
+    return st.one_of(plain, st.tuples(plain, st.integers(0, 6), odd, st.booleans()).map(edit))
+
+
+_ARGPARSE_SPELLINGS = [
+    ["table", "--output", "-1e3"],  # argparse: "expected one argument"
+    ["table", "--eta", "-h"],  # argparse: the help, exit 0
+    ["table", "--conf", "x.json"],  # argparse: an abbreviation of --config
+    ["table", "--config=x.json"],  # argparse: --config with an attached value
+]
+
+
+class TestArgvWalk:
+    """The plain-grammar walk against argparse, its oracle."""
+
+    @pytest.mark.parametrize("argv", [
+        ["front"],
+        ["inner", "--gamma", "1.4", "--eta", "-2.5", "--theta0", "-.5"],
+        ["table", "--config", "c.json", "--beta_grid", "[1.2, 2.0]", "--output", "t.csv"],
+    ])
+    def test_plain_command_lines_take_the_walk(self, argv):
+        walked = cli._walk(argv)
+        assert walked is not None
+        assert walked == _argparse_result(argv)
+
+    @pytest.mark.parametrize("argv", _ARGPARSE_SPELLINGS)
+    def test_argparse_spellings_are_left_to_argparse(self, argv):
+        assert cli._walk(argv) is None
+
+    @given(_argvs(list(COMMANDS)))
+    @settings(max_examples=1500, deadline=None, derandomize=True)
+    def test_walk_agrees_with_argparse(self, argv):
+        walked = cli._walk(argv)
+        if walked is not None:
+            assert walked == _argparse_result(argv)
+
+    # check runs the whole gate, so it is left out of the end-to-end comparison
+    @given(_argvs([c for c in COMMANDS if c != "check"]))
+    @example(_ARGPARSE_SPELLINGS[0])
+    @example(_ARGPARSE_SPELLINGS[1])
+    @example(_ARGPARSE_SPELLINGS[2])
+    @example(_ARGPARSE_SPELLINGS[3])
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_main_matches_argparse_alone(self, argv):
+        assert _main_outcome(argv, walk=True) == _main_outcome(argv, walk=False)
 
 
 class TestExitCodes:

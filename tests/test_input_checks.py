@@ -13,7 +13,8 @@ from vdwshock.errors import DomainError
 from vdwshock.geometry import PseudoFlowState, SelfSimilarPoint, eigenvalues_and_type, make_point
 from vdwshock.inner_singular import expansion_fan, inner_geometry, similarity_residual, stretch
 from vdwshock.linear_acoustics import busemann_variable, density_pde_residual
-from vdwshock.nonlinear_front import gradient_jump, psi_root, shock_locus, transport_residual
+from vdwshock.nonlinear_front import (gradient_jump, psi_root, rarefaction_profile, shock_locus,
+                                      shock_strength, transport_residual)
 from vdwshock.regular_reflection import F_eval
 from vdwshock.thermo import GasModel, ThermoState, reference_constants, sound_speed, thermo_eval
 
@@ -23,6 +24,8 @@ REF = reference_constants(1.0, 1.0, GAS)
 GEOM = inner_geometry(GAS, REF)
 K0 = REF.kappa0
 BETA_SHOCK, ALPHA = math.radians(67.5), math.pi / 4.0  # a ray on the shock side
+BETA_FAN = math.radians(30.0)  # a ray on the rarefaction side
+STATE2 = (0.5, 0.2, 0.1)
 
 
 def _one(*_):
@@ -35,6 +38,8 @@ CASES = [
      DomainError, "similarity radius must be nonnegative"),
     ("make_point zeta nan", lambda: make_point(NAN, 1.0, REF),
      DomainError, "similarity radius must be nonnegative"),
+    ("make_point zeta inf", lambda: make_point(INF, 1.0, REF),
+     DomainError, "similarity radius must be nonnegative and finite"),
     ("eigenvalues zeta <= 0",
      lambda: eigenvalues_and_type(SelfSimilarPoint(0.0, 1.0, 0.0), PseudoFlowState(0.5, 0.0, 1.0)),
      DomainError, "eigenvalues need zeta > 0"),
@@ -81,6 +86,24 @@ CASES = [
      DomainError, "shock strength must be nonnegative"),
     ("psi_root phi nan", lambda: psi_root(NAN, 1.0, -0.5, 0.1, GAS),
      DomainError, "phase radicand negative"),
+    ("psi_root epsilon inf", lambda: psi_root(1.0, 1.0, -0.5, INF, GAS),
+     DomainError, "shock strength must be nonnegative and finite"),
+    ("psi_root phi inf", lambda: psi_root(INF, 1.0, -0.5, 0.1, GAS),
+     DomainError, "phase root leaves the float range at phi=inf, C=-0.5"),
+    ("psi_root C inf", lambda: psi_root(1.0, 1.0, INF, 0.1, GAS),
+     DomainError, "phase root leaves the float range at phi=1.0, C=inf"),
+    ("psi_root C -inf", lambda: psi_root(1.0, 1.0, -INF, 0.1, GAS),
+     DomainError, "phase root leaves the float range at phi=1.0, C=-inf"),
+    # Pi = 1e154 and phi = 0: the radicand 1e308 is finite, the root's square is not
+    ("psi_root square overflows", lambda: psi_root(0.0, 1.0, 1e154 / 0.12, 0.1, GAS),
+     DomainError, "phase root leaves the float range"),
+    # ahead of the front the profile never reaches psi_root: these returned a state
+    ("rarefaction_profile epsilon < 0",
+     lambda: rarefaction_profile(5.0, 1.0, BETA_FAN, ALPHA, -1.0, GAS, REF, STATE2),
+     DomainError, "shock strength must be nonnegative and finite, got epsilon=-1.0"),
+    ("rarefaction_profile epsilon inf",
+     lambda: rarefaction_profile(5.0, 1.0, BETA_FAN, ALPHA, INF, GAS, REF, STATE2),
+     DomainError, "shock strength must be nonnegative and finite, got epsilon=inf"),
     ("gradient_jump r <= 0", lambda: gradient_jump(0.0, GAS, 1.0),
      DomainError, "gradient jump needs r > 0"),
     ("gradient_jump r inf", lambda: gradient_jump(INF, GAS, 1.0),
@@ -93,6 +116,14 @@ CASES = [
      DomainError, "shock locus needs t > 0"),
     ("shock_locus t nan", lambda: shock_locus(NAN, BETA_SHOCK, ALPHA, 0.1, GAS, REF),
      DomainError, "shock locus needs t > 0"),
+    ("shock_locus epsilon < 0", lambda: shock_locus(1.0, BETA_SHOCK, ALPHA, -1.0, GAS, REF),
+     DomainError, "shock strength must be nonnegative and finite, got epsilon=-1.0"),
+    ("shock_locus epsilon inf", lambda: shock_locus(1.0, BETA_SHOCK, ALPHA, INF, GAS, REF),
+     DomainError, "shock strength must be nonnegative and finite, got epsilon=inf"),
+    ("shock_strength epsilon < 0", lambda: shock_strength(BETA_SHOCK, ALPHA, -1.0, GAS),
+     DomainError, "shock strength must be nonnegative and finite, got epsilon=-1.0"),
+    ("shock_strength epsilon nan", lambda: shock_strength(BETA_SHOCK, ALPHA, NAN, GAS),
+     DomainError, "shock strength must be nonnegative and finite, got epsilon=nan"),
     ("F_eval tan^2 < 0", lambda: F_eval(1.1, -1.0, GAS),
      DomainError, "tan_sq_phi_i must be nonnegative"),
     ("F_eval tan^2 nan", lambda: F_eval(1.1, NAN, GAS),

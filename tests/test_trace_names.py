@@ -29,3 +29,25 @@ def test_traced_function_resolves(qual):
     mod_name, func = qual.split(".")
     module = importlib.import_module(f"{tracing.PACKAGE}.{mod_name}")
     assert callable(getattr(module, func, None)), qual
+
+
+class _ParseConfigReached(Exception):
+    """Raised from the stub put in place of cli.parse_config."""
+
+
+@pytest.mark.parametrize("argv", [
+    ["front", "--xi_count", "5"],  # the plain grammar: read by the walk
+    ["front", "--xi-count", "5"],  # a hyphenated key: read by argparse
+])
+def test_main_calls_parse_config_through_the_module(monkeypatch, argv):
+    # perfbench/probe.py times set-up by patching cli.parse_config, and the
+    # tracer wraps it the same way, so both parsing paths must look it up there
+    from vdwshock import cli
+
+    def stub(*args):
+        raise _ParseConfigReached(args)
+
+    monkeypatch.setattr(cli, "parse_config", stub)
+    with pytest.raises(_ParseConfigReached) as info:
+        cli.main(argv)
+    assert info.value.args[0] == (None, {"xi_count": 5})

@@ -114,11 +114,14 @@ def rarefaction_profile(
     Ahead of the front (r >= c0*kappa0*t) the uniform reflected state holds;
     behind it the phase-root correction is added with net amplitude
     epsilon^2 * C / sqrt(r), continuous across the front.  state2 is the
-    first-order triple (rho, U, V) of the reflected state on this ray.
+    first-order triple (rho, U, V) of the reflected state on this ray.  t and r
+    must be finite and above 0 on both sides of the front.
     """
     check_strength(epsilon)
     if classify_front(beta_angle, alpha).kind != "rarefaction":
         raise ClassificationError("rarefaction profile needs beta < alpha")
+    check_positive(t, "t", "rarefaction profile")
+    check_positive(r, "r", "phase root")  # psi_root's own test, run ahead of the front too
     rho2_1, u2_1, v2_1 = state2
     rho2 = ref.rho0 * (1.0 + rho2_1 * epsilon)
     u2 = ref.c0 * u2_1 * epsilon

@@ -1,0 +1,116 @@
+"""The gate's two oracle checks validate once and call the unchecked kernels.
+
+``reference_cubic_cells`` below is the cubic check's loop as it was before
+the flattening: it builds each cell's cubic with the public
+``cubic_coefficients``, takes the residual from ``cubic_value`` and the
+coefficient-sum reference from ``F_eval``, and keeps its maxima with
+``max()``.  The shipped check must give the same floats, cell by cell, and
+the same result.
+"""
+
+import importlib
+import pkgutil
+
+import vdwshock
+from vdwshock import checks
+from vdwshock.regular_reflection import (F_eval, _bisection_root, cubic_coefficients, cubic_value,
+                                         positive_root)
+from vdwshock.shock_relations import beta_upper
+from vdwshock.thermo import GasModel
+
+MODULES = [vdwshock] + [
+    importlib.import_module(f"vdwshock.{info.name}")
+    for info in pkgutil.iter_modules(vdwshock.__path__)
+]
+
+
+def reference_cubic_cells():
+    """(x_c, x_b, scaled residual, coefficient-sum error) of each admissible cell."""
+    betas = [1.1 + 0.1 * i for i in range(29)]
+    btildes = [0.05 * i for i in range(15)]
+    cells = []
+    for g in [1.1, 1.4, 5.0 / 3.0]:
+        for bt in btildes:
+            gas = GasModel(g, bt)
+            upper = beta_upper(g, bt)
+            for beta in betas:
+                if not 1.0 < beta <= upper * (1.0 + 1e-12):
+                    continue
+                cubic = cubic_coefficients(beta, gas)
+                x_c = positive_root(cubic)
+                x_b = _bisection_root(cubic)
+                scale = cubic.h3 * x_c ** 3
+                h_sum = cubic.h0 + cubic.h1 + cubic.h2 + cubic.h3
+                f0 = F_eval(beta, 0.0, gas)
+                cells.append((x_c, x_b, abs(cubic_value(cubic, x_c)) / scale,
+                              abs(h_sum - f0) / abs(f0)))
+    return cells
+
+
+def reference_cubic_check(cells):
+    worst_res = worst_root = worst_sum = 0.0
+    for x_c, x_b, res, sum_err in cells:
+        worst_root = max(worst_root, abs(x_c - x_b))
+        worst_res = max(worst_res, res)
+        worst_sum = max(worst_sum, sum_err)
+    ok = worst_res <= 1e-9 and worst_root <= 1e-10 and worst_sum <= 1e-12
+    note = (
+        f"{len(cells)} admissible cells; max |F(x*)|/(h3 x*^3)={worst_res:.3e}, "
+        f"max root disagreement={worst_root:.3e}, max coefficient-sum error={worst_sum:.3e}"
+    )
+    return checks._result(
+        "cubic_self_consistency", ok, max(worst_res, worst_root, worst_sum), 1e-9, note
+    )
+
+
+def _hex(cells):
+    return [tuple(map(float.hex, cell)) for cell in cells]
+
+
+def test_flat_cubic_cells_match_the_public_functions():
+    want = reference_cubic_cells()
+    assert len(want) == 648
+    assert _hex(checks._cubic_cells()) == _hex(want)
+
+
+def test_flat_cubic_check_matches_the_reference():
+    want = reference_cubic_check(reference_cubic_cells())
+    got = checks.check_cubic_self_consistency()
+    assert got == want
+    assert got.residual.hex() == want.residual.hex()
+    assert got.note == want.note
+    assert got.status == checks.PASS
+
+
+def count_calls(monkeypatch, names):
+    """Count each name's calls in every vdwshock module that binds it (at least one)."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        bound = [m for m in MODULES if name in vars(m)]
+        original = getattr(bound[0], name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in bound:
+            monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+CHECKED = ("validate_gas", "check_incident_beta", "cubic_coefficients", "F_eval", "criterion")
+
+
+def test_cubic_check_validates_each_gas_once(monkeypatch):
+    counts = count_calls(monkeypatch, CHECKED)
+    assert checks.check_cubic_self_consistency().status == checks.PASS
+    # three gammas by 15 btildes; no cell goes through a checked entry point
+    assert counts == {"validate_gas": 45, "check_incident_beta": 0, "cubic_coefficients": 0,
+                      "F_eval": 0, "criterion": 0}
+
+
+def test_reflection_check_builds_no_criterion_report(monkeypatch):
+    counts = count_calls(monkeypatch, ["criterion"])
+    assert checks.check_reflection_solve().status == checks.PASS
+    assert counts == {"criterion": 0}
+

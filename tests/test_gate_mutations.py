@@ -9,7 +9,8 @@ module that binds the kernel's name, then runs the whole gate.  A
 mutant is killed when a check other than the two deliberate failures
 (table_trends and cli_determinism) fails, or when the gate raises.  The kill
 matrix (mutant x check) is printed; run with ``pytest -s`` or ``-rA`` to see
-it.
+it.  Each row's kill, the set of non-deliberate checks that fail or the name
+of the exception, is pinned in KILLS.
 
 Mutants the gate does not kill are strict xfails that name the gap: a new
 gate check or a tighter tolerance would flip them, and strict mode then
@@ -153,6 +154,48 @@ SURVIVORS = {
 }
 
 
+#: mutant -> the non-deliberate checks it fails, or the exception the gate raises;
+#: recorded from the matrix, so a kill that moves to another check shows
+KILLS = {
+    "_coeffs.h0": "InternalInconsistencyError",
+    "_coeffs.h1": "InternalInconsistencyError",
+    "_coeffs.h2": "InternalInconsistencyError",
+    "_coeffs.h3": "InternalInconsistencyError",
+    "positive_root": ("cubic_self_consistency",),
+    "_beta_r_of": ("reflection_solve",),
+    "_branches.minus": "InternalInconsistencyError",
+    "_tan_delta_r": "InternalInconsistencyError",
+    "_jump.pressure_ratio": (),
+    "_jump.tan_deflection": "InternalInconsistencyError",
+    "_jump.M_up_sq": (),
+    "_jump.M_down_sq": (),
+    "beta_upper": (),
+    "solve_regular_reflection.beta_r": (),
+    "solve_regular_reflection.phi_r": ("reflection_solve",),
+    "solve_regular_reflection.delta_r": ("reflection_solve",),
+    "solve_regular_reflection.M2_sq": (),
+    "solve_regular_reflection.state2.rho2": (),
+    "solve_regular_reflection.state2.u2": (),
+    "solve_regular_reflection.state2.v2": (),
+    "solve_regular_reflection.state2.p2": (),
+    "_row": ("linear_field",),
+    "_interior_cells": ("linear_field",),
+    "_front_coefficient": (),
+    "_arc_value": (),
+    "_loci": (),
+    "gradient_jump": (),
+    "shock_strength": (),
+    "shock_locus": (),
+    "psi_root": ("front_corrections",),
+    "_parabola": ("inner_region",),
+    "_lift": (),
+    "reference_constants.a0": (),
+    "reference_constants.kappa0": ("inner_region",),
+    "reference_constants.c0": (),
+    "_region": (),
+}
+
+
 def _gate_under(name, wrap):
     with pytest.MonkeyPatch.context() as mp:
         bound = [m for m in MODULES if name in vars(m)]
@@ -187,10 +230,15 @@ def matrix(unmutated):
     return rows
 
 
-def killed(row):
+def kills(row):
     if isinstance(row, str):
-        return True
-    return any(status == checks.FAIL and name not in DELIBERATE for name, status in row.items())
+        return row
+    return tuple(sorted(name for name, status in row.items()
+                        if status == checks.FAIL and name not in DELIBERATE))
+
+
+def killed(row):
+    return bool(kills(row))
 
 
 def test_unmutated_gate_fails_only_deliberately(unmutated):
@@ -205,3 +253,8 @@ def test_unmutated_gate_fails_only_deliberately(unmutated):
 ])
 def test_gate_kills_mutant(matrix, mutant):
     assert killed(matrix[mutant]), matrix[mutant]
+
+
+def test_kill_matrix_is_pinned(matrix):
+    assert {mutant: kills(row) for mutant, row in matrix.items()} == KILLS
+    assert {mutant for mutant, kill in KILLS.items() if not kill} == set(SURVIVORS)

@@ -104,6 +104,15 @@ CASES = [
     ("rarefaction_profile epsilon inf",
      lambda: rarefaction_profile(5.0, 1.0, BETA_FAN, ALPHA, INF, GAS, REF, STATE2),
      DomainError, "shock strength must be nonnegative and finite, got epsilon=inf"),
+    ("rarefaction_profile t < 0",
+     lambda: rarefaction_profile(5.0, -1.0, BETA_FAN, ALPHA, 0.1, GAS, REF, STATE2),
+     DomainError, "rarefaction profile needs t > 0"),
+    ("rarefaction_profile t nan",
+     lambda: rarefaction_profile(5.0, NAN, BETA_FAN, ALPHA, 0.1, GAS, REF, STATE2),
+     DomainError, "rarefaction profile needs t > 0"),
+    ("rarefaction_profile r inf",
+     lambda: rarefaction_profile(INF, 1.0, BETA_FAN, ALPHA, 0.1, GAS, REF, STATE2),
+     DomainError, "phase root needs a finite r, got inf"),
     ("gradient_jump r <= 0", lambda: gradient_jump(0.0, GAS, 1.0),
      DomainError, "gradient jump needs r > 0"),
     ("gradient_jump r inf", lambda: gradient_jump(INF, GAS, 1.0),

@@ -1,0 +1,37 @@
+"""No module-level import in the package's modules goes unused.
+
+A name is used when the module's syntax tree loads it anywhere; an
+annotation counts.  ``__init__.py`` is left out: its imports are the
+package's re-exports.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "vdwshock"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source):
+    tree = ast.parse(source)
+    imported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    used = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(imported - used)
+
+
+def test_the_check_sees_an_unused_import():
+    source = "from math import pi, tau\nimport os.path\nimport sys\nprint(tau)\nsys = 1\n"
+    assert unused_imports(source) == ["os", "pi", "sys"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_has_no_unused_import(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

@@ -546,26 +546,42 @@ def check_cli_determinism(other_results: list[CheckResult], cfg: RunConfig) -> C
                    0.0, f"{reruns}; {exits}")
 
 
+def _run(name: str, check, *args) -> CheckResult:
+    """check(*args), or a FAIL entry named name when a kernel raises inside it.
+
+    A DomainError or InternalInconsistencyError is the gate's finding, not its
+    end: the entry has no residual and its note names the exception.
+    """
+    try:
+        return check(*args)
+    except (DomainError, InternalInconsistencyError) as exc:
+        return CheckResult(name, FAIL, None, None, f"raised {type(exc).__name__}: {exc}")
+
+
 def run_all_checks() -> list[CheckResult]:
     """All release-gate checks in their criterion order.
 
     The default threshold table is built once per call and shared by the two
-    table checks; it is not cached across calls.
+    table checks; it is not cached across calls.  A kernel that raises fails
+    the check it runs in (both table checks when the table build raises), and
+    every other check still runs.
     """
     cfg = RunConfig()
-    grid = table_generate(cfg.beta_grid, cfg.btilde_grid, 1.4)
+    grid = _run("table_trends", table_generate, cfg.beta_grid, cfg.btilde_grid, 1.4)
+    built = not isinstance(grid, CheckResult)  # else grid is the failed build's entry
     results = [
-        check_cubic_self_consistency(),
-        check_table_trends(grid, cfg),
-        check_branch_limits(),
-        check_reflection_solve(),
-        check_geometry_incidence(),
-        check_linear_field(),
-        check_front_corrections(),
-        check_inner_region(),
+        _run("cubic_self_consistency", check_cubic_self_consistency),
+        _run("table_trends", check_table_trends, grid, cfg) if built else grid,
+        _run("branch_limits", check_branch_limits),
+        _run("reflection_solve", check_reflection_solve),
+        _run("geometry_incidence", check_geometry_incidence),
+        _run("linear_field", check_linear_field),
+        _run("front_corrections", check_front_corrections),
+        _run("inner_region", check_inner_region),
     ]
-    fixture = check_table_fixture_comparison(grid)
-    return results + [check_cli_determinism(results, cfg), fixture]
+    fixture = (_run("table_fixture_comparison", check_table_fixture_comparison, grid) if built
+               else grid._replace(name="table_fixture_comparison"))
+    return results + [_run("cli_determinism", check_cli_determinism, results, cfg), fixture]
 
 
 def report_payload(results: list[CheckResult]) -> dict:

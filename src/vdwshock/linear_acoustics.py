@@ -76,8 +76,10 @@ def busemann_variable(xi_over_kappa0: float) -> float:
     sigma = xi_over_kappa0
     if not 0.0 <= sigma <= 1.0 + 1e-12:
         raise DomainError(f"xi/kappa0 must lie in [0, 1], got {sigma}")
-    sigma = min(sigma, 1.0)
-    return sigma / (1.0 + math.sqrt(max(0.0, 1.0 - sigma * sigma)))
+    if sigma > 1.0:
+        sigma = 1.0
+    # 0 <= sigma <= 1 here, so 1 - sigma^2 is >= +0.0
+    return sigma / (1.0 + math.sqrt(1.0 - sigma * sigma))
 
 
 def atan_zero_pi(num: float, den: float) -> float:
@@ -225,7 +227,7 @@ def _row(
     if sigma >= 1.0:
         return TAG_DIFFRACTION, arcs
     if 1.0 - sigma < FRONT_RING:
-        ring = math.sqrt(max(0.0, 1.0 - sigma))
+        ring = math.sqrt(1.0 - sigma)  # sigma < 1, so 1 - sigma > 0
         return TAG_NEAR_FRONT, [arc + near_front_coefficient(theta, alpha) * ring
                                 for theta, arc in zip(thetas, arcs)]
     return TAG_DIFFRACTION, _interior_cells(busemann_variable(sigma), mu, cos_bs)

@@ -86,6 +86,8 @@ def render_table(cfg: RunConfig) -> str:
     and the threshold kernel.
     """
     g = cfg.gamma
+    # looked up once per call, not at import, so a wrapper patched onto the module is seen
+    threshold, degrees = regular_reflection._threshold, math.degrees
     columns = []
     for bt in cfg.btilde_grid:
         validate_gas(GasModel(gamma=g, btilde=bt))
@@ -104,15 +106,16 @@ def render_table(cfg: RunConfig) -> str:
             if not _within(beta, upper):
                 cells.append(f"{bt_cell}false,,,{fix_cell},")
                 continue
-            _h, _x, j, phi = regular_reflection._threshold(beta, g, bt)
-            # J = max(0.0, .), phi_star_deg = degrees(atan(sqrt(J))) and abs_diff = abs(.)
-            # are never -0.0, so "%.12g" prints them as _fmt_float does; no cell holds a "%"
+            _h, _x, j, phi = threshold(beta, g, bt)
+            # J (clamped to +0.0 when not > 0), phi_star_deg = degrees(atan(sqrt(J))) and
+            # abs_diff = abs(.) are never -0.0, so "%.12g" prints them as _fmt_float does;
+            # no cell holds a "%"
             if fix is None:
                 cells.append(admitted)
-                values += j, math.degrees(phi)
+                values += j, degrees(phi)
             else:
                 cells.append(f"{bt_cell}true,%.12g,%.12g,{fix_cell},%.12g")
-                values += j, math.degrees(phi), abs(j - fix)
+                values += j, degrees(phi), abs(j - fix)
         if cells:  # a hand-built RunConfig may hold an empty btilde grid
             lines.append((head + ("\n" + head).join(cells)) % tuple(values))
     header = ["beta_i", "btilde", "admissible", "J", "phi_star_deg", "fixture_J", "abs_diff"]

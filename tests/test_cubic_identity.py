@@ -147,6 +147,27 @@ def test_branches_kernel_returns_the_quadratic_roots(b, tan_i, g, bt):
     assert abs(sp.Rational(f_value) - disc) <= sp.Rational(1, 10 ** 12) * abs(disc)
 
 
+def test_weak_shock_expansion_of_the_threshold_cubic():
+    # beta_i = 1 + eps and X = 1 + beta_i*J: beta_i times the printed cubic is
+    # c3 J^3 + c2 J^2 + c1 J + c0, and the root J ~ -c0/c1 is first order in eps
+    eps, j = sp.symbols("epsilon J")
+    b = 1 + eps
+    x = 1 + b * j
+    cubic = sum(h.subs(beta, b) * x ** k for k, h in enumerate(printed_coefficients()))
+    poly = sp.Poly(sp.expand(sp.cancel(b * cubic)), j)
+    assert poly.degree() == 3
+    c0, c1, c2, c3 = (poly.coeff_monomial(j ** k) for k in range(4))
+    g, bt = gamma, btilde
+    assert sp.expand(c3 - b ** 5 * (1 - bt * b) ** 2) == 0
+    assert sp.expand(c0 - eps * b * (g + 1) * (2 * bt * b - (g + 1) * eps - 2)) == 0
+    p2, p1 = sp.cancel(c2 / b ** 3), sp.cancel(c1 / b)
+    assert sp.fraction(p2)[1] == 1 and sp.fraction(p1)[1] == 1  # polynomials
+    assert sp.expand(p2.subs(eps, 0) - 2 * (1 - bt) ** 2) == 0
+    assert sp.expand(p1.subs(eps, 0) - (1 - bt) ** 2) == 0
+    lead = sp.series(-c0 / c1, eps, 0, 2).removeO()
+    assert sp.simplify(lead - 2 * (g + 1) * eps / (1 - bt)) == 0
+
+
 def beta_star_quadratic(g, b):
     return (g - 2) * (g + 1) * b ** 2 - 2 * g * (g - 3) * b + (g - 2) * (g - 3)
 

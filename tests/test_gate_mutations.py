@@ -7,7 +7,10 @@ Each mutant scales one result of one private kernel by (1 + 1e-7), or for
 the region decision swaps the Omega1 and Omega2 labels, in every vdwshock
 module that binds the kernel's name, then runs the whole gate.  A
 mutant is killed when a check other than the two deliberate failures
-(table_trends and cli_determinism) fails, or when the gate raises.  The kill
+(table_trends and cli_determinism) fails, or when the gate raises.  A
+DomainError or InternalInconsistencyError raised by a kernel becomes the FAIL
+entry of the check it runs in (of both table checks when the default table
+build raises), so only another exception type aborts the gate.  The kill
 matrix (mutant x check) is printed; run with ``pytest -s`` or ``-rA`` to see
 it.  Each row's kill, the set of non-deliberate checks that fail or the name
 of the exception, is pinned in KILLS.
@@ -17,13 +20,16 @@ gate check or a tighter tolerance would flip them, and strict mode then
 requires the mark to go.
 """
 
+import contextlib
 import importlib
+import json
 import pkgutil
 
 import pytest
 
 import vdwshock
-from vdwshock import checks
+from vdwshock import checks, cli
+from vdwshock.errors import DomainError
 
 SCALE = 1.0 + 1e-7
 DELIBERATE = {"table_trends", "cli_determinism"}
@@ -157,16 +163,16 @@ SURVIVORS = {
 #: mutant -> the non-deliberate checks it fails, or the exception the gate raises;
 #: recorded from the matrix, so a kill that moves to another check shows
 KILLS = {
-    "_coeffs.h0": "InternalInconsistencyError",
-    "_coeffs.h1": "InternalInconsistencyError",
-    "_coeffs.h2": "InternalInconsistencyError",
-    "_coeffs.h3": "InternalInconsistencyError",
+    "_coeffs.h0": ("cubic_self_consistency", "reflection_solve", "table_fixture_comparison"),
+    "_coeffs.h1": ("cubic_self_consistency", "reflection_solve", "table_fixture_comparison"),
+    "_coeffs.h2": ("cubic_self_consistency", "reflection_solve", "table_fixture_comparison"),
+    "_coeffs.h3": ("cubic_self_consistency", "reflection_solve", "table_fixture_comparison"),
     "positive_root": ("cubic_self_consistency",),
     "_beta_r_of": ("reflection_solve",),
-    "_branches.minus": "InternalInconsistencyError",
-    "_tan_delta_r": "InternalInconsistencyError",
+    "_branches.minus": ("reflection_solve",),
+    "_tan_delta_r": ("reflection_solve",),
     "_jump.pressure_ratio": (),
-    "_jump.tan_deflection": "InternalInconsistencyError",
+    "_jump.tan_deflection": ("reflection_solve",),
     "_jump.M_up_sq": (),
     "_jump.M_down_sq": (),
     "beta_upper": (),
@@ -196,7 +202,9 @@ KILLS = {
 }
 
 
-def _gate_under(name, wrap):
+@contextlib.contextmanager
+def mutated(name, wrap):
+    """Every vdwshock module that binds the kernel name sees wrap(kernel) instead."""
     with pytest.MonkeyPatch.context() as mp:
         bound = [m for m in MODULES if name in vars(m)]
         original = getattr(bound[0], name)
@@ -204,6 +212,11 @@ def _gate_under(name, wrap):
         for module in bound:
             assert getattr(module, name) is original, (module.__name__, name)
             mp.setattr(module, name, mutant)
+        yield
+
+
+def _gate_under(name, wrap):
+    with mutated(name, wrap):
         try:
             return {r.name: r.status for r in checks.run_all_checks()}
         except Exception as exc:  # a raise is a kill
@@ -258,3 +271,36 @@ def test_gate_kills_mutant(matrix, mutant):
 def test_kill_matrix_is_pinned(matrix):
     assert {mutant: kills(row) for mutant, row in matrix.items()} == KILLS
     assert {mutant for mutant, kill in KILLS.items() if not kill} == set(SURVIVORS)
+
+
+def test_check_command_reports_a_kernel_that_raises(capsys):
+    # the first mutant makes positive_root raise in the table build and in
+    # three checks; the command still prints the whole report
+    with mutated(*MUTANTS["_coeffs.h0"]):
+        code = cli.main(["check"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (3, "")
+    entries = json.loads(out)["checks"]
+    assert len(entries) == 10
+    raised = {e["name"]: e for e in entries if e["note"].startswith("raised ")}
+    assert set(raised) == {"cubic_self_consistency", "table_trends", "reflection_solve",
+                           "cli_determinism", "table_fixture_comparison"}
+    for entry in raised.values():
+        assert (entry["status"], entry["residual"], entry["tolerance"]) == (checks.FAIL, None, None)
+        assert entry["note"].startswith(
+            "raised InternalInconsistencyError: cubic root methods disagree"), entry
+
+
+def test_a_failed_table_build_fails_both_table_checks(monkeypatch, unmutated):
+    def raising(*args):
+        raise DomainError("table build failed")
+
+    monkeypatch.setattr(checks, "table_generate", raising)
+    results = checks.run_all_checks()
+    assert [r.name for r in results] == list(unmutated)
+    failed = [r for r in results if r.name in ("table_trends", "table_fixture_comparison")]
+    assert [(r.status, r.residual, r.note) for r in failed] == (
+        2 * [(checks.FAIL, None, "raised DomainError: table build failed")])
+    assert {r.name: r.status for r in results if r not in failed} == {
+        name: status for name, status in unmutated.items() if name not in
+        ("table_trends", "table_fixture_comparison")}

@@ -10,7 +10,9 @@ from .config import RunConfig
 from .errors import DomainError, InternalInconsistencyError
 from .shock_relations import _within, beta_upper
 from .table_fixture import fixture_column, fixture_row
-from .thermo import GasModel, reference_constants, validate_gas
+from .thermo import GasModel, _a0_kappa0, check_reference, reference_constants, validate_gas
+
+_SCALARS = frozenset((type(None), bool, int, float, str))  # the value types of a flat object
 
 
 def fmt(value) -> str:
@@ -43,6 +45,13 @@ def _csv(header: list[str], lines: list[str]) -> str:
 
 def json_text(payload) -> str:
     """Strict JSON: a NaN or infinity in the payload is an internal fault."""
+    # json's C encoder runs only without indent; ",\n  " between items gives the indent=2 bytes
+    if type(payload) is dict and payload and all(type(v) in _SCALARS for v in payload.values()):
+        try:
+            body = json.dumps(payload, sort_keys=True, allow_nan=False, separators=(",\n  ", ": "))
+            return "{\n  " + body[1:-1] + "\n}\n"
+        except ValueError:  # worded below by the encoder that names the value
+            pass
     try:
         return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     except ValueError as exc:
@@ -150,26 +159,33 @@ def render_front(cfg: RunConfig) -> str:
     alpha, beta_angle = cfg.alpha, cfg.beta_angle
     if beta_angle <= alpha:
         raise DomainError("front command needs beta_deg > alpha_deg (shock side of the sonic ray)")
+    g, top, rho0 = cfg.gamma, cfg.btilde_sweep_max, cfg.rho0
+    sweep = _linspace(0.0, top, cfg.btilde_sweep_count)
+    if sweep:  # row 0's checks, run once: a later row differs from it only in btilde
+        validate_gas(GasModel(gamma=g, btilde=sweep[0]))
+        check_reference(rho0, cfg.p0)
+        if top < 1.0 <= sweep[-1]:  # step*(count - 1) can round up to 1 below a top < 1
+            sweep[-1] = top
     c_val = None
     lines = []
-    for bt in _linspace(0.0, cfg.btilde_sweep_max, cfg.btilde_sweep_count):
-        gas = GasModel(gamma=cfg.gamma, btilde=bt)
-        ref = reference_constants(cfg.rho0, cfg.p0, gas)
-        # the gas is checked by reference_constants, r > 0 by the config
-        jump = nonlinear_front._gradient_jump(cfg.gamma, bt, cfg.r, cfg.rho0)
+    for bt in sweep:
+        if not 0.0 <= bt < 1.0:
+            validate_gas(GasModel(gamma=g, btilde=bt))  # raises with the gas check's text
+        a0 = _a0_kappa0(g, bt, rho0, cfg.p0)[0]
+        jump = nonlinear_front._gradient_jump(g, bt, cfg.r, rho0)  # r > 0 by the config
         if c_val is None:  # class and C hang on the angles alone: evaluated once, where
             # row 0 first needed them, so that every error keeps its precedence
             nonlinear_front.classify_front(beta_angle, alpha)  # raises on the sonic ray
             c_val = nonlinear_front.c_beta(beta_angle, alpha)
         try:
-            q, strength = nonlinear_front._shock_terms(cfg.gamma, bt, cfg.epsilon, c_val)
+            q, strength = nonlinear_front._shock_terms(g, bt, cfg.epsilon, c_val)
         except DomainError:  # reported below with the sweep's own message
             q = strength = math.inf
-        row = (bt, jump, ref.a0 * cfg.t * (1.0 + q) / cfg.t, strength)
+        row = (bt, jump, a0 * cfg.t * (1.0 + q) / cfg.t, strength)
         if not all(map(math.isfinite, row)):
-            raise DomainError(f"front quantities overflow at btilde={bt} for gamma={cfg.gamma}, "
+            raise DomainError(f"front quantities overflow at btilde={bt} for gamma={g}, "
                               f"epsilon={cfg.epsilon} (r={cfg.r}, t={cfg.t})")
-        # no -0.0, so "%.12g" prints each cell as _fmt_float: bt = 0.0 + step*i, jump and
+        # no -0.0, so "%.12g" prints each cell as _fmt_float: bt is 0.0 + step*i or top, jump and
         # locus are positive factors, and in eps*eps*C*C*... (x*C)*C is >= +0.0 for x >= +0.0
         lines.append("%.12g,%.12g,%.12g,%.12g" % row)
     header = ["btilde", "gradient_jump", "shock_locus_coeff", "shock_strength"]

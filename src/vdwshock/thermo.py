@@ -109,21 +109,30 @@ def thermo_eval(
 def reference_constants(rho0: float, p0: float, gas: GasModel) -> ReferenceState:
     """Build the upstream ReferenceState; c0*kappa0 = a0 by construction."""
     validate_gas(gas)
+    check_reference(rho0, p0)
+    a0, kappa0 = _a0_kappa0(gas.gamma, gas.btilde, rho0, p0)
+    return ReferenceState(rho0=rho0, p0=p0, a0=a0, kappa0=kappa0, c0=a0 / kappa0)
+
+
+def check_reference(rho0: float, p0: float) -> None:
+    """Reject an upstream density or pressure that is not a finite float above 0."""
     if rho0 <= 0.0 or p0 <= 0.0:
         raise DomainError("reference density and pressure must be positive")
     if not (math.isfinite(rho0) and math.isfinite(p0)):
         raise DomainError(f"reference density and pressure must be finite, got {rho0}, {p0}")
-    den = rho0 * (1.0 - gas.btilde)
-    a0 = math.sqrt(gas.gamma * p0 / den) if den > 0.0 else 0.0
+
+
+def _a0_kappa0(g: float, bt: float, rho0: float, p0: float) -> tuple[float, float]:
+    """Unchecked (a0, kappa0) of a valid gas (g, bt) at a valid (rho0, p0)."""
+    den = rho0 * (1.0 - bt)
+    a0 = math.sqrt(g * p0 / den) if den > 0.0 else 0.0
     if not 0.0 < a0 < math.inf:  # the quotient left the float range: root each factor
-        a0 = math.sqrt(gas.gamma) * (math.sqrt(p0) / math.sqrt(rho0)) / math.sqrt(1.0 - gas.btilde)
+        a0 = math.sqrt(g) * (math.sqrt(p0) / math.sqrt(rho0)) / math.sqrt(1.0 - bt)
     try:
-        kappa0 = (1.0 - gas.btilde) ** (-(gas.gamma + 1.0) / 2.0)
+        kappa0 = (1.0 - bt) ** (-(g + 1.0) / 2.0)
     except OverflowError:
         kappa0 = math.inf
     if not (0.0 < a0 < math.inf and kappa0 < math.inf):
-        raise DomainError(
-            f"reference constants a0, kappa0 leave the float range at gamma={gas.gamma}, "
-            f"btilde={gas.btilde}, rho0={rho0}, p0={p0}"
-        )
-    return ReferenceState(rho0=rho0, p0=p0, a0=a0, kappa0=kappa0, c0=a0 / kappa0)
+        raise DomainError(f"reference constants a0, kappa0 leave the float range at gamma={g}, "
+                          f"btilde={bt}, rho0={rho0}, p0={p0}")
+    return a0, kappa0

@@ -1,6 +1,36 @@
+import importlib
+import pkgutil
+
 import pytest
 
+import vdwshock
 from vdwshock.thermo import GasModel, reference_constants
+
+MODULES = [vdwshock] + [
+    importlib.import_module(f"vdwshock.{info.name}")
+    for info in pkgutil.iter_modules(vdwshock.__path__)
+]
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count(names) -> {name: calls since}, seen in every vdwshock module that binds the name."""
+
+    def count(names):
+        counts = dict.fromkeys(names, 0)
+        for name in names:
+            bound = [m for m in MODULES if name in vars(m)]
+            original = getattr(bound[0], name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            for module in bound:
+                monkeypatch.setattr(module, name, counted)
+        return counts
+
+    return count
 
 
 @pytest.fixture

@@ -159,6 +159,53 @@ class TestNonFiniteInput:
         with pytest.raises(InternalInconsistencyError, match="non-finite"):
             json_text({"J": math.nan})
 
+    @pytest.mark.parametrize("payload, value", [({"J": math.nan}, "nan"),
+                                                ({"J": 1.0, "x": -math.inf}, "-inf"),
+                                                ([{"J": math.inf}], "inf")])
+    def test_json_error_names_the_value(self, payload, value):
+        # the flat objects' C encoder leaves the value out of its message; the text keeps it
+        with pytest.raises(InternalInconsistencyError) as info:
+            json_text(payload)
+        assert str(info.value) == ("non-finite value in JSON output: "
+                                   f"Out of range float values are not JSON compliant: {value}")
+
+
+FLAT_VALUES = st.one_of(
+    st.none(), st.booleans(),
+    st.integers(min_value=-(10 ** 400), max_value=10 ** 400),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-2.3e-308, max_value=2.3e-308),  # subnormal and zero, signed
+    st.text(max_size=8),  # non-ASCII and control characters included
+)
+FLAT_OBJECTS = st.dictionaries(st.text(max_size=6), FLAT_VALUES, min_size=1, max_size=6)
+
+
+class TestJsonText:
+    # a non-empty flat object is written by json's C encoder, every other
+    # payload by its indent=2 Python encoder; the bytes must not tell which.
+    # 100 examples of 30 objects each take half the time of 3,000 examples
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(st.lists(FLAT_OBJECTS, min_size=30, max_size=30))
+    @example([{"\u00e9\U0001f600": 5e-324, "b": -(10 ** 300), "c": "\u2028\x00\"\\\ud800",
+               "d": None, "e": True, "f": -0.0, "g": 1.7976931348623157e308}] * 30)
+    def test_flat_object_bytes_match_indent_2(self, payloads):
+        want = [json.dumps(p, sort_keys=True, indent=2, allow_nan=False) + "\n" for p in payloads]
+        with mock.patch("json.encoder._make_iterencode", side_effect=AssertionError("Python")):
+            assert [json_text(p) for p in payloads] == want
+
+    @pytest.mark.parametrize("payload", [{}, {"a": [1.5]}, {"a": {"b": None}}, [{"a": 1}], 2.5])
+    def test_other_payloads_keep_the_indent_2_encoder(self, payload):
+        want = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        with mock.patch("json.encoder._make_iterencode", side_effect=AssertionError("Python")):
+            with pytest.raises(AssertionError, match="Python"):
+                json_text(payload)
+        assert json_text(payload) == want
+
+    def test_criterion_report_is_flat(self, capsys):
+        with mock.patch("json.encoder._make_iterencode", side_effect=AssertionError("Python")):
+            assert cli.main(["criterion"]) == 0
+        assert set(json.loads(capsys.readouterr().out)) == CRITERION_KEYS
+
 
 class TestCountBound:
     # a count of 1e300 used to pass validation and then grow memory in the

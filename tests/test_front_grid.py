@@ -8,7 +8,9 @@ public fmt and csv_text, so the two must agree byte for byte.  Both go
 through the same unchecked kernels of nonlinear_front, the shock-side terms
 and the gradient jump, so those are pinned separately, to the last bit,
 against the formulas written out in full.  Where a sweep fails, the error the renderer raises first is
-pinned, because hoisting C out of the rows must not change which one that is.
+pinned, because hoisting C out of the rows must not change which one that is;
+nor may checking the gas and (rho0, p0) once per sweep, in row 0, instead of
+in every row's reference constants.
 """
 
 import json
@@ -18,8 +20,8 @@ import random
 import pytest
 
 from vdwshock import cli
-from vdwshock.config import parse_config
-from vdwshock.errors import DomainError
+from vdwshock.config import RunConfig, parse_config
+from vdwshock.errors import DomainError, SingularityError
 from vdwshock.nonlinear_front import (
     _gradient_jump,
     _shock_terms,
@@ -34,10 +36,17 @@ from vdwshock.thermo import GasModel, reference_constants
 HEADER = ["btilde", "gradient_jump", "shock_locus_coeff", "shock_strength"]
 
 
+def sweep_btildes(cfg):
+    """The sweep's btilde values; one that rounds up to 1 or above below a top < 1 is the top."""
+    top = cfg.btilde_sweep_max
+    return [top if top < 1.0 <= bt else bt
+            for bt in _linspace(0.0, top, cfg.btilde_sweep_count)]
+
+
 def pointwise_text(cfg):
     alpha, beta = cfg.alpha, cfg.beta_angle
     rows = []
-    for bt in _linspace(0.0, cfg.btilde_sweep_max, cfg.btilde_sweep_count):
+    for bt in sweep_btildes(cfg):
         gas = GasModel(cfg.gamma, bt)
         ref = reference_constants(cfg.rho0, cfg.p0, gas)
         jump = gradient_jump(cfg.r, gas, cfg.rho0)
@@ -90,6 +99,32 @@ def test_sweep_matches_pointwise_rebuild(seed):
 def test_default_sweep_matches_pointwise_rebuild():
     cfg = parse_config(None, {})
     assert render_front(cfg) == pointwise_text(cfg)
+
+
+TOP = "0.9999999999999999"  # the largest float below 1
+
+
+def test_sweep_that_rounds_up_to_one_ends_at_its_top(capsys):
+    # _linspace(0, TOP, 4) ends at 1.0: this exited 2 with "btilde must be below 1, got 1.0"
+    assert _linspace(0.0, float(TOP), 4)[-1] == 1.0
+    assert cli.main(["front", "--btilde_sweep_max", TOP, "--btilde_sweep_count", "4"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out == pointwise_text(parse_config(None, {"btilde_sweep_max": float(TOP),
+                                                     "btilde_sweep_count": 4}))
+    rows = out.split("\n")[1:-1]
+    assert len(rows) == 4 and rows[-1].startswith("1,")
+
+
+def test_sweeps_just_below_one_match_the_rebuild():
+    rounded_up = 0
+    for k in range(1, 5):
+        top = 1.0 - k * 2.0 ** -53
+        for count in range(2, 120):
+            cfg = RunConfig(btilde_sweep_max=top, btilde_sweep_count=count)
+            rounded_up += _linspace(0.0, top, count)[-1] >= 1.0
+            assert render_front(cfg) == pointwise_text(cfg), (top, count)
+    assert rounded_up > 10  # every one of these exited 2
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -169,6 +204,7 @@ def cli_error(capsys, argv):
 
 
 SONIC = "front type is undefined on the sonic ray beta = alpha"
+SONIC_RAY = {"beta_deg": 45.00000000001}
 # radians(beta_deg) rounds up to pi - alpha although beta_deg < 180 - alpha_deg
 EDGE = ["--alpha_deg", "75.65354478572928", "--beta_deg", "104.3464552142707"]
 EDGE_MESSAGE = "ray angle must lie in [0, pi - alpha), got 1.821189206273829"
@@ -211,3 +247,50 @@ class TestErrorPrecedence:
     def test_first_error_wins(self, capsys, argv, message):
         code, got = cli_error(capsys, ["front", *argv])
         assert (code, got) == (2, message)
+
+    # a hand-built RunConfig skips validate_config, so the sweep's own checks
+    # meet these; each raises what the per-row reference constants raised
+    @pytest.mark.parametrize("fields, error, message", [
+        ({"gamma": 1.0}, DomainError, "gamma must exceed 1, got 1.0"),
+        ({"gamma": 0.5, **SONIC_RAY}, DomainError, "gamma must exceed 1, got 0.5"),
+        ({"gamma": math.inf, **SONIC_RAY}, DomainError, "gamma must be finite, got inf"),
+        ({"btilde_sweep_max": 1.5}, DomainError, "btilde must be below 1, got 1.0714285714285714"),
+        ({"btilde_sweep_max": 1.5, **SONIC_RAY}, SingularityError, SONIC),
+        ({"btilde_sweep_max": 1.0}, DomainError, "btilde must be below 1, got 1.0"),
+        ({"btilde_sweep_max": math.nan}, DomainError, "btilde must be below 1, got nan"),
+        ({"btilde_sweep_max": math.nan, **SONIC_RAY}, DomainError,
+         "btilde must be below 1, got nan"),
+        ({"btilde_sweep_max": math.inf}, DomainError, "btilde must be below 1, got nan"),
+        ({"btilde_sweep_max": -0.5}, DomainError,
+         "btilde must be nonnegative, got -0.03571428571428571"),
+        ({"btilde_sweep_max": -0.5, **SONIC_RAY}, SingularityError, SONIC),
+        ({"gamma": 1.0, "btilde_sweep_max": 1.5}, DomainError, "gamma must exceed 1, got 1.0"),
+        ({"gamma": 1.0, "btilde_sweep_max": math.nan}, DomainError,
+         "gamma must exceed 1, got 1.0"),
+        ({"rho0": -1.0}, DomainError, "reference density and pressure must be positive"),
+        ({"rho0": -1.0, "btilde_sweep_max": 1.5}, DomainError,
+         "reference density and pressure must be positive"),
+        ({"rho0": -1.0, "btilde_sweep_max": math.nan}, DomainError,
+         "btilde must be below 1, got nan"),
+        ({"p0": math.inf}, DomainError,
+         "reference density and pressure must be finite, got 1.0, inf"),
+        ({"rho0": math.nan, **SONIC_RAY}, DomainError,
+         "reference density and pressure must be finite, got nan, 1.0"),
+        ({"btilde_sweep_count": 1, "gamma": 0.5}, DomainError, "gamma must exceed 1, got 0.5"),
+        ({"r": 0.0}, ZeroDivisionError, "float division by zero"),
+        ({"r": 0.0, "gamma": 0.5}, DomainError, "gamma must exceed 1, got 0.5"),
+    ])
+    def test_hand_built_config(self, fields, error, message):
+        with pytest.raises(error) as info:
+            render_front(RunConfig(**fields))
+        assert (type(info.value), str(info.value)) == (error, message)
+
+    def test_hand_built_empty_sweep_checks_nothing(self):
+        assert render_front(RunConfig(gamma=0.5, btilde_sweep_count=0)) == ",".join(HEADER) + "\n"
+
+
+def test_default_front_validates_its_gas_twice(count_calls):
+    counts = count_calls(["validate_gas", "reference_constants", "_a0_kappa0"])
+    assert cli.main(["front"]) == 0
+    # once in parse_config and once for the sweep; the 15 rows call only the kernel
+    assert counts == {"validate_gas": 2, "reference_constants": 0, "_a0_kappa0": 15}

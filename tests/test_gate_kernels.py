@@ -8,20 +8,11 @@ coefficient-sum reference from ``F_eval``, and keeps its maxima with
 the same result.
 """
 
-import importlib
-import pkgutil
-
-import vdwshock
 from vdwshock import checks
 from vdwshock.regular_reflection import (F_eval, _bisection_root, cubic_coefficients, cubic_value,
                                          positive_root)
 from vdwshock.shock_relations import beta_upper
 from vdwshock.thermo import GasModel
-
-MODULES = [vdwshock] + [
-    importlib.import_module(f"vdwshock.{info.name}")
-    for info in pkgutil.iter_modules(vdwshock.__path__)
-]
 
 
 def reference_cubic_cells():
@@ -82,35 +73,19 @@ def test_flat_cubic_check_matches_the_reference():
     assert got.status == checks.PASS
 
 
-def count_calls(monkeypatch, names):
-    """Count each name's calls in every vdwshock module that binds it (at least one)."""
-    counts = dict.fromkeys(names, 0)
-    for name in names:
-        bound = [m for m in MODULES if name in vars(m)]
-        original = getattr(bound[0], name)
-
-        def counted(*args, _name=name, _original=original, **kwargs):
-            counts[_name] += 1
-            return _original(*args, **kwargs)
-
-        for module in bound:
-            monkeypatch.setattr(module, name, counted)
-    return counts
-
-
 CHECKED = ("validate_gas", "check_incident_beta", "cubic_coefficients", "F_eval", "criterion")
 
 
-def test_cubic_check_validates_each_gas_once(monkeypatch):
-    counts = count_calls(monkeypatch, CHECKED)
+def test_cubic_check_validates_each_gas_once(count_calls):
+    counts = count_calls(CHECKED)
     assert checks.check_cubic_self_consistency().status == checks.PASS
     # three gammas by 15 btildes; no cell goes through a checked entry point
     assert counts == {"validate_gas": 45, "check_incident_beta": 0, "cubic_coefficients": 0,
                       "F_eval": 0, "criterion": 0}
 
 
-def test_reflection_check_builds_no_criterion_report(monkeypatch):
-    counts = count_calls(monkeypatch, ["criterion"])
+def test_reflection_check_builds_no_criterion_report(count_calls):
+    counts = count_calls(["criterion"])
     assert checks.check_reflection_solve().status == checks.PASS
     assert counts == {"criterion": 0}
 

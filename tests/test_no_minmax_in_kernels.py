@@ -20,6 +20,7 @@ KERNELS = {
     "regular_reflection.py": ("_coeffs", "positive_root", "_bisection_root", "_threshold"),
     "reports.py": ("render_table", "render_field", "render_front", "render_inner"),
     "linear_acoustics.py": ("busemann_variable", "_row", "_interior_cells", "density_rows"),
+    "thermo.py": ("_a0_kappa0",),  # once per front sweep row
 }
 
 

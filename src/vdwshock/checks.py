@@ -31,7 +31,7 @@ from .regular_reflection import (
     _f_terms,
     _threshold,
 )
-from .shock_relations import IncidentShockInput, beta_upper, check_incident_beta
+from .shock_relations import IncidentShockInput, _within, beta_upper, check_incident_beta
 from .table_fixture import fixture_is_blank, fixture_value
 from .thermo import GasModel, reference_constants, validate_gas
 
@@ -62,19 +62,19 @@ def _cubic_cells():
     """(x_c, x_b, scaled residual, coefficient-sum error) of each admissible cell.
 
     The grid is three gammas, 15 btildes and 29 density ratios.  Each gas is
-    validated once; the band test on beta is the loop's own, and each cell
-    calls the unchecked kernels: _coeffs for the cubic, its Horner value for
-    the residual |F(x_c)|/(h3 x_c^3), and _f_terms for F(beta, 0), which the
-    coefficient sum h0 + h1 + h2 + h3 must equal.
+    validated once; the band test on beta is shock_relations._within, and
+    each cell calls the unchecked kernels: _coeffs for the cubic, its Horner
+    value for the residual |F(x_c)|/(h3 x_c^3), and _f_terms for F(beta, 0),
+    which the coefficient sum h0 + h1 + h2 + h3 must equal.
     """
     betas = [1.1 + 0.1 * i for i in range(29)]
     btildes = [0.05 * i for i in range(15)]
     for g in (1.1, 1.4, 5.0 / 3.0):
         for bt in btildes:
             validate_gas(GasModel(g, bt))
-            upper = beta_upper(g, bt) * (1.0 + 1e-12)
+            upper = beta_upper(g, bt)
             for beta in betas:
-                if not 1.0 < beta <= upper:
+                if not _within(beta, upper):
                     continue
                 cubic = _coeffs(beta, g, bt)
                 h0, h1, h2, h3, _m, _n = cubic
@@ -265,8 +265,7 @@ def check_reflection_solve() -> CheckResult:
         g = rng.uniform(1.1, 5.0 / 3.0)
         bt = rng.uniform(0.0, 0.7)
         gas = GasModel(g, bt)
-        upper = beta_upper(g, bt)
-        beta = rng.uniform(1.0 + 1e-3, min(upper * 0.999, 4.0))
+        beta = rng.uniform(1.0 + 1e-3, min(beta_upper(g, bt) * 0.999, 4.0))
         phi_star = _threshold(beta, g, bt)[3]  # the draw keeps beta inside its band
         phi_hi = math.pi / 2.0 - 0.02
         if phi_star >= phi_hi:
@@ -287,8 +286,7 @@ def check_reflection_solve() -> CheckResult:
         worst_oracle = max(
             worst_oracle, abs(closed - oracle) / max(1.0, abs(closed))
         )
-        upper_r = beta_upper(g, bt * beta)
-        if not 1.0 - 1e-12 <= sol.beta_r <= upper_r * (1.0 + 1e-12):
+        if not _within(sol.beta_r, beta_upper(g, bt * beta)):
             return _result("reflection_solve", False, None, 1e-10,
                            f"reflected ratio bound violated at beta={beta}, gas={gas}")
         n_ok += 1

@@ -30,7 +30,6 @@ class RunConfig(NamedTuple):
     eta: float = -1.0
     beta_deg: float = 67.5
     r: float = 1.0
-    t: float = 1.0
     beta_grid: tuple[float, ...] = FIXTURE_BETA
     btilde_grid: tuple[float, ...] = FIXTURE_BTILDE
     xi_min: float = 1e-6
@@ -102,12 +101,10 @@ def validate_config(cfg: RunConfig) -> RunConfig:
         raise DomainError(f"beta_i must be positive, got {cfg.beta_i}")
     if cfg.rho0 <= 0.0 or cfg.p0 <= 0.0:
         raise DomainError("rho0 and p0 must be positive")
-    if cfg.r <= 0.0 or cfg.t <= 0.0:
-        raise DomainError("r and t must be positive")
+    if cfg.r <= 0.0:
+        raise DomainError("r must be positive")
     if not 0.0 < cfg.beta_deg < 180.0 - cfg.alpha_deg:
-        raise DomainError(
-            f"beta_deg must lie in (0, 180 - alpha_deg), got {cfg.beta_deg}"
-        )
+        raise DomainError(f"beta_deg must lie in (0, 180 - alpha_deg), got {cfg.beta_deg}")
     if not 0.0 < cfg.xi_min < 1.0:
         raise DomainError(f"xi_min must lie in (0, 1), got {cfg.xi_min}")
     if not 0.0 < cfg.btilde_sweep_max < 1.0:

@@ -338,10 +338,12 @@ def _threshold(
 def criterion(beta_i: float, gas: GasModel) -> CriterionReport:
     """Detachment report: threshold J and critical angle for a density ratio.
 
-    Inadmissible ratios do not raise; they come back flagged with the bound
-    that excludes them (that is what blanks a table cell).
+    A finite inadmissible ratio comes back flagged with the bound that excludes
+    it (that is what blanks a table cell); a NaN or infinite one raises.
     """
     validate_gas(gas)
+    if not math.isfinite(beta_i):
+        raise DomainError(f"criterion needs a finite beta_i, got {beta_i}")
     upper = beta_upper(gas.gamma, gas.btilde)
     if not _within(beta_i, upper):
         return CriterionReport(

@@ -10,7 +10,8 @@ from .config import RunConfig
 from .errors import DomainError, InternalInconsistencyError
 from .shock_relations import _within, beta_upper
 from .table_fixture import fixture_column, fixture_row
-from .thermo import GasModel, _a0_kappa0, check_reference, reference_constants, validate_gas
+from .thermo import (GasModel, _a0_kappa0, check_positive, check_reference, reference_constants,
+                     validate_gas)
 
 _SCALARS = frozenset((type(None), bool, int, float, str))  # the value types of a flat object
 
@@ -155,36 +156,38 @@ def render_field(cfg: RunConfig) -> str:
 
 
 def render_front(cfg: RunConfig) -> str:
-    """Covolume sweep of the front quantities (gradient jump, locus, strength)."""
+    """Covolume sweep of the front quantities: gradient jump, locus per unit time, strength.
+
+    Checked once, before the rows, in order: beta_deg > alpha_deg, the sonic ray, the range of C,
+    the gas at btilde_sweep_max (the largest btilde), rho0 and p0, r, epsilon, the count >= 2.
+    """
     alpha, beta_angle = cfg.alpha, cfg.beta_angle
     if beta_angle <= alpha:
         raise DomainError("front command needs beta_deg > alpha_deg (shock side of the sonic ray)")
-    g, top, rho0 = cfg.gamma, cfg.btilde_sweep_max, cfg.rho0
+    nonlinear_front.classify_front(beta_angle, alpha)  # raises on the sonic ray
+    c_val = nonlinear_front.c_beta(beta_angle, alpha)
+    g, top, rho0, eps = cfg.gamma, cfg.btilde_sweep_max, cfg.rho0, cfg.epsilon
+    validate_gas(GasModel(gamma=g, btilde=top))
+    check_reference(rho0, cfg.p0)
+    check_positive(cfg.r, "r", "gradient jump")
+    nonlinear_front.check_strength(eps)
+    if cfg.btilde_sweep_count < 2:
+        raise DomainError("btilde_sweep_count must be at least 2")
     sweep = _linspace(0.0, top, cfg.btilde_sweep_count)
-    if sweep:  # row 0's checks, run once: a later row differs from it only in btilde
-        validate_gas(GasModel(gamma=g, btilde=sweep[0]))
-        check_reference(rho0, cfg.p0)
-        if top < 1.0 <= sweep[-1]:  # step*(count - 1) can round up to 1 below a top < 1
-            sweep[-1] = top
-    c_val = None
+    if sweep[-1] >= 1.0:  # step*(count - 1) can round up to 1 below a top < 1
+        sweep[-1] = top
     lines = []
     for bt in sweep:
-        if not 0.0 <= bt < 1.0:
-            validate_gas(GasModel(gamma=g, btilde=bt))  # raises with the gas check's text
         a0 = _a0_kappa0(g, bt, rho0, cfg.p0)[0]
-        jump = nonlinear_front._gradient_jump(g, bt, cfg.r, rho0)  # r > 0 by the config
-        if c_val is None:  # class and C hang on the angles alone: evaluated once, where
-            # row 0 first needed them, so that every error keeps its precedence
-            nonlinear_front.classify_front(beta_angle, alpha)  # raises on the sonic ray
-            c_val = nonlinear_front.c_beta(beta_angle, alpha)
+        jump = nonlinear_front._gradient_jump(g, bt, cfg.r, rho0)
         try:
-            q, strength = nonlinear_front._shock_terms(g, bt, cfg.epsilon, c_val)
+            q, strength = nonlinear_front._shock_terms(g, bt, eps, c_val)
         except DomainError:  # reported below with the sweep's own message
             q = strength = math.inf
-        row = (bt, jump, a0 * cfg.t * (1.0 + q) / cfg.t, strength)
+        row = (bt, jump, a0 * (1.0 + q), strength)
         if not all(map(math.isfinite, row)):
             raise DomainError(f"front quantities overflow at btilde={bt} for gamma={g}, "
-                              f"epsilon={cfg.epsilon} (r={cfg.r}, t={cfg.t})")
+                              f"epsilon={eps} (r={cfg.r})")
         # no -0.0, so "%.12g" prints each cell as _fmt_float: bt is 0.0 + step*i or top, jump and
         # locus are positive factors, and in eps*eps*C*C*... (x*C)*C is >= +0.0 for x >= +0.0
         lines.append("%.12g,%.12g,%.12g,%.12g" % row)

@@ -121,6 +121,43 @@ class TestConfig:
         assert cli.main(["criterion", "--beta_i", "null"]) == 0
         assert capsys.readouterr().out == default
 
+    # one second valid value per RunConfig field; a key that moves no output is dead
+    SECOND_VALUES = {
+        "gamma": "1.5", "btilde": "0.1", "alpha_deg": "30", "epsilon": "0.2", "beta_i": "1.3",
+        "rho0": "2", "p0": "2", "theta0": "0.5", "eta": "-2", "beta_deg": "80", "r": "2",
+        "beta_grid": "[1.2, 1.5]", "btilde_grid": "[0.0, 0.1]", "xi_min": "0.01",
+        "xi_count": "5", "theta_count": "5", "rprime_min": "-2", "rprime_max": "5",
+        "rprime_count": "5", "thetaprime_min": "-2", "thetaprime_max": "2",
+        "thetaprime_count": "5", "btilde_sweep_max": "0.5", "btilde_sweep_count": "5",
+    }
+
+    def test_every_key_changes_some_output(self, capsys):
+        assert sorted(self.SECOND_VALUES) == sorted(RunConfig._fields)
+        data_commands = ("criterion", "front", "inner", "field", "table")
+
+        def stdout(argv):
+            assert cli.main(argv) == 0, argv
+            return capsys.readouterr().out
+
+        defaults = {command: stdout([command]) for command in data_commands}
+        dead = [key for key, value in self.SECOND_VALUES.items()
+                if all(stdout([command, f"--{key}", value]) == defaults[command]
+                       for command in data_commands)]
+        assert dead == []
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_t_is_an_unknown_key(self, capsys, tmp_path, source):
+        # the front sweep prints the locus per unit time: t cancelled in it
+        argv = ["front", "--t", "1"]
+        if source == "file":
+            path = tmp_path / "run.json"
+            path.write_text(json.dumps({"t": 1.0}))
+            argv = ["front", "--config", str(path)]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err)["error"]["message"] == "unknown configuration key 't'"
+
 
 class TestNonFiniteInput:
     # each of these was accepted before: printed NaN as JSON, emitted inf
@@ -143,7 +180,7 @@ class TestNonFiniteInput:
         assert error["kind"] == "validation"
         assert error["message"].startswith(f"{key} must be finite")
 
-    @pytest.mark.parametrize("key", ["gamma", "alpha_deg", "xi_count", "t"])
+    @pytest.mark.parametrize("key", ["gamma", "alpha_deg", "xi_count", "r"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_every_scalar_key_rejects_non_finite(self, key, value):
         with pytest.raises(DomainError, match=key):
@@ -387,8 +424,8 @@ class TestExtremeFrontInner:
     # every value is finite (the config rejects the rest), so a run either
     # prints finite CSV or is a validation error with nothing printed
     KEYS = {
-        "front": ("gamma", "btilde_sweep_max", "alpha_deg", "beta_deg", "epsilon", "r", "t",
-                  "rho0", "p0"),
+        "front": ("gamma", "btilde_sweep_max", "alpha_deg", "beta_deg", "epsilon", "r", "rho0",
+                  "p0"),
         "inner": ("gamma", "btilde", "rho0", "p0", "theta0", "eta", "rprime_min",
                   "rprime_max", "thetaprime_min", "thetaprime_max"),
     }

@@ -1,16 +1,15 @@
 """The covolume sweep of the front command against a pointwise rebuild.
 
-render_front classifies the ray and evaluates C(beta) once per sweep and
-formats each row in one % call; the rebuild below evaluates every row
-through the public gradient_jump, shock_locus and shock_strength, each of
-which classifies the ray and evaluates C again, and formats it with the
-public fmt and csv_text, so the two must agree byte for byte.  Both go
-through the same unchecked kernels of nonlinear_front, the shock-side terms
-and the gradient jump, so those are pinned separately, to the last bit,
-against the formulas written out in full.  Where a sweep fails, the error the renderer raises first is
-pinned, because hoisting C out of the rows must not change which one that is;
-nor may checking the gas and (rho0, p0) once per sweep, in row 0, instead of
-in every row's reference constants.
+render_front checks its inputs once, before the first row, and formats each
+row in one % call; the rebuild below evaluates every row through the public
+gradient_jump, shock_locus (at t = 1, so the locus is the locus per unit
+time) and shock_strength, each of which checks its inputs and evaluates C
+again, and formats it with the public fmt and csv_text, so the two must agree
+byte for byte.  Both go through the same unchecked kernels of
+nonlinear_front, the shock-side terms and the gradient jump, so those are
+pinned separately, to the last bit, against the formulas written out in full.
+Where a sweep fails, the error the renderer raises first is pinned, one
+hand-built config per check of the block in its stated order.
 """
 
 import json
@@ -50,9 +49,9 @@ def pointwise_text(cfg):
         gas = GasModel(cfg.gamma, bt)
         ref = reference_constants(cfg.rho0, cfg.p0, gas)
         jump = gradient_jump(cfg.r, gas, cfg.rho0)
-        locus = shock_locus(cfg.t, beta, alpha, cfg.epsilon, gas, ref)
+        locus = shock_locus(1.0, beta, alpha, cfg.epsilon, gas, ref)
         strength = shock_strength(beta, alpha, cfg.epsilon, gas)
-        rows.append([bt, jump, locus / cfg.t, strength])
+        rows.append([bt, jump, locus, strength])
     return csv_text(HEADER, rows)
 
 
@@ -78,7 +77,7 @@ def random_overrides(rng, kind):
     elif kind == "zero_strength":
         over["epsilon"] = 0.0
     elif kind == "scaled":
-        for key in ("rho0", "p0", "r", "t"):
+        for key in ("rho0", "p0", "r"):
             over[key] = 10.0 ** rng.uniform(-30.0, 30.0)
     return over
 
@@ -207,6 +206,7 @@ SONIC = "front type is undefined on the sonic ray beta = alpha"
 SONIC_RAY = {"beta_deg": 45.00000000001}
 # radians(beta_deg) rounds up to pi - alpha although beta_deg < 180 - alpha_deg
 EDGE = ["--alpha_deg", "75.65354478572928", "--beta_deg", "104.3464552142707"]
+EDGE_RAY = {"alpha_deg": 75.65354478572928, "beta_deg": 104.3464552142707}
 EDGE_MESSAGE = "ray angle must lie in [0, pi - alpha), got 1.821189206273829"
 A0_OVERFLOW = ["--rho0", "5e-324", "--p0", "1.7976931348623157e308"]
 A0_MESSAGE = ("reference constants a0, kappa0 leave the float range at gamma=1.4, btilde=0.0, "
@@ -214,6 +214,36 @@ A0_MESSAGE = ("reference constants a0, kappa0 leave the float range at gamma=1.4
 LATE_KAPPA0 = ["--gamma", "5000", "--btilde_sweep_max", "0.99999"]
 LATE_KAPPA0_MESSAGE = ("reference constants a0, kappa0 leave the float range at gamma=5000.0, "
                        "btilde=0.28571142857142856, rho0=1.0, p0=1.0")
+
+# one fault per check of the block, in the block's order
+SWEEP_FAULTS = [
+    ("gas", {"gamma": 0.5, "btilde_sweep_max": 1.5}, DomainError, "gamma must exceed 1, got 0.5"),
+    ("reference", {"rho0": -1.0}, DomainError, "reference density and pressure must be positive"),
+    ("r", {"r": 0.0}, DomainError, "gradient jump needs r > 0"),
+    ("epsilon", {"epsilon": -1.0}, DomainError,
+     "shock strength must be nonnegative and finite, got epsilon=-1.0"),
+    ("count", {"btilde_sweep_count": 0}, DomainError, "btilde_sweep_count must be at least 2"),
+]
+RAY_FAULTS = [
+    ("not_shock_side", {"beta_deg": 30.0}, DomainError,
+     "front command needs beta_deg > alpha_deg (shock side of the sonic ray)"),
+    ("sonic_ray", SONIC_RAY, SingularityError, SONIC),
+    ("c_range", EDGE_RAY, DomainError, EDGE_MESSAGE),
+]
+
+
+def _sweep_faults_from(i):
+    merged = {}
+    for _name, fields, _error, _message in SWEEP_FAULTS[i:]:
+        merged.update(fields)
+    return merged
+
+
+# (check, fields, error, message): each check's fault plus the faults of every later check
+BLOCK_ROWS = ([(name, {**fields, **_sweep_faults_from(0)}, error, message)
+               for name, fields, error, message in RAY_FAULTS]
+              + [(name, _sweep_faults_from(i), error, message)
+                 for i, (name, _fields, error, message) in enumerate(SWEEP_FAULTS)])
 
 
 class TestErrorPrecedence:
@@ -223,18 +253,18 @@ class TestErrorPrecedence:
         assert out == ""
         assert err == (
             '{"error": {"kind": "validation", "message": "front quantities overflow at '
-            'btilde=0.0 for gamma=1e+200, epsilon=0.1 (r=1.0, t=1.0)"}}\n')
+            'btilde=0.0 for gamma=1e+200, epsilon=0.1 (r=1.0)"}}\n')
 
     @pytest.mark.parametrize("argv, message", [
         # the classification's message, not the matching coefficient's
         (["--beta_deg", "45.00000000001"], SONIC),
-        # kappa0 overflows in a later row, after row 0 evaluated C
+        # kappa0 overflows in a later row
         (LATE_KAPPA0, LATE_KAPPA0_MESSAGE),
+        (A0_OVERFLOW, A0_MESSAGE),
+        # the ray is checked before any row's reference constants
+        (A0_OVERFLOW + ["--beta_deg", "45.00000000001"], SONIC),
+        (A0_OVERFLOW + EDGE, EDGE_MESSAGE),
         (LATE_KAPPA0 + ["--beta_deg", "45.00000000001"], SONIC),
-        # C is evaluated after row 0's reference constants ...
-        (A0_OVERFLOW + ["--beta_deg", "45.00000000001"], A0_MESSAGE),
-        (A0_OVERFLOW + EDGE, A0_MESSAGE),
-        # ... and before any row's shock-side terms or later reference constants
         (EDGE, EDGE_MESSAGE),
         (EDGE + ["--gamma", "1e200"], EDGE_MESSAGE),
         (EDGE + LATE_KAPPA0, EDGE_MESSAGE),
@@ -242,55 +272,46 @@ class TestErrorPrecedence:
         (["--gamma", "2.0280823421539695", "--epsilon", "1.3021680102891774e+147",
           "--btilde_sweep_max", "0.9999981979134793"],
          "front quantities overflow at btilde=0.9999981979134793 for gamma=2.0280823421539695, "
-         "epsilon=1.3021680102891774e+147 (r=1.0, t=1.0)"),
+         "epsilon=1.3021680102891774e+147 (r=1.0)"),
     ])
     def test_first_error_wins(self, capsys, argv, message):
         code, got = cli_error(capsys, ["front", *argv])
         assert (code, got) == (2, message)
 
-    # a hand-built RunConfig skips validate_config, so the sweep's own checks
-    # meet these; each raises what the per-row reference constants raised
-    @pytest.mark.parametrize("fields, error, message", [
-        ({"gamma": 1.0}, DomainError, "gamma must exceed 1, got 1.0"),
-        ({"gamma": 0.5, **SONIC_RAY}, DomainError, "gamma must exceed 1, got 0.5"),
-        ({"gamma": math.inf, **SONIC_RAY}, DomainError, "gamma must be finite, got inf"),
-        ({"btilde_sweep_max": 1.5}, DomainError, "btilde must be below 1, got 1.0714285714285714"),
-        ({"btilde_sweep_max": 1.5, **SONIC_RAY}, SingularityError, SONIC),
-        ({"btilde_sweep_max": 1.0}, DomainError, "btilde must be below 1, got 1.0"),
-        ({"btilde_sweep_max": math.nan}, DomainError, "btilde must be below 1, got nan"),
-        ({"btilde_sweep_max": math.nan, **SONIC_RAY}, DomainError,
-         "btilde must be below 1, got nan"),
-        ({"btilde_sweep_max": math.inf}, DomainError, "btilde must be below 1, got nan"),
-        ({"btilde_sweep_max": -0.5}, DomainError,
-         "btilde must be nonnegative, got -0.03571428571428571"),
-        ({"btilde_sweep_max": -0.5, **SONIC_RAY}, SingularityError, SONIC),
-        ({"gamma": 1.0, "btilde_sweep_max": 1.5}, DomainError, "gamma must exceed 1, got 1.0"),
-        ({"gamma": 1.0, "btilde_sweep_max": math.nan}, DomainError,
-         "gamma must exceed 1, got 1.0"),
-        ({"rho0": -1.0}, DomainError, "reference density and pressure must be positive"),
-        ({"rho0": -1.0, "btilde_sweep_max": 1.5}, DomainError,
-         "reference density and pressure must be positive"),
-        ({"rho0": -1.0, "btilde_sweep_max": math.nan}, DomainError,
-         "btilde must be below 1, got nan"),
-        ({"p0": math.inf}, DomainError,
-         "reference density and pressure must be finite, got 1.0, inf"),
-        ({"rho0": math.nan, **SONIC_RAY}, DomainError,
-         "reference density and pressure must be finite, got nan, 1.0"),
-        ({"btilde_sweep_count": 1, "gamma": 0.5}, DomainError, "gamma must exceed 1, got 0.5"),
-        ({"r": 0.0}, ZeroDivisionError, "float division by zero"),
-        ({"r": 0.0, "gamma": 0.5}, DomainError, "gamma must exceed 1, got 0.5"),
-    ])
-    def test_hand_built_config(self, fields, error, message):
+    # a hand-built RunConfig skips validate_config, so the block's own checks meet these
+    @pytest.mark.parametrize("fields, error, message", [row[1:] for row in BLOCK_ROWS],
+                             ids=[row[0] for row in BLOCK_ROWS])
+    def test_block_order(self, fields, error, message):
         with pytest.raises(error) as info:
             render_front(RunConfig(**fields))
         assert (type(info.value), str(info.value)) == (error, message)
 
-    def test_hand_built_empty_sweep_checks_nothing(self):
-        assert render_front(RunConfig(gamma=0.5, btilde_sweep_count=0)) == ",".join(HEADER) + "\n"
+    @pytest.mark.parametrize("fields, message", [
+        ({"gamma": 1.0}, "gamma must exceed 1, got 1.0"),
+        ({"gamma": math.inf}, "gamma must be finite, got inf"),
+        ({"btilde_sweep_max": 1.5}, "btilde must be below 1, got 1.5"),
+        ({"btilde_sweep_max": 1.0}, "btilde must be below 1, got 1.0"),
+        ({"btilde_sweep_max": math.nan}, "btilde must be below 1, got nan"),
+        ({"btilde_sweep_max": math.inf}, "btilde must be below 1, got inf"),
+        ({"btilde_sweep_max": -0.5}, "btilde must be nonnegative, got -0.5"),
+        ({"p0": math.inf}, "reference density and pressure must be finite, got 1.0, inf"),
+        ({"rho0": math.nan}, "reference density and pressure must be finite, got nan, 1.0"),
+        ({"r": math.inf}, "gradient jump needs a finite r, got inf"),
+        ({"r": math.nan}, "gradient jump needs r > 0"),
+        ({"epsilon": math.nan}, "shock strength must be nonnegative and finite, got epsilon=nan"),
+        ({"btilde_sweep_count": 1}, "btilde_sweep_count must be at least 2"),
+        ({"btilde_sweep_count": -3}, "btilde_sweep_count must be at least 2"),
+    ])
+    def test_hand_built_config(self, fields, message):
+        with pytest.raises(DomainError) as info:
+            render_front(RunConfig(**fields))
+        assert (type(info.value), str(info.value)) == (DomainError, message)
 
 
 def test_default_front_validates_its_gas_twice(count_calls):
-    counts = count_calls(["validate_gas", "reference_constants", "_a0_kappa0"])
+    counts = count_calls(["validate_gas", "reference_constants", "_a0_kappa0", "check_reference",
+                          "classify_front", "c_beta"])
     assert cli.main(["front"]) == 0
-    # once in parse_config and once for the sweep; the 15 rows call only the kernel
-    assert counts == {"validate_gas": 2, "reference_constants": 0, "_a0_kappa0": 15}
+    # the gas once in parse_config and once for the sweep; the 15 rows call only the kernel
+    assert counts == {"validate_gas": 2, "reference_constants": 0, "_a0_kappa0": 15,
+                      "check_reference": 1, "classify_front": 1, "c_beta": 1}

@@ -15,7 +15,7 @@ from vdwshock.inner_singular import expansion_fan, inner_geometry, similarity_re
 from vdwshock.linear_acoustics import busemann_variable, density_pde_residual
 from vdwshock.nonlinear_front import (gradient_jump, psi_root, rarefaction_profile, shock_locus,
                                       shock_strength, transport_residual)
-from vdwshock.regular_reflection import F_eval
+from vdwshock.regular_reflection import F_eval, criterion, table_generate
 from vdwshock.thermo import GasModel, ThermoState, reference_constants, sound_speed, thermo_eval
 
 NAN, INF = math.nan, math.inf
@@ -133,6 +133,13 @@ CASES = [
      DomainError, "shock strength must be nonnegative and finite, got epsilon=-1.0"),
     ("shock_strength epsilon nan", lambda: shock_strength(BETA_SHOCK, ALPHA, NAN, GAS),
      DomainError, "shock strength must be nonnegative and finite, got epsilon=nan"),
+    # a finite ratio outside the band comes back flagged; these did too
+    ("criterion beta_i nan", lambda: criterion(NAN, GAS),
+     DomainError, "criterion needs a finite beta_i, got nan"),
+    ("criterion beta_i inf", lambda: criterion(INF, GAS),
+     DomainError, "criterion needs a finite beta_i, got inf"),
+    ("table_generate beta nan", lambda: table_generate([1.2, NAN], [0.0], 1.4),
+     DomainError, "criterion needs a finite beta_i, got nan"),
     ("F_eval tan^2 < 0", lambda: F_eval(1.1, -1.0, GAS),
      DomainError, "tan_sq_phi_i must be nonnegative"),
     ("F_eval tan^2 nan", lambda: F_eval(1.1, NAN, GAS),

@@ -529,8 +529,8 @@ def check_cli_determinism(other_results: list[CheckResult], cfg: RunConfig) -> C
     """Byte-identical reruns of every command, plus the zero-fail exit clause."""
     from . import reports
 
-    commands = ("criterion", "table", "field", "front", "inner")
-    first, second = ({c: getattr(reports, f"render_{c}")(cfg) for c in commands} for _ in range(2))
+    first, second = ({c: getattr(reports, f"render_{c}")(cfg) for c in reports.DATA_COMMANDS}
+                     for _ in range(2))
     nondet = sorted(name for name in first if first[name] != second[name])
     payloads = [reports.json_text([r._asdict() for r in other_results]) for _ in range(2)]
     if payloads[0] != payloads[1]:
@@ -565,7 +565,7 @@ def run_all_checks() -> list[CheckResult]:
     every other check still runs.
     """
     cfg = RunConfig()
-    grid = _run("table_trends", table_generate, cfg.beta_grid, cfg.btilde_grid, 1.4)
+    grid = _run("table_trends", table_generate, cfg.beta_grid, cfg.btilde_grid, cfg.gamma)
     built = not isinstance(grid, CheckResult)  # else grid is the failed build's entry
     results = [
         _run("cubic_self_consistency", check_cubic_self_consistency),

@@ -23,7 +23,7 @@ from . import reports
 from .config import RunConfig, parse_config
 from .errors import DomainError, InternalInconsistencyError
 
-COMMANDS = ("criterion", "table", "field", "front", "inner", "check")
+COMMANDS = (*reports.DATA_COMMANDS, "check")
 
 # only the check command runs the gate: vdwshock.checks is registered as an
 # import would register it, so a lookup in sys.modules finds it, but its body

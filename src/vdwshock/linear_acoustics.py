@@ -187,6 +187,7 @@ def near_front_coefficient(theta: float, alpha: float) -> float:
     singular exactly there (theta = 2*alpha), where the expansion breaks down.
     """
     mu = corner_exponent(alpha)
+    check_theta(theta, alpha)
     beta = theta - alpha
     if abs(beta - alpha) <= 1e-12:
         raise SingularityError("near-front expansion is singular at theta = 2*alpha")

@@ -18,6 +18,7 @@ import math
 from typing import Callable, NamedTuple
 
 from .errors import ClassificationError, DomainError, SingularityError
+from .geometry import check_angle
 from .linear_acoustics import _front_coefficient, corner_exponent
 from .thermo import GasModel, ReferenceState, check_positive, validate_gas
 
@@ -32,19 +33,23 @@ def c_beta(beta_angle: float, alpha: float) -> float:
     """Matching coefficient of the front expansion along the ray beta.
 
     Equal in magnitude and opposite in sign to the near-front coefficient of
-    the linear field on the same ray; singular on the sonic ray beta = alpha.
+    the linear field on the same ray; the ray is checked by classify_front.
     """
-    if beta_angle < 0.0 or beta_angle >= math.pi - alpha:
-        raise DomainError(f"ray angle must lie in [0, pi - alpha), got {beta_angle}")
-    if abs(beta_angle - alpha) <= 1e-12:
-        raise SingularityError("matching coefficient is singular on the sonic ray")
+    classify_front(beta_angle, alpha)
     return -_front_coefficient(corner_exponent(alpha), beta_angle)
 
 
 def classify_front(beta_angle: float, alpha: float) -> FrontClassification:
-    """Rarefaction on the wall side of the sonic ray, shock beyond it."""
+    """Rarefaction on the wall side of the sonic ray, shock beyond it.
+
+    The one check of a ray, in order: the sonic ray, the range [0, pi - alpha)
+    (which NaN and infinite rays fail), then alpha itself.
+    """
     if abs(beta_angle - alpha) <= 1e-12:
         raise SingularityError("front type is undefined on the sonic ray beta = alpha")
+    if not 0.0 <= beta_angle or beta_angle >= math.pi - alpha:
+        raise DomainError(f"ray angle must lie in [0, pi - alpha), got {beta_angle}")
+    check_angle(alpha, "wedge half-angle")
     kind = "rarefaction" if beta_angle < alpha else "shock"
     return FrontClassification(kind=kind, beta_angle=beta_angle, alpha=alpha)
 
@@ -99,46 +104,35 @@ def psi_root(phi_phase: float, r: float, C: float, epsilon: float, gas: GasModel
     return psi
 
 
-def rarefaction_profile(
-    r: float,
-    t: float,
-    beta_angle: float,
-    alpha: float,
-    epsilon: float,
-    gas: GasModel,
-    ref: ReferenceState,
-    state2: tuple[float, float, float],
-) -> tuple[float, float, float, float]:
+def rarefaction_profile(r: float, t: float, beta_angle: float, alpha: float, epsilon: float,
+                        gas: GasModel, ref: ReferenceState, state2: tuple[float, float, float],
+                        ) -> tuple[float, float, float, float]:
     """Flow (rho, U, V, S) across a rarefaction-type diffracted front.
 
     Ahead of the front (r >= c0*kappa0*t) the uniform reflected state holds;
     behind it the phase-root correction is added with net amplitude
     epsilon^2 * C / sqrt(r), continuous across the front.  state2 is the
-    first-order triple (rho, U, V) of the reflected state on this ray.  t and r
-    must be finite and above 0 on both sides of the front.
+    first-order triple (rho, U, V) of the reflected state on this ray.
+    Checked on both sides of the front, in order: epsilon, the ray (c_beta),
+    the side, t and r (finite and above 0), the gas.
     """
     check_strength(epsilon)
-    if classify_front(beta_angle, alpha).kind != "rarefaction":
+    c_case = -abs(c_beta(beta_angle, alpha))  # expansion branch
+    if beta_angle > alpha:
         raise ClassificationError("rarefaction profile needs beta < alpha")
     check_positive(t, "t", "rarefaction profile")
     check_positive(r, "r", "phase root")  # psi_root's own test, run ahead of the front too
+    validate_gas(gas)
     rho2_1, u2_1, v2_1 = state2
     rho2 = ref.rho0 * (1.0 + rho2_1 * epsilon)
     u2 = ref.c0 * u2_1 * epsilon
     v2 = ref.c0 * v2_1 * epsilon
-    s2 = 0.0
     front = ref.c0 * ref.kappa0 * t
     if r >= front or epsilon == 0.0:
-        return rho2, u2, v2, s2
-    c_case = -abs(c_beta(beta_angle, alpha))  # expansion branch
+        return rho2, u2, v2, 0.0  # S = 0 on both sides
     psi = psi_root(front - r, r, c_case, epsilon, gas)
     corr = epsilon * epsilon * c_case * math.sqrt(psi) / math.sqrt(r)
-    return (
-        rho2 + corr * ref.rho0,
-        u2 + corr * ref.c0 * ref.kappa0,
-        v2,
-        s2,
-    )
+    return rho2 + corr * ref.rho0, u2 + corr * ref.c0 * ref.kappa0, v2, 0.0
 
 
 def gradient_jump(r: float, gas: GasModel, rho0: float) -> float:
@@ -173,13 +167,17 @@ def _shock_terms(g: float, bt: float, epsilon: float, c_val: float) -> tuple[flo
 
 def shock_locus(t: float, beta_angle: float, alpha: float, epsilon: float, gas: GasModel,
                 ref: ReferenceState) -> float:
-    """Equal-area position of the diffracted shock on the ray beta at time t."""
+    """Equal-area position of the diffracted shock on the ray beta at time t.
+
+    Checked in order: the gas, t, epsilon, the ray (c_beta), the side.
+    """
     validate_gas(gas)
     check_positive(t, "t", "shock locus")
     check_strength(epsilon)
-    if classify_front(beta_angle, alpha).kind != "shock":
+    c_val = c_beta(beta_angle, alpha)
+    if beta_angle < alpha:
         raise ClassificationError("shock locus needs beta > alpha")
-    q, _ = _shock_terms(gas.gamma, gas.btilde, epsilon, c_beta(beta_angle, alpha))
+    q, _ = _shock_terms(gas.gamma, gas.btilde, epsilon, c_val)
     locus = ref.a0 * t * (1.0 + q)  # c0*kappa0 = a0, and c0 alone can underflow
     if not math.isfinite(locus):
         raise DomainError(f"shock locus leaves the float range at t={t}, a0={ref.a0}, "
@@ -188,9 +186,13 @@ def shock_locus(t: float, beta_angle: float, alpha: float, epsilon: float, gas: 
 
 
 def shock_strength(beta_angle: float, alpha: float, epsilon: float, gas: GasModel) -> float:
-    """Density jump across the diffracted shock, in units of rho0."""
+    """Density jump across the diffracted shock, in units of rho0.
+
+    Checked in order: the gas, epsilon, the ray (c_beta), the side.
+    """
     validate_gas(gas)
     check_strength(epsilon)
-    if classify_front(beta_angle, alpha).kind != "shock":
+    c_val = c_beta(beta_angle, alpha)
+    if beta_angle < alpha:
         raise ClassificationError("shock strength needs beta > alpha")
-    return _shock_terms(gas.gamma, gas.btilde, epsilon, c_beta(beta_angle, alpha))[1]
+    return _shock_terms(gas.gamma, gas.btilde, epsilon, c_val)[1]

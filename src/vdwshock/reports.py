@@ -14,6 +14,7 @@ from .thermo import (GasModel, _a0_kappa0, check_positive, check_reference, refe
                      validate_gas)
 
 _SCALARS = frozenset((type(None), bool, int, float, str))  # the value types of a flat object
+DATA_COMMANDS = ("criterion", "table", "field", "front", "inner")  # each has its render_<command>
 
 
 def fmt(value) -> str:
@@ -60,6 +61,8 @@ def json_text(payload) -> str:
 
 
 def _linspace(lo: float, hi: float, count: int) -> list[float]:
+    if type(count) is not int:  # a hand-built RunConfig may hold a float count
+        raise DomainError(f"grid count must be an integer, got {count!r}")
     if count == 1:
         return [lo]
     step = (hi - lo) / (count - 1)
@@ -158,13 +161,12 @@ def render_field(cfg: RunConfig) -> str:
 def render_front(cfg: RunConfig) -> str:
     """Covolume sweep of the front quantities: gradient jump, locus per unit time, strength.
 
-    Checked once, before the rows, in order: beta_deg > alpha_deg, the sonic ray, the range of C,
-    the gas at btilde_sweep_max (the largest btilde), rho0 and p0, r, epsilon, the count >= 2.
+    Checked once, before the rows, in order: beta_deg > alpha_deg, the ray (c_beta), the gas at
+    btilde_sweep_max (the largest btilde), rho0 and p0, r, epsilon, the count >= 2 (an int).
     """
     alpha, beta_angle = cfg.alpha, cfg.beta_angle
     if beta_angle <= alpha:
         raise DomainError("front command needs beta_deg > alpha_deg (shock side of the sonic ray)")
-    nonlinear_front.classify_front(beta_angle, alpha)  # raises on the sonic ray
     c_val = nonlinear_front.c_beta(beta_angle, alpha)
     g, top, rho0, eps = cfg.gamma, cfg.btilde_sweep_max, cfg.rho0, cfg.epsilon
     validate_gas(GasModel(gamma=g, btilde=top))

@@ -256,7 +256,7 @@ class TestErrorPrecedence:
             'btilde=0.0 for gamma=1e+200, epsilon=0.1 (r=1.0)"}}\n')
 
     @pytest.mark.parametrize("argv, message", [
-        # the classification's message, not the matching coefficient's
+        # classify_front's message, the one check of the ray
         (["--beta_deg", "45.00000000001"], SONIC),
         # kappa0 overflows in a later row
         (LATE_KAPPA0, LATE_KAPPA0_MESSAGE),

@@ -9,13 +9,17 @@ import math
 
 import pytest
 
+from vdwshock.config import RunConfig
 from vdwshock.errors import DomainError
 from vdwshock.geometry import PseudoFlowState, SelfSimilarPoint, eigenvalues_and_type, make_point
 from vdwshock.inner_singular import expansion_fan, inner_geometry, similarity_residual, stretch
-from vdwshock.linear_acoustics import busemann_variable, density_pde_residual
-from vdwshock.nonlinear_front import (gradient_jump, psi_root, rarefaction_profile, shock_locus,
-                                      shock_strength, transport_residual)
+from vdwshock.linear_acoustics import (busemann_variable, density_pde_residual,
+                                       near_front_coefficient)
+from vdwshock.nonlinear_front import (c_beta, classify_front, gradient_jump, psi_root,
+                                      rarefaction_profile, shock_locus, shock_strength,
+                                      transport_residual)
 from vdwshock.regular_reflection import F_eval, criterion, table_generate
+from vdwshock.reports import render_field, render_front, render_inner
 from vdwshock.thermo import GasModel, ThermoState, reference_constants, sound_speed, thermo_eval
 
 NAN, INF = math.nan, math.inf
@@ -113,6 +117,13 @@ CASES = [
     ("rarefaction_profile r inf",
      lambda: rarefaction_profile(INF, 1.0, BETA_FAN, ALPHA, 0.1, GAS, REF, STATE2),
      DomainError, "phase root needs a finite r, got inf"),
+    # these returned the uniform state without looking at the gas
+    ("rarefaction_profile gas ahead of the front",
+     lambda: rarefaction_profile(10.0, 1.0, BETA_FAN, ALPHA, 0.1, GasModel(0.5, 2.0), REF, STATE2),
+     DomainError, "gamma must exceed 1, got 0.5"),
+    ("rarefaction_profile gas at epsilon = 0",
+     lambda: rarefaction_profile(0.5, 1.0, BETA_FAN, ALPHA, 0.0, GasModel(NAN), REF, STATE2),
+     DomainError, "gamma must exceed 1, got nan"),
     ("gradient_jump r <= 0", lambda: gradient_jump(0.0, GAS, 1.0),
      DomainError, "gradient jump needs r > 0"),
     ("gradient_jump r inf", lambda: gradient_jump(INF, GAS, 1.0),
@@ -154,6 +165,16 @@ CASES = [
      DomainError, "density and pressure must be finite"),
     ("thermo_eval density nan", lambda: thermo_eval(ThermoState(NAN, 1.0), GAS),
      DomainError, "density must be positive"),
+    # a hand-built RunConfig skips validate_config: this said "front quantities overflow"
+    ("render_front beta_deg nan", lambda: render_front(RunConfig(beta_deg=NAN)),
+     DomainError, "ray angle must lie in [0, pi - alpha), got nan"),
+    # and these raised a bare TypeError from range()
+    ("render_field float count", lambda: render_field(RunConfig(xi_count=2.0)),
+     DomainError, "grid count must be an integer, got 2.0"),
+    ("render_front float count", lambda: render_front(RunConfig(btilde_sweep_count=2.0)),
+     DomainError, "grid count must be an integer, got 2.0"),
+    ("render_inner float count", lambda: render_inner(RunConfig(thetaprime_count=3.0)),
+     DomainError, "grid count must be an integer, got 3.0"),
 ]
 
 
@@ -163,3 +184,35 @@ def test_public_input_check(call, error, prefix):
         call()
     assert type(info.value) is error
     assert str(info.value).startswith(prefix), str(info.value)
+
+
+# every float argument of the front functions; each (name, function, valid arguments)
+NON_FINITE_TARGETS = [
+    ("classify_front", classify_front, (BETA_SHOCK, ALPHA)),
+    ("c_beta", c_beta, (BETA_SHOCK, ALPHA)),
+    ("shock_locus", shock_locus, (1.0, BETA_SHOCK, ALPHA, 0.1, GAS, REF)),
+    ("shock_strength", shock_strength, (BETA_SHOCK, ALPHA, 0.1, GAS)),
+    # r = 0.5 lies behind the front at t = 1
+    ("rarefaction_profile", rarefaction_profile, (0.5, 1.0, BETA_FAN, ALPHA, 0.1, GAS, REF, STATE2)),
+    ("near_front_coefficient", near_front_coefficient, (ALPHA + BETA_FAN, ALPHA)),
+]
+
+
+def test_front_functions_reject_non_finite_floats():
+    # before, a NaN ray gave C = nan and the kind "shock", and near_front_coefficient(nan, .)
+    # returned nan
+    wrong = []
+    for name, function, args in NON_FINITE_TARGETS:
+        function(*args)  # the valid call goes through
+        for i, arg in enumerate(args):
+            if type(arg) is not float:
+                continue
+            for bad in (NAN, INF, -INF):
+                try:
+                    function(*args[:i], bad, *args[i + 1:])
+                    got = "no error"
+                except Exception as exc:
+                    got = type(exc).__name__
+                if got != "DomainError":
+                    wrong.append(f"{name} argument {i} = {bad}: {got}")
+    assert wrong == []

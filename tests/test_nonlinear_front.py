@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+from vdwshock import nonlinear_front
+from vdwshock.config import RunConfig
 from vdwshock.errors import ClassificationError, DomainError, SingularityError
 from vdwshock.linear_acoustics import near_front_coefficient, state2_expansion
 from vdwshock.nonlinear_front import (
@@ -15,6 +17,7 @@ from vdwshock.nonlinear_front import (
     shock_strength,
     transport_residual,
 )
+from vdwshock.reports import render_front
 from vdwshock.thermo import GasModel, reference_constants
 
 ALPHA = math.pi / 4
@@ -40,6 +43,12 @@ class TestMatchingCoefficient:
         with pytest.raises(DomainError):
             c_beta(math.pi - ALPHA, ALPHA)
 
+    def test_sonic_ray_has_the_classification_message(self):
+        # was "matching coefficient is singular on the sonic ray"
+        with pytest.raises(SingularityError) as info:
+            c_beta(ALPHA, ALPHA)
+        assert str(info.value) == "front type is undefined on the sonic ray beta = alpha"
+
 
 class TestClassifyFront:
     def test_wall_side_rarefaction(self):
@@ -51,6 +60,48 @@ class TestClassifyFront:
     def test_sonic_ray_undefined(self):
         with pytest.raises(SingularityError):
             classify_front(ALPHA, ALPHA)
+
+
+# a ray outside [0, pi - alpha) on the wrong side gets the range error before the side test
+# (these raised ClassificationError "... needs beta > alpha" or "... needs beta < alpha")
+OUT_OF_RANGE_WRONG_SIDE = [
+    ("shock_strength", lambda gas, ref: shock_strength(-0.5, ALPHA, 0.1, gas), "-0.5"),
+    ("shock_locus", lambda gas, ref: shock_locus(1.0, -0.5, ALPHA, 0.1, gas, ref), "-0.5"),
+    ("rarefaction_profile",
+     lambda gas, ref: rarefaction_profile(0.5, 1.0, 3.0, ALPHA, 0.1, gas, ref, (0.5, 0.2, 0.1)),
+     "3.0"),
+]
+
+
+@pytest.mark.parametrize("call, ray", [row[1:] for row in OUT_OF_RANGE_WRONG_SIDE],
+                         ids=[row[0] for row in OUT_OF_RANGE_WRONG_SIDE])
+def test_range_error_comes_before_the_side(call, ray, ideal_gas):
+    with pytest.raises(DomainError) as info:
+        call(ideal_gas, reference_constants(1.0, 1.0, ideal_gas))
+    assert type(info.value) is DomainError
+    assert str(info.value) == f"ray angle must lie in [0, pi - alpha), got {ray}"
+
+
+_GAS = GasModel(1.4, 0.3)
+_REF = reference_constants(1.0, 1.0, _GAS)
+RAY_CALLS = [
+    ("shock_locus", lambda: shock_locus(1.0, 1.5 * ALPHA, ALPHA, 0.1, _GAS, _REF)),
+    ("shock_strength", lambda: shock_strength(1.5 * ALPHA, ALPHA, 0.1, _GAS)),
+    ("rarefaction_profile_behind_front",
+     lambda: rarefaction_profile(0.5, 1.0, ALPHA / 2.0, ALPHA, 0.1, _GAS, _REF, (0.5, 0.2, 0.1))),
+    ("render_front", lambda: render_front(RunConfig())),
+]
+
+
+@pytest.mark.parametrize("call", [row[1] for row in RAY_CALLS], ids=[row[0] for row in RAY_CALLS])
+def test_ray_is_checked_once_through_c_beta(call, count_calls, monkeypatch):
+    counts = count_calls(["c_beta", "classify_front"])
+    call()
+    assert counts == {"c_beta": 1, "classify_front": 1}
+    # with c_beta stubbed out, nothing else reaches classify_front
+    monkeypatch.setattr(nonlinear_front, "c_beta", lambda beta_angle, alpha: -0.5)
+    call()
+    assert counts == {"c_beta": 1, "classify_front": 1}
 
 
 class TestTransportResidual:

@@ -10,6 +10,9 @@ key spelled exactly, is read by one walk over argv (``_walk``).  Every other
 command line, among them ``-h``, ``--key=value``, abbreviated options and
 malformed ones, goes to argparse, which is imported and built only then and
 gives the same result the walk would wherever both apply.
+
+Importing this module runs config and reports and registers every other
+module a command may run, so that each command runs only its own modules.
 """
 
 from __future__ import annotations
@@ -19,23 +22,26 @@ import importlib.util
 import json
 import sys
 
-from . import reports
 from .config import RunConfig, parse_config
 from .errors import DomainError, InternalInconsistencyError
 
-COMMANDS = (*reports.DATA_COMMANDS, "check")
+# every module a command may run that config has not loaded is registered as an
+# import would register it, in sys.modules and on the package, so a lookup there
+# finds it, but its body runs on first use (the lazy loader takes no lock then, so
+# the library's own import path does not use it)
+for _name in ("checks", "geometry", "inner_singular", "linear_acoustics", "nonlinear_front",
+              "regular_reflection", "shock_relations"):
+    _full = f"{__package__}.{_name}"
+    if _full not in sys.modules:
+        _spec = importlib.util.find_spec(_full)
+        _spec.loader = importlib.util.LazyLoader(_spec.loader)
+        sys.modules[_full] = importlib.util.module_from_spec(_spec)
+        _spec.loader.exec_module(sys.modules[_full])
+        setattr(sys.modules[__package__], _name, sys.modules[_full])
 
-# only the check command runs the gate: vdwshock.checks is registered as an
-# import would register it, so a lookup in sys.modules finds it, but its body
-# runs on first use
-_CHECKS = f"{__package__}.checks"
-if _CHECKS not in sys.modules:
-    _spec = importlib.util.find_spec(_CHECKS)
-    _spec.loader = importlib.util.LazyLoader(_spec.loader)
-    sys.modules[_CHECKS] = importlib.util.module_from_spec(_spec)
-    _spec.loader.exec_module(sys.modules[_CHECKS])
-    sys.modules[__package__].checks = sys.modules[_CHECKS]
-checks = sys.modules[_CHECKS]
+from . import checks, reports  # noqa: E402  (after the loop: reports binds the lazy modules)
+
+COMMANDS = (*reports.DATA_COMMANDS, "check")
 
 
 @functools.cache
@@ -91,11 +97,13 @@ def _walk(argv: list[str]):
     return argv[0], config, output, extras
 
 
-def _parse_override_value(raw: str):
+def _parse_override_value(option: str, raw: str):
     try:
         return json.loads(raw)
     except json.JSONDecodeError:
         return raw
+    except (ValueError, RecursionError) as exc:  # an int of too many digits, deep nesting
+        raise DomainError(f"cannot read the value of {option}: {exc}") from None
 
 
 def _collect_overrides(extra: list[str]) -> dict:
@@ -108,7 +116,7 @@ def _collect_overrides(extra: list[str]) -> dict:
         key = token[2:].replace("-", "_")
         if i + 1 >= len(extra):
             raise DomainError(f"missing value for option {token!r}")
-        overrides[key] = _parse_override_value(extra[i + 1])
+        overrides[key] = _parse_override_value(token, extra[i + 1])
         i += 2
     return overrides
 

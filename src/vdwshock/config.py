@@ -73,7 +73,11 @@ def _coerce(key: str, value):
     if key in ("beta_grid", "btilde_grid"):
         if not isinstance(value, (list, tuple)) or not value or not all(map(_is_number, value)):
             raise DomainError(f"{key} must be a non-empty array of numbers")
-        return tuple(float(v) for v in value)
+        try:
+            return tuple(map(float, value))
+        except OverflowError:  # an int beyond the float range
+            raise DomainError(
+                f"{key} entries must be finite, got an integer too large for a float") from None
     if key == "beta_i" and value is None:
         return None
     if not _is_number(value):
@@ -85,7 +89,10 @@ def _coerce(key: str, value):
         if iv != value:
             raise DomainError(f"{key} must be an integer, got {value!r}")
         return iv
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise DomainError(f"{key} must be finite, got an integer too large for a float") from None
 
 
 def validate_config(cfg: RunConfig) -> RunConfig:
@@ -141,6 +148,8 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
             raise DomainError(f"cannot read config file {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise DomainError(f"config file {path} is not valid JSON: {exc}") from exc
+        except (ValueError, RecursionError) as exc:  # bad UTF-8, too many digits, deep nesting
+            raise DomainError(f"cannot read config file {path}: {exc}") from exc
         if not isinstance(data, dict):
             raise DomainError("config file must hold a JSON object")
         merged.update(data)

@@ -5,10 +5,10 @@ from __future__ import annotations
 import json
 import math
 
-from . import inner_singular, linear_acoustics, nonlinear_front, regular_reflection
+from . import (inner_singular, linear_acoustics, nonlinear_front, regular_reflection,
+               shock_relations)
 from .config import RunConfig
 from .errors import DomainError, InternalInconsistencyError
-from .shock_relations import _within, beta_upper
 from .table_fixture import fixture_column, fixture_row
 from .thermo import (GasModel, _a0_kappa0, check_positive, check_reference, reference_constants,
                      validate_gas)
@@ -99,8 +99,10 @@ def render_table(cfg: RunConfig) -> str:
     and the threshold kernel.
     """
     g = cfg.gamma
-    # looked up once per call, not at import, so a wrapper patched onto the module is seen
+    # looked up once per call, not at import, so a wrapper patched onto the module is seen and
+    # a command that renders no table does not load the threshold modules
     threshold, degrees = regular_reflection._threshold, math.degrees
+    within, beta_upper = shock_relations._within, shock_relations.beta_upper
     columns = []
     for bt in cfg.btilde_grid:
         validate_gas(GasModel(gamma=g, btilde=bt))
@@ -116,7 +118,7 @@ def render_table(cfg: RunConfig) -> str:
         for bt, bt_cell, upper, col, admitted in columns:
             fix = None if fix_row is None or col is None else fix_row[col]
             fix_cell = "" if fix is None else _fmt_float(fix)
-            if not _within(beta, upper):
+            if not within(beta, upper):
                 cells.append(f"{bt_cell}false,,,{fix_cell},")
                 continue
             _h, _x, j, phi = threshold(beta, g, bt)

@@ -95,6 +95,8 @@ class TestConfig:
         ("directory", "cannot read config file"),
         ("invalid", "is not valid JSON"),
         ("array", "config file must hold a JSON object"),
+        ("utf8", "cannot read config file"),  # these two escaped as tracebacks (exit 1)
+        ("nested", "cannot read config file"),
     ])
     def test_unusable_config_file_rejected(self, tmp_path, kind, fragment):
         path = tmp_path / "run.json"
@@ -102,6 +104,10 @@ class TestConfig:
             path.mkdir()
         elif kind == "invalid":
             path.write_text("{gamma: 1.4")
+        elif kind == "utf8":
+            path.write_bytes(b'{"gamma": 1.4\xff}')
+        elif kind == "nested":
+            path.write_text('{"beta_grid": ' + "[" * 100_000)
         elif kind == "array":
             path.write_text(json.dumps([{"gamma": 1.4}]))
         with pytest.raises(DomainError, match=fragment):
@@ -110,6 +116,8 @@ class TestConfig:
     @pytest.mark.parametrize("argv, fragment", [
         (["criterion", "gamma", "1.4"], "expected --key value pairs, got 'gamma'"),
         (["criterion", "--gamma"], "missing value for option '--gamma'"),
+        # json's RecursionError escaped as a traceback (exit 1)
+        (["table", "--beta_grid", "[" * 100_000], "cannot read the value of --beta_grid"),
     ])
     def test_malformed_overrides_exit_two(self, capsys, argv, fragment):
         assert cli.main(argv) == 2
@@ -215,6 +223,31 @@ FLAT_VALUES = st.one_of(
     st.text(max_size=8),  # non-ASCII and control characters included
 )
 FLAT_OBJECTS = st.dictionaries(st.text(max_size=6), FLAT_VALUES, min_size=1, max_size=6)
+
+
+class TestHugeIntegers:
+    # each of these escaped as a traceback (exit 1): float() of an int beyond the float
+    # range raises OverflowError, and json refuses an int of more than 4,300 digits with a
+    # ValueError; a count key already read a 400-digit int and rejected it as too large
+    @pytest.mark.parametrize("digits", [400, 5_000])
+    @pytest.mark.parametrize("command, key, template", [
+        ("criterion", "gamma", "{}"),
+        ("table", "beta_grid", "[1.2, {}]"),
+        ("field", "xi_count", "{}"),
+    ], ids=["scalar", "grid-entry", "count"])
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_exits_two_with_nothing_printed(self, capsys, tmp_path, source, command, key,
+                                            template, digits):
+        raw = template.format("1" + "0" * (digits - 1))
+        argv = [command, f"--{key}", raw]
+        if source == "file":
+            path = tmp_path / "run.json"
+            path.write_text(f'{{"{key}": {raw}}}')
+            argv = [command, "--config", str(path)]
+        assert cli.main(argv) == 2
+        # json names no key, so an unreadable file is named instead
+        assert_validation_error(
+            capsys, key if source == "flag" or digits == 400 else "cannot read config file")
 
 
 class TestJsonText:
@@ -789,7 +822,7 @@ class TestParserAndImports:
         assert proc.stdout.split("\n") == ["False", "False", "fail True True", "True", ""]
 
     def test_every_record_is_a_named_tuple(self):
-        records = [obj for obj in vars(vdwshock).values()
+        records = [obj for obj in (getattr(vdwshock, name) for name in vdwshock.__all__)
                    if isinstance(obj, type) and not issubclass(obj, Exception)]
         records += [RunConfig, cli.checks.CheckResult]
         assert len(records) == 19
@@ -812,6 +845,37 @@ class TestParserAndImports:
         first, usage = proc.stdout.split("\n", 1)
         assert first == "0 False"
         assert usage.startswith("usage: vdwshock [-h]")
+
+    RUNS = {  # the modules whose body each command runs, beside cli, config, errors,
+              # geometry, reports, table_fixture and thermo
+        "criterion": "regular_reflection shock_relations",
+        "table": "regular_reflection shock_relations",
+        "field": "linear_acoustics",
+        "front": "linear_acoustics nonlinear_front",
+        "inner": "inner_singular linear_acoustics",
+        "check": "checks inner_singular linear_acoustics nonlinear_front regular_reflection "
+                 "shock_relations",
+    }
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_command_runs_only_its_modules(self, command):
+        # every module a command may run is registered on import; a registered module
+        # whose body has not run has no __builtins__ yet
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = (
+            "import io, sys, contextlib, vdwshock.cli as cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    cli.main([{command!r}])\n"
+            "print(' '.join(sorted(name.removeprefix('vdwshock.')\n"
+            "                      for name, m in sys.modules.items()\n"
+            "                      if name.startswith('vdwshock.') and\n"
+            "                      '__builtins__' in object.__getattribute__(m, '__dict__'))))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=60, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        always = "cli config errors geometry reports table_fixture thermo".split()
+        assert proc.stdout.split() == sorted(always + self.RUNS[command].split())
 
     def test_parser_reused_after_errors(self, capsys):
         # the parser is built at most once per process; a rejected command

@@ -3,8 +3,9 @@
 The linear front carries a square-root singularity whose matching coefficient
 C(beta) decides, together with the side of the sonic ray beta = alpha, whether
 the diffracted front is a rarefaction (wall side) or a shock (outer side).
-Amplitudes ride on the phase psi solving an implicit quadratic; the shock
-location follows from the equal-area rule.
+Amplitudes ride on the phase psi solving an implicit quadratic.  The printed
+shock location is, to first order in q, the fold tip of that phase profile
+(phi = -Pi^2, where psi_root's radicand vanishes), not Whitham's equal-area cut.
 
 Sign bookkeeping: the printed matching coefficient evaluates positive on the
 rarefaction side, while the case construction requires the expansion branch
@@ -167,7 +168,7 @@ def _shock_terms(g: float, bt: float, epsilon: float, c_val: float) -> tuple[flo
 
 def shock_locus(t: float, beta_angle: float, alpha: float, epsilon: float, gas: GasModel,
                 ref: ReferenceState) -> float:
-    """Equal-area position of the diffracted shock on the ray beta at time t.
+    """Position of the diffracted shock on the ray beta at time t: the phase profile's fold tip.
 
     Checked in order: the gas, t, epsilon, the ray (c_beta), the side.
     """

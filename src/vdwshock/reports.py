@@ -10,8 +10,7 @@ from . import (inner_singular, linear_acoustics, nonlinear_front, regular_reflec
 from .config import RunConfig
 from .errors import DomainError, InternalInconsistencyError
 from .table_fixture import fixture_column, fixture_row
-from .thermo import (GasModel, _a0_kappa0, check_positive, check_reference, reference_constants,
-                     validate_gas)
+from .thermo import GasModel, _a0_kappa0, reference_constants
 
 _SCALARS = frozenset((type(None), bool, int, float, str))  # the value types of a flat object
 DATA_COMMANDS = ("criterion", "table", "field", "front", "inner")  # each has its render_<command>
@@ -61,16 +60,12 @@ def json_text(payload) -> str:
 
 
 def _linspace(lo: float, hi: float, count: int) -> list[float]:
-    if type(count) is not int:  # a hand-built RunConfig may hold a float count
-        raise DomainError(f"grid count must be an integer, got {count!r}")
-    if count == 1:
-        return [lo]
-    step = (hi - lo) / (count - 1)
+    step = (hi - lo) / (count - 1)  # parse_config keeps every grid count >= 2
     return [lo + step * i for i in range(count)]
 
 
 def render_criterion(cfg: RunConfig) -> str:
-    """Detachment-criterion report for one (beta_i, gamma, btilde) as JSON."""
+    """Detachment-criterion report as JSON, for a cfg from parse_config or RunConfig()."""
     gas = GasModel(gamma=cfg.gamma, btilde=cfg.btilde)
     beta_i = cfg.resolved_beta_i()
     rep = regular_reflection.criterion(beta_i, gas)
@@ -93,10 +88,11 @@ def render_criterion(cfg: RunConfig) -> str:
 def render_table(cfg: RunConfig) -> str:
     """Threshold grid with a side-by-side fixture-comparison column as CSV.
 
-    Each quantity is computed where it varies: per btilde column the gas
-    check, the admissible band, the fixture column and the cell templates;
-    per beta row the fixture row and one % call; per cell only the band test
-    and the threshold kernel.
+    Each quantity is computed where it varies: per btilde column the
+    admissible band, the fixture column and the cell templates; per beta row
+    the fixture row and one % call; per cell only the band test and the
+    threshold kernel.  cfg comes from parse_config, or is RunConfig(), so
+    every column's gas is valid and the btilde grid is not empty.
     """
     g = cfg.gamma
     # looked up once per call, not at import, so a wrapper patched onto the module is seen and
@@ -105,7 +101,6 @@ def render_table(cfg: RunConfig) -> str:
     within, beta_upper = shock_relations._within, shock_relations.beta_upper
     columns = []
     for bt in cfg.btilde_grid:
-        validate_gas(GasModel(gamma=g, btilde=bt))
         bt_cell = f"{_fmt_float(bt)},"
         admitted = bt_cell + "true,%.12g,%.12g,,"  # an admissible cell with no fixture value
         columns.append((bt, bt_cell, beta_upper(g, bt), fixture_column(bt), admitted))
@@ -131,14 +126,13 @@ def render_table(cfg: RunConfig) -> str:
             else:
                 cells.append(f"{bt_cell}true,%.12g,%.12g,{fix_cell},%.12g")
                 values += j, degrees(phi), abs(j - fix)
-        if cells:  # a hand-built RunConfig may hold an empty btilde grid
-            lines.append((head + ("\n" + head).join(cells)) % tuple(values))
+        lines.append((head + ("\n" + head).join(cells)) % tuple(values))
     header = ["beta_i", "btilde", "admissible", "J", "phi_star_deg", "fixture_J", "abs_diff"]
     return _csv(header, lines)
 
 
 def render_field(cfg: RunConfig) -> str:
-    """First-order diffraction density over a (xi/kappa0, theta) grid as CSV."""
+    """Density on the (xi/kappa0, theta) grid as CSV, for a cfg from parse_config or RunConfig()."""
     gas = GasModel(gamma=cfg.gamma, btilde=cfg.btilde)
     ref = reference_constants(cfg.rho0, cfg.p0, gas)
     sigmas = _linspace(cfg.xi_min, 1.0, cfg.xi_count)
@@ -163,20 +157,14 @@ def render_field(cfg: RunConfig) -> str:
 def render_front(cfg: RunConfig) -> str:
     """Covolume sweep of the front quantities: gradient jump, locus per unit time, strength.
 
-    Checked once, before the rows, in order: beta_deg > alpha_deg, the ray (c_beta), the gas at
-    btilde_sweep_max (the largest btilde), rho0 and p0, r, epsilon, the count >= 2 (an int).
+    cfg comes from parse_config, or is RunConfig().  Checked once, before the rows: beta_deg >
+    alpha_deg, then the ray (c_beta, which gives C).  A row that leaves the float range raises.
     """
     alpha, beta_angle = cfg.alpha, cfg.beta_angle
     if beta_angle <= alpha:
         raise DomainError("front command needs beta_deg > alpha_deg (shock side of the sonic ray)")
     c_val = nonlinear_front.c_beta(beta_angle, alpha)
     g, top, rho0, eps = cfg.gamma, cfg.btilde_sweep_max, cfg.rho0, cfg.epsilon
-    validate_gas(GasModel(gamma=g, btilde=top))
-    check_reference(rho0, cfg.p0)
-    check_positive(cfg.r, "r", "gradient jump")
-    nonlinear_front.check_strength(eps)
-    if cfg.btilde_sweep_count < 2:
-        raise DomainError("btilde_sweep_count must be at least 2")
     sweep = _linspace(0.0, top, cfg.btilde_sweep_count)
     if sweep[-1] >= 1.0:  # step*(count - 1) can round up to 1 below a top < 1
         sweep[-1] = top
@@ -205,6 +193,7 @@ def render_inner(cfg: RunConfig) -> str:
     S_D uses the configured boundary label eta; the pointwise diffracted
     solution uses each point's own eta and is blank where undefined.  Each
     value is computed where it varies (grid, r' column, theta' row, cell).
+    cfg comes from parse_config, or is RunConfig().
     """
     gas = GasModel(gamma=cfg.gamma, btilde=cfg.btilde)
     ref = reference_constants(cfg.rho0, cfg.p0, gas)

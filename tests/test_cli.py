@@ -63,6 +63,8 @@ class TestConfig:
         assert cfg.epsilon == 0.1
         assert cfg.resolved_beta_i() == pytest.approx(1.1)
         assert cfg.rho0 == 1.0 and cfg.p0 == 1.0 and cfg.theta0 == 0.0
+        # the gate renders RunConfig() without validating it: the boundary must accept it as is
+        assert parse_config() == RunConfig()
 
     def test_file_plus_override(self, tmp_path):
         path = tmp_path / "run.json"
@@ -81,6 +83,7 @@ class TestConfig:
             ({"no_such_key": 1.0}, "no_such_key"),
             ({"gamma": "abc"}, "gamma must be a number"),
             ({"xi_count": 2.5}, "xi_count must be an integer"),
+            ({"btilde_grid": []}, "btilde_grid must be a non-empty array of numbers"),
             ({"beta_i": -1.0}, "beta_i must be positive"),
             ({"beta_grid": [math.inf]}, "beta_grid entries must be finite"),
             ({"btilde_grid": [1.5]}, r"btilde_grid entries must lie in \[0, 1\)"),
@@ -188,7 +191,7 @@ class TestNonFiniteInput:
         assert error["kind"] == "validation"
         assert error["message"].startswith(f"{key} must be finite")
 
-    @pytest.mark.parametrize("key", ["gamma", "alpha_deg", "xi_count", "r"])
+    @pytest.mark.parametrize("key", ["gamma", "alpha_deg", "beta_deg", "xi_count", "r"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_every_scalar_key_rejects_non_finite(self, key, value):
         with pytest.raises(DomainError, match=key):

@@ -8,8 +8,9 @@ again, and formats it with the public fmt and csv_text, so the two must agree
 byte for byte.  Both go through the same unchecked kernels of
 nonlinear_front, the shock-side terms and the gradient jump, so those are
 pinned separately, to the last bit, against the formulas written out in full.
-Where a sweep fails, the error the renderer raises first is pinned, one
-hand-built config per check of the block in its stated order.
+render_front takes its config from parse_config, which checks it once; where
+a front command fails, its first error is pinned: parse_config's, one fault
+per check in its order, then render_front's ray check on a valid config.
 """
 
 import json
@@ -19,7 +20,7 @@ import random
 import pytest
 
 from vdwshock import cli
-from vdwshock.config import RunConfig, parse_config
+from vdwshock.config import parse_config
 from vdwshock.errors import DomainError, SingularityError
 from vdwshock.nonlinear_front import (
     _gradient_jump,
@@ -120,7 +121,7 @@ def test_sweeps_just_below_one_match_the_rebuild():
     for k in range(1, 5):
         top = 1.0 - k * 2.0 ** -53
         for count in range(2, 120):
-            cfg = RunConfig(btilde_sweep_max=top, btilde_sweep_count=count)
+            cfg = parse_config(None, {"btilde_sweep_max": top, "btilde_sweep_count": count})
             rounded_up += _linspace(0.0, top, count)[-1] >= 1.0
             assert render_front(cfg) == pointwise_text(cfg), (top, count)
     assert rounded_up > 10  # every one of these exited 2
@@ -215,15 +216,25 @@ LATE_KAPPA0 = ["--gamma", "5000", "--btilde_sweep_max", "0.99999"]
 LATE_KAPPA0_MESSAGE = ("reference constants a0, kappa0 leave the float range at gamma=5000.0, "
                        "btilde=0.28571142857142856, rho0=1.0, p0=1.0")
 
-# one fault per check of the block, in the block's order
+# _coerce checks each value in argv order, before validate_config
+COERCE_FAULTS = [
+    ("non_finite", {"p0": math.nan, "beta_deg": math.inf}, DomainError,
+     "p0 must be finite, got nan"),
+    ("argv_order", {"beta_deg": math.inf, "p0": math.nan}, DomainError,
+     "beta_deg must be finite, got inf"),
+    ("unknown_key", {"t": 1.0}, DomainError, "unknown configuration key 't'"),
+]
+# one fault per check of validate_config that a front key meets, in its order
 SWEEP_FAULTS = [
-    ("gas", {"gamma": 0.5, "btilde_sweep_max": 1.5}, DomainError, "gamma must exceed 1, got 0.5"),
-    ("reference", {"rho0": -1.0}, DomainError, "reference density and pressure must be positive"),
-    ("r", {"r": 0.0}, DomainError, "gradient jump needs r > 0"),
-    ("epsilon", {"epsilon": -1.0}, DomainError,
-     "shock strength must be nonnegative and finite, got epsilon=-1.0"),
+    ("gas", {"gamma": 0.5}, DomainError, "gamma must exceed 1, got 0.5"),
+    ("epsilon", {"epsilon": -1.0}, DomainError, "epsilon must be nonnegative, got -1.0"),
+    ("reference", {"rho0": -1.0}, DomainError, "rho0 and p0 must be positive"),
+    ("r", {"r": 0.0}, DomainError, "r must be positive"),
+    ("sweep_max", {"btilde_sweep_max": 1.5}, DomainError,
+     "btilde_sweep_max must lie in (0, 1), got 1.5"),
     ("count", {"btilde_sweep_count": 0}, DomainError, "btilde_sweep_count must be at least 2"),
 ]
+# render_front's own checks, on valid configs
 RAY_FAULTS = [
     ("not_shock_side", {"beta_deg": 30.0}, DomainError,
      "front command needs beta_deg > alpha_deg (shock side of the sonic ray)"),
@@ -241,9 +252,10 @@ def _sweep_faults_from(i):
 
 # (check, fields, error, message): each check's fault plus the faults of every later check
 BLOCK_ROWS = ([(name, {**fields, **_sweep_faults_from(0)}, error, message)
-               for name, fields, error, message in RAY_FAULTS]
+               for name, fields, error, message in COERCE_FAULTS]
               + [(name, _sweep_faults_from(i), error, message)
-                 for i, (name, _fields, error, message) in enumerate(SWEEP_FAULTS)])
+                 for i, (name, _fields, error, message) in enumerate(SWEEP_FAULTS)]
+              + RAY_FAULTS)
 
 
 class TestErrorPrecedence:
@@ -278,40 +290,41 @@ class TestErrorPrecedence:
         code, got = cli_error(capsys, ["front", *argv])
         assert (code, got) == (2, message)
 
-    # a hand-built RunConfig skips validate_config, so the block's own checks meet these
+    # the front command's first error: parse_config's, else render_front's on the valid config
     @pytest.mark.parametrize("fields, error, message", [row[1:] for row in BLOCK_ROWS],
                              ids=[row[0] for row in BLOCK_ROWS])
     def test_block_order(self, fields, error, message):
         with pytest.raises(error) as info:
-            render_front(RunConfig(**fields))
+            render_front(parse_config(None, fields))
         assert (type(info.value), str(info.value)) == (error, message)
 
+    # each invalid front field meets parse_config, the one check of a config, alone
     @pytest.mark.parametrize("fields, message", [
         ({"gamma": 1.0}, "gamma must exceed 1, got 1.0"),
         ({"gamma": math.inf}, "gamma must be finite, got inf"),
-        ({"btilde_sweep_max": 1.5}, "btilde must be below 1, got 1.5"),
-        ({"btilde_sweep_max": 1.0}, "btilde must be below 1, got 1.0"),
-        ({"btilde_sweep_max": math.nan}, "btilde must be below 1, got nan"),
-        ({"btilde_sweep_max": math.inf}, "btilde must be below 1, got inf"),
-        ({"btilde_sweep_max": -0.5}, "btilde must be nonnegative, got -0.5"),
-        ({"p0": math.inf}, "reference density and pressure must be finite, got 1.0, inf"),
-        ({"rho0": math.nan}, "reference density and pressure must be finite, got nan, 1.0"),
-        ({"r": math.inf}, "gradient jump needs a finite r, got inf"),
-        ({"r": math.nan}, "gradient jump needs r > 0"),
-        ({"epsilon": math.nan}, "shock strength must be nonnegative and finite, got epsilon=nan"),
+        ({"btilde_sweep_max": 1.5}, "btilde_sweep_max must lie in (0, 1), got 1.5"),
+        ({"btilde_sweep_max": 1.0}, "btilde_sweep_max must lie in (0, 1), got 1.0"),
+        ({"btilde_sweep_max": math.nan}, "btilde_sweep_max must be finite, got nan"),
+        ({"btilde_sweep_max": math.inf}, "btilde_sweep_max must be finite, got inf"),
+        ({"btilde_sweep_max": -0.5}, "btilde_sweep_max must lie in (0, 1), got -0.5"),
+        ({"p0": math.inf}, "p0 must be finite, got inf"),
+        ({"rho0": math.nan}, "rho0 must be finite, got nan"),
+        ({"r": math.inf}, "r must be finite, got inf"),
+        ({"r": math.nan}, "r must be finite, got nan"),
+        ({"epsilon": math.nan}, "epsilon must be finite, got nan"),
         ({"btilde_sweep_count": 1}, "btilde_sweep_count must be at least 2"),
         ({"btilde_sweep_count": -3}, "btilde_sweep_count must be at least 2"),
     ])
     def test_hand_built_config(self, fields, message):
         with pytest.raises(DomainError) as info:
-            render_front(RunConfig(**fields))
+            parse_config(None, fields)
         assert (type(info.value), str(info.value)) == (DomainError, message)
 
 
-def test_default_front_validates_its_gas_twice(count_calls):
+def test_default_front_validates_its_gas_once(count_calls):
     counts = count_calls(["validate_gas", "reference_constants", "_a0_kappa0", "check_reference",
                           "classify_front", "c_beta"])
     assert cli.main(["front"]) == 0
-    # the gas once in parse_config and once for the sweep; the 15 rows call only the kernel
-    assert counts == {"validate_gas": 2, "reference_constants": 0, "_a0_kappa0": 15,
-                      "check_reference": 1, "classify_front": 1, "c_beta": 1}
+    # the gas once, in parse_config; the 15 rows call only the kernels
+    assert counts == {"validate_gas": 1, "reference_constants": 0, "_a0_kappa0": 15,
+                      "check_reference": 0, "classify_front": 1, "c_beta": 1}

@@ -9,7 +9,6 @@ import math
 
 import pytest
 
-from vdwshock.config import RunConfig
 from vdwshock.errors import DomainError
 from vdwshock.geometry import PseudoFlowState, SelfSimilarPoint, eigenvalues_and_type, make_point
 from vdwshock.inner_singular import expansion_fan, inner_geometry, similarity_residual, stretch
@@ -19,7 +18,6 @@ from vdwshock.nonlinear_front import (c_beta, classify_front, gradient_jump, psi
                                       rarefaction_profile, shock_locus, shock_strength,
                                       transport_residual)
 from vdwshock.regular_reflection import F_eval, criterion, table_generate
-from vdwshock.reports import render_field, render_front, render_inner
 from vdwshock.thermo import GasModel, ThermoState, reference_constants, sound_speed, thermo_eval
 
 NAN, INF = math.nan, math.inf
@@ -165,16 +163,6 @@ CASES = [
      DomainError, "density and pressure must be finite"),
     ("thermo_eval density nan", lambda: thermo_eval(ThermoState(NAN, 1.0), GAS),
      DomainError, "density must be positive"),
-    # a hand-built RunConfig skips validate_config: this said "front quantities overflow"
-    ("render_front beta_deg nan", lambda: render_front(RunConfig(beta_deg=NAN)),
-     DomainError, "ray angle must lie in [0, pi - alpha), got nan"),
-    # and these raised a bare TypeError from range()
-    ("render_field float count", lambda: render_field(RunConfig(xi_count=2.0)),
-     DomainError, "grid count must be an integer, got 2.0"),
-    ("render_front float count", lambda: render_front(RunConfig(btilde_sweep_count=2.0)),
-     DomainError, "grid count must be an integer, got 2.0"),
-    ("render_inner float count", lambda: render_inner(RunConfig(thetaprime_count=3.0)),
-     DomainError, "grid count must be an integer, got 3.0"),
 ]
 
 

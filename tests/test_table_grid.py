@@ -1,7 +1,8 @@
 """The grid renderer of the table command against a pointwise rebuild.
 
-render_table validates each btilde column, works out its admissible band and
-fixture column once, and runs only the threshold kernels per cell; the
+render_table takes its config from parse_config, which validates the gas of
+every btilde column once; it works out each column's admissible band and
+fixture column once, and runs only the threshold kernels per cell.  The
 rebuild below evaluates every cell through the public criterion,
 fixture_value and fmt, so the two must agree byte for byte and fail with the
 same exception.
@@ -89,11 +90,6 @@ def test_integer_entries_outside_parse_config():
     )
 
 
-def test_empty_btilde_grid_prints_only_the_header():
-    cfg = RunConfig(gamma=1.4, beta_grid=[1.2, 2.0], btilde_grid=[])
-    assert render_table(cfg) == HEADER + "\n"
-
-
 def test_band_edges_reach_both_sides():
     # the exact band ends are admissible, one ulp outside them is not
     gamma, bt = 1.7, 0.25
@@ -154,3 +150,10 @@ def test_poisoned_kernel_raises_like_pointwise(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert json.loads(err)["error"]["message"] == str(grid_exc.value)
+
+
+def test_default_table_validates_its_gas_once(count_calls):
+    counts = count_calls(["validate_gas"])
+    assert cli.main(["table"]) == 0
+    # once, in parse_config, which checks every btilde column; no column validates it again
+    assert counts == {"validate_gas": 1}

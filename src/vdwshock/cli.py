@@ -2,14 +2,13 @@
 
 Usage: vdwshock <command> [--config FILE] [--output PATH] [--key value ...]
 Commands: criterion, table, field, front, inner, check.
+A key is --config, --output or a config key; it may be written with "-" for
+"_" and as --key=value.  -h or --help prints this paragraph.
 Exit codes: 0 success, 2 validation error, 3 internal-inconsistency detection
 (including a verification report with failing entries).
 
-A command line in the plain grammar ``<command> (--key value)*``, with every
-key spelled exactly, is read by one walk over argv (``_walk``).  Every other
-command line, among them ``-h``, ``--key=value``, abbreviated options and
-malformed ones, goes to argparse, which is imported and built only then and
-gives the same result the walk would wherever both apply.
+One walk over argv (``_read``) reads the command line; a line outside the
+grammar ``<command> (--key value)*`` is a validation error.
 
 Importing this module runs config and reports and registers every other
 module a command may run, so that each command runs only its own modules.
@@ -17,12 +16,11 @@ module a command may run, so that each command runs only its own modules.
 
 from __future__ import annotations
 
-import functools
 import importlib.util
 import json
 import sys
 
-from .config import RunConfig, parse_config
+from .config import parse_config
 from .errors import DomainError, InternalInconsistencyError
 
 # every module a command may run that config has not loaded is registered as an
@@ -44,59 +42,6 @@ from . import checks, reports  # noqa: E402  (after the loop: reports binds the 
 COMMANDS = (*reports.DATA_COMMANDS, "check")
 
 
-@functools.cache
-def _parser():
-    """The argparse parser, built on first use: parsing does not change it."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="vdwshock",
-        description=(
-            "Closed-form weak-shock reflection-diffraction tables, fields and "
-            "verification reports for a covolume gas"
-        ),
-    )
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("--config", default=None, help="flat JSON config file")
-    parser.add_argument("--output", default=None, help="output path (default stdout)")
-    return parser
-
-
-_FIELD_KEYS = frozenset(f"--{field}" for field in RunConfig._fields)
-# argparse passes a value of one of these shapes through to the extras right
-# after its key, as a negative number or as an unknown option; any other
-# value that starts with "-" it may read as -h, an abbreviation or an error
-_SIGNED_STARTS = frozenset("-" + c for c in "0123456789.")
-
-
-def _walk(argv: list[str]):
-    """(command, config, output, extras) of a plain command line, else None.
-
-    Plain means ``<command> (--key value)*`` where each key is ``--config``,
-    ``--output`` or ``--<RunConfig field>``, a config or output value does not
-    start with "-", and a field value does not start with "-" unless a digit
-    or "." follows it.  On such a command line argparse's parse_known_args
-    gives the same four values; the extras keep argv's order.
-    """
-    if not argv or argv[0] not in COMMANDS or not len(argv) % 2:
-        return None
-    config = output = None
-    extras = []
-    for i in range(1, len(argv), 2):
-        key, value = argv[i], argv[i + 1]
-        if key in _FIELD_KEYS:
-            if value[:1] == "-" and value[:2] not in _SIGNED_STARTS:
-                return None
-            extras += key, value
-        elif key == "--config" and value[:1] != "-":
-            config = value
-        elif key == "--output" and value[:1] != "-":
-            output = value
-        else:
-            return None
-    return argv[0], config, output, extras
-
-
 def _parse_override_value(option: str, raw: str):
     try:
         return json.loads(raw)
@@ -106,19 +51,39 @@ def _parse_override_value(option: str, raw: str):
         raise DomainError(f"cannot read the value of {option}: {exc}") from None
 
 
-def _collect_overrides(extra: list[str]) -> dict:
+def _read(argv: list[str]):
+    """(command, config, output, overrides) of a command line, or None for help.
+
+    One pass over ``<command> (--key value)*``.  Each override value is
+    JSON-decoded in argv order (one that is not JSON stays a string); a
+    --config or --output value is taken as written, and the last one wins.
+    """
+    if argv and argv[0] in ("-h", "--help"):
+        return None
+    if not argv or argv[0] not in COMMANDS:
+        got = repr(argv[0]) if argv else "nothing"
+        raise DomainError(f"expected a command ({', '.join(COMMANDS)}), got {got}")
+    config = output = None
     overrides: dict = {}
-    i = 0
-    while i < len(extra):
-        token = extra[i]
-        if not token.startswith("--") or len(token) <= 2:
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return None
+        option, eq, value = token.partition("=")
+        if not option.startswith("--") or len(option) <= 2:
             raise DomainError(f"expected --key value pairs, got {token!r}")
-        key = token[2:].replace("-", "_")
-        if i + 1 >= len(extra):
-            raise DomainError(f"missing value for option {token!r}")
-        overrides[key] = _parse_override_value(token, extra[i + 1])
-        i += 2
-    return overrides
+        if not eq:
+            value = next(tokens, None)
+            if value is None:
+                raise DomainError(f"missing value for option {token!r}")
+        key = option[2:].replace("-", "_")
+        if key == "config":
+            config = value
+        elif key == "output":
+            output = value
+        else:
+            overrides[key] = _parse_override_value(option, value)
+    return argv[0], config, output, overrides
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -139,16 +104,13 @@ def _error_object(kind: str, exc: Exception) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    parsed = _walk(argv)
-    if parsed is None:
-        args, extra = _parser().parse_known_args(argv)
-        parsed = args.command, args.config, args.output, extra
-    command, config, output, extra = parsed
-
     try:
-        cfg = parse_config(config, _collect_overrides(extra))
+        parsed = _read(sys.argv[1:] if argv is None else argv)
+        if parsed is None:
+            sys.stdout.write(__doc__.split("\n\n")[1] + "\n")
+            return 0
+        command, config, output, overrides = parsed
+        cfg = parse_config(config, overrides)
         if command == "check":
             results = checks.run_all_checks()
             _emit(reports.json_text(checks.report_payload(results)), output)

@@ -128,9 +128,9 @@ SURVIVORS = {
     "_jump.M_up_sq": "no check reads the incident upstream Mach number or the wall-point "
                      "speed u2 built from it",
     "_jump.M_down_sq": "no check reads M2_sq or the speeds built from it",
-    "solve_regular_reflection.beta_r": "reflection_solve checks the reflected ratio only "
-                                       "against its band bounds, which a 1e-7 shift stays "
-                                       "within; no check compares it with an oracle",
+    "solve_regular_reflection.beta_r": "reflection_solve reads no reflected ratio, and the "
+                                       "solve's own band test runs before this shift; no "
+                                       "check compares the ratio with an oracle",
     "solve_regular_reflection.M2_sq": "no check reads M2_sq",
     **{f"solve_regular_reflection.state2.{name}": f"no check reads {name}, or any part of "
        "the state behind the reflected shock" for name in ("rho2", "u2", "v2", "p2")},

@@ -36,12 +36,13 @@ class _ParseConfigReached(Exception):
 
 
 @pytest.mark.parametrize("argv", [
-    ["front", "--xi_count", "5"],  # the plain grammar: read by the walk
-    ["front", "--xi-count", "5"],  # a hyphenated key: read by argparse
+    ["front", "--xi_count", "5"],  # the plain grammar
+    ["front", "--xi-count", "5"],  # a hyphenated key
+    ["front", "--xi_count=5"],  # a key with its value attached
 ])
 def test_main_calls_parse_config_through_the_module(monkeypatch, argv):
     # perfbench/probe.py times set-up by patching cli.parse_config, and the
-    # tracer wraps it the same way, so both parsing paths must look it up there
+    # tracer wraps it the same way, so every spelling of a key must reach it there
     from vdwshock import cli
 
     def stub(*args):

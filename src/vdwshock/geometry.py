@@ -14,7 +14,7 @@ import sys
 from typing import NamedTuple
 
 from .errors import DomainError, RegionError
-from .thermo import ReferenceState
+from .thermo import ReferenceState, check_finite
 
 #: relative half-thickness (in units of a0) used to tag boundary points
 BOUNDARY_TOL = 1e-12
@@ -63,6 +63,7 @@ def make_point(zeta: float, theta: float, ref: ReferenceState) -> SelfSimilarPoi
                           f"p0={ref.p0} (a0={ref.a0}, kappa0={ref.kappa0})")
     if not 0.0 <= zeta < math.inf:
         raise DomainError(f"similarity radius must be nonnegative and finite, got {zeta}")
+    check_finite("a point", theta=theta)
     return SelfSimilarPoint(zeta=zeta, theta=theta, xi=zeta / ref.c0)
 
 
@@ -127,6 +128,7 @@ def region_classify(
     """
     theta, zeta, a0 = pt.theta, pt.zeta, ref.a0
     eps = BOUNDARY_TOL * a0
+    check_angle(alpha, "wedge half-angle")
     check_theta(theta, alpha)
 
     tags = []

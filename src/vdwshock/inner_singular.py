@@ -15,9 +15,9 @@ import math
 from typing import Callable, NamedTuple
 
 from .errors import DomainError
-from .geometry import SelfSimilarPoint
+from .geometry import SelfSimilarPoint, check_angle
 from .linear_acoustics import atan_zero_pi
-from .thermo import GasModel, ReferenceState, check_positive, validate_gas
+from .thermo import GasModel, ReferenceState, check_finite, check_positive, validate_gas
 
 KIND_REFLECTED = "reflected"
 KIND_DIFFRACTED = "diffracted"
@@ -44,6 +44,7 @@ def stretch(
 ) -> InnerPoint:
     """Map an outer point to the stretched frame centered on the merge point."""
     check_positive(epsilon, "epsilon", "stretching")
+    check_angle(alpha, "wedge half-angle")
     r_prime = (pt.xi - ref.kappa0) / epsilon
     theta_prime = (pt.theta - 2.0 * alpha) / math.sqrt(epsilon)
     eta = None
@@ -68,6 +69,7 @@ def inner_geometry(
 ) -> InnerGeometry:
     """Sonic-line layout of the inner mixed-type model."""
     validate_gas(gas)
+    check_finite("inner geometry", theta0=theta0)
     vartheta = 0.5 * ref.kappa0 * (gas.gamma + 1.0) / (1.0 - gas.btilde)
     return InnerGeometry(
         vartheta=vartheta,
@@ -96,6 +98,7 @@ def _diffracted_locus(parabola: float, lift: float, geom: InnerGeometry) -> floa
 
 def reflected_shock_locus(theta_prime: float, geom: InnerGeometry) -> float:
     """Inner parabola of the reflected shock."""
+    check_finite("reflected shock locus", theta_prime=theta_prime)
     return _parabola(theta_prime, geom) + 1.5 * geom.vartheta
 
 
@@ -106,8 +109,8 @@ def shock_loci(theta_prime: float, eta: float, geom: InnerGeometry) -> tuple[flo
     borders and exists for eta < 0 only.
     """
     s_r = reflected_shock_locus(theta_prime, geom)
-    if eta >= 0.0:
-        raise DomainError(f"diffracted locus needs eta < 0, got {eta}")
+    if not -math.inf < eta < 0.0:
+        raise DomainError(f"diffracted locus needs eta < 0 and finite, got {eta}")
     return s_r, _diffracted_locus(_parabola(theta_prime, geom), _lift(eta), geom)
 
 
@@ -153,6 +156,7 @@ def mixed_type_classify(ip: InnerPoint, U: float, geom: InnerGeometry) -> str:
     Equality (to 1e-12 relative) is sonic; with U = 1 and U = 2 this puts the
     sonic lines at r' = vartheta and r' = 2*vartheta.
     """
+    check_finite("mixed-type classification", U=U)
     lhs = geom.vartheta * U
     tol = 1e-12 * max(1.0, abs(lhs), abs(ip.r_prime))
     if abs(lhs - ip.r_prime) <= tol:
@@ -176,6 +180,7 @@ def inner_rh_residual(
     U = (1, 2); the off-vertex value is a documented property of the printed
     closed forms, reported as measured.
     """
+    check_finite("inner jump residual", U_ahead=U_ahead, U_behind=U_behind, V_jump=V_jump)
     d_sr = geom.kappa0 * (theta_prime - geom.theta0)
     s_r = reflected_shock_locus(theta_prime, geom)
     jump_u = U_behind - U_ahead
@@ -200,6 +205,7 @@ def similarity_residual(
     equals kappa0*(1-vartheta)/(2x), another documented closed-form property.
     """
     check_positive(x, "x", "similarity residual")
+    check_finite("similarity residual", theta_prime=theta_prime)
     if theta_prime == 0.0:
         raise DomainError("similarity residual needs theta' != 0")
     tp2 = theta_prime * theta_prime

@@ -27,7 +27,7 @@ from .geometry import (
     make_point,
     region_classify,
 )
-from .thermo import GasModel, ReferenceState, validate_gas
+from .thermo import GasModel, ReferenceState, check_finite, validate_gas
 
 #: ring 1 - xi/kappa0 below which the near-front asymptote replaces the
 #: closed form (catastrophic cancellation guard)
@@ -100,6 +100,7 @@ def atan_zero_pi(num: float, den: float) -> float:
 def state1_expansion(theta: float, gas: GasModel, ref: ReferenceState) -> ExpansionCoefficients:
     """Strength-expansion coefficients of the state behind the incident shock."""
     validate_gas(gas)
+    check_finite("state-1 expansion", theta=theta)
     g, bt = gas.gamma, gas.btilde
     k0 = ref.kappa0
     one_m = 1.0 - bt
@@ -121,6 +122,7 @@ def state2_expansion(
     theta: float, alpha: float, ref: ReferenceState
 ) -> tuple[float, float, float]:
     """First-order triple (rho, U, V) of the state behind the reflected shock."""
+    check_finite("state-2 expansion", theta=theta, alpha=alpha)
     k0 = ref.kappa0
     return (
         2.0,
@@ -177,6 +179,7 @@ def interior_density(s: float, beta: float, mu: float) -> float:
     Even in the wall-relative angle beta, which is what enforces the Neumann
     condition on the wedge face.
     """
+    check_finite("interior density", s=s, beta=beta, mu=mu)
     return _interior_cells(s, mu, (math.cos(mu * beta),))[0]
 
 
@@ -321,8 +324,9 @@ def density_pde_residual(
     Evaluates xi^2*((1-(xi/kappa0)^2)*rho_xi)_xi + rho_theta_theta + xi*rho_xi
     for a scalar field rho(xi, theta); second order in the step h.
     """
-    if h <= 0.0:
+    if not h > 0.0:
         raise DomainError("step must be positive")
+    check_finite("residual stencil", theta=theta)
     if not 0.0 < xi < ref.kappa0:
         raise DomainError("residual stencil needs an interior radius")
     if xi - h <= 0.0 or xi + h >= ref.kappa0:

@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 from .errors import ClassificationError, DomainError, SingularityError
 from .geometry import check_angle
 from .linear_acoustics import _front_coefficient, corner_exponent
-from .thermo import GasModel, ReferenceState, check_positive, validate_gas
+from .thermo import GasModel, ReferenceState, check_finite, check_positive, validate_gas
 
 
 class FrontClassification(NamedTuple):
@@ -69,6 +69,7 @@ def transport_residual(
     """
     validate_gas(gas)
     check_positive(r, "r", "transport residual")
+    check_finite("transport residual", tau=tau)
     if not (h > 0.0 and r - h > 0.0):
         raise DomainError("stencil leaves the domain; shrink h")
     a0 = a_profile(r, tau)

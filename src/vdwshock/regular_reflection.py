@@ -37,7 +37,7 @@ from .shock_relations import (
     beta_upper,
     check_incident_beta,
 )
-from .thermo import GasModel, validate_gas
+from .thermo import GasModel, check_finite, validate_gas
 
 #: closed-form root vs bisection agreement required before a root is accepted
 ROOT_AGREEMENT = 1e-10
@@ -125,6 +125,7 @@ def _beta_r_of(b: float, tan_phi_i: float, g: float, bt: float) -> Callable[[flo
 def beta_r_from_angles(beta_i: float, tan_phi_i: float, tan_phi_r: float, gas: GasModel) -> float:
     """Reflected density ratio from the two shock angles."""
     check_incident_beta(beta_i, gas)
+    check_finite("reflected density ratio", tan_phi_i=tan_phi_i, tan_phi_r=tan_phi_r)
     return _beta_r_of(beta_i, tan_phi_i, gas.gamma, gas.btilde)(tan_phi_r)
 
 
@@ -143,6 +144,7 @@ def _tan_delta_r(b: float, t: float, r: float, g: float, bt: float) -> float:
 def tan_delta_r(beta_i: float, tan_phi_i: float, tan_phi_r: float, gas: GasModel) -> float:
     """Deflection tangent behind the reflected shock, angles eliminated."""
     check_incident_beta(beta_i, gas)
+    check_finite("reflected deflection", tan_phi_i=tan_phi_i, tan_phi_r=tan_phi_r)
     return _tan_delta_r(beta_i, tan_phi_i, tan_phi_r, gas.gamma, gas.btilde)
 
 
@@ -175,6 +177,7 @@ def tan_phi_r_branches(
     (F = 0 up to rounding) counts as attached, with the radicand clamped.
     """
     check_incident_beta(beta_i, gas)
+    check_finite("reflected angle", tan_phi_i=tan_phi_i)
     return _branches(beta_i, tan_phi_i, gas.gamma, gas.btilde)
 
 

@@ -60,6 +60,13 @@ def check_positive(value: float, name: str, where: str) -> None:
         raise DomainError(f"{where} needs a finite {name}, got {value}")
 
 
+def check_finite(where: str, **values: float) -> None:
+    """Reject a NaN or infinite value, naming it."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{where} needs a finite {name}, got {value}")
+
+
 def _check_state(state: ThermoState, b: float) -> None:
     if not state.rho > 0.0:
         raise DomainError(f"density must be positive, got {state.rho}")
@@ -74,6 +81,7 @@ def _check_state(state: ThermoState, b: float) -> None:
 def sound_speed(state: ThermoState, gas: GasModel, rho0: float = 1.0) -> float:
     """Speed of sound sqrt(gamma*p / (rho*(1 - b*rho))), with b = btilde/rho0."""
     validate_gas(gas)
+    check_positive(rho0, "rho0", "sound speed")
     b = gas.btilde / rho0
     _check_state(state, b)
     return math.sqrt(gas.gamma * state.p / (state.rho * (1.0 - b * state.rho)))
@@ -93,6 +101,7 @@ def thermo_eval(
     against p*(V-b)^gamma = 1.  The identity h - e = p*V holds for all states.
     """
     validate_gas(gas)
+    check_positive(rho0, "rho0", "thermodynamic evaluation")
     b = gas.btilde / rho0
     _check_state(state, b)
     v = 1.0 / state.rho

@@ -6,6 +6,7 @@ import pytest
 from vdwshock.errors import DomainError, RegionError
 from vdwshock.geometry import (
     PseudoFlowState,
+    SelfSimilarPoint,
     check_angle,
     eigenvalues_and_type,
     incident_locus,
@@ -117,9 +118,11 @@ class TestRegionClassify:
     def test_theta_outside_the_wedge_domain(self, ideal_ref, theta):
         # one range test for the region map and the diffraction formula; a
         # NaN theta used to slip past it here and fail later in a locus
-        with pytest.raises(DomainError, match=r"outside the wedge domain \[alpha, pi\]"):
-            region_classify(make_point(1.0, theta, ideal_ref), 0.5, ideal_ref)
-        with pytest.raises(DomainError, match=r"outside the wedge domain \[alpha, pi\]"):
+        wedge = r"outside the wedge domain \[alpha, pi\]"
+        point = SelfSimilarPoint(1.0, theta, 1.0 / ideal_ref.c0)  # make_point rejects a NaN theta
+        with pytest.raises(DomainError, match=wedge):
+            region_classify(point, 0.5, ideal_ref)
+        with pytest.raises(DomainError, match="a point needs" if math.isnan(theta) else wedge):
             diffracted_density_xi(0.5, theta, 0.5, ideal_ref)
 
     def test_partition_is_exclusive(self):

@@ -5,19 +5,21 @@ the error type it must raise and the start of its message.  NaN must fail
 every range test, and infinity every test whose domain is finite.
 """
 
+import inspect
 import math
 
 import pytest
 
+import vdwshock
 from vdwshock.errors import DomainError
 from vdwshock.geometry import PseudoFlowState, SelfSimilarPoint, eigenvalues_and_type, make_point
-from vdwshock.inner_singular import expansion_fan, inner_geometry, similarity_residual, stretch
-from vdwshock.linear_acoustics import (busemann_variable, density_pde_residual,
-                                       near_front_coefficient)
-from vdwshock.nonlinear_front import (c_beta, classify_front, gradient_jump, psi_root,
-                                      rarefaction_profile, shock_locus, shock_strength,
-                                      transport_residual)
-from vdwshock.regular_reflection import F_eval, criterion, table_generate
+from vdwshock.inner_singular import (InnerPoint, expansion_fan, inner_geometry,
+                                     mixed_type_classify, similarity_residual, stretch)
+from vdwshock.linear_acoustics import busemann_variable, density_pde_residual, interior_density
+from vdwshock.nonlinear_front import (gradient_jump, psi_root, rarefaction_profile, shock_locus,
+                                      shock_strength, transport_residual)
+from vdwshock.regular_reflection import F_eval, criterion, table_generate, tan_phi_r_branches
+from vdwshock.shock_relations import IncidentShockInput, ReflectedShockInput
 from vdwshock.thermo import GasModel, ThermoState, reference_constants, sound_speed, thermo_eval
 
 NAN, INF = math.nan, math.inf
@@ -28,6 +30,8 @@ K0 = REF.kappa0
 BETA_SHOCK, ALPHA = math.radians(67.5), math.pi / 4.0  # a ray on the shock side
 BETA_FAN = math.radians(30.0)  # a ray on the rarefaction side
 STATE2 = (0.5, 0.2, 0.1)
+INSIDE = make_point(0.5 * REF.a0, ALPHA + 0.2, REF)  # in the subsonic disk
+OUTSIDE = make_point(1.05 * REF.a0, ALPHA + 0.2, REF)  # in Omega2
 
 
 def _one(*_):
@@ -163,6 +167,17 @@ CASES = [
      DomainError, "density and pressure must be finite"),
     ("thermo_eval density nan", lambda: thermo_eval(ThermoState(NAN, 1.0), GAS),
      DomainError, "density must be positive"),
+    # these returned a point with a NaN angle, nan, "hyperbolic" or (beta = inf) raised a bare
+    # ValueError
+    ("make_point theta nan", lambda: make_point(1.0, NAN, REF),
+     DomainError, "a point needs a finite theta, got nan"),
+    ("tan_phi_r_branches tan nan", lambda: tan_phi_r_branches(1.2, NAN, GAS),
+     DomainError, "reflected angle needs a finite tan_phi_i, got nan"),
+    ("interior_density beta inf", lambda: interior_density(0.5, INF, 0.6),
+     DomainError, "interior density needs a finite beta, got inf"),
+    ("mixed_type_classify U nan",
+     lambda: mixed_type_classify(InnerPoint(0.5, 0.5, None), NAN, GEOM),
+     DomainError, "mixed-type classification needs a finite U, got nan"),
 ]
 
 
@@ -174,33 +189,99 @@ def test_public_input_check(call, error, prefix):
     assert str(info.value).startswith(prefix), str(info.value)
 
 
-# every float argument of the front functions; each (name, function, valid arguments)
-NON_FINITE_TARGETS = [
-    ("classify_front", classify_front, (BETA_SHOCK, ALPHA)),
-    ("c_beta", c_beta, (BETA_SHOCK, ALPHA)),
-    ("shock_locus", shock_locus, (1.0, BETA_SHOCK, ALPHA, 0.1, GAS, REF)),
-    ("shock_strength", shock_strength, (BETA_SHOCK, ALPHA, 0.1, GAS)),
-    # r = 0.5 lies behind the front at t = 1
-    ("rarefaction_profile", rarefaction_profile, (0.5, 1.0, BETA_FAN, ALPHA, 0.1, GAS, REF, STATE2)),
-    ("near_front_coefficient", near_front_coefficient, (ALPHA + BETA_FAN, ALPHA)),
-]
+# one valid call of every public function that takes a float: each float argument in turn
+# is replaced by NaN, inf and -inf, and each of these must raise a DomainError
+NON_FINITE_TARGETS = {
+    # geometry
+    "incident_locus": (1.0, REF),
+    "make_point": (1.0, 1.0, REF),
+    "reflected_line": (1.0, ALPHA, REF),
+    "region_classify": (OUTSIDE, ALPHA, REF),
+    # inner_singular
+    "expansion_fan": (-1.0, 1.0, GEOM),
+    "inner_geometry": (GAS, REF, 0.1),
+    "inner_rh_residual": (GEOM, 0.5, 1.0, 2.0, 0.1),
+    "mixed_type_classify": (InnerPoint(0.5, 0.5, None), 1.0, GEOM),
+    "reflected_shock_locus": (0.5, GEOM),
+    "shock_loci": (0.5, -1.0, GEOM),
+    "similarity_residual": (_one, _one, _one, 1.0, 1.3, GEOM),
+    "stretch": (OUTSIDE, 0.5, 0.1, REF),
+    # linear_acoustics
+    "busemann_variable": (0.5,),
+    "corner_exponent": (ALPHA,),
+    "density_pde_residual": (_one, 0.5 * K0, 1.0, 1e-3, REF),
+    "diffracted_density": (INSIDE, ALPHA, REF),
+    "diffracted_density_xi": (0.5, 1.0, ALPHA, REF),
+    "first_order_piecewise": (OUTSIDE, ALPHA, REF),
+    "interior_density": (0.5, 0.3, 0.6),
+    "near_front_coefficient": (ALPHA + BETA_FAN, ALPHA),
+    "state1_expansion": (1.0, GAS, REF),
+    "state2_expansion": (1.0, ALPHA, REF),
+    # nonlinear_front; r = 0.5 lies behind the front at t = 1
+    "c_beta": (BETA_SHOCK, ALPHA),
+    "classify_front": (BETA_SHOCK, ALPHA),
+    "gradient_jump": (1.0, GAS, 1.0),
+    "psi_root": (1.0, 1.0, -0.5, 0.1, GAS),
+    "rarefaction_profile": (0.5, 1.0, BETA_FAN, ALPHA, 0.1, GAS, REF, STATE2),
+    "shock_locus": (1.0, BETA_SHOCK, ALPHA, 0.1, GAS, REF),
+    "shock_strength": (BETA_SHOCK, ALPHA, 0.1, GAS),
+    "transport_residual": (_one, 1.0, 0.0, 0.1, GAS),
+    # regular_reflection; tan(phi_i) = 2 is above the detachment angle
+    "F_eval": (1.1, 0.5, GAS),
+    "beta_r_from_angles": (1.2, 2.0, -0.5, GAS),
+    "criterion": (1.2, GAS),
+    "cubic_coefficients": (1.2, GAS),
+    "solve_regular_reflection": (IncidentShockInput(1.2, 1.2), 0.3, GAS),
+    "table_generate": ([1.2], [0.0], 1.4),
+    "tan_delta_r": (1.2, 2.0, -0.5, GAS),
+    "tan_phi_r_branches": (1.2, 2.0, GAS),
+    # shock_relations
+    "admissible_beta_bounds": (GAS, 1.2),
+    "normal_incident_state": (1.2, GAS, REF),
+    "reflected_oblique": (1.2, ReflectedShockInput(1.1, 0.5), GAS),
+    # thermo
+    "reference_constants": (1.0, 1.0, GAS),
+    "sound_speed": (ThermoState(1.0, 1.0), GAS, 1.0),
+    "thermo_eval": (ThermoState(1.0, 1.0), GAS, 1.0),
+}
+
+#: public float-taking functions without a row, each with the reason (none at present)
+NON_FINITE_EXEMPT: dict[str, str] = {}
 
 
-def test_front_functions_reject_non_finite_floats():
-    # before, a NaN ray gave C = nan and the kind "shock", and near_front_coefficient(nan, .)
-    # returned nan
+def _float_parameters(function):
+    return [p.name for p in inspect.signature(function).parameters.values()
+            if p.annotation in ("float", "float | None")]
+
+
+def test_every_public_float_function_has_a_row():
+    # the records (named tuples) hold floats unchecked; the functions taking them check them
+    public = {name for name in vdwshock.__all__
+              if inspect.isfunction(getattr(vdwshock, name))
+              and _float_parameters(getattr(vdwshock, name))}
+    assert set(NON_FINITE_TARGETS) | set(NON_FINITE_EXEMPT) == public
+    assert not set(NON_FINITE_TARGETS) & set(NON_FINITE_EXEMPT)
+
+
+@pytest.mark.parametrize("name", sorted(NON_FINITE_TARGETS))
+def test_public_function_rejects_non_finite_floats(name):
+    # before, a NaN ray gave C = nan and the kind "shock", a NaN theta made a point, and
+    # tan_phi_r_branches, interior_density and reflected_shock_locus returned nan
+    function, args = getattr(vdwshock, name), NON_FINITE_TARGETS[name]
+    bound = inspect.signature(function).bind(*args).arguments
+    assert all(type(bound.get(p)) is float for p in _float_parameters(function))  # all swept
+    function(*args)  # the valid call goes through
     wrong = []
-    for name, function, args in NON_FINITE_TARGETS:
-        function(*args)  # the valid call goes through
-        for i, arg in enumerate(args):
-            if type(arg) is not float:
+    for i, arg in enumerate(args):
+        if type(arg) is not float:
+            continue
+        for bad in (NAN, INF, -INF):
+            try:
+                function(*args[:i], bad, *args[i + 1:])
+                got = "no error"
+            except DomainError:
                 continue
-            for bad in (NAN, INF, -INF):
-                try:
-                    function(*args[:i], bad, *args[i + 1:])
-                    got = "no error"
-                except Exception as exc:
-                    got = type(exc).__name__
-                if got != "DomainError":
-                    wrong.append(f"{name} argument {i} = {bad}: {got}")
+            except Exception as exc:
+                got = type(exc).__name__
+            wrong.append(f"argument {i} = {bad}: {got}")
     assert wrong == []

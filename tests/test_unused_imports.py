@@ -1,4 +1,4 @@
-"""No module-level import in the package's modules goes unused.
+"""No module-level import in the package's modules or in the tests goes unused.
 
 A name is used when the module's syntax tree loads it anywhere; an
 annotation counts.  ``__init__.py`` is checked too: the package re-exports
@@ -10,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "vdwshock"
-MODULES = sorted(PACKAGE.glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted([*(ROOT / "src" / "vdwshock").glob("*.py"), *(ROOT / "tests").glob("*.py")])
 
 
 def unused_imports(source):

@@ -18,8 +18,8 @@ _PUBLIC = {
     "geometry": "PseudoFlowState RegionLabel SelfSimilarPoint eigenvalues_and_type "
                 "incident_locus make_point reflected_line region_classify",
     "inner_singular": "InnerGeometry InnerPoint expansion_fan inner_geometry inner_linear "
-                      "inner_rh_residual inner_weak_solution mixed_type_classify "
-                      "reflected_shock_locus shock_loci similarity_residual stretch",
+                      "inner_rh_residual inner_weak_solution reflected_shock_locus shock_loci "
+                      "similarity_residual stretch",
     "linear_acoustics": "ExpansionCoefficients FieldSample busemann_variable corner_exponent "
                         "density_pde_residual diffracted_density diffracted_density_xi "
                         "first_order_piecewise interior_density near_front_coefficient "
@@ -28,11 +28,8 @@ _PUBLIC = {
                        "rarefaction_profile shock_locus shock_strength transport_residual",
     "regular_reflection": "CriterionReport CubicForm ReflectionSolution F_eval "
                           "beta_r_from_angles criterion cubic_coefficients positive_root "
-                          "solve_regular_reflection table_generate tan_delta_r "
-                          "tan_phi_r_branches",
-    "shock_relations": "IncidentShockInput ObliqueJump ReflectedShockInput "
-                       "admissible_beta_bounds incident_oblique normal_incident_state "
-                       "reflected_oblique",
+                          "solve_regular_reflection table_generate tan_phi_r_branches",
+    "shock_relations": "IncidentShockInput admissible_beta_bounds normal_incident_state",
     "thermo": "GasModel ReferenceState ThermoState reference_constants sound_speed "
               "thermo_eval validate_gas",
 }

@@ -151,6 +151,7 @@ def eigenvalues_and_type(
     Type is decided by the sign of V^2 + (U-zeta)^2 - a^2; the acoustic pair
     exists only in the supersonic case.
     """
+    check_finite("eigenvalue analysis", zeta=pt.zeta, U=flow.U, V=flow.V, a=flow.a)
     if pt.zeta <= 0.0:
         raise DomainError("eigenvalues need zeta > 0")
     u_rel = flow.U - pt.zeta

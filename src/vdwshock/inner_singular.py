@@ -58,6 +58,7 @@ def stretch(
 
 def inner_linear(ip: InnerPoint, ref: ReferenceState) -> float:
     """Stretched limit of the linear diffraction field (subsonic side only)."""
+    check_finite("inner linear field", r_prime=ip.r_prime, theta_prime=ip.theta_prime)
     if ip.r_prime >= 0.0:
         raise DomainError(f"inner linear field needs r' < 0, got {ip.r_prime}")
     num = math.sqrt(-2.0 * ip.r_prime / ref.kappa0)
@@ -116,11 +117,13 @@ def shock_loci(theta_prime: float, eta: float, geom: InnerGeometry) -> tuple[flo
 
 def inner_weak_solution(ip: InnerPoint, geom: InnerGeometry, kind: str) -> float:
     """Piecewise weak solution across the reflected or diffracted inner shock."""
+    check_finite("inner weak solution", r_prime=ip.r_prime, theta_prime=ip.theta_prime)
     if kind == KIND_REFLECTED:
         return 1.0 if ip.r_prime > reflected_shock_locus(ip.theta_prime, geom) else 2.0
     if kind == KIND_DIFFRACTED:
         if ip.eta is None:
             raise DomainError("diffracted solution needs eta (theta' != 0)")
+        check_finite("inner weak solution", eta=ip.eta)
         _, s_d = shock_loci(ip.theta_prime, ip.eta, geom)  # enforces eta < 0
         return 1.0 if ip.r_prime > s_d else 1.0 + _lift(ip.eta)
     raise DomainError(f"kind must be '{KIND_REFLECTED}' or '{KIND_DIFFRACTED}', got {kind!r}")
@@ -148,20 +151,6 @@ def expansion_fan(x: float, theta_prime: float, geom: InnerGeometry) -> float:
     if x > 2.0 * geom.vartheta / tp2:
         return 2.0
     return tp2 * math.sqrt(x)
-
-
-def mixed_type_classify(ip: InnerPoint, U: float, geom: InnerGeometry) -> str:
-    """Elliptic where vartheta*U > r', hyperbolic where vartheta*U < r'.
-
-    Equality (to 1e-12 relative) is sonic; with U = 1 and U = 2 this puts the
-    sonic lines at r' = vartheta and r' = 2*vartheta.
-    """
-    check_finite("mixed-type classification", U=U)
-    lhs = geom.vartheta * U
-    tol = 1e-12 * max(1.0, abs(lhs), abs(ip.r_prime))
-    if abs(lhs - ip.r_prime) <= tol:
-        return "sonic"
-    return "elliptic" if lhs > ip.r_prime else "hyperbolic"
 
 
 def inner_rh_residual(

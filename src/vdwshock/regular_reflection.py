@@ -141,13 +141,6 @@ def _tan_delta_r(b: float, t: float, r: float, g: float, bt: float) -> float:
     return num / den
 
 
-def tan_delta_r(beta_i: float, tan_phi_i: float, tan_phi_r: float, gas: GasModel) -> float:
-    """Deflection tangent behind the reflected shock, angles eliminated."""
-    check_incident_beta(beta_i, gas)
-    check_finite("reflected deflection", tan_phi_i=tan_phi_i, tan_phi_r=tan_phi_r)
-    return _tan_delta_r(beta_i, tan_phi_i, tan_phi_r, gas.gamma, gas.btilde)
-
-
 def _branches(b: float, t: float, g: float, bt: float) -> tuple[float, float, float]:
     term1, term2 = _f_terms(b, t * t, g, bt)
     f_value = term1 - term2

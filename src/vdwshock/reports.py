@@ -203,10 +203,14 @@ def render_inner(cfg: RunConfig) -> str:
     if not all(map(math.isfinite, rps)):
         raise DomainError(
             f"r' grid overflows: rprime_min={cfg.rprime_min}, rprime_max={cfg.rprime_max}")
+    tps = _linspace(cfg.thetaprime_min, cfg.thetaprime_max, cfg.thetaprime_count)
+    if not all(map(math.isfinite, tps)):
+        raise DomainError(f"theta' grid overflows: thetaprime_min={cfg.thetaprime_min}, "
+                          f"thetaprime_max={cfg.thetaprime_max}")
     columns = [(rp, _fmt_float(rp)) for rp in rps]
     lift_d = inner_singular._lift(cfg.eta) if cfg.eta < 0.0 else None
     lines = []
-    for tp in _linspace(cfg.thetaprime_min, cfg.thetaprime_max, cfg.thetaprime_count):
+    for tp in tps:
         s_r = inner_singular.reflected_shock_locus(tp, geom)
         denom = geom.kappa0 * tp * tp
         # S_R or a sonic line overflows, or theta'^2 underflows and eta with it

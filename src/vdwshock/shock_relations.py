@@ -15,7 +15,6 @@ import math
 from typing import NamedTuple
 
 from .errors import AdmissibilityError, DomainError
-from .geometry import check_angle
 from .thermo import GasModel, ReferenceState, validate_gas
 
 #: relative slack applied at the open endpoints of the admissibility intervals
@@ -32,20 +31,6 @@ class IncidentShockInput(NamedTuple):
     def epsilon(self) -> float:
         """Shock strength beta_i - 1."""
         return self.beta_i - 1.0
-
-
-class ReflectedShockInput(NamedTuple):
-    beta_r: float
-    phi_r: float
-
-
-class ObliqueJump(NamedTuple):
-    """Jump quantities across one oblique shock."""
-
-    pressure_ratio: float
-    tan_deflection: float
-    M_up_sq: float
-    M_down_sq: float
 
 
 def beta_upper(g: float, bb: float) -> float:
@@ -94,36 +79,13 @@ def _within(beta: float, upper: float) -> bool:
     return beta >= 1.0 - ENDPOINT_SLACK and beta <= upper * (1.0 + ENDPOINT_SLACK)
 
 
-def _check_band(shock: str, beta: float, upper: float) -> None:
-    if not _within(beta, upper):
-        raise AdmissibilityError(
-            f"{shock} density ratio {beta} outside the admissible interval (1, {upper})"
-        )
-
-
 def check_incident_beta(beta_i: float, gas: GasModel) -> None:
     validate_gas(gas)
-    _check_band("incident", beta_i, beta_upper(gas.gamma, gas.btilde))
-
-
-def check_reflected_beta(beta_r: float, beta_i: float, gas: GasModel) -> None:
-    check_incident_beta(beta_i, gas)
-    _check_band("reflected", beta_r, beta_upper(gas.gamma, gas.btilde * beta_i))
-
-
-def incident_oblique(inp: IncidentShockInput, gas: GasModel) -> ObliqueJump:
-    """Pressure ratio, deflection and Mach numbers across the incident shock."""
-    check_incident_beta(inp.beta_i, gas)
-    check_angle(inp.phi_i, "incidence angle phi_i")
-    return ObliqueJump(*_jump(inp.beta_i, math.tan(inp.phi_i), gas.gamma, gas.btilde))
-
-
-def reflected_oblique(beta_i: float, inp: ReflectedShockInput, gas: GasModel) -> ObliqueJump:
-    """Jump quantities across the reflected shock riding on state 1."""
-    check_reflected_beta(inp.beta_r, beta_i, gas)
-    check_angle(inp.phi_r, "reflection angle phi_r")
-    bb = gas.btilde * beta_i  # covolume fraction of state 1
-    return ObliqueJump(*_jump(inp.beta_r, math.tan(inp.phi_r), gas.gamma, bb))
+    upper = beta_upper(gas.gamma, gas.btilde)
+    if not _within(beta_i, upper):
+        raise AdmissibilityError(
+            f"incident density ratio {beta_i} outside the admissible interval (1, {upper})"
+        )
 
 
 def normal_incident_state(beta_i: float, gas: GasModel, ref: ReferenceState) -> tuple[float, float]:

@@ -634,7 +634,7 @@ class TestParserAndImports:
         records = [obj for obj in (getattr(vdwshock, name) for name in vdwshock.__all__)
                    if isinstance(obj, type) and not issubclass(obj, Exception)]
         records += [RunConfig, cli.checks.CheckResult]
-        assert len(records) == 19
+        assert len(records) == 17
         assert all(issubclass(r, tuple) and r._fields for r in records), records
         assert not hasattr(vdwshock, "WedgeConfig")
 
@@ -837,9 +837,12 @@ class TestGrammar:
         (["inner", "--gamma", "100", "--btilde", "0.999999"], 2,
          _INNER_GRID + "-3.0 (gamma=100.0, btilde=0.999999, theta0=0.0, thetaprime_min=-3.0, "
          "thetaprime_max=3.0)"),
-        # the theta' grid's step overflows, so its first angle is NaN
+        # the theta' grid's step overflows, so its first angle is NaN: this blamed the
+        # reflected shock locus, naming neither key
         (["inner", "--thetaprime_min", "-1e308", "--thetaprime_max", "1e308"], 2,
-         "reflected shock locus needs a finite theta_prime, got nan"),
+         "theta' grid overflows: thetaprime_min=-1e+308, thetaprime_max=1e+308"),
+        (["inner", "--thetaprime_min", "1e308", "--thetaprime_max", "-1e308"], 2,
+         "theta' grid overflows: thetaprime_min=1e+308, thetaprime_max=-1e+308"),
         # the cubic's coefficients (2*b2**3) or its closed-form root (m**3) overflow a float
         # at huge gamma: both ended in a traceback; the last exited 3 (h2 = m = n = -inf)
         (["criterion", *_HUGE_GAMMA, "--beta_i", "0.999999999999"], 2,

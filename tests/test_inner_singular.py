@@ -12,7 +12,6 @@ from vdwshock.inner_singular import (
     inner_linear,
     inner_rh_residual,
     inner_weak_solution,
-    mixed_type_classify,
     reflected_shock_locus,
     shock_loci,
     similarity_residual,
@@ -208,23 +207,6 @@ class TestExpansionFan:
     def test_positive_eta_in_inner_branch_rejected(self, ideal_geom):
         with pytest.raises(DomainError):
             expansion_fan(1e-9, 10.0, ideal_geom)  # x below the fan but eta > 0
-
-
-class TestMixedTypeClassify:
-    def test_sonic_lines_with_their_states(self, ideal_geom):
-        v = ideal_geom.vartheta
-        assert mixed_type_classify(InnerPoint(2.0 * v, 0.0, None), 2.0, ideal_geom) == "sonic"
-        assert mixed_type_classify(InnerPoint(v, 0.0, None), 1.0, ideal_geom) == "sonic"
-
-    def test_elliptic_inside(self, ideal_geom):
-        assert mixed_type_classify(
-            InnerPoint(0.5 * ideal_geom.vartheta, 0.0, None), 1.0, ideal_geom
-        ) == "elliptic"
-
-    def test_hyperbolic_outside(self, ideal_geom):
-        assert mixed_type_classify(
-            InnerPoint(3.0 * ideal_geom.vartheta, 0.0, None), 2.0, ideal_geom
-        ) == "hyperbolic"
 
 
 class TestJumpResiduals:

@@ -13,13 +13,13 @@ import pytest
 import vdwshock
 from vdwshock.errors import DomainError
 from vdwshock.geometry import PseudoFlowState, SelfSimilarPoint, eigenvalues_and_type, make_point
-from vdwshock.inner_singular import (InnerPoint, expansion_fan, inner_geometry,
-                                     mixed_type_classify, similarity_residual, stretch)
+from vdwshock.inner_singular import (InnerPoint, expansion_fan, inner_geometry, inner_linear,
+                                     inner_weak_solution, similarity_residual, stretch)
 from vdwshock.linear_acoustics import busemann_variable, density_pde_residual, interior_density
 from vdwshock.nonlinear_front import (gradient_jump, psi_root, rarefaction_profile, shock_locus,
                                       shock_strength, transport_residual)
 from vdwshock.regular_reflection import F_eval, criterion, table_generate, tan_phi_r_branches
-from vdwshock.shock_relations import IncidentShockInput, ReflectedShockInput
+from vdwshock.shock_relations import IncidentShockInput
 from vdwshock.thermo import GasModel, ThermoState, reference_constants, sound_speed, thermo_eval
 
 NAN, INF = math.nan, math.inf
@@ -167,17 +167,13 @@ CASES = [
      DomainError, "density and pressure must be finite"),
     ("thermo_eval density nan", lambda: thermo_eval(ThermoState(NAN, 1.0), GAS),
      DomainError, "density must be positive"),
-    # these returned a point with a NaN angle, nan, "hyperbolic" or (beta = inf) raised a bare
-    # ValueError
+    # these returned a point with a NaN angle, nan or (beta = inf) raised a bare ValueError
     ("make_point theta nan", lambda: make_point(1.0, NAN, REF),
      DomainError, "a point needs a finite theta, got nan"),
     ("tan_phi_r_branches tan nan", lambda: tan_phi_r_branches(1.2, NAN, GAS),
      DomainError, "reflected angle needs a finite tan_phi_i, got nan"),
     ("interior_density beta inf", lambda: interior_density(0.5, INF, 0.6),
      DomainError, "interior density needs a finite beta, got inf"),
-    ("mixed_type_classify U nan",
-     lambda: mixed_type_classify(InnerPoint(0.5, 0.5, None), NAN, GEOM),
-     DomainError, "mixed-type classification needs a finite U, got nan"),
 ]
 
 
@@ -201,7 +197,6 @@ NON_FINITE_TARGETS = {
     "expansion_fan": (-1.0, 1.0, GEOM),
     "inner_geometry": (GAS, REF, 0.1),
     "inner_rh_residual": (GEOM, 0.5, 1.0, 2.0, 0.1),
-    "mixed_type_classify": (InnerPoint(0.5, 0.5, None), 1.0, GEOM),
     "reflected_shock_locus": (0.5, GEOM),
     "shock_loci": (0.5, -1.0, GEOM),
     "similarity_residual": (_one, _one, _one, 1.0, 1.3, GEOM),
@@ -233,12 +228,10 @@ NON_FINITE_TARGETS = {
     "cubic_coefficients": (1.2, GAS),
     "solve_regular_reflection": (IncidentShockInput(1.2, 1.2), 0.3, GAS),
     "table_generate": ([1.2], [0.0], 1.4),
-    "tan_delta_r": (1.2, 2.0, -0.5, GAS),
     "tan_phi_r_branches": (1.2, 2.0, GAS),
     # shock_relations
     "admissible_beta_bounds": (GAS, 1.2),
     "normal_incident_state": (1.2, GAS, REF),
-    "reflected_oblique": (1.2, ReflectedShockInput(1.1, 0.5), GAS),
     # thermo
     "reference_constants": (1.0, 1.0, GAS),
     "sound_speed": (ThermoState(1.0, 1.0), GAS, 1.0),
@@ -284,4 +277,51 @@ def test_public_function_rejects_non_finite_floats(name):
             except Exception as exc:
                 got = type(exc).__name__
             wrong.append(f"argument {i} = {bad}: {got}")
+    assert wrong == []
+
+
+# one valid call of each public function that reads float fields of a record: each field it
+# reads is replaced in turn by NaN, inf and -inf, and each must raise a DomainError naming it
+EIGEN = (SelfSimilarPoint(1.0, 1.0, 1.0), PseudoFlowState(0.5, 0.0, 1.0))
+LINEAR = (InnerPoint(-1.0, 0.5, None), REF)
+REFLECTED = (InnerPoint(-1.0, 0.5, -1.0), GEOM, "reflected")
+DIFFRACTED = (InnerPoint(-1.0, 0.5, -1.0), GEOM, "diffracted")
+RECORD_FIELDS = {
+    # id: (function, args, position of the record, field, the message's first words)
+    "eigenvalues_and_type zeta": (eigenvalues_and_type, EIGEN, 0, "zeta", "eigenvalue analysis"),
+    "eigenvalues_and_type U": (eigenvalues_and_type, EIGEN, 1, "U", "eigenvalue analysis"),
+    "eigenvalues_and_type V": (eigenvalues_and_type, EIGEN, 1, "V", "eigenvalue analysis"),
+    "eigenvalues_and_type a": (eigenvalues_and_type, EIGEN, 1, "a", "eigenvalue analysis"),
+    "inner_linear r_prime": (inner_linear, LINEAR, 0, "r_prime", "inner linear field"),
+    "inner_linear theta_prime": (inner_linear, LINEAR, 0, "theta_prime", "inner linear field"),
+    "inner_weak_solution reflected r_prime":
+        (inner_weak_solution, REFLECTED, 0, "r_prime", "inner weak solution"),
+    "inner_weak_solution reflected theta_prime":
+        (inner_weak_solution, REFLECTED, 0, "theta_prime", "inner weak solution"),
+    "inner_weak_solution diffracted r_prime":
+        (inner_weak_solution, DIFFRACTED, 0, "r_prime", "inner weak solution"),
+    "inner_weak_solution diffracted theta_prime":
+        (inner_weak_solution, DIFFRACTED, 0, "theta_prime", "inner weak solution"),
+    "inner_weak_solution diffracted eta":
+        (inner_weak_solution, DIFFRACTED, 0, "eta", "inner weak solution"),
+}
+
+
+@pytest.mark.parametrize("function, args, position, field, where", RECORD_FIELDS.values(),
+                         ids=RECORD_FIELDS)
+def test_record_field_rejects_non_finite(function, args, position, field, where):
+    # before, eigenvalues_and_type with a NaN U returned (nan, None, None, "sonic"), inner_linear
+    # with a NaN r' returned nan and inner_weak_solution with a NaN r' returned 2.0
+    function(*args)  # the valid call goes through
+    wrong = []
+    for bad in (NAN, INF, -INF):
+        record = args[position]._replace(**{field: bad})
+        try:
+            function(*args[:position], record, *args[position + 1:])
+            got = "no error"
+        except DomainError as exc:
+            if str(exc) == f"{where} needs a finite {field}, got {bad}":
+                continue
+            got = str(exc)
+        wrong.append(f"{field} = {bad}: {got}")
     assert wrong == []

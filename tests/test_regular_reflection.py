@@ -22,11 +22,11 @@ from vdwshock.regular_reflection import (
     positive_root,
     solve_regular_reflection,
     table_generate,
-    tan_delta_r,
     tan_phi_r_branches,
     _beta_r_of,
     _bisection_root,
     _coeffs,
+    _tan_delta_r,
 )
 from vdwshock.shock_relations import IncidentShockInput, admissible_beta_bounds
 from vdwshock.table_fixture import FIXTURE_BETA, FIXTURE_BTILDE, fixture_is_blank
@@ -333,7 +333,6 @@ ENTRY_POINTS = {
     "beta_r_from_angles": lambda gas, b: beta_r_from_angles(b, 1.0, -0.5, gas),
     "cubic_coefficients": lambda gas, b: cubic_coefficients(b, gas),
     "tan_phi_r_branches": lambda gas, b: tan_phi_r_branches(b, 1.0, gas),
-    "tan_delta_r": lambda gas, b: tan_delta_r(b, 1.0, -0.5, gas),
     "F_eval": lambda gas, b: F_eval(b, 1.0, gas),
     "criterion": lambda gas, b: criterion(b, gas),
 }
@@ -505,7 +504,7 @@ class TestSolveRegularReflection:
 
     def test_deflection_matches_direct_relation(self, ideal_gas):
         sol = solve_regular_reflection(IncidentShockInput(1.2, math.pi / 4), 0.7, ideal_gas)
-        direct = tan_delta_r(1.2, 1.0, math.tan(sol.phi_r), ideal_gas)
+        direct = _tan_delta_r(1.2, 1.0, math.tan(sol.phi_r), 1.4, 0.0)
         assert math.tan(sol.delta_r) == pytest.approx(direct, rel=1e-13)
 
     def test_detachment_below_critical_angle(self, ideal_gas):

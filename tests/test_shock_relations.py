@@ -7,11 +7,11 @@ from vdwshock.errors import AdmissibilityError, DomainError
 from vdwshock.regular_reflection import criterion, solve_regular_reflection
 from vdwshock.shock_relations import (
     IncidentShockInput,
-    ReflectedShockInput,
+    _jump,
+    _within,
     admissible_beta_bounds,
-    incident_oblique,
+    check_incident_beta,
     normal_incident_state,
-    reflected_oblique,
 )
 from vdwshock.thermo import (
     GasModel,
@@ -27,54 +27,51 @@ def ideal_incident_pressure_ratio(beta, gamma):
     return ((gamma + 1.0) * beta - (gamma - 1.0)) / ((gamma + 1.0) - (gamma - 1.0) * beta)
 
 
-class TestIncidentOblique:
-    def test_vanishing_strength_limit(self, ideal_gas):
-        jump = incident_oblique(IncidentShockInput(1.0 + 1e-12, math.pi / 3), ideal_gas)
-        assert jump.pressure_ratio == pytest.approx(1.0, abs=1e-11)
-        assert jump.tan_deflection == pytest.approx(0.0, abs=1e-11)
+class TestIncidentJump:
+    """The jump kernel with the upstream covolume fraction btilde of state 0.
 
-    def test_ideal_hand_values(self, ideal_gas):
-        jump = incident_oblique(IncidentShockInput(2.0, math.pi / 4), ideal_gas)
-        assert jump.pressure_ratio == pytest.approx(2.75, rel=1e-14)
-        assert jump.tan_deflection == pytest.approx(1.0 / 3.0, rel=1e-14)
-        assert jump.M_up_sq == pytest.approx(5.0, rel=1e-13)
-        assert jump.M_down_sq == pytest.approx(10.0 / 4.4, rel=1e-13)
+    It returns (pressure ratio, deflection tangent, M_up^2, M_down^2).
+    """
+
+    def test_vanishing_strength_limit(self):
+        p_ratio, tan_def, _, _ = _jump(1.0 + 1e-12, math.tan(math.pi / 3), 1.4, 0.0)
+        assert p_ratio == pytest.approx(1.0, abs=1e-11)
+        assert tan_def == pytest.approx(0.0, abs=1e-11)
+
+    def test_ideal_hand_values(self):
+        p_ratio, tan_def, m_up_sq, m_down_sq = _jump(2.0, math.tan(math.pi / 4), 1.4, 0.0)
+        assert p_ratio == pytest.approx(2.75, rel=1e-14)
+        assert tan_def == pytest.approx(1.0 / 3.0, rel=1e-14)
+        assert m_up_sq == pytest.approx(5.0, rel=1e-13)
+        assert m_down_sq == pytest.approx(10.0 / 4.4, rel=1e-13)
 
     def test_covolume_hand_values(self):
-        jump = incident_oblique(IncidentShockInput(2.0, math.pi / 4), GasModel(1.4, 0.1))
-        assert jump.pressure_ratio == pytest.approx(4.0 / 1.2, rel=1e-14)
+        p_ratio = _jump(2.0, math.tan(math.pi / 4), 1.4, 0.1)[0]
+        assert p_ratio == pytest.approx(4.0 / 1.2, rel=1e-14)
 
     def test_compression(self, covolume_gas):
-        jump = incident_oblique(IncidentShockInput(1.5, 0.6), covolume_gas)
-        assert jump.pressure_ratio > 1.0
-        assert jump.M_up_sq > 0.0
+        p_ratio, _, m_up_sq, _ = _jump(1.5, math.tan(0.6), covolume_gas.gamma, covolume_gas.btilde)
+        assert p_ratio > 1.0
+        assert m_up_sq > 0.0
 
     def test_beta_above_bound_rejected(self, covolume_gas):
         upper = admissible_beta_bounds(covolume_gas)[1]
         with pytest.raises(AdmissibilityError):
-            incident_oblique(IncidentShockInput(upper * 1.01, 0.5), covolume_gas)
+            check_incident_beta(upper * 1.01, covolume_gas)
 
     def test_angle_rejected(self, ideal_gas):
         with pytest.raises(DomainError, match="incidence angle"):
-            incident_oblique(IncidentShockInput(2.0, math.pi / 2), ideal_gas)
+            solve_regular_reflection(IncidentShockInput(2.0, math.pi / 2), 0.5, ideal_gas)
 
     @given(beta=st.floats(1.001, 5.5), phi=st.floats(0.05, 1.5))
     def test_zero_covolume_reduces_to_ideal(self, beta, phi):
-        gas = GasModel(1.4, 0.0)
-        jump = incident_oblique(IncidentShockInput(beta, phi), gas)
-        assert jump.pressure_ratio == pytest.approx(
-            ideal_incident_pressure_ratio(beta, 1.4), rel=1e-13
-        )
         t = math.tan(phi)
-        assert jump.tan_deflection == pytest.approx(
-            (beta - 1.0) * t / (1.0 + beta * t * t), rel=1e-13
-        )
+        p_ratio, tan_def, _, _ = _jump(beta, t, 1.4, 0.0)
+        assert p_ratio == pytest.approx(ideal_incident_pressure_ratio(beta, 1.4), rel=1e-13)
+        assert tan_def == pytest.approx((beta - 1.0) * t / (1.0 + beta * t * t), rel=1e-13)
 
     def test_pressure_ratio_increases_with_btilde(self):
-        ratios = [
-            incident_oblique(IncidentShockInput(1.6, 0.7), GasModel(1.4, bt)).pressure_ratio
-            for bt in (0.0, 0.1, 0.2, 0.3, 0.4)
-        ]
+        ratios = [_jump(1.6, math.tan(0.7), 1.4, bt)[0] for bt in (0.0, 0.1, 0.2, 0.3, 0.4)]
         assert all(b > a for a, b in zip(ratios, ratios[1:]))
 
     def test_epsilon_field(self):
@@ -89,7 +86,7 @@ class TestNormalIncidentConsistency:
         assume(beta < 0.999 * (gas.gamma + 1.0) / (gas.gamma - 1.0 + 2.0 * btilde))
         ref = reference_constants(1.0, 1.0, gas)
         p_norm, _ = normal_incident_state(beta, gas, ref)
-        p_obl = incident_oblique(IncidentShockInput(beta, phi), gas).pressure_ratio
+        p_obl = _jump(beta, math.tan(phi), gas.gamma, gas.btilde)[0]
         assert p_norm == pytest.approx(p_obl, rel=1e-13)
 
     def test_induced_speed_ideal(self, ideal_gas, ideal_ref):
@@ -162,16 +159,18 @@ def reflected_primitive_oracle(beta_i, beta_r, phi_r, gas):
     return p2 / p1, m1_sq, m2_sq, tan_dr
 
 
-class TestReflectedOblique:
-    def test_vanishing_strength_limit(self, ideal_gas):
-        jump = reflected_oblique(1.5, ReflectedShockInput(1.0 + 1e-12, 0.7), ideal_gas)
-        assert jump.pressure_ratio == pytest.approx(1.0, abs=1e-11)
-        assert jump.tan_deflection == pytest.approx(0.0, abs=1e-11)
+class TestReflectedJump:
+    """The jump kernel on state 1, whose covolume fraction is btilde*beta_i."""
 
-    def test_zero_covolume_matches_incident_form(self, ideal_gas):
-        refl = reflected_oblique(2.0, ReflectedShockInput(2.0, math.pi / 4), ideal_gas)
-        assert refl.pressure_ratio == pytest.approx(2.75, rel=1e-14)
-        assert refl.tan_deflection == pytest.approx(1.0 / 3.0, rel=1e-14)
+    def test_vanishing_strength_limit(self):
+        p_ratio, tan_def, _, _ = _jump(1.0 + 1e-12, math.tan(0.7), 1.4, 0.2 * 1.5)
+        assert p_ratio == pytest.approx(1.0, abs=1e-11)
+        assert tan_def == pytest.approx(0.0, abs=1e-11)
+
+    def test_zero_covolume_matches_incident_form(self):
+        p_ratio, tan_def, _, _ = _jump(2.0, math.tan(math.pi / 4), 1.4, 0.0)
+        assert p_ratio == pytest.approx(2.75, rel=1e-14)
+        assert tan_def == pytest.approx(1.0 / 3.0, rel=1e-14)
 
     @pytest.mark.parametrize(
         "beta_i, beta_r, phi_r, btilde",
@@ -183,18 +182,17 @@ class TestReflectedOblique:
     )
     def test_primitive_oracle_agreement(self, beta_i, beta_r, phi_r, btilde):
         gas = GasModel(1.4, btilde)
-        jump = reflected_oblique(beta_i, ReflectedShockInput(beta_r, phi_r), gas)
+        p_jump, tan_jump, m_up_sq, m_down_sq = _jump(beta_r, math.tan(phi_r), 1.4, btilde * beta_i)
         p_ratio, m1_sq, m2_sq, tan_dr = reflected_primitive_oracle(beta_i, beta_r, phi_r, gas)
-        assert jump.pressure_ratio == pytest.approx(p_ratio, rel=1e-11)
-        assert jump.M_up_sq == pytest.approx(m1_sq, rel=1e-11)
-        assert jump.M_down_sq == pytest.approx(m2_sq, rel=1e-11)
-        assert jump.tan_deflection == pytest.approx(tan_dr, rel=1e-11)
+        assert p_jump == pytest.approx(p_ratio, rel=1e-11)
+        assert m_up_sq == pytest.approx(m1_sq, rel=1e-11)
+        assert m_down_sq == pytest.approx(m2_sq, rel=1e-11)
+        assert tan_jump == pytest.approx(tan_dr, rel=1e-11)
 
     def test_beta_r_bound_rejected(self):
-        gas = GasModel(1.4, 0.3)
-        upper = admissible_beta_bounds(gas, beta_i=1.5)[1]
-        with pytest.raises(AdmissibilityError):
-            reflected_oblique(1.5, ReflectedShockInput(upper * 1.01, 0.5), gas)
+        upper = admissible_beta_bounds(GasModel(1.4, 0.3), beta_i=1.5)[1]
+        with pytest.raises(DomainError, match="pressure-ratio denominator vanishes"):
+            _jump(upper * 1.01, math.tan(0.5), 1.4, 0.3 * 1.5)
 
 
 class TestSolveAgainstPrimitiveOracle:
@@ -249,16 +247,17 @@ class TestSlackBand:
     """Density ratios in [upper, upper*(1 + ENDPOINT_SLACK)] pass the
     slackened admissibility check but have no positive pressure ratio."""
 
+    def test_inside_the_slackened_band(self):
+        assert _within(SLACK_UPPER * IN_SLACK, SLACK_UPPER)
+        assert _within(SLACK_UPPER_R * IN_SLACK, SLACK_UPPER_R)
+        assert _within(ROUNDING_UPPER, ROUNDING_UPPER)
+
     @pytest.mark.parametrize(
         "call",
         [
-            lambda: incident_oblique(
-                IncidentShockInput(SLACK_UPPER * IN_SLACK, 0.5), SLACK_GAS
-            ),
-            lambda: reflected_oblique(
-                1.5, ReflectedShockInput(SLACK_UPPER_R * IN_SLACK, 0.5), SLACK_GAS
-            ),
-            lambda: incident_oblique(IncidentShockInput(ROUNDING_UPPER, 0.5), ROUNDING_GAS),
+            lambda: _jump(SLACK_UPPER * IN_SLACK, math.tan(0.5), 1.4, 0.1),
+            lambda: _jump(SLACK_UPPER_R * IN_SLACK, math.tan(0.5), 1.4, 0.1 * 1.5),
+            lambda: _jump(ROUNDING_UPPER, math.tan(0.5), 2.0, 0.2),
             lambda: normal_incident_state(
                 SLACK_UPPER * IN_SLACK, SLACK_GAS, reference_constants(1.0, 1.0, SLACK_GAS)
             ),

@@ -21,7 +21,6 @@ from .errors import DomainError, InternalInconsistencyError
 from .geometry import reflected_line
 from .linear_acoustics import atan_zero_pi
 from .regular_reflection import (
-    positive_root,
     solve_regular_reflection,
     table_generate,
     tan_phi_r_branches,
@@ -29,9 +28,10 @@ from .regular_reflection import (
     _bisection_root,
     _coeffs,
     _f_terms,
-    _threshold,
+    _threshold_columns,
+    _threshold_row,
 )
-from .shock_relations import IncidentShockInput, _within, beta_upper, check_incident_beta
+from .shock_relations import IncidentShockInput, beta_upper, check_incident_beta
 from .table_fixture import fixture_is_blank, fixture_value
 from .thermo import GasModel, reference_constants, validate_gas
 
@@ -61,24 +61,24 @@ def _result(name, ok, residual, tolerance, note) -> CheckResult:
 def _cubic_cells():
     """(x_c, x_b, scaled residual, coefficient-sum error) of each admissible cell.
 
-    The grid is three gammas, 15 btildes and 29 density ratios.  Each gas is
-    validated once; the band test on beta is shock_relations._within, and
-    each cell calls the unchecked kernels: _coeffs for the cubic, its Horner
-    value for the residual |F(x_c)|/(h3 x_c^3), and _f_terms for F(beta, 0),
-    which the coefficient sum h0 + h1 + h2 + h3 must equal.
+    The grid is three gammas, 29 density ratios and 15 btildes.  Each gas is
+    validated once.  Each row takes its roots x_c from one call of the row
+    kernel _threshold_row, the roots that criterion and table print, and
+    each cell takes its cubic from _coeffs for the residual
+    |F(x_c)|/(h3 x_c^3) and the coefficient sum h0 + h1 + h2 + h3, which
+    must equal _f_terms' F(beta, 0).
     """
     betas = [1.1 + 0.1 * i for i in range(29)]
     btildes = [0.05 * i for i in range(15)]
     for g in (1.1, 1.4, 5.0 / 3.0):
         for bt in btildes:
             validate_gas(GasModel(g, bt))
-            upper = beta_upper(g, bt)
-            for beta in betas:
-                if not _within(beta, upper):
-                    continue
+        columns = _threshold_columns(g, btildes)
+        for beta in betas:  # > 1, so a column admits beta when beta is below its band top
+            admitted = [bt for bt, top, _gp, _two_bt in columns if beta <= top]
+            for bt, x_c in zip(admitted, _threshold_row(beta, g, columns)[::3]):
                 cubic = _coeffs(beta, g, bt)
                 h0, h1, h2, h3, _m, _n = cubic
-                x_c = positive_root(cubic)
                 x_b = _bisection_root(cubic)
                 term1, term2 = _f_terms(beta, 0.0, g, bt)
                 f0 = term1 - term2
@@ -87,7 +87,7 @@ def _cubic_cells():
 
 
 def check_cubic_self_consistency() -> CheckResult:
-    """Residual of positive_root's root, its bisection agreement, coefficient-sum identity."""
+    """Residual of the kernel's root, its bisection agreement, coefficient-sum identity."""
     worst_res = worst_root = worst_sum = 0.0
     cells = 0
     for x_c, x_b, res, sum_err in _cubic_cells():
@@ -266,7 +266,7 @@ def check_reflection_solve() -> CheckResult:
         bt = rng.uniform(0.0, 0.7)
         gas = GasModel(g, bt)
         beta = rng.uniform(1.0 + 1e-3, min(beta_upper(g, bt) * 0.999, 4.0))
-        phi_star = _threshold(beta, g, bt)[3]  # the draw keeps beta inside its band
+        phi_star = _threshold_row(beta, g, _threshold_columns(g, (bt,)))[2]  # beta is in its band
         phi_hi = math.pi / 2.0 - 0.02
         if phi_star >= phi_hi:
             continue

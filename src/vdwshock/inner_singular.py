@@ -47,6 +47,9 @@ def stretch(
     check_angle(alpha, "wedge half-angle")
     r_prime = (pt.xi - ref.kappa0) / epsilon
     theta_prime = (pt.theta - 2.0 * alpha) / math.sqrt(epsilon)
+    if not (math.isfinite(r_prime) and math.isfinite(theta_prime)):
+        raise DomainError(f"stretched point leaves the float range at epsilon={epsilon}: "
+                          f"r'={r_prime}, theta'={theta_prime}")
     eta = None
     if theta_prime != 0.0:
         denom = ref.kappa0 * theta_prime * theta_prime
@@ -71,7 +74,12 @@ def inner_geometry(
     """Sonic-line layout of the inner mixed-type model."""
     validate_gas(gas)
     check_finite("inner geometry", theta0=theta0)
-    vartheta = 0.5 * ref.kappa0 * (gas.gamma + 1.0) / (1.0 - gas.btilde)
+    return _inner_geometry(gas.gamma, gas.btilde, ref, theta0)
+
+
+def _inner_geometry(g: float, bt: float, ref: ReferenceState, theta0: float) -> InnerGeometry:
+    """Unchecked inner_geometry of a valid gas (g, bt) at a finite theta0."""
+    vartheta = 0.5 * ref.kappa0 * (g + 1.0) / (1.0 - bt)
     return InnerGeometry(
         vartheta=vartheta,
         theta0=theta0,

@@ -3,23 +3,28 @@
 The wedge condition reduces to a cubic in X = 1 + beta_i*tan^2(phi_i); its
 unique positive root fixes the threshold J = (x*-1)/beta_i that the squared
 tangent of the incidence angle must reach for a regular reflection to exist.
-positive_root is the one home of root finding: one flat function computes
-the closed-form root, accepts it on an O(1) certificate (one sign change in
-the coefficients plus a sign bracket of width ROOT_AGREEMENT, or 16 ulps of a
-large root, around it) and checks its residual, with no helper call on that
-path; only when the certificate does not hold does it call the bracketing
-bisection, _bisection_root, as a cross-check.
+The production path is the row kernel _threshold_row: one call per beta_i row
+returns x*, J and phi* of the row's admissible btilde columns, writing the
+cubic, its closed-form root, certificate and residual test and the J clamp
+out in place.  criterion calls it as a row of one column; the table renderer
+and the gate call it too.  _coeffs and positive_root are the single-cubic API
+and the kernel's reference, pinned to it bit for bit by the tests.
+positive_root accepts the closed-form root on an O(1) certificate (one sign
+change in the coefficients plus a sign bracket of width ROOT_AGREEMENT, or 16
+ulps of a large root, around it) and checks its residual; only when the
+certificate does not hold does it call the bracketing bisection,
+_bisection_root, as a cross-check.  That fallback and its messages live only
+there: the kernel hands positive_root each cell it cannot accept.
 
 Public functions validate (gamma, btilde, beta_i) once and then call the
 unchecked private kernels, which take the validated scalars directly.  Each
-operation on the cubic has one function, which takes any 6-tuple (h0, h1, h2,
-h3, m, n): a CubicForm, or on the table's hot path the plain tuple of _coeffs.
-positive_root and _bisection_root write cubic_value's Horner expression out in
-place, so every value they test is the same float as cubic_value's.  The
-kernels that run once per table cell clamp with a comparison, never the
-builtin max or min: on Python 3.11 (Intel Xeon) max on two floats takes about
-170 ns, ten times a comparison, and the table would pay two such calls per
-admissible cell.
+operation on one cubic has one function, which takes any 6-tuple (h0, h1, h2,
+h3, m, n): a CubicForm, or the plain tuple of _coeffs.  positive_root and
+_bisection_root write cubic_value's Horner expression out in place, so every
+value they test is the same float as cubic_value's.  The kernels that run
+once per table cell clamp with a comparison, never the builtin max or min: on
+Python 3.11 (Intel Xeon) max on two floats takes about 170 ns, ten times a
+comparison, and the table would pay two such calls per admissible cell.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from typing import NamedTuple
 from .errors import DetachmentError, DomainError, InternalInconsistencyError
 from .geometry import check_angle
 from .shock_relations import (
+    ENDPOINT_SLACK,
     IncidentShockInput,
     _jump,
     _within,
@@ -275,11 +281,11 @@ def positive_root(cubic: tuple[float, ...]) -> float:
     # ROOT_AGREEMENT, or 16 ulps where that is wider: from about 5e5 on an
     # absolute 1e-10 is less than one ulp of x (weak shocks in a dense gas
     # reach x* ~ 7e6), so neither a sign bracket nor two root methods could
-    # meet it.  The 16-ulp floor takes over at 2**15 and leaves every smaller
-    # root at ROOT_AGREEMENT.
-    tol = 16.0 * math.ulp(x)
-    if not tol > ROOT_AGREEMENT:
-        tol = ROOT_AGREEMENT
+    # meet it.  16 ulps exceed ROOT_AGREEMENT from |x| = 2**15 on, and stay
+    # below it for every smaller root (a NaN root gets a NaN width, which
+    # certifies nothing).
+    ax = abs(x)
+    tol = ROOT_AGREEMENT if ax < 32768.0 else 16.0 * math.ulp(x)
     lo = x - tol
     hi = x + tol
     # the certificate: h3 > 0, one sign change in (h2, h1, h0) after it (h0
@@ -303,7 +309,6 @@ def positive_root(cubic: tuple[float, ...]) -> float:
                 f"cubic root methods disagree: closed-form {x} vs bisection {x_bisect}"
             )
     residual = ((h3 * x + h2) * x + h1) * x + h0
-    ax = abs(x)
     scale = abs(h3) * (1.0 if ax < 1.0 else ax) ** 3  # max(ax, 1.0), NaN kept
     if abs(residual) > 1e-9 * scale:
         raise InternalInconsistencyError(
@@ -312,23 +317,99 @@ def positive_root(cubic: tuple[float, ...]) -> float:
     return x
 
 
-def _threshold(
-    b: float, g: float, bt: float
-) -> tuple[tuple[float, float, float, float, float, float], float, float, float]:
-    """Unchecked cubic, root, J and critical angle for an admissible ratio.
+def _threshold_columns(g: float, btildes) -> list[tuple[float, float, float, float]]:
+    """Per-column constants of _threshold_row: (btilde, band top, g + 1 - 2*btilde, 2*btilde).
 
-    A float overflow in the cubic or its root, or a covolume fraction
-    btilde*beta_i that rounds to 1, is a DomainError naming the inputs.
+    The band top is beta_upper(g, btilde)*(1 + ENDPOINT_SLACK), the float
+    that shock_relations._within compares beta_i with.
     """
+    return [(bt, beta_upper(g, bt) * (1.0 + ENDPOINT_SLACK), g + 1.0 - 2.0 * bt, 2.0 * bt)
+            for bt in btildes]
+
+
+def _threshold_row(b: float, g: float, columns: list[tuple[float, float, float, float]]
+                   ) -> list[float]:
+    """x*, J and phi* of each column that admits the ratio b, as one flat list.
+
+    columns comes from _threshold_columns(g, btildes) of a valid gas, and b
+    is finite.  Each admissible cell writes out _coeffs' expressions,
+    positive_root's closed-form root, certificate and residual test, and the
+    clamp J = max(0, (x* - 1)/b) in their float order, and calls no other
+    vdwshock function when its root certifies.  A cell that fails the
+    certificate or the residual test hands its cubic to positive_root, looked
+    up as a module global, which keeps the bisection fallback and every
+    message.  A float overflow, or a covolume fraction btilde*b that rounds
+    to 1, is the DomainError of _cubic_error for the cell.
+    """
+    out = []
+    if not b >= 1.0 - ENDPOINT_SLACK:
+        return out
+    sqrt, cos, acos, atan, ulp = math.sqrt, math.cos, math.acos, math.atan, math.ulp
+    gm1 = g - 1.0
+    bm1 = None
     try:
-        h = _coeffs(b, g, bt)
-        x_star = positive_root(h)
+        for bt, top, gp, two_bt in columns:
+            if not b <= top:
+                continue
+            if bm1 is None:  # the row's own terms, once a column admits b: they can overflow
+                bm1 = b - 1.0
+                sq = bm1 ** 2
+                two_bm1 = 2.0 * bm1
+                t3 = 3.0 - 1.0 / b
+                t32 = 3.0 * b - 2.0
+            cov = 1.0 - bt * b
+            c = cov ** 2
+            a_coef = gp * b - gm1
+            h0 = -c * sq / b
+            h1 = c * bm1 * t3 - two_bm1 * cov * a_coef
+            h2 = -(t32 * c + bm1 * a_coef * (gm1 + two_bt * b))
+            h3 = b * c
+            b2 = h2 / h3
+            b1 = h1 / h3
+            m = b1 - b2 * b2 / 3.0
+            n = h0 / h3 - b1 * b2 / 3.0 + 2.0 * b2 ** 3 / 27.0
+            disc = n * n / 4.0 + m ** 3 / 27.0
+            if disc >= 0.0:
+                s = sqrt(disc)
+                q = -n / 2.0
+                u = q + s
+                v = q - s
+                y = (math.copysign(abs(u) ** (1.0 / 3.0), u)
+                     + math.copysign(abs(v) ** (1.0 / 3.0), v))
+            elif disc < 0.0:
+                rho = 2.0 * sqrt(-m / 3.0)
+                arg = 3.0 * n / (m * rho)
+                if not arg > -1.0:
+                    arg = -1.0
+                elif not arg < 1.0:
+                    arg = 1.0
+                y = rho * cos(acos(arg) / 3.0)
+            else:  # a NaN discriminant: the root is NaN, and positive_root raises for it
+                y = disc
+            x = y - h2 / (3.0 * h3)
+            ax = abs(x)
+            tol = ROOT_AGREEMENT if ax < 32768.0 else 16.0 * ulp(x)
+            lo = x - tol
+            hi = x + tol
+            if not (
+                h3 > 0.0
+                and not h0 > 0.0
+                and (h0 < 0.0 or h1 < 0.0 or h2 < 0.0)
+                and not (h2 < 0.0 and h1 > 0.0)
+                and (lo <= 0.0 or ((h3 * lo + h2) * lo + h1) * lo + h0 <= 0.0)
+                and hi > 0.0
+                and ((h3 * hi + h2) * hi + h1) * hi + h0 > 0.0
+                and abs(((h3 * x + h2) * x + h1) * x + h0)
+                <= 1e-9 * (h3 * (1.0 if ax < 1.0 else ax) ** 3)
+            ):
+                x = positive_root((h0, h1, h2, h3, m, n))
+            j = (x - 1.0) / b
+            if not j > 0.0:  # max(0.0, .): -0.0 and NaN become +0.0
+                j = 0.0
+            out += x, j, atan(sqrt(j))
     except (OverflowError, ZeroDivisionError) as exc:
         raise _cubic_error(exc, g, bt, b) from exc
-    j_value = (x_star - 1.0) / b
-    if not j_value > 0.0:  # max(0.0, .): -0.0 and NaN become +0.0
-        j_value = 0.0
-    return h, x_star, j_value, math.atan(math.sqrt(j_value))
+    return out
 
 
 def criterion(beta_i: float, gas: GasModel) -> CriterionReport:
@@ -340,14 +421,19 @@ def criterion(beta_i: float, gas: GasModel) -> CriterionReport:
     validate_gas(gas)
     if not math.isfinite(beta_i):
         raise DomainError(f"criterion needs a finite beta_i, got {beta_i}")
-    upper = beta_upper(gas.gamma, gas.btilde)
-    if not _within(beta_i, upper):
+    return _criterion(beta_i, gas.gamma, gas.btilde)
+
+
+def _criterion(b: float, g: float, bt: float) -> CriterionReport:
+    """Unchecked criterion of a valid gas (g, bt) at a finite ratio b: a row of one column."""
+    upper = beta_upper(g, bt)
+    if not _within(b, upper):
         return CriterionReport(
             cubic=None, x_star=None, J=None, phi_star=None, admissible=False, upper_beta=upper
         )
-    h, x_star, j_value, phi_star = _threshold(beta_i, gas.gamma, gas.btilde)
+    x_star, j_value, phi_star = _threshold_row(b, g, _threshold_columns(g, (bt,)))
     return CriterionReport(
-        cubic=CubicForm._make(h),
+        cubic=CubicForm._make(_coeffs(b, g, bt)),
         x_star=x_star,
         J=j_value,
         phi_star=phi_star,

@@ -10,7 +10,7 @@ from . import (inner_singular, linear_acoustics, nonlinear_front, regular_reflec
 from .config import RunConfig
 from .errors import DomainError, InternalInconsistencyError
 from .table_fixture import fixture_column, fixture_row
-from .thermo import GasModel, _a0_kappa0, reference_constants
+from .thermo import _a0_kappa0, _reference_state
 
 _SCALARS = frozenset((type(None), bool, int, float, str))  # the value types of a flat object
 DATA_COMMANDS = ("criterion", "table", "field", "front", "inner")  # each has its render_<command>
@@ -66,9 +66,8 @@ def _linspace(lo: float, hi: float, count: int) -> list[float]:
 
 def render_criterion(cfg: RunConfig) -> str:
     """Detachment-criterion report as JSON, for a cfg from parse_config or RunConfig()."""
-    gas = GasModel(gamma=cfg.gamma, btilde=cfg.btilde)
     beta_i = cfg.resolved_beta_i()
-    rep = regular_reflection.criterion(beta_i, gas)
+    rep = regular_reflection._criterion(beta_i, cfg.gamma, cfg.btilde)
     cubic = rep.cubic._asdict() if rep.cubic else dict.fromkeys(regular_reflection.CubicForm._fields)
     payload = {
         "beta_i": beta_i,
@@ -89,34 +88,42 @@ def render_table(cfg: RunConfig) -> str:
     """Threshold grid with a side-by-side fixture-comparison column as CSV.
 
     Each quantity is computed where it varies: per btilde column the
-    admissible band, the fixture column and the cell templates; per beta row
-    the fixture row and one % call; per cell only the band test and the
-    threshold kernel.  cfg comes from parse_config, or is RunConfig(), so
-    every column's gas is valid and the btilde grid is not empty.
+    threshold kernel's constants (regular_reflection._threshold_columns,
+    with the band top), the fixture column and the cell templates; per beta
+    row the fixture row, one call of the row kernel _threshold_row, the
+    production path of the threshold, and one % call; per cell only the band
+    test.  cfg comes from parse_config, or is RunConfig(), so every column's
+    gas is valid and the btilde grid is not empty.
     """
     g = cfg.gamma
     # looked up once per call, not at import, so a wrapper patched onto the module is seen and
     # a command that renders no table does not load the threshold modules
-    threshold, degrees = regular_reflection._threshold, math.degrees
-    within, beta_upper = shock_relations._within, shock_relations.beta_upper
+    row_kernel, degrees = regular_reflection._threshold_row, math.degrees
+    low = 1.0 - shock_relations.ENDPOINT_SLACK
+    kernel_columns = regular_reflection._threshold_columns(g, cfg.btilde_grid)
     columns = []
-    for bt in cfg.btilde_grid:
+    for bt, top, _gp, _two_bt in kernel_columns:
         bt_cell = f"{_fmt_float(bt)},"
         admitted = bt_cell + "true,%.12g,%.12g,,"  # an admissible cell with no fixture value
-        columns.append((bt, bt_cell, beta_upper(g, bt), fixture_column(bt), admitted))
+        columns.append((bt_cell, top, fixture_column(bt), admitted))
     lines = []
     for beta in cfg.beta_grid:
         head = _fmt_float(beta) + ","
         fix_row = fixture_row(beta)
+        row = row_kernel(beta, g, kernel_columns)  # x*, J, phi* of each admissible cell
+        inside = beta >= low
+        k = 0
         cells = []
         values = []
-        for bt, bt_cell, upper, col, admitted in columns:
+        for bt_cell, top, col, admitted in columns:
             fix = None if fix_row is None or col is None else fix_row[col]
             fix_cell = "" if fix is None else _fmt_float(fix)
-            if not within(beta, upper):
+            if not (inside and beta <= top):  # shock_relations._within(beta, upper)
                 cells.append(f"{bt_cell}false,,,{fix_cell},")
                 continue
-            _h, _x, j, phi = threshold(beta, g, bt)
+            j = row[k + 1]
+            phi = row[k + 2]
+            k += 3
             # J (clamped to +0.0 when not > 0), phi_star_deg = degrees(atan(sqrt(J))) and
             # abs_diff = abs(.) are never -0.0, so "%.12g" prints them as _fmt_float does;
             # no cell holds a "%"
@@ -133,8 +140,7 @@ def render_table(cfg: RunConfig) -> str:
 
 def render_field(cfg: RunConfig) -> str:
     """Density on the (xi/kappa0, theta) grid as CSV, for a cfg from parse_config or RunConfig()."""
-    gas = GasModel(gamma=cfg.gamma, btilde=cfg.btilde)
-    ref = reference_constants(cfg.rho0, cfg.p0, gas)
+    ref = _reference_state(cfg.gamma, cfg.btilde, cfg.rho0, cfg.p0)
     sigmas = _linspace(cfg.xi_min, 1.0, cfg.xi_count)
     thetas = _linspace(cfg.alpha, math.pi, cfg.theta_count)
     degrees = [_fmt_float(math.degrees(theta)) for theta in thetas]
@@ -195,9 +201,8 @@ def render_inner(cfg: RunConfig) -> str:
     value is computed where it varies (grid, r' column, theta' row, cell).
     cfg comes from parse_config, or is RunConfig().
     """
-    gas = GasModel(gamma=cfg.gamma, btilde=cfg.btilde)
-    ref = reference_constants(cfg.rho0, cfg.p0, gas)
-    geom = inner_singular.inner_geometry(gas, ref, theta0=cfg.theta0)
+    ref = _reference_state(cfg.gamma, cfg.btilde, cfg.rho0, cfg.p0)
+    geom = inner_singular._inner_geometry(cfg.gamma, cfg.btilde, ref, cfg.theta0)
     sonic = f"{_fmt_float(geom.sonic_S)},{_fmt_float(geom.sonic_R)}"
     rps = _linspace(cfg.rprime_min, cfg.rprime_max, cfg.rprime_count)
     if not all(map(math.isfinite, rps)):

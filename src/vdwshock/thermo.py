@@ -119,7 +119,12 @@ def reference_constants(rho0: float, p0: float, gas: GasModel) -> ReferenceState
     """Build the upstream ReferenceState; c0*kappa0 = a0 by construction."""
     validate_gas(gas)
     check_reference(rho0, p0)
-    a0, kappa0 = _a0_kappa0(gas.gamma, gas.btilde, rho0, p0)
+    return _reference_state(gas.gamma, gas.btilde, rho0, p0)
+
+
+def _reference_state(g: float, bt: float, rho0: float, p0: float) -> ReferenceState:
+    """Unchecked ReferenceState of a valid gas (g, bt) at a valid (rho0, p0)."""
+    a0, kappa0 = _a0_kappa0(g, bt, rho0, p0)
     return ReferenceState(rho0=rho0, p0=p0, a0=a0, kappa0=kappa0, c0=a0 / kappa0)
 
 

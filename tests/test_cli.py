@@ -27,7 +27,7 @@ import vdwshock
 from vdwshock import cli
 from vdwshock.config import MAX_COUNT, RunConfig, parse_config
 from vdwshock.errors import DomainError, InternalInconsistencyError
-from vdwshock.reports import json_text
+from vdwshock.reports import DATA_COMMANDS, json_text
 from vdwshock.shock_relations import ENDPOINT_SLACK, beta_upper
 from vdwshock.table_fixture import fixture_is_blank
 
@@ -744,6 +744,10 @@ class TestGrammar:
         (["inner", "--gamma", "1.7976931348623157e+308"], 0,
          "theta_prime,r_prime,S_R,S_D,sonic_S,sonic_R,U_reflected,U_diffracted\n-3,-3,"
          "1.34826985115e+308,1.01120238836e+308,8.98846567431e+307,1.79769313486e+308,"),
+        # a ratio that no column admits: the threshold terms of its row, whose square
+        # overflows, must not be formed
+        (["table", "--beta_grid", "[1e300]", "--btilde_grid", "[0.1]"], 0,
+         "beta_i,btilde,admissible,J,phi_star_deg,fixture_J,abs_diff\n1e+300,0.1,false,,,,\n"),
         # exit 2, a malformed line: the message of the one JSON error object
         (["criterion", "--gamma"], 2, "missing value for option '--gamma'"),
         (["front", "--gamma", "1.3", "--xi-count"], 2, "missing value for option '--xi-count'"),
@@ -875,6 +879,16 @@ class TestExitCodes:
             proc = run_cli(*argv)
             assert_outcome(argv, proc.returncode, proc.stdout, proc.stderr, want=code,
                            expected=expected)
+
+
+@pytest.mark.parametrize("command", DATA_COMMANDS)
+def test_data_command_validates_its_gas_once(count_calls, command):
+    counts = count_calls(["validate_gas"])
+    code, out, err = _main_outcome([command])
+    # once, in parse_config, which checks every btilde column of a table; each renderer
+    # then calls the unchecked kernels
+    assert counts == {"validate_gas": 1}
+    assert_outcome([command], code, out, err, want=0)  # which parses the config again
 
 
 class TestDeterminism:

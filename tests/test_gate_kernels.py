@@ -4,8 +4,9 @@
 the flattening: it builds each cell's cubic with the public
 ``cubic_coefficients``, takes the residual from ``cubic_value`` and the
 coefficient-sum reference from ``F_eval``, and keeps its maxima with
-``max()``.  The shipped check must give the same floats, cell by cell, and
-the same result.
+``max()``.  It visits the cells in the shipped check's row order (gamma,
+then beta, then btilde).  The shipped check must give the same floats, cell
+by cell, and the same result.
 """
 
 from vdwshock import checks
@@ -21,10 +22,10 @@ def reference_cubic_cells():
     btildes = [0.05 * i for i in range(15)]
     cells = []
     for g in [1.1, 1.4, 5.0 / 3.0]:
-        for bt in btildes:
-            gas = GasModel(g, bt)
-            upper = beta_upper(g, bt)
-            for beta in betas:
+        for beta in betas:
+            for bt in btildes:
+                gas = GasModel(g, bt)
+                upper = beta_upper(g, bt)
                 if not 1.0 < beta <= upper * (1.0 + 1e-12):
                     continue
                 cubic = cubic_coefficients(beta, gas)

@@ -29,7 +29,7 @@ import pytest
 
 import vdwshock
 from vdwshock import checks, cli
-from vdwshock.errors import DomainError
+from vdwshock.errors import DomainError, InternalInconsistencyError
 
 SCALE = 1.0 + 1e-7
 DELIBERATE = {"table_trends", "cli_determinism"}
@@ -101,7 +101,7 @@ def swap_regions(func):
 #: mutant id -> (kernel name, wrapper)
 MUTANTS = {
     **{f"_coeffs.h{k}": ("_coeffs", scale_item(k)) for k in range(4)},
-    "positive_root": ("positive_root", scale_result),
+    "_threshold_row": ("_threshold_row", scale_result),
     "_beta_r_of": ("_beta_r_of", scale_ratio),
     "_branches.minus": ("_branches", scale_item(0)),
     "_tan_delta_r": ("_tan_delta_r", scale_result),
@@ -163,11 +163,11 @@ SURVIVORS = {
 #: mutant -> the non-deliberate checks it fails, or the exception the gate raises;
 #: recorded from the matrix, so a kill that moves to another check shows
 KILLS = {
-    "_coeffs.h0": ("cubic_self_consistency", "reflection_solve", "table_fixture_comparison"),
-    "_coeffs.h1": ("cubic_self_consistency", "reflection_solve", "table_fixture_comparison"),
-    "_coeffs.h2": ("cubic_self_consistency", "reflection_solve", "table_fixture_comparison"),
-    "_coeffs.h3": ("cubic_self_consistency", "reflection_solve", "table_fixture_comparison"),
-    "positive_root": ("cubic_self_consistency",),
+    "_coeffs.h0": ("cubic_self_consistency",),
+    "_coeffs.h1": ("cubic_self_consistency",),
+    "_coeffs.h2": ("cubic_self_consistency",),
+    "_coeffs.h3": ("cubic_self_consistency",),
+    "_threshold_row": ("cubic_self_consistency",),
     "_beta_r_of": ("reflection_solve",),
     "_branches.minus": ("reflection_solve",),
     "_tan_delta_r": ("reflection_solve",),
@@ -273,10 +273,19 @@ def test_kill_matrix_is_pinned(matrix):
     assert {mutant for mutant, kill in KILLS.items() if not kill} == set(SURVIVORS)
 
 
+def disagreeing_roots(func):
+    # the threshold row kernel as it ends when a cell's two root methods disagree
+    def mutant(*args):
+        func(*args)
+        raise InternalInconsistencyError("cubic root methods disagree: closed-form 2.0 vs "
+                                         "bisection 3.0")
+    return mutant
+
+
 def test_check_command_reports_a_kernel_that_raises(capsys):
-    # the first mutant makes positive_root raise in the table build and in
-    # three checks; the command still prints the whole report
-    with mutated(*MUTANTS["_coeffs.h0"]):
+    # the threshold row kernel raises in the table build and in three checks; the
+    # command still prints the whole report
+    with mutated("_threshold_row", disagreeing_roots):
         code = cli.main(["check"])
     out, err = capsys.readouterr()
     assert (code, err) == (3, "")

@@ -66,6 +66,9 @@ CASES = [
      DomainError, "stretching needs epsilon > 0"),
     ("stretch epsilon inf", lambda: stretch(make_point(1.0, 1.0, REF), 0.5, INF, REF),
      DomainError, "stretching needs a finite epsilon"),
+    # (xi - kappa0)/epsilon overflows: this returned r' = inf
+    ("stretch r' overflows", lambda: stretch(make_point(10.0, 1.0, REF), 0.5, 1e-320, REF),
+     DomainError, "stretched point leaves the float range at epsilon=1e-320"),
     ("busemann_variable < 0", lambda: busemann_variable(-0.1),
      DomainError, "xi/kappa0 must lie in [0, 1]"),
     ("busemann_variable nan", lambda: busemann_variable(NAN),

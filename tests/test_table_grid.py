@@ -130,30 +130,23 @@ def test_bisection_fallback_keeps_the_bytes(monkeypatch):
 
 
 def test_poisoned_kernel_raises_like_pointwise(monkeypatch, capsys):
-    # a wrong depressed constant must trip the root cross-check in the grid
-    # exactly as it does in criterion()
-    coeffs = regular_reflection._coeffs
-
-    def poisoned(b, g, bt):
-        h0, h1, h2, h3, m, n = coeffs(b, g, bt)
-        return h0, h1, h2, h3, m, n + 0.5
-
-    monkeypatch.setattr(regular_reflection, "_coeffs", poisoned)
-    cfg = parse_config(None, {"gamma": 1.4})
+    # a bisection one unit off must trip the root cross-check of the cell that falls back
+    # (beta_i just below 1 has h1 > 0, so the certificate refuses it) in the grid exactly
+    # as it does in criterion() and on the command line
+    bisection = regular_reflection._bisection_root
+    monkeypatch.setattr(regular_reflection, "_bisection_root", lambda cubic: bisection(cubic) + 1.0)
+    grid = {"gamma": 1.4, "beta_grid": [1.5, 1.0 - 1e-13], "btilde_grid": [0.0, 0.3]}
+    cfg = parse_config(None, grid)
     with pytest.raises(InternalInconsistencyError) as grid_exc:
         render_table(cfg)
     with pytest.raises(InternalInconsistencyError) as point_exc:
         pointwise_lines(cfg)
     assert "cubic root methods disagree" in str(grid_exc.value)
     assert str(grid_exc.value) == str(point_exc.value)
-    assert cli.main(["table"]) == 3
+    argv = ["table"]
+    for key, value in grid.items():
+        argv += [f"--{key}", json.dumps(value)]
+    assert cli.main(argv) == 3
     out, err = capsys.readouterr()
     assert out == ""
     assert json.loads(err)["error"]["message"] == str(grid_exc.value)
-
-
-def test_default_table_validates_its_gas_once(count_calls):
-    counts = count_calls(["validate_gas"])
-    assert cli.main(["table"]) == 0
-    # once, in parse_config, which checks every btilde column; no column validates it again
-    assert counts == {"validate_gas": 1}

@@ -1,25 +1,34 @@
-"""The per-cell kernels clamp with comparisons and give the builtins' floats.
+"""The per-cell kernels give the single-cubic API's floats and the builtins' floats.
 
 ``reference_coeffs`` below is ``_coeffs`` as it was before it named
 ``1 - btilde*beta`` and ``beta - 1`` once each; the shipped kernel must give
 the same ``float.hex`` on every admissible cell of the benchmark's
-``threshold_table`` inputs (seeds 0-2) and of the default table.  Each
-builtin ``max``/``min`` call that a comparison replaced, or that was dropped
-as a no-op, gets a value table: on every listed input that can reach it the
-replacement returns the builtin's float, bit for bit, NaN and -0.0 included.
+``threshold_table`` inputs (seeds 0-2) and of the default table.
+``reference_threshold`` is the threshold as it was computed cell by cell
+before the row kernel: ``positive_root(_coeffs(...))``, the one mapping of
+an overflow to a ``DomainError`` and the clamp ``max(0, (x* - 1)/beta)``;
+``_threshold_row`` must give its floats on those cells and on the gate's
+648, and raise its exception, first in row order, on a sweep of fallback
+and error cells.  Each builtin ``max``/``min`` call that a comparison
+replaced, or that was dropped as a no-op, gets a value table: on every
+listed input that can reach it the replacement returns the builtin's float,
+bit for bit, NaN and -0.0 included.
 """
 
 import importlib.util
 import json
 import math
+import random
 from pathlib import Path
 
 import pytest
 
+from vdwshock import regular_reflection
 from vdwshock.config import RunConfig, parse_config
 from vdwshock.linear_acoustics import FRONT_RING, busemann_variable
-from vdwshock.regular_reflection import _coeffs, _threshold
-from vdwshock.shock_relations import _within, beta_upper
+from vdwshock.regular_reflection import (ROOT_AGREEMENT, _coeffs, _cubic_error, _threshold_columns,
+                                         _threshold_row, positive_root)
+from vdwshock.shock_relations import ENDPOINT_SLACK, _within, beta_upper
 
 _WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -59,6 +68,14 @@ def table_configs():
     return configs
 
 
+def gate_configs():
+    """The grids of the gate's cubic_self_consistency: three gammas, 29 ratios, 15 btildes."""
+    betas = [1.1 + 0.1 * i for i in range(29)]
+    btildes = [0.05 * i for i in range(15)]
+    return [(f"gate-{g}", RunConfig(gamma=g, beta_grid=betas, btilde_grid=btildes))
+            for g in (1.1, 1.4, 5.0 / 3.0)]
+
+
 def admissible_cells(cfg):
     g = cfg.gamma
     for bt in cfg.btilde_grid:
@@ -82,16 +99,106 @@ def test_coeffs_matches_its_former_body_on_every_table_cell():
     assert cells > 100_000  # 72 seeded grids of about 2,000 cells, mostly admissible
 
 
-def test_threshold_j_is_the_builtin_clamp_on_every_default_cell():
-    for beta, g, bt in admissible_cells(RunConfig()):
-        _h, x_star, j, _phi = _threshold(beta, g, bt)
-        assert float.hex(j) == float.hex(max(0.0, (x_star - 1.0) / beta)), (beta, bt)
+def reference_threshold(b, g, bt):
+    """x*, J and phi* of one admissible cell through the single-cubic API."""
+    try:
+        x_star = positive_root(_coeffs(b, g, bt))
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise _cubic_error(exc, g, bt, b) from exc
+    j = max(0.0, (x_star - 1.0) / b)
+    return x_star, j, math.atan(math.sqrt(j))
+
+
+def reference_row(b, g, btildes):
+    out = []
+    for bt in btildes:
+        if _within(b, beta_upper(g, bt)):
+            out += reference_threshold(b, g, bt)
+    return out
+
+
+def outcome(call):
+    """float.hex of each value call() returns, or the type and message of what it raises."""
+    try:
+        return hexes(call())
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def checked_cells(configs):
+    """Admissible cells of the configs, each row's kernel floats checked against the reference."""
+    cells = 0
+    for name, cfg in configs:
+        g = cfg.gamma
+        columns = _threshold_columns(g, cfg.btilde_grid)
+        for beta in cfg.beta_grid:
+            want = reference_row(beta, g, cfg.btilde_grid)
+            assert hexes(_threshold_row(beta, g, columns)) == hexes(want), (name, beta)
+            cells += len(want) // 3
+    return cells
+
+
+def test_row_kernel_matches_the_single_cubic_api_on_every_table_cell():
+    default, *seeded = table_configs()
+    assert checked_cells([default]) == 101
+    assert checked_cells(seeded) > 100_000
+    assert checked_cells(gate_configs()) == 648
+
+
+def test_row_kernel_j_is_the_builtin_clamp_on_every_default_cell():
+    cfg = RunConfig()
+    columns = _threshold_columns(cfg.gamma, cfg.btilde_grid)
+    for beta in cfg.beta_grid:
+        row = _threshold_row(beta, cfg.gamma, columns)
+        assert row
+        for x_star, j in zip(row[0::3], row[1::3]):
+            assert float.hex(j) == float.hex(max(0.0, (x_star - 1.0) / beta)), beta
+
+
+def sweep_grid(rng):
+    """Weak shocks, band ends and btilde*beta_i -> 1 at a gamma near 1, moderate or huge."""
+    g = rng.choice([1.0 + 10.0 ** -rng.uniform(1.0, 15.0), rng.uniform(1.05, 3.0),
+                    10.0 ** rng.uniform(1.0, 300.0)])
+    btildes = [rng.uniform(0.0, 0.95) for _ in range(3)] + [rng.choice([0.0, 0.5, 1.0 - 1e-9])]
+    betas = [1.0 + 10.0 ** -rng.uniform(0.0, 15.0) for _ in range(3)] + [1.0 - ENDPOINT_SLACK, 1.0]
+    for bt in btildes:
+        top = beta_upper(g, bt) * (1.0 + ENDPOINT_SLACK)
+        betas += [top, math.nextafter(top, 0.0), 1.0 / bt if bt else 2.0]
+    return g, betas, btildes
+
+
+def test_row_kernel_raises_like_pointwise_on_fallback_and_error_cells(monkeypatch):
+    calls = []
+
+    def spy(cubic):
+        calls.append(cubic)
+        return positive_root(cubic)
+
+    monkeypatch.setattr(regular_reflection, "positive_root", spy)  # the kernel's fallback only
+    kinds = set()
+    fallback_rows = 0
+    for seed in range(200):
+        g, betas, btildes = sweep_grid(random.Random(seed))
+        columns = _threshold_columns(g, btildes)
+        for beta in betas:
+            got = outcome(lambda: _threshold_row(beta, g, columns))
+            fallback_rows += bool(calls)
+            calls.clear()
+            assert got == outcome(lambda: reference_row(beta, g, btildes)), (seed, beta)
+            if isinstance(got, tuple):
+                kinds.add((got[0], got[1].split(":")[0].split(" at ")[0]))
+    assert fallback_rows > 300
+    assert kinds == {
+        ("DomainError", "threshold cubic overflows a float"),
+        ("DomainError", "covolume fraction btilde*beta_i of state 1 reaches 1"),
+        ("InternalInconsistencyError", "cubic root methods disagree"),
+    }
 
 
 #: the listed inputs and their negations: NaN, +-0.0, the least subnormal,
-#: 0.5, 1 -+ 1 ulp, 1.0, 3.7, 1e308 and infinity
+#: 0.5, 1 -+ 1 ulp, 1.0, 3.7, 2**15 - 1 ulp, 2**15, 1e308 and infinity
 _LISTED = [math.nan, 0.0, 5e-324, 0.5, math.nextafter(1.0, 0.0), 1.0,
-           math.nextafter(1.0, 2.0), 3.7, 1e308, math.inf]
+           math.nextafter(1.0, 2.0), 3.7, math.nextafter(32768.0, 0.0), 32768.0, 1e308, math.inf]
 VALUES = _LISTED + [-v for v in _LISTED]
 
 
@@ -102,8 +209,14 @@ CLAMPS = {
         lambda x: max(abs(x), 1.0),
         lambda x: 1.0 if abs(x) < 1.0 else abs(x),
         lambda x: True),
-    # _threshold's J = (x_star - 1)/beta, any float
-    "_threshold max(0.0, j)": (
+    # the agreement width of positive_root and _threshold_row, 16 ulps of the root or
+    # ROOT_AGREEMENT, whichever is wider; a NaN root fails the certificate either way
+    "positive_root max(ROOT_AGREEMENT, 16*ulp(x))": (
+        lambda x: max(ROOT_AGREEMENT, 16.0 * math.ulp(x)),
+        lambda x: ROOT_AGREEMENT if abs(x) < 32768.0 else 16.0 * math.ulp(x),
+        lambda x: not math.isnan(x)),
+    # _threshold_row's J = (x_star - 1)/beta, any float
+    "_threshold_row max(0.0, j)": (
         lambda j: max(0.0, j),
         lambda j: j if j > 0.0 else 0.0,
         lambda j: True),

@@ -28,7 +28,7 @@ _PUBLIC = {
                        "rarefaction_profile shock_locus shock_strength transport_residual",
     "regular_reflection": "CriterionReport CubicForm ReflectionSolution F_eval "
                           "beta_r_from_angles criterion cubic_coefficients positive_root "
-                          "solve_regular_reflection table_generate tan_phi_r_branches",
+                          "solve_regular_reflection tan_phi_r_branches",
     "shock_relations": "IncidentShockInput admissible_beta_bounds normal_incident_state",
     "thermo": "GasModel ReferenceState ThermoState reference_constants sound_speed "
               "thermo_eval validate_gas",

@@ -19,14 +19,14 @@ from . import inner_singular, linear_acoustics, nonlinear_front
 from .config import RunConfig
 from .errors import DomainError, InternalInconsistencyError
 from .geometry import reflected_line
-from .linear_acoustics import atan_zero_pi
+from .linear_acoustics import atan_zero_pi, density_rows
 from .regular_reflection import (
     solve_regular_reflection,
-    table_generate,
     tan_phi_r_branches,
     _beta_r_of,
     _bisection_root,
     _coeffs,
+    _criterion,
     _f_terms,
     _threshold_columns,
     _threshold_row,
@@ -55,7 +55,18 @@ class CheckResult(NamedTuple):
 
 
 def _result(name, ok, residual, tolerance, note) -> CheckResult:
+    """The check's entry; a NaN or infinite residual fails it and is reported as null."""
+    if residual is not None and not math.isfinite(residual):
+        return CheckResult(name, FAIL, None, tolerance, note)
     return CheckResult(name, PASS if ok else FAIL, residual, tolerance, note)
+
+
+def _fold(worst: float, *values: float) -> float:
+    """max(worst, *values), but a NaN among them wins and stays: max and a bare > drop it."""
+    for x in values:
+        if x > worst or x != x:  # the per-cell loops write this test out in place
+            worst = x
+    return worst
 
 
 def _cubic_cells():
@@ -93,11 +104,11 @@ def check_cubic_self_consistency() -> CheckResult:
     for x_c, x_b, res, sum_err in _cubic_cells():
         cells += 1
         gap = abs(x_c - x_b)
-        if gap > worst_root:
+        if gap > worst_root or gap != gap:  # _fold, in place
             worst_root = gap
-        if res > worst_res:
+        if res > worst_res or res != res:
             worst_res = res
-        if sum_err > worst_sum:
+        if sum_err > worst_sum or sum_err != sum_err:
             worst_sum = sum_err
     ok = worst_res <= 1e-9 and worst_root <= 1e-10 and worst_sum <= 1e-12
     note = (
@@ -105,7 +116,7 @@ def check_cubic_self_consistency() -> CheckResult:
         f"max root disagreement={worst_root:.3e}, max coefficient-sum error={worst_sum:.3e}"
     )
     return _result(
-        "cubic_self_consistency", ok, max(worst_res, worst_root, worst_sum), 1e-9, note
+        "cubic_self_consistency", ok, _fold(worst_res, worst_root, worst_sum), 1e-9, note
     )
 
 
@@ -166,7 +177,7 @@ def check_branch_limits() -> CheckResult:
         for deg in (15.0, 30.0, 45.0, 60.0):
             t = math.tan(math.radians(deg))
             minus, plus, _ = tan_phi_r_branches(beta, t, gas)
-            worst = max(worst, abs(minus + t), abs(plus))
+            worst = _fold(worst, abs(minus + t), abs(plus))
     ok = worst <= 1e-6
     note = f"max branch-limit deviation {worst:.3e} at beta_i = 1 + 1e-8"
     return _result("branch_limits", ok, worst, 1e-6, note)
@@ -276,23 +287,25 @@ def check_reflection_solve() -> CheckResult:
         sol = solve_regular_reflection(inp, alpha, gas)
         t = math.tan(phi)
         tan_di = (beta - 1.0) * t / (1.0 + beta * t * t)
-        worst_cancel = max(worst_cancel, abs(tan_di + math.tan(sol.delta_r)))
+        cancel = abs(tan_di + math.tan(sol.delta_r))
+        if cancel > worst_cancel or cancel != cancel:  # _fold, in place
+            worst_cancel = cancel
         try:
             oracle = _scan_oracle_minus_branch(beta, t, gas)
         except InternalInconsistencyError as exc:
             return _result("reflection_solve", False, None, 1e-9,
                            f"{exc} at beta={beta}, phi={phi}, gas={gas}")
         closed = math.tan(sol.phi_r)
-        worst_oracle = max(
-            worst_oracle, abs(closed - oracle) / max(1.0, abs(closed))
-        )
+        dev = abs(closed - oracle) / max(1.0, abs(closed))
+        if dev > worst_oracle or dev != dev:
+            worst_oracle = dev
         n_ok += 1
     ok = n_ok == 200 and worst_cancel <= 1e-10 and worst_oracle <= 1e-9
     note = (
         f"{n_ok} solves; max deflection-cancel residual {worst_cancel:.3e}, "
         f"max closed-form vs scan-oracle deviation {worst_oracle:.3e}"
     )
-    return _result("reflection_solve", ok, max(worst_cancel, worst_oracle), 1e-9, note)
+    return _result("reflection_solve", ok, _fold(worst_cancel, worst_oracle), 1e-9, note)
 
 
 def check_geometry_incidence() -> CheckResult:
@@ -307,7 +320,7 @@ def check_geometry_incidence() -> CheckResult:
         ref = reference_constants(1.0, 1.0, GasModel(g, bt))
         za = reflected_line(alpha, alpha, ref)
         zb = reflected_line(2.0 * alpha, alpha, ref)
-        worst = max(
+        worst = _fold(
             worst,
             abs(za - ref.a0 / math.cos(alpha)) / (ref.a0 / math.cos(alpha)),
             abs(zb - ref.a0) / ref.a0,
@@ -318,7 +331,7 @@ def check_geometry_incidence() -> CheckResult:
             continue
         z_hi = reflected_line(theta, alpha, reference_constants(1.0, 1.0, GasModel(g, bt + db)))
         z_lo = reflected_line(theta, alpha, reference_constants(1.0, 1.0, GasModel(g, bt - db)))
-        if (z_hi - z_lo) / (2.0 * db) <= 0.0:
+        if not (z_hi - z_lo) / (2.0 * db) > 0.0:  # a NaN slope is no rise
             mono_ok = False
     ok = worst <= 1e-12 and mono_ok
     note = f"max endpoint deviation {worst:.3e}; d(zeta*)/d(btilde) > 0 {'held' if mono_ok else 'VIOLATED'}"
@@ -344,7 +357,7 @@ def _ideal_gas_density(sigma: float, theta: float, alpha: float) -> float:
 
 
 def check_linear_field() -> CheckResult:
-    """Center/arc limits, interior-equation convergence and ideal reduction."""
+    """Center/arc limits, interior-equation convergence, and density_rows' ideal-gas reduction."""
     worst_center = worst_arc = worst_ideal = 0.0
     min_order = math.inf
     for alpha_deg in (30.0, 45.0, 60.0):
@@ -356,13 +369,13 @@ def check_linear_field() -> CheckResult:
         for beta in (0.0, 0.5 * (math.pi - alpha) - alpha * 0.3):
             theta = alpha + max(0.0, beta)
             val = linear_acoustics.diffracted_density_xi(sigma, theta, alpha, ref).rho1
-            worst_center = max(worst_center, abs(val - math.pi / (math.pi - alpha)))
+            worst_center = _fold(worst_center, abs(val - math.pi / (math.pi - alpha)))
         s = 1.0 - 1e-6
         sigma = 2.0 * s / (1.0 + s * s)
         bd = linear_acoustics.diffracted_density_xi(sigma, alpha + alpha / 2.0, alpha, ref).rho1
         theta_bc = alpha + alpha + 0.55 * (math.pi - 2.0 * alpha)
         bc = linear_acoustics.diffracted_density_xi(sigma, theta_bc, alpha, ref).rho1
-        worst_arc = max(worst_arc, abs(bd - 2.0), abs(bc - 1.0))
+        worst_arc = _fold(worst_arc, abs(bd - 2.0), abs(bc - 1.0))
 
     alpha = math.pi / 4.0
     for bt in (0.0, 0.3):
@@ -379,15 +392,16 @@ def check_linear_field() -> CheckResult:
                 for h in (1e-2, 5e-3, 2.5e-3)
             ]
             for i in range(2):
-                min_order = min(min_order, math.log2(res[i] / res[i + 1]))
+                order = math.log2(res[i] / res[i + 1])
+                if order < min_order or order != order:  # min, with a NaN kept as _fold keeps it
+                    min_order = order
 
     ref0 = reference_constants(1.0, 1.0, GasModel(1.4, 0.0))
-    for i in range(1, 10):
-        for j in range(10):
-            sigma = i / 10.0
-            theta = alpha + (math.pi - alpha) * j / 9.0
-            ours = linear_acoustics.diffracted_density_xi(sigma, theta, alpha, ref0).rho1
-            worst_ideal = max(worst_ideal, abs(ours - _ideal_gas_density(sigma, theta, alpha)))
+    sigmas = [i / 10.0 for i in range(1, 10)]
+    thetas = [alpha + (math.pi - alpha) * j / 9.0 for j in range(10)]
+    for sigma, (_tag, _regions, rhos) in zip(sigmas, density_rows(sigmas, thetas, alpha, ref0)):
+        worst_ideal = _fold(worst_ideal, *(abs(ours - _ideal_gas_density(sigma, theta, alpha))
+                                           for theta, ours in zip(thetas, rhos)))
 
     ok = (
         worst_center <= 1e-6
@@ -420,7 +434,9 @@ def check_front_corrections() -> CheckResult:
         except DomainError:
             continue
         res = psi - phi - eps * c * (g + 1.0) * math.sqrt(psi * r) / (1.0 - bt)
-        worst_phase = max(worst_phase, abs(res) / max(abs(psi), abs(phi), 1e-30))
+        phase = abs(res) / max(abs(psi), abs(phi), 1e-30)
+        if phase > worst_phase or phase != phase:  # _fold, in place
+            worst_phase = phase
 
     alpha = math.radians(45.0)
     beta_sh = math.radians(67.5)
@@ -451,7 +467,7 @@ def check_front_corrections() -> CheckResult:
         outside = nonlinear_front.rarefaction_profile(
             front, 1.0, beta_r_angle, alpha, eps, gas, ref, st2
         )
-        worst_cont = max(worst_cont, max(abs(a - b) for a, b in zip(inside, outside)))
+        worst_cont = _fold(worst_cont, *(abs(a - b) for a, b in zip(inside, outside)))
 
     ok = worst_phase <= 1e-12 and trends_ok and worst_cont <= 1e-10
     note = (
@@ -484,7 +500,8 @@ def check_inner_region() -> CheckResult:
         else:
             got = inner_singular.inner_weak_solution(ip, geom, "diffracted")
         recov.append(abs(got - want))
-    recov_ok = max(recov) <= 1e-6
+    worst_recov = _fold(0.0, *recov)
+    recov_ok = worst_recov <= 1e-6
 
     _, vertex = inner_singular.inner_rh_residual(geom, geom.theta0, 1.0, 2.0, 0.0)
     vertex_ok = abs(vertex) <= 1e-12
@@ -497,26 +514,26 @@ def check_inner_region() -> CheckResult:
         for d in (1.0, 2.5):
             _, res = inner_singular.inner_rh_residual(geom_b, geom_b.theta0 + d, 1.0, 2.0, 0.0)
             expect = -2.0 * geom_b.kappa0 ** 2 * d * d
-            worst_doc = max(worst_doc, abs(res - expect))
+            worst_doc = _fold(worst_doc, abs(res - expect))
         f = math.sqrt
         fp = lambda x: 0.5 / math.sqrt(x)  # noqa: E731
         fpp = lambda x: -0.25 * x ** -1.5  # noqa: E731
         for x in (0.5, 1.0, 2.0):
             full, sub = inner_singular.similarity_residual(f, fp, fpp, x, 1.3, geom_b)
             expect = geom_b.kappa0 * (1.0 - geom_b.vartheta) / (2.0 * x)
-            worst_doc = max(worst_doc, abs(full - expect), abs(sub))
+            worst_doc = _fold(worst_doc, abs(full - expect), abs(sub))
         tpg = 1.3
         gap_measured = abs(
             inner_singular.expansion_fan(2.0 * geom_b.vartheta / tpg ** 2, tpg, geom_b) - 2.0
         )
         gap_expected = abs(tpg * math.sqrt(2.0 * geom_b.vartheta) - 2.0)
-        worst_doc = max(worst_doc, abs(gap_measured - gap_expected))
+        worst_doc = _fold(worst_doc, abs(gap_measured - gap_expected))
     doc_ok = worst_doc <= 1e-9
 
     ok = gap_ok and asym_ok and recov_ok and vertex_ok and doc_ok
     note = (
         f"sonic gap exact: {gap_ok}; parabola asymptote dev {abs(asym - 1.0):.3e} (tol 1e-3); "
-        f"boundary recovery dev {max(recov):.3e} (tol 1e-6); vertex residual {abs(vertex):.3e} "
+        f"boundary recovery dev {worst_recov:.3e} (tol 1e-6); vertex residual {abs(vertex):.3e} "
         f"(tol 1e-12); documented-residual identity dev {worst_doc:.3e} (tol 1e-9)"
     )
     return _result("inner_region", ok, worst_doc, 1e-9, note)
@@ -544,25 +561,30 @@ def check_cli_determinism(other_results: list[CheckResult], cfg: RunConfig) -> C
 def _run(name: str, check, *args) -> CheckResult:
     """check(*args), or a FAIL entry named name when a kernel raises inside it.
 
-    A DomainError or InternalInconsistencyError is the gate's finding, not its
-    end: the entry has no residual and its note names the exception.
+    A DomainError, InternalInconsistencyError or ArithmeticError (a zero
+    divisor, an overflow) is the gate's finding, not its end: the entry has no
+    residual and its note names the exception.
     """
     try:
         return check(*args)
-    except (DomainError, InternalInconsistencyError) as exc:
+    except (DomainError, InternalInconsistencyError, ArithmeticError) as exc:
         return CheckResult(name, FAIL, None, None, f"raised {type(exc).__name__}: {exc}")
+
+
+def _default_table(cfg: RunConfig) -> dict:
+    """Each (beta_i, btilde) cell's _criterion report, the criterion command's path; cfg is valid."""
+    return {(b, bt): _criterion(b, cfg.gamma, bt) for b in cfg.beta_grid for bt in cfg.btilde_grid}
 
 
 def run_all_checks() -> list[CheckResult]:
     """All release-gate checks in their criterion order.
 
-    The default threshold table is built once per call and shared by the two
-    table checks; it is not cached across calls.  A kernel that raises fails
-    the check it runs in (both table checks when the table build raises), and
-    every other check still runs.
+    _default_table is built once per call, for the two table checks.  A kernel
+    that raises or returns a NaN fails the check it runs in (both table checks
+    when the table build raises), and every other check still runs.
     """
     cfg = RunConfig()
-    grid = _run("table_trends", table_generate, cfg.beta_grid, cfg.btilde_grid, cfg.gamma)
+    grid = _run("table_trends", _default_table, cfg)
     built = not isinstance(grid, CheckResult)  # else grid is the failed build's entry
     results = [
         _run("cubic_self_consistency", check_cubic_self_consistency),

@@ -488,15 +488,3 @@ def solve_regular_reflection(
         M2_sq=m2_sq,
         state2=(rho2, u2, v2, p2),
     )
-
-
-def table_generate(
-    beta_grid: list[float], btilde_grid: list[float], gas_gamma: float
-) -> dict[tuple[float, float], CriterionReport]:
-    """Criterion reports over a (beta_i, btilde) grid at fixed gamma."""
-    gases = [GasModel(gamma=gas_gamma, btilde=bt) for bt in btilde_grid]
-    out: dict[tuple[float, float], CriterionReport] = {}
-    for beta in beta_grid:
-        for bt, gas in zip(btilde_grid, gases):
-            out[(beta, bt)] = criterion(beta, gas)
-    return out

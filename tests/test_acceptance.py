@@ -69,13 +69,13 @@ def test_full_suite_runtime_budget(report):
 def test_each_run_builds_the_default_table_once(monkeypatch):
     # the two table checks share one table per run, and no run reuses another's
     calls = []
-    table_generate = checks.table_generate
+    default_table = checks._default_table
 
     def counting(*args):
         calls.append(args)
-        return table_generate(*args)
+        return default_table(*args)
 
-    monkeypatch.setattr(checks, "table_generate", counting)
+    monkeypatch.setattr(checks, "_default_table", counting)
     checks.run_all_checks()
     assert len(calls) == 1
     checks.run_all_checks()

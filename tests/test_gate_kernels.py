@@ -6,14 +6,19 @@ the flattening: it builds each cell's cubic with the public
 coefficient-sum reference from ``F_eval``, and keeps its maxima with
 ``max()``.  It visits the cells in the shipped check's row order (gamma,
 then beta, then btilde).  The shipped check must give the same floats, cell
-by cell, and the same result.
+by cell, and the same result.  The field check reads its ideal-gas grid
+from the field command's row kernel, whose cells must be the pointwise
+field's to the bit.
 """
 
+import math
+
 from vdwshock import checks
+from vdwshock.linear_acoustics import density_rows, diffracted_density_xi
 from vdwshock.regular_reflection import (F_eval, _bisection_root, cubic_coefficients, cubic_value,
                                          positive_root)
 from vdwshock.shock_relations import beta_upper
-from vdwshock.thermo import GasModel
+from vdwshock.thermo import GasModel, reference_constants
 
 
 def reference_cubic_cells():
@@ -90,3 +95,16 @@ def test_reflection_check_builds_no_criterion_report(count_calls):
     assert checks.check_reflection_solve().status == checks.PASS
     assert counts == {"criterion": 0}
 
+
+
+def test_field_check_grid_is_the_pointwise_field():
+    # check_linear_field's ideal-gas grid, from one density_rows call
+    alpha = math.pi / 4.0
+    ref = reference_constants(1.0, 1.0, GasModel(1.4, 0.0))
+    sigmas = [i / 10.0 for i in range(1, 10)]
+    thetas = [alpha + (math.pi - alpha) * j / 9.0 for j in range(10)]
+    got = [list(map(float.hex, rhos)) for _tag, _regions, rhos in
+           density_rows(sigmas, thetas, alpha, ref)]
+    want = [[diffracted_density_xi(sigma, theta, alpha, ref).rho1.hex() for theta in thetas]
+            for sigma in sigmas]
+    assert got == want

@@ -8,12 +8,15 @@ the region decision swaps the Omega1 and Omega2 labels, in every vdwshock
 module that binds the kernel's name, then runs the whole gate.  A
 mutant is killed when a check other than the two deliberate failures
 (table_trends and cli_determinism) fails, or when the gate raises.  A
-DomainError or InternalInconsistencyError raised by a kernel becomes the FAIL
-entry of the check it runs in (of both table checks when the default table
-build raises), so only another exception type aborts the gate.  The kill
+DomainError, InternalInconsistencyError or ArithmeticError raised by a kernel
+becomes the FAIL entry of the check it runs in (of both table checks when
+the default table build raises), so only another exception type aborts the
+gate.  NAN_MUTANTS make one kernel return NaN, which must fail the check
+that reads it.  The kill
 matrix (mutant x check) is printed; run with ``pytest -s`` or ``-rA`` to see
 it.  Each row's kill, the set of non-deliberate checks that fail or the name
-of the exception, is pinned in KILLS.
+of the exception, is pinned in KILLS.  Whatever the mutant, a gate that
+returns its results must also print them as strict JSON.
 
 Mutants the gate does not kill are strict xfails that name the gap: a new
 gate check or a tighter tolerance would flip them, and strict mode then
@@ -23,12 +26,13 @@ requires the mark to go.
 import contextlib
 import importlib
 import json
+import math
 import pkgutil
 
 import pytest
 
 import vdwshock
-from vdwshock import checks, cli
+from vdwshock import checks, cli, reports
 from vdwshock.errors import DomainError, InternalInconsistencyError
 
 SCALE = 1.0 + 1e-7
@@ -40,11 +44,11 @@ MODULES = [vdwshock] + [
 ]
 
 
-def _scaled(value):
+def _scaled(value, factor=SCALE):
     if isinstance(value, float):
-        return value * SCALE
+        return value * factor
     if isinstance(value, (list, tuple)):
-        return type(value)(map(_scaled, value))
+        return type(value)(_scaled(item, factor) for item in value)
     return value  # a formula tag or a locus that does not reach the ray
 
 
@@ -65,14 +69,21 @@ def scale_item(index):
     return wrap
 
 
-def scale_field(field, index=None):
+def nan_result(func):
+    # every float the kernel returns, alone or in a list or tuple, becomes NaN
+    def mutant(*args):
+        return _scaled(func(*args), math.nan)
+    return mutant
+
+
+def scale_field(field, index=None, factor=SCALE):
     # one field of a record result, or one item of a tuple field
     def wrap(func):
         def mutant(*args):
             out = func(*args)
             value = getattr(out, field)
             if index is None:
-                value *= SCALE
+                value *= factor
             else:
                 value = (*value[:index], value[index] * SCALE, *value[index + 1:])
             return out._replace(**{field: value})
@@ -216,11 +227,14 @@ def mutated(name, wrap):
 
 
 def _gate_under(name, wrap):
+    """{check: status} of the gate under the mutant, or the name of what the gate raised."""
     with mutated(name, wrap):
         try:
-            return {r.name: r.status for r in checks.run_all_checks()}
+            results = checks.run_all_checks()
         except Exception as exc:  # a raise is a kill
             return type(exc).__name__
+    assert json.loads(reports.json_text(checks.report_payload(results)))  # the report prints
+    return {r.name: r.status for r in results}
 
 
 @pytest.fixture(scope="module")
@@ -304,7 +318,7 @@ def test_a_failed_table_build_fails_both_table_checks(monkeypatch, unmutated):
     def raising(*args):
         raise DomainError("table build failed")
 
-    monkeypatch.setattr(checks, "table_generate", raising)
+    monkeypatch.setattr(checks, "_default_table", raising)
     results = checks.run_all_checks()
     assert [r.name for r in results] == list(unmutated)
     failed = [r for r in results if r.name in ("table_trends", "table_fixture_comparison")]
@@ -313,3 +327,36 @@ def test_a_failed_table_build_fails_both_table_checks(monkeypatch, unmutated):
     assert {r.name: r.status for r in results if r not in failed} == {
         name: status for name, status in unmutated.items() if name not in
         ("table_trends", "table_fixture_comparison")}
+
+
+#: mutant id -> (kernel name, wrapper, the check that reads the kernel's NaN)
+NAN_MUTANTS = {
+    "_bisection_root": ("_bisection_root", nan_result, "cubic_self_consistency"),
+    "tan_phi_r_branches": ("tan_phi_r_branches", nan_result, "branch_limits"),
+    "solve_regular_reflection.phi_r": ("solve_regular_reflection",
+                                       scale_field("phi_r", factor=math.nan), "reflection_solve"),
+    "reflected_line": ("reflected_line", nan_result, "geometry_incidence"),
+    "_interior_cells": ("_interior_cells", nan_result, "linear_field"),
+    "psi_root": ("psi_root", nan_result, "front_corrections"),
+}
+
+
+@pytest.mark.parametrize("mutant", NAN_MUTANTS)
+def test_a_nan_from_a_kernel_fails_its_check(mutant):
+    # max(), min() and a bare > test each drop a NaN; the gate's folds keep it
+    name, wrap, check = NAN_MUTANTS[mutant]
+    row = _gate_under(name, wrap)
+    assert row[check] == checks.FAIL, row
+
+
+def test_a_zero_divisor_fails_its_check(capsys):
+    # F(beta, 0) = 0 divides the cubic check's coefficient-sum error by zero
+    with mutated("_f_terms", lambda func: lambda *args: (0.0, 0.0)):
+        code = cli.main(["check"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (3, "")
+    entries = {e["name"]: e for e in json.loads(out)["checks"]}
+    assert len(entries) == 10
+    entry = entries["cubic_self_consistency"]
+    assert (entry["status"], entry["residual"]) == (checks.FAIL, None)
+    assert entry["note"].startswith("raised ZeroDivisionError: "), entry

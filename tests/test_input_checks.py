@@ -18,7 +18,7 @@ from vdwshock.inner_singular import (InnerPoint, expansion_fan, inner_geometry, 
 from vdwshock.linear_acoustics import busemann_variable, density_pde_residual, interior_density
 from vdwshock.nonlinear_front import (gradient_jump, psi_root, rarefaction_profile, shock_locus,
                                       shock_strength, transport_residual)
-from vdwshock.regular_reflection import F_eval, criterion, table_generate, tan_phi_r_branches
+from vdwshock.regular_reflection import F_eval, criterion, tan_phi_r_branches
 from vdwshock.shock_relations import IncidentShockInput
 from vdwshock.thermo import GasModel, ThermoState, reference_constants, sound_speed, thermo_eval
 
@@ -154,8 +154,6 @@ CASES = [
      DomainError, "criterion needs a finite beta_i, got nan"),
     ("criterion beta_i inf", lambda: criterion(INF, GAS),
      DomainError, "criterion needs a finite beta_i, got inf"),
-    ("table_generate beta nan", lambda: table_generate([1.2, NAN], [0.0], 1.4),
-     DomainError, "criterion needs a finite beta_i, got nan"),
     ("F_eval tan^2 < 0", lambda: F_eval(1.1, -1.0, GAS),
      DomainError, "tan_sq_phi_i must be nonnegative"),
     ("F_eval tan^2 nan", lambda: F_eval(1.1, NAN, GAS),
@@ -230,7 +228,6 @@ NON_FINITE_TARGETS = {
     "criterion": (1.2, GAS),
     "cubic_coefficients": (1.2, GAS),
     "solve_regular_reflection": (IncidentShockInput(1.2, 1.2), 0.3, GAS),
-    "table_generate": ([1.2], [0.0], 1.4),
     "tan_phi_r_branches": (1.2, 2.0, GAS),
     # shock_relations
     "admissible_beta_bounds": (GAS, 1.2),

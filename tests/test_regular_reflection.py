@@ -21,7 +21,6 @@ from vdwshock.regular_reflection import (
     cubic_value,
     positive_root,
     solve_regular_reflection,
-    table_generate,
     tan_phi_r_branches,
     _beta_r_of,
     _bisection_root,
@@ -524,21 +523,27 @@ class TestSolveRegularReflection:
                     assert 1.0 - 1e-12 <= sol.beta_r <= upper
 
 
+def criterion_grid(betas, btildes, g):
+    """criterion's report of each (beta_i, btilde) cell at gamma g."""
+    gases = [GasModel(g, bt) for bt in btildes]
+    return {(beta, gas.btilde): criterion(beta, gas) for beta in betas for gas in gases}
+
+
 class TestTableGenerate:
     def test_blank_pattern_matches_fixture(self):
-        grid = table_generate(list(FIXTURE_BETA), list(FIXTURE_BTILDE), 1.4)
+        grid = criterion_grid(FIXTURE_BETA, FIXTURE_BTILDE, 1.4)
         for beta in FIXTURE_BETA:
             for bt in FIXTURE_BTILDE:
                 assert (not grid[(beta, bt)].admissible) == fixture_is_blank(beta, bt)
 
     def test_rows_increase_with_btilde(self):
-        grid = table_generate(list(FIXTURE_BETA), list(FIXTURE_BTILDE), 1.4)
+        grid = criterion_grid(FIXTURE_BETA, FIXTURE_BTILDE, 1.4)
         for beta in FIXTURE_BETA:
             vals = [grid[(beta, bt)].J for bt in FIXTURE_BTILDE if grid[(beta, bt)].admissible]
             assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_columns_increase_up_to_the_known_peak(self):
-        grid = table_generate(list(FIXTURE_BETA), list(FIXTURE_BTILDE), 1.4)
+        grid = criterion_grid(FIXTURE_BETA, FIXTURE_BTILDE, 1.4)
         for bt in FIXTURE_BTILDE:
             vals = [
                 grid[(beta, bt)].J
@@ -551,7 +556,7 @@ class TestTableGenerate:
         # the threshold from the printed cubic peaks near beta = 3.4 at
         # btilde = 0 and then falls; the stored fixture dips at the same
         # corner (1.0518 -> 1.0513), so this is pinned as a regression
-        grid = table_generate(list(FIXTURE_BETA), [0.0], 1.4)
+        grid = criterion_grid(FIXTURE_BETA, [0.0], 1.4)
         assert grid[(3.6, 0.0)].J < grid[(3.4, 0.0)].J
         assert grid[(4.0, 0.0)].J < grid[(3.8, 0.0)].J
 
@@ -577,6 +582,6 @@ class TestTableGenerate:
                     lo = mid
             return (0.5 * (lo + hi) - 1.0) / beta
 
-        grid = table_generate(list(FIXTURE_BETA), [0.0], 1.4)
+        grid = criterion_grid(FIXTURE_BETA, [0.0], 1.4)
         for beta in FIXTURE_BETA:
             assert grid[(beta, 0.0)].J == pytest.approx(ideal_threshold(beta, 1.4), abs=1e-11)

@@ -392,7 +392,8 @@ def check_linear_field() -> CheckResult:
                 for h in (1e-2, 5e-3, 2.5e-3)
             ]
             for i in range(2):
-                order = math.log2(res[i] / res[i + 1])
+                ratio = res[i] / res[i + 1]
+                order = math.log2(ratio) if ratio else -math.inf  # a zero residual: order -inf
                 if order < min_order or order != order:  # min, with a NaN kept as _fold keeps it
                     min_order = order
 

@@ -61,10 +61,14 @@ def make_point(zeta: float, theta: float, ref: ReferenceState) -> SelfSimilarPoi
     if not sys.float_info.min <= ref.c0 < math.inf:
         raise DomainError(f"c0 must be a finite normal float, got {ref.c0} at rho0={ref.rho0}, "
                           f"p0={ref.p0} (a0={ref.a0}, kappa0={ref.kappa0})")
-    if not 0.0 <= zeta < math.inf:
-        raise DomainError(f"similarity radius must be nonnegative and finite, got {zeta}")
+    _check_radius(zeta)
     check_finite("a point", theta=theta)
     return SelfSimilarPoint(zeta=zeta, theta=theta, xi=zeta / ref.c0)
+
+
+def _check_radius(zeta: float) -> None:
+    if not 0.0 <= zeta < math.inf:
+        raise DomainError(f"similarity radius must be nonnegative and finite, got {zeta}")
 
 
 def incident_locus(theta: float, ref: ReferenceState) -> float:

@@ -20,6 +20,7 @@ from .geometry import (
     OMEGA_2,
     RegionLabel,
     SelfSimilarPoint,
+    _check_radius,
     _loci,
     _region,
     check_angle,
@@ -150,27 +151,23 @@ def first_order_piecewise(
 
 
 def _interior_cells(s: float, mu: float, cos_bs: Iterable[float]) -> list[float]:
-    """interior_density at Busemann radius s along a row of cos(mu*beta).
+    """interior_density at Busemann radius s >= 0 along a row of cos(mu*beta).
 
-    The radial factors (1-s^2m)cos(mu pi), (1+s^2m)sin(mu pi) and 2s^m are
-    formed once per row, atan_zero_pi is inlined and its -0.0 fold done once.
+    The radial factors (1-s^2m)cos(mu pi), (1+s^2m)sin(mu pi) and 2s^m, the
+    -0.0 fold of atan_zero_pi and its +pi decision are made once per row.
+    With n off -0.0, atan2(n, x) < 0 exactly when n < 0, unless n/x
+    underflows to -0.0; for finite s >= 0 and mu it cannot, since |1 - s^2m|
+    is 0 or at least 2^-53, |cos(mu pi)| is at least about 1e-19 and
+    |c -/+ den| <= (1 + s^m)^2.  Adding p = 0.0 moves no t, as none is -0.0.
     """
     atan2, pi = math.atan2, math.pi
     sm = s ** mu
     s2m = sm * sm
     num, den, two_sm = (1.0 - s2m) * math.cos(mu * pi), (1.0 + s2m) * math.sin(mu * pi), 2.0 * sm
     n1, n2 = num or 0.0, -num or 0.0  # -0.0 -> 0.0, as atan_zero_pi folds it
-    out = []
-    for cos_b in cos_bs:
-        c = two_sm * cos_b
-        t1 = atan2(n1, -den + c)
-        if t1 < 0.0:
-            t1 += pi
-        t2 = atan2(n2, den + c)
-        if t2 < 0.0:
-            t2 += pi
-        out.append(1.0 + (t1 + t2) / pi)
-    return out
+    p1, p2 = (pi if n1 < 0.0 else 0.0), (pi if n2 < 0.0 else 0.0)
+    return [1.0 + ((atan2(n1, c - den) + p1) + (atan2(n2, den + c) + p2)) / pi
+            for cos_b in cos_bs for c in [two_sm * cos_b]]
 
 
 def interior_density(s: float, beta: float, mu: float) -> float:
@@ -180,6 +177,8 @@ def interior_density(s: float, beta: float, mu: float) -> float:
     condition on the wedge face.
     """
     check_finite("interior density", s=s, beta=beta, mu=mu)
+    if s < 0.0:
+        raise DomainError(f"interior density needs s >= 0, got {s}")
     return _interior_cells(s, mu, (math.cos(mu * beta),))[0]
 
 
@@ -219,21 +218,24 @@ def _arc_value(beta: float, alpha: float) -> float:
 
 def _row(
     sigma: float, alpha: float, mu: float, thetas: list[float], arcs: list[float],
-    cos_bs: list[float],
+    cos_bs: list[float], coefs: list[float],
 ) -> tuple[int, list[float]]:
     """Formula tag and first-order densities of the radius sigma at the angles thetas.
 
     arcs and cos_bs hold each angle's arc value and cos(mu*beta).  On the arc
     (sigma >= 1) the density is the one-sided arc value; in the cancellation
-    ring the near-front asymptote, singular at the merge point; inside it the
-    closed form in the Busemann variable.
+    ring the near-front asymptote arc + coef*sqrt(1 - sigma), singular at the
+    merge point; inside it the closed form in the Busemann variable.  coefs
+    holds each angle's near_front_coefficient: the first ring row fills an
+    empty list, in the order of thetas, and later ring rows reuse it.
     """
     if sigma >= 1.0:
         return TAG_DIFFRACTION, arcs
     if 1.0 - sigma < FRONT_RING:
         ring = math.sqrt(1.0 - sigma)  # sigma < 1, so 1 - sigma > 0
-        return TAG_NEAR_FRONT, [arc + near_front_coefficient(theta, alpha) * ring
-                                for theta, arc in zip(thetas, arcs)]
+        if not coefs:
+            coefs.extend([near_front_coefficient(theta, alpha) for theta in thetas])
+        return TAG_NEAR_FRONT, [arc + coef * ring for arc, coef in zip(arcs, coefs)]
     return TAG_DIFFRACTION, _interior_cells(busemann_variable(sigma), mu, cos_bs)
 
 
@@ -251,7 +253,7 @@ def diffracted_density(
     mu = corner_exponent(alpha)
     beta = pt.theta - alpha
     tag, (value,) = _row(sigma, alpha, mu, [pt.theta], [_arc_value(beta, alpha)],
-                         [math.cos(mu * beta)])
+                         [math.cos(mu * beta)], [])
     return FieldSample(pt, label, value, tag)
 
 
@@ -270,9 +272,12 @@ def density_rows(
 
     Yields (formula tag, (each cell's region), [rho1 for each theta]); every
     cell equals the pointwise call.  What a row or a column shares is
-    computed once, so a cell costs at most two arctangents.  Every angle is
-    checked before the first row; cells raise what the pointwise call
-    raises, the first in row-major order.  An empty grid yields nothing.
+    computed once, so a cell costs at most two arctangents: the grid checks
+    c0 and the first angle as make_point does, then every angle, once; a row
+    checks only its zeta and its sigma <= 1 + 1e-12, with the pointwise
+    messages; each angle's near-front coefficient is taken once, at the
+    first ring row.  Cells raise what the pointwise call raises, the first
+    in row-major order.  An empty grid yields nothing.
 
     A row's regions are decided by where its zeta falls among the bounds
     _region compares it with: a0 - eps, a0 + eps and inc -/+ eps, zs -/+ eps
@@ -287,6 +292,7 @@ def density_rows(
     """
     if not (sigmas and thetas):
         return
+    make_point(0.0, thetas[0], ref)  # c0 and the first angle, the same for every row's point
     # angles and loci before corner_exponent: the pointwise call meets them first
     loci = []
     for theta in thetas:
@@ -300,10 +306,12 @@ def density_rows(
     bounds = sorted({b for x in [a0, *(x for pair in loci for x in pair if x is not None)]
                      for b in (x - eps, x + eps)})
     by_key = {}  # (bisect_left, bisect_right) of zeta in bounds -> the row's regions
+    coefs = []  # each angle's near_front_coefficient, filled at the first ring row
     for sigma in sigmas:
-        pt = make_point(sigma * ref.kappa0 * ref.c0, thetas[0], ref)  # the row's first cell
-        zeta = pt.zeta
-        tag, rhos = _row(_checked_sigma(pt.xi, ref), alpha, mu, thetas, arcs, cos_bs)
+        zeta = sigma * ref.kappa0 * ref.c0  # the zeta diffracted_density_xi gives make_point
+        _check_radius(zeta)
+        tag, rhos = _row(_checked_sigma(zeta / ref.c0, ref), alpha, mu, thetas, arcs, cos_bs,
+                         coefs)
         key = bisect_left(bounds, zeta), bisect_right(bounds, zeta)
         regions = by_key.get(key)
         if regions is None:

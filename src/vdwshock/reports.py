@@ -40,8 +40,8 @@ def csv_text(header: list[str], rows: list[list]) -> str:
 
 
 def _csv(header: list[str], lines: list[str]) -> str:
-    """CSV document from a header and already formatted data lines."""
-    return "\n".join([",".join(header), *lines]) + "\n"
+    """CSV document from a header and already formatted data lines, joined in one copy."""
+    return "\n".join([",".join(header), *lines, ""])
 
 
 def json_text(payload) -> str:

@@ -402,3 +402,140 @@ def test_merge_ray_in_ring_raises_like_pointwise(xi_min, k, theta_count):
 def test_empty_grid_yields_nothing(sigmas, thetas):
     ref = reference_constants(1.0, 1.0, GasModel(1.4))
     assert list(density_rows(sigmas, thetas, math.pi / 4.0, ref)) == []
+
+
+def per_cell_loop(s, mu, cos_bs):
+    # the interior row kernel as a per-cell loop, with atan_zero_pi's +pi
+    # decided at every cell: the reference the row-level decision must match
+    atan2, pi = math.atan2, math.pi
+    sm = s**mu
+    s2m = sm * sm
+    num, den, two_sm = (1.0 - s2m) * math.cos(mu * pi), (1.0 + s2m) * math.sin(mu * pi), 2.0 * sm
+    n1, n2 = num or 0.0, -num or 0.0
+    out = []
+    for cos_b in cos_bs:
+        c = two_sm * cos_b
+        t1 = atan2(n1, -den + c)
+        if t1 < 0.0:
+            t1 += pi
+        t2 = atan2(n2, den + c)
+        if t2 < 0.0:
+            t2 += pi
+        out.append(1.0 + (t1 + t2) / pi)
+    return out
+
+
+def hex_outcome(call, *args):
+    try:
+        return [x.hex() for x in call(*args)]
+    except (ArithmeticError, ValueError) as exc:  # s**mu or cos(mu*pi) out of range
+        return type(exc), str(exc)
+
+
+#: radii and exponents at the edges of the float range, beside the field's
+#: s in [0, 1] and mu in (1/2, 1)
+EDGE_S = [0.0, 5e-324, 1e-300, 1e-10, 0.5, 1.0 - 2.0**-53, 1.0, 1.0 + 2.0**-52, 2.0, 1e10,
+          1e150, 1e300, 1.7976931348623157e308]
+EDGE_MU = [0.0, 1e-300, 0.5, 0.75, 1.0 - 2.0**-53, 1.0, 7.3, 1e5, 1e300, -0.5, -3.0, -1e300]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_interior_cells_match_the_per_cell_loop(seed):
+    rng = random.Random(300 + seed)
+    cos_bs = [1.0, -1.0, 0.0, -0.0, 5e-324, -5e-324] + [rng.uniform(-1.0, 1.0) for _ in range(40)]
+    cases = [(s, mu) for s in EDGE_S for mu in EDGE_MU]
+    cases += [(10.0 ** rng.uniform(-320.0, 308.0), rng.choice([1.0, -1.0]) * 10.0 ** rng.uniform(
+        -300.0, 300.0)) for _ in range(300)]
+    cases += [(rng.uniform(0.0, 1.0), rng.uniform(0.5, 1.0)) for _ in range(300)]
+    signs = set()
+    for s, mu in cases:
+        want = hex_outcome(per_cell_loop, s, mu, cos_bs)
+        assert hex_outcome(linear_acoustics._interior_cells, s, mu, cos_bs) == want, (s, mu)
+        if isinstance(want, list):
+            sm = s**mu
+            num = (1.0 - sm * sm) * math.cos(mu * math.pi)
+            signs.add((num > 0.0) - (num < 0.0))
+    assert signs >= {1, -1}  # rows where either arctangent takes the +pi
+
+
+def tiny_c0_ref():
+    # a0 ~ 2e-316: c0 is subnormal, which make_point rejects
+    ref = reference_constants(1.7976931348623157e308, 5e-324, GasModel(1.4))
+    assert 0.0 < ref.c0 < 2.2250738585072014e-308
+    return ref
+
+
+def differential_grids():
+    # (id, sigmas, thetas, alpha, ref, what the first bad cell raises or None)
+    rng = random.Random(400)
+    ideal = reference_constants(1.0, 1.0, GasModel(1.4))
+    covolume = reference_constants(0.7, 1.6, GasModel(2.2, 0.45))
+    ring = [1.0 - k * 1e-15 for k in (9, 5, 2, 1)]
+    grids = []
+    for alpha_deg in (1e-300, 89.99999999999999):  # the merge ray is a grid angle: no ring rows
+        alpha = math.radians(alpha_deg)
+        sigmas = sorted(rng.uniform(0.0, 1.0) for _ in range(20)) + [1.0 - 1e-13, 1.0]
+        grids.append((f"alpha_deg={alpha_deg!r}", sigmas, _linspace(alpha, math.pi, 23),
+                      alpha, covolume, None))
+    alpha = math.radians(33.0)
+    thetas = _linspace(alpha, math.pi, 17)
+    grids.append(("sigma=0", [0.0, 0.25, 1.0], thetas, alpha, ideal, None))
+    merge = sorted([*thetas, 2.0 * alpha])  # a grid angle on the merge ray
+    grids.append(("merge ray in the ring", [0.5, *ring, 1.0], merge, alpha, covolume,
+                  SingularityError))
+    grids.append(("non-normal c0", [0.0, 0.5, 1.0], thetas, alpha, tiny_c0_ref(), DomainError))
+    return grids
+
+
+DIFFERENTIAL = differential_grids()
+
+
+@pytest.mark.parametrize("sigmas, thetas, alpha, ref, raised", [g[1:] for g in DIFFERENTIAL],
+                         ids=[g[0] for g in DIFFERENTIAL])
+def test_rows_bit_identical_where_the_workload_never_goes(sigmas, thetas, alpha, ref, raised):
+    got = rows_against_pointwise(sigmas, thetas, alpha, ref)
+    if raised is None:
+        assert len(got) == len(sigmas)
+    else:
+        with pytest.raises(DomainError) as exc:
+            list(density_rows(sigmas, thetas, alpha, ref))
+        assert type(exc.value) is raised
+
+
+def test_tiny_wedge_flips_the_arctangent_signs():
+    # alpha = 1e-300 degrees: mu rounds to 1/2 and cos(mu*pi) = 6.1e-17 > 0,
+    # so n1 > 0 > n2 and the +pi goes to the second arctangent, not the first
+    alpha = math.radians(1e-300)
+    assert linear_acoustics.corner_exponent(alpha) == 0.5 and math.cos(0.5 * math.pi) > 0.0
+    cfg = parse_config(None, {"alpha_deg": 1e-300, "xi_min": 1e-3, "xi_count": 40,
+                              "theta_count": 31})
+    assert render_field(cfg).split("\n")[:-1] == pointwise_lines(cfg)
+
+
+def test_non_normal_c0_raises_before_any_angle():
+    # c0 is the first thing the pointwise call checks, so the grid checks it
+    # before its angles: here the first angle lies outside the wedge domain too
+    alpha = math.pi / 4.0
+    with pytest.raises(DomainError, match="c0 must be a finite normal float") as exc:
+        list(density_rows([0.5], [0.1, 1.0], alpha, tiny_c0_ref()))
+    assert str(exc.value) == outcome(diffracted_density_xi, 0.5, 0.1, alpha, tiny_c0_ref())[1]
+
+
+def test_grid_work_is_done_once_per_grid(monkeypatch):
+    # the near-front coefficient once per column, not per ring cell, and the
+    # point checks once per grid, not per row
+    calls = {"near_front_coefficient": 0, "make_point": 0}
+    for name in calls:
+        def spy(*args, _real=getattr(linear_acoustics, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(linear_acoustics, name, spy)
+    ref = reference_constants(0.7, 1.6, GasModel(2.2, 0.45))
+    alpha = math.radians(27.0)
+    thetas = _linspace(alpha, math.pi, 19)
+    sigmas = [0.3, 0.9, *(1.0 - k * 1e-15 for k in (8, 4, 2, 1)), 1.0]
+    rows = list(density_rows(sigmas, thetas, alpha, ref))
+    assert [tag for tag, _, _ in rows].count(TAG_NEAR_FRONT) == 4
+    assert calls["near_front_coefficient"] == len(thetas)
+    assert calls["make_point"] <= 1

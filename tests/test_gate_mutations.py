@@ -360,3 +360,27 @@ def test_a_zero_divisor_fails_its_check(capsys):
     entry = entries["cubic_self_consistency"]
     assert (entry["status"], entry["residual"]) == (checks.FAIL, None)
     assert entry["note"].startswith("raised ZeroDivisionError: "), entry
+
+
+def _no_constant(name):
+    raise AssertionError(f"non-finite {name} in the report")
+
+
+def test_a_zero_residual_fails_its_check(capsys):
+    # a finite-difference residual of exactly 0 made log2(0) raise a bare
+    # ValueError out of linear_field, and check ended in a traceback; its
+    # convergence order is -inf, which fails the order bound in the report
+    def wrap(func):
+        def mutant(field, xi, theta, h, ref):
+            return 0.0 if h == 1e-2 else func(field, xi, theta, h, ref)
+        return mutant
+
+    with mutated("density_pde_residual", wrap):
+        code = cli.main(["check"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (3, "")
+    entries = {e["name"]: e for e in json.loads(out, parse_constant=_no_constant)["checks"]}
+    assert len(entries) == 10
+    entry = entries["linear_field"]
+    assert entry["status"] == checks.FAIL, entry
+    assert "min FD order -inf (need >= 1.9)" in entry["note"], entry

@@ -175,6 +175,9 @@ CASES = [
      DomainError, "reflected angle needs a finite tan_phi_i, got nan"),
     ("interior_density beta inf", lambda: interior_density(0.5, INF, 0.6),
      DomainError, "interior density needs a finite beta, got inf"),
+    # s**mu of a negative s is complex: this raised a bare TypeError
+    ("interior_density s < 0", lambda: interior_density(-0.5, 0.1, 0.7),
+     DomainError, "interior density needs s >= 0, got -0.5"),
 ]
 
 

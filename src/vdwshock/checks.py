@@ -73,11 +73,12 @@ def _cubic_cells():
     """(x_c, x_b, scaled residual, coefficient-sum error) of each admissible cell.
 
     The grid is three gammas, 29 density ratios and 15 btildes.  Each gas is
-    validated once.  Each row takes its roots x_c from one call of the row
-    kernel _threshold_row, the roots that criterion and table print, and
-    each cell takes its cubic from _coeffs for the residual
-    |F(x_c)|/(h3 x_c^3) and the coefficient sum h0 + h1 + h2 + h3, which
-    must equal _f_terms' F(beta, 0).
+    validated once.  Each row's entries, admission and the roots x_c that
+    criterion and table print, come from one call of the row kernel
+    _threshold_row.  The residual |F(x_c)|/(h3 x_c^3), the bisection root
+    x_b and the coefficient sum h0 + h1 + h2 + h3, which must equal
+    _f_terms' F(beta, 0), take the reference cubic from _coeffs, not from the
+    entry: a kernel with a wrong h-expression would pass against its own.
     """
     betas = [1.1 + 0.1 * i for i in range(29)]
     btildes = [0.05 * i for i in range(15)]
@@ -85,9 +86,11 @@ def _cubic_cells():
         for bt in btildes:
             validate_gas(GasModel(g, bt))
         columns = _threshold_columns(g, btildes)
-        for beta in betas:  # > 1, so a column admits beta when beta is below its band top
-            admitted = [bt for bt, top, _gp, _two_bt in columns if beta <= top]
-            for bt, x_c in zip(admitted, _threshold_row(beta, g, columns)[::3]):
+        for beta in betas:
+            for bt, cell in zip(btildes, _threshold_row(beta, g, columns)):
+                if cell is None:
+                    continue
+                x_c = cell[6]
                 cubic = _coeffs(beta, g, bt)
                 h0, h1, h2, h3, _m, _n = cubic
                 x_b = _bisection_root(cubic)
@@ -277,7 +280,7 @@ def check_reflection_solve() -> CheckResult:
         bt = rng.uniform(0.0, 0.7)
         gas = GasModel(g, bt)
         beta = rng.uniform(1.0 + 1e-3, min(beta_upper(g, bt) * 0.999, 4.0))
-        phi_star = _threshold_row(beta, g, _threshold_columns(g, (bt,)))[2]  # beta is in its band
+        phi_star = _threshold_row(beta, g, _threshold_columns(g, (bt,)))[0][8]  # beta is admitted
         phi_hi = math.pi / 2.0 - 0.02
         if phi_star >= phi_hi:
             continue
@@ -560,15 +563,15 @@ def check_cli_determinism(other_results: list[CheckResult], cfg: RunConfig) -> C
 
 
 def _run(name: str, check, *args) -> CheckResult:
-    """check(*args), or a FAIL entry named name when a kernel raises inside it.
+    """check(*args), or a FAIL entry named name when any Exception is raised inside it.
 
-    A DomainError, InternalInconsistencyError or ArithmeticError (a zero
-    divisor, an overflow) is the gate's finding, not its end: the entry has no
-    residual and its note names the exception.
+    The gate's contract: whatever a check raises, check prints a strict-JSON
+    report and exits 3, since a traceback would lose the other entries.  The
+    entry has no residual and its note names the exception.
     """
     try:
         return check(*args)
-    except (DomainError, InternalInconsistencyError, ArithmeticError) as exc:
+    except Exception as exc:
         return CheckResult(name, FAIL, None, None, f"raised {type(exc).__name__}: {exc}")
 
 

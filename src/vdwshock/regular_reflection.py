@@ -4,11 +4,11 @@ The wedge condition reduces to a cubic in X = 1 + beta_i*tan^2(phi_i); its
 unique positive root fixes the threshold J = (x*-1)/beta_i that the squared
 tangent of the incidence angle must reach for a regular reflection to exist.
 The production path is the row kernel _threshold_row: one call per beta_i row
-returns x*, J and phi* of the row's admissible btilde columns, writing the
-cubic, its closed-form root, certificate and residual test and the J clamp
-out in place.  criterion calls it as a row of one column; the table renderer
-and the gate call it too.  _coeffs and positive_root are the single-cubic API
-and the kernel's reference, pinned to it bit for bit by the tests.
+gives each btilde column None or its cell (h0..h3, m, n, x*, J, phi*), writing
+the band test, cubic, closed-form root, certificate, residual test and J clamp
+out in place.  criterion, the table renderer and the gate read admission, the
+printed cubic and the root from it.  _coeffs and positive_root are the
+single-cubic API and the kernel's reference, pinned to it bit for bit by tests.
 positive_root accepts the closed-form root on an O(1) certificate (one sign
 change in the coefficients plus a sign bracket of width ROOT_AGREEMENT, or 16
 ulps of a large root, around it) and checks its residual; only when the
@@ -36,7 +36,8 @@ from typing import NamedTuple
 from .errors import DetachmentError, DomainError, InternalInconsistencyError
 from .geometry import check_angle
 from .shock_relations import (
-    ENDPOINT_SLACK,
+    BAND_LOW,
+    BAND_TOP,
     IncidentShockInput,
     _jump,
     _within,
@@ -320,19 +321,22 @@ def positive_root(cubic: tuple[float, ...]) -> float:
 def _threshold_columns(g: float, btildes) -> list[tuple[float, float, float, float]]:
     """Per-column constants of _threshold_row: (btilde, band top, g + 1 - 2*btilde, 2*btilde).
 
-    The band top is beta_upper(g, btilde)*(1 + ENDPOINT_SLACK), the float
-    that shock_relations._within compares beta_i with.
+    The band top is beta_upper(g, btilde)*BAND_TOP, the float that
+    shock_relations._within compares beta_i with.
     """
-    return [(bt, beta_upper(g, bt) * (1.0 + ENDPOINT_SLACK), g + 1.0 - 2.0 * bt, 2.0 * bt)
+    return [(bt, beta_upper(g, bt) * BAND_TOP, g + 1.0 - 2.0 * bt, 2.0 * bt)
             for bt in btildes]
 
 
 def _threshold_row(b: float, g: float, columns: list[tuple[float, float, float, float]]
-                   ) -> list[float]:
-    """x*, J and phi* of each column that admits the ratio b, as one flat list.
+                   ) -> list[tuple[float, ...] | None]:
+    """One entry per column: None where it does not admit the ratio b, else the cell.
 
-    columns comes from _threshold_columns(g, btildes) of a valid gas, and b
-    is finite.  Each admissible cell writes out _coeffs' expressions,
+    A cell is the 9-tuple (h0, h1, h2, h3, m, n, x*, J, phi*): the cubic it
+    solved, the root, the threshold and the critical angle.  columns comes
+    from _threshold_columns(g, btildes) of a valid gas, and b is finite; a
+    column admits b when BAND_LOW <= b <= its band top (the test of
+    _within).  Each admissible cell writes out _coeffs' expressions,
     positive_root's closed-form root, certificate and residual test, and the
     clamp J = max(0, (x* - 1)/b) in their float order, and calls no other
     vdwshock function when its root certifies.  A cell that fails the
@@ -341,15 +345,16 @@ def _threshold_row(b: float, g: float, columns: list[tuple[float, float, float, 
     message.  A float overflow, or a covolume fraction btilde*b that rounds
     to 1, is the DomainError of _cubic_error for the cell.
     """
+    if not b >= BAND_LOW:
+        return [None] * len(columns)
     out = []
-    if not b >= 1.0 - ENDPOINT_SLACK:
-        return out
     sqrt, cos, acos, atan, ulp = math.sqrt, math.cos, math.acos, math.atan, math.ulp
     gm1 = g - 1.0
     bm1 = None
     try:
         for bt, top, gp, two_bt in columns:
             if not b <= top:
+                out.append(None)
                 continue
             if bm1 is None:  # the row's own terms, once a column admits b: they can overflow
                 bm1 = b - 1.0
@@ -406,7 +411,7 @@ def _threshold_row(b: float, g: float, columns: list[tuple[float, float, float, 
             j = (x - 1.0) / b
             if not j > 0.0:  # max(0.0, .): -0.0 and NaN become +0.0
                 j = 0.0
-            out += x, j, atan(sqrt(j))
+            out.append((h0, h1, h2, h3, m, n, x, j, atan(sqrt(j))))
     except (OverflowError, ZeroDivisionError) as exc:
         raise _cubic_error(exc, g, bt, b) from exc
     return out
@@ -425,21 +430,12 @@ def criterion(beta_i: float, gas: GasModel) -> CriterionReport:
 
 
 def _criterion(b: float, g: float, bt: float) -> CriterionReport:
-    """Unchecked criterion of a valid gas (g, bt) at a finite ratio b: a row of one column."""
+    """Unchecked criterion of a valid gas (g, bt) at a finite b: a one-column row's entry."""
+    cell = _threshold_row(b, g, _threshold_columns(g, (bt,)))[0]
     upper = beta_upper(g, bt)
-    if not _within(b, upper):
-        return CriterionReport(
-            cubic=None, x_star=None, J=None, phi_star=None, admissible=False, upper_beta=upper
-        )
-    x_star, j_value, phi_star = _threshold_row(b, g, _threshold_columns(g, (bt,)))
-    return CriterionReport(
-        cubic=CubicForm._make(_coeffs(b, g, bt)),
-        x_star=x_star,
-        J=j_value,
-        phi_star=phi_star,
-        admissible=True,
-        upper_beta=upper,
-    )
+    if cell is None:
+        return CriterionReport(None, None, None, None, False, upper)
+    return CriterionReport(CubicForm._make(cell[:6]), *cell[6:], True, upper)
 
 
 def solve_regular_reflection(

@@ -5,8 +5,7 @@ from __future__ import annotations
 import json
 import math
 
-from . import (inner_singular, linear_acoustics, nonlinear_front, regular_reflection,
-               shock_relations)
+from . import inner_singular, linear_acoustics, nonlinear_front, regular_reflection
 from .config import RunConfig
 from .errors import DomainError, InternalInconsistencyError
 from .table_fixture import fixture_column, fixture_row
@@ -88,42 +87,36 @@ def render_table(cfg: RunConfig) -> str:
     """Threshold grid with a side-by-side fixture-comparison column as CSV.
 
     Each quantity is computed where it varies: per btilde column the
-    threshold kernel's constants (regular_reflection._threshold_columns,
-    with the band top), the fixture column and the cell templates; per beta
-    row the fixture row, one call of the row kernel _threshold_row, the
-    production path of the threshold, and one % call; per cell only the band
-    test.  cfg comes from parse_config, or is RunConfig(), so every column's
+    threshold kernel's constants (regular_reflection._threshold_columns), the
+    fixture column and the cell templates; per beta row the fixture row, one
+    call of the row kernel _threshold_row, whose entry is None for an
+    inadmissible cell and holds J and phi* of an admissible one, and one %
+    call.  cfg comes from parse_config, or is RunConfig(), so every column's
     gas is valid and the btilde grid is not empty.
     """
     g = cfg.gamma
     # looked up once per call, not at import, so a wrapper patched onto the module is seen and
     # a command that renders no table does not load the threshold modules
     row_kernel, degrees = regular_reflection._threshold_row, math.degrees
-    low = 1.0 - shock_relations.ENDPOINT_SLACK
     kernel_columns = regular_reflection._threshold_columns(g, cfg.btilde_grid)
     columns = []
-    for bt, top, _gp, _two_bt in kernel_columns:
+    for bt in cfg.btilde_grid:
         bt_cell = f"{_fmt_float(bt)},"
         admitted = bt_cell + "true,%.12g,%.12g,,"  # an admissible cell with no fixture value
-        columns.append((bt_cell, top, fixture_column(bt), admitted))
+        columns.append((bt_cell, fixture_column(bt), admitted))
     lines = []
     for beta in cfg.beta_grid:
         head = _fmt_float(beta) + ","
         fix_row = fixture_row(beta)
-        row = row_kernel(beta, g, kernel_columns)  # x*, J, phi* of each admissible cell
-        inside = beta >= low
-        k = 0
         cells = []
         values = []
-        for bt_cell, top, col, admitted in columns:
+        for (bt_cell, col, admitted), cell in zip(columns, row_kernel(beta, g, kernel_columns)):
             fix = None if fix_row is None or col is None else fix_row[col]
             fix_cell = "" if fix is None else _fmt_float(fix)
-            if not (inside and beta <= top):  # shock_relations._within(beta, upper)
+            if cell is None:
                 cells.append(f"{bt_cell}false,,,{fix_cell},")
                 continue
-            j = row[k + 1]
-            phi = row[k + 2]
-            k += 3
+            j, phi = cell[7], cell[8]
             # J (clamped to +0.0 when not > 0), phi_star_deg = degrees(atan(sqrt(J))) and
             # abs_diff = abs(.) are never -0.0, so "%.12g" prints them as _fmt_float does;
             # no cell holds a "%"

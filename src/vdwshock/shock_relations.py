@@ -19,6 +19,9 @@ from .thermo import GasModel, ReferenceState, validate_gas
 
 #: relative slack applied at the open endpoints of the admissibility intervals
 ENDPOINT_SLACK = 1e-12
+#: the band's ends, defined only here: a ratio is admitted from BAND_LOW to its bound*BAND_TOP
+BAND_LOW = 1.0 - ENDPOINT_SLACK
+BAND_TOP = 1.0 + ENDPOINT_SLACK
 
 
 class IncidentShockInput(NamedTuple):
@@ -76,7 +79,7 @@ def admissible_beta_bounds(gas: GasModel, beta_i: float | None = None) -> tuple[
 
 
 def _within(beta: float, upper: float) -> bool:
-    return beta >= 1.0 - ENDPOINT_SLACK and beta <= upper * (1.0 + ENDPOINT_SLACK)
+    return beta >= BAND_LOW and beta <= upper * BAND_TOP
 
 
 def check_incident_beta(beta_i: float, gas: GasModel) -> None:

@@ -7,12 +7,12 @@ Each mutant scales one result of one private kernel by (1 + 1e-7), or for
 the region decision swaps the Omega1 and Omega2 labels, in every vdwshock
 module that binds the kernel's name, then runs the whole gate.  A
 mutant is killed when a check other than the two deliberate failures
-(table_trends and cli_determinism) fails, or when the gate raises.  A
-DomainError, InternalInconsistencyError or ArithmeticError raised by a kernel
-becomes the FAIL entry of the check it runs in (of both table checks when
-the default table build raises), so only another exception type aborts the
-gate.  NAN_MUTANTS make one kernel return NaN, which must fail the check
-that reads it.  The kill
+(table_trends and cli_determinism) fails, or when the gate raises.  Any
+Exception raised inside a check becomes the FAIL entry of that check (of
+both table checks when the default table build raises), so the check
+command always prints its whole report; RAISING_MUTANTS hold one mutant of
+each family that once ended it in a traceback.  NAN_MUTANTS make one kernel
+return NaN, which must fail the check that reads it.  The kill
 matrix (mutant x check) is printed; run with ``pytest -s`` or ``-rA`` to see
 it.  Each row's kill, the set of non-deliberate checks that fail or the name
 of the exception, is pinned in KILLS.  Whatever the mutant, a gate that
@@ -384,3 +384,57 @@ def test_a_zero_residual_fails_its_check(capsys):
     entry = entries["linear_field"]
     assert entry["status"] == checks.FAIL, entry
     assert "min FD order -inf (need >= 1.9)" in entry["note"], entry
+
+
+def negate_item(index):
+    def wrap(func):
+        def mutant(*args):
+            out = list(func(*args))
+            out[index] = -out[index]
+            return tuple(out)
+        return mutant
+    return wrap
+
+
+def band_top_at_one(func):
+    # every column of the threshold kernel gets the band top 1.0
+    def mutant(*args):
+        return [(bt, 1.0, gp, two_bt) for bt, _top, gp, two_bt in func(*args)]
+    return mutant
+
+
+#: family -> (kernel name, wrapper, the check that reports it, the start of its note)
+RAISING_MUTANTS = {
+    # a negative squared Mach number reaches math.sqrt in solve_regular_reflection
+    "sqrt of a negative": ("_jump", negate_item(2), "reflection_solve",
+                           "raised ValueError: math domain error"),
+    # every band bound below 1: the one-column row of check_reflection_solve holds no cell
+    "empty threshold row": ("beta_upper", lambda func: lambda *args: func(*args) * 0.1,
+                            "reflection_solve",
+                            "raised TypeError: 'NoneType' object is not subscriptable"),
+    # a formatter that returns a float breaks the string building of render_table
+    "string building in reports": ("_fmt_float", lambda func: lambda value: value,
+                                   "cli_determinism",
+                                   "raised TypeError: unsupported operand type(s) for +"),
+    # the kernel's band top moves below the band test: _criterion's own _within admitted
+    # cells the kernel left out, and unpacking the empty row raised; the kernel's entry is
+    # now the only admission, so the table reports the moved band as blank mismatches
+    "band top apart from the band test": ("_threshold_columns", band_top_at_one,
+                                          "table_trends", "blank mismatches: [("),
+}
+
+
+@pytest.mark.parametrize("family", RAISING_MUTANTS)
+def test_check_reports_whatever_a_check_raises(capsys, family):
+    name, wrap, check, note = RAISING_MUTANTS[family]
+    with mutated(name, wrap):
+        code = cli.main(["check"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (3, "")
+    entries = {e["name"]: e for e in json.loads(out, parse_constant=_no_constant)["checks"]}
+    assert len(entries) == 10
+    entry = entries[check]
+    assert entry["status"] == checks.FAIL, entry
+    assert entry["note"].startswith(note), entry
+    if note.startswith("raised "):
+        assert (entry["residual"], entry["tolerance"]) == (None, None), entry

@@ -178,6 +178,14 @@ CASES = [
     # s**mu of a negative s is complex: this raised a bare TypeError
     ("interior_density s < 0", lambda: interior_density(-0.5, 0.1, 0.7),
      DomainError, "interior density needs s >= 0, got -0.5"),
+    # a mu outside the corner exponent's [1/2, 1] raised a bare ValueError (cos(mu*pi) of
+    # an infinite mu*pi), ZeroDivisionError (0.0**mu, mu < 0) or OverflowError (s**mu)
+    ("interior_density mu huge", lambda: interior_density(0.5, 0.1, 1e308),
+     DomainError, "interior density needs mu in [1/2, 1], got 1e+308"),
+    ("interior_density mu < 0 at s = 0", lambda: interior_density(0.0, 0.1, -0.5),
+     DomainError, "interior density needs mu in [1/2, 1], got -0.5"),
+    ("interior_density s**mu overflows", lambda: interior_density(1e10, 0.1, 1e300),
+     DomainError, "interior density needs mu in [1/2, 1], got 1e+300"),
 ]
 
 

@@ -6,28 +6,37 @@ the same ``float.hex`` on every admissible cell of the benchmark's
 ``threshold_table`` inputs (seeds 0-2) and of the default table.
 ``reference_threshold`` is the threshold as it was computed cell by cell
 before the row kernel: ``positive_root(_coeffs(...))``, the one mapping of
-an overflow to a ``DomainError`` and the clamp ``max(0, (x* - 1)/beta)``;
-``_threshold_row`` must give its floats on those cells and on the gate's
-648, and raise its exception, first in row order, on a sweep of fallback
-and error cells.  Each builtin ``max``/``min`` call that a comparison
+an overflow to a ``DomainError`` and the clamp ``max(0, (x* - 1)/beta)``,
+laid out as the kernel's cell ``(*_coeffs(...), x*, J, phi*)``;
+``reference_row`` is ``None`` where ``shock_relations._within`` rejects the
+column and that cell elsewhere.  ``_threshold_row`` must give its entries,
+the printed cubic included, on those cells and on the gate's 648, and raise
+its exception, first in row order, on a sweep of fallback and error cells.
+The printed m and n must be the depressed form of the printed h0..h3 to
+within their rounding, and ``criterion`` must print the kernel's cubic
+without building another.  Each builtin ``max``/``min`` call that a comparison
 replaced, or that was dropped as a no-op, gets a value table: on every
 listed input that can reach it the replacement returns the builtin's float,
 bit for bit, NaN and -0.0 included.
 """
 
+import contextlib
 import importlib.util
 import json
 import math
+import pkgutil
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from vdwshock import regular_reflection
+import vdwshock
+from vdwshock import cli, regular_reflection, reports
 from vdwshock.config import RunConfig, parse_config
 from vdwshock.linear_acoustics import FRONT_RING, busemann_variable
-from vdwshock.regular_reflection import (ROOT_AGREEMENT, _coeffs, _cubic_error, _threshold_columns,
-                                         _threshold_row, positive_root)
+from vdwshock.regular_reflection import (ROOT_AGREEMENT, CubicForm, _coeffs, _cubic_error,
+                                         _threshold_columns, _threshold_row, positive_root)
 from vdwshock.shock_relations import ENDPOINT_SLACK, _within, beta_upper
 
 _WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -56,16 +65,21 @@ def reference_coeffs(b, g, bt):
     return h0, h1, h2, h3, m, n
 
 
+def seeded_configs(workloads, seed):
+    """(name, config) of each threshold_table input of the seed."""
+    configs = []
+    for k, inv in enumerate(workloads.generate("threshold_table", seed)):
+        argv = inv.argv
+        overrides = {key[2:]: json.loads(value) for key, value in zip(argv[1::2], argv[2::2])}
+        configs.append((f"seed{seed}-{k}", parse_config(None, overrides)))
+    return configs
+
+
 def table_configs():
     """The default table and the threshold_table inputs of seeds 0, 1 and 2."""
     workloads = _load_workloads()
-    configs = [("default", RunConfig())]
-    for seed in range(3):
-        for k, inv in enumerate(workloads.generate("threshold_table", seed)):
-            argv = inv.argv
-            overrides = {key[2:]: json.loads(value) for key, value in zip(argv[1::2], argv[2::2])}
-            configs.append((f"seed{seed}-{k}", parse_config(None, overrides)))
-    return configs
+    return [("default", RunConfig())] + [
+        named for seed in range(3) for named in seeded_configs(workloads, seed)]
 
 
 def gate_configs():
@@ -100,41 +114,44 @@ def test_coeffs_matches_its_former_body_on_every_table_cell():
 
 
 def reference_threshold(b, g, bt):
-    """x*, J and phi* of one admissible cell through the single-cubic API."""
+    """The cell (h0, h1, h2, h3, m, n, x*, J, phi*) of one admissible cell, single-cubic API."""
     try:
-        x_star = positive_root(_coeffs(b, g, bt))
+        cubic = _coeffs(b, g, bt)
+        x_star = positive_root(cubic)
     except (OverflowError, ZeroDivisionError) as exc:
         raise _cubic_error(exc, g, bt, b) from exc
     j = max(0.0, (x_star - 1.0) / b)
-    return x_star, j, math.atan(math.sqrt(j))
+    return (*cubic, x_star, j, math.atan(math.sqrt(j)))
 
 
 def reference_row(b, g, btildes):
-    out = []
-    for bt in btildes:
-        if _within(b, beta_upper(g, bt)):
-            out += reference_threshold(b, g, bt)
-    return out
+    """One entry per column: None where _within rejects b, else the reference cell."""
+    return [reference_threshold(b, g, bt) if _within(b, beta_upper(g, bt)) else None
+            for bt in btildes]
+
+
+def row_hexes(row):
+    return [None if cell is None else hexes(cell) for cell in row]
 
 
 def outcome(call):
-    """float.hex of each value call() returns, or the type and message of what it raises."""
+    """row_hexes of the row call() returns, or the type and message of what it raises."""
     try:
-        return hexes(call())
+        return row_hexes(call())
     except Exception as exc:
         return type(exc).__name__, str(exc)
 
 
 def checked_cells(configs):
-    """Admissible cells of the configs, each row's kernel floats checked against the reference."""
+    """Admissible cells of the configs, each row's kernel entries checked against the reference."""
     cells = 0
     for name, cfg in configs:
         g = cfg.gamma
         columns = _threshold_columns(g, cfg.btilde_grid)
         for beta in cfg.beta_grid:
             want = reference_row(beta, g, cfg.btilde_grid)
-            assert hexes(_threshold_row(beta, g, columns)) == hexes(want), (name, beta)
-            cells += len(want) // 3
+            assert row_hexes(_threshold_row(beta, g, columns)) == row_hexes(want), (name, beta)
+            cells += sum(cell is not None for cell in want)
     return cells
 
 
@@ -149,10 +166,101 @@ def test_row_kernel_j_is_the_builtin_clamp_on_every_default_cell():
     cfg = RunConfig()
     columns = _threshold_columns(cfg.gamma, cfg.btilde_grid)
     for beta in cfg.beta_grid:
-        row = _threshold_row(beta, cfg.gamma, columns)
-        assert row
-        for x_star, j in zip(row[0::3], row[1::3]):
+        cells = [cell for cell in _threshold_row(beta, cfg.gamma, columns) if cell is not None]
+        assert cells
+        for cell in cells:
+            x_star, j = cell[6], cell[7]
             assert float.hex(j) == float.hex(max(0.0, (x_star - 1.0) / beta)), beta
+
+
+#: unit roundoff of a float: each correctly rounded +, -, *, / errs by at most U relatively
+U = Fraction(1, 2 ** 53)
+
+
+def depressed_form_errors(cubic):
+    """|m - M|/bound_m and |n - N|/bound_n of a printed cubic, in exact arithmetic.
+
+    With Bk = hk/h3 of the printed floats taken as exact rationals, the
+    depressed form is M = B1 - B2^2/3 and N = B0 - B1*B2/3 + 2*B2^3/27.  The
+    kernel forms m = b1 - b2*b2/3 and n = h0/h3 - b1*b2/3 + 2*b2**3/27 in
+    float, with b2 = h2/h3 and b1 = h1/h3.  Each +, -, *, / errs by at most U
+    relatively, and b2**3 (the C library's pow) by at most one ulp, 2U.  So
+    each term of m and n carries at most k relative errors of size U:
+    - in m, b1 two (the division and the difference) and b2*b2/3 five (two
+      from b2, the product, the /3 and the difference);
+    - in n, h0/h3 three, b1*b2/3 six and 2*b2**3/27 seven (three from b2,
+      two from pow, the /27 and the sum; *2 is exact).
+    Hence |m - M| <= gamma_5*S_m and |n - N| <= gamma_7*S_n, where S is the
+    sum of the terms' magnitudes and gamma_k = k*U/(1 - k*U) < (k + 1)*U.
+    The bounds are 6U*S_m and 8U*S_n; a ratio above 1 is not rounding.
+    """
+    h0, h1, h2, h3, m, n = map(Fraction, cubic)
+    b0, b1, b2 = h0 / h3, h1 / h3, h2 / h3
+    m_exact = b1 - b2 * b2 / 3
+    n_exact = b0 - b1 * b2 / 3 + 2 * b2 ** 3 / 27
+    s_m = abs(b1) + b2 * b2 / 3
+    s_n = abs(b0) + abs(b1 * b2) / 3 + 2 * abs(b2) ** 3 / 27
+    return abs(m - m_exact) / (6 * U * s_m), abs(n - n_exact) / (8 * U * s_n)
+
+
+def printed_cubic(beta, g, bt):
+    """h0..h3, m, n as the criterion command prints them, or None for an inadmissible cell."""
+    payload = json.loads(reports.render_criterion(RunConfig(gamma=g, btilde=bt, beta_i=beta)))
+    return None if payload["h0"] is None else [payload[f] for f in CubicForm._fields]
+
+
+def test_printed_m_n_are_the_depressed_form_of_the_printed_cubic():
+    default = RunConfig()
+    cells = [(beta, default.gamma, bt) for bt in default.btilde_grid for beta in default.beta_grid]
+    seeded = [cell for _name, cfg in seeded_configs(_load_workloads(), 0)
+              for cell in admissible_cells(cfg)]
+    cells += random.Random(0).sample(seeded, 1500)
+    worst = [Fraction(0), Fraction(0)]
+    printed = 0
+    for beta, g, bt in cells:
+        cubic = printed_cubic(beta, g, bt)
+        if cubic is None:
+            continue
+        printed += 1
+        errors = depressed_form_errors(cubic)
+        worst = [max(w, e) for w, e in zip(worst, errors)]
+        assert errors[0] <= 1 and errors[1] <= 1, (beta, g, bt, [float(e) for e in errors])
+    assert printed == 101 + 1500  # the sample is drawn from admissible cells
+    assert max(worst) > 0  # some cell rounds, so the bound is exercised
+
+
+VDWSHOCK_MODULES = [vdwshock] + [importlib.import_module(f"vdwshock.{info.name}")
+                                 for info in pkgutil.iter_modules(vdwshock.__path__)]
+
+
+@contextlib.contextmanager
+def counted(names):
+    """{name: calls} of each function, counted in every vdwshock module that binds the name."""
+    calls = dict.fromkeys(names, 0)
+    with pytest.MonkeyPatch.context() as mp:
+        for name in names:
+            bound = [m for m in VDWSHOCK_MODULES if name in vars(m)]
+            original = getattr(bound[0], name)
+
+            def counter(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            for module in bound:
+                mp.setattr(module, name, counter)
+        yield calls
+
+
+def test_criterion_and_table_take_the_cubic_and_the_band_from_the_kernel(capsys):
+    names = ("_coeffs", "_threshold_row", "_within")
+    with counted(names) as criterion_calls:
+        assert cli.main(["criterion"]) == 0
+    with counted(names) as table_calls:
+        assert cli.main(["table"]) == 0
+    capsys.readouterr()
+    assert criterion_calls == {"_coeffs": 0, "_threshold_row": 1, "_within": 0}
+    assert table_calls == {"_coeffs": 0, "_threshold_row": len(RunConfig().beta_grid),
+                           "_within": 0}
 
 
 def sweep_grid(rng):

@@ -26,7 +26,6 @@ from .regular_reflection import (
     _beta_r_of,
     _bisection_root,
     _coeffs,
-    _criterion,
     _f_terms,
     _threshold_columns,
     _threshold_row,
@@ -62,9 +61,12 @@ def _result(name, ok, residual, tolerance, note) -> CheckResult:
 
 
 def _fold(worst: float, *values: float) -> float:
-    """max(worst, *values), but a NaN among them wins and stays: max and a bare > drop it."""
+    """max(worst, *values), but a NaN among them wins and stays: max and a bare > drop it.
+
+    The one home of this test: each check collects its values and folds them once.
+    """
     for x in values:
-        if x > worst or x != x:  # the per-cell loops write this test out in place
+        if x > worst or x != x:
             worst = x
     return worst
 
@@ -102,20 +104,13 @@ def _cubic_cells():
 
 def check_cubic_self_consistency() -> CheckResult:
     """Residual of the kernel's root, its bisection agreement, coefficient-sum identity."""
-    worst_res = worst_root = worst_sum = 0.0
-    cells = 0
-    for x_c, x_b, res, sum_err in _cubic_cells():
-        cells += 1
-        gap = abs(x_c - x_b)
-        if gap > worst_root or gap != gap:  # _fold, in place
-            worst_root = gap
-        if res > worst_res or res != res:
-            worst_res = res
-        if sum_err > worst_sum or sum_err != sum_err:
-            worst_sum = sum_err
+    cells = list(_cubic_cells())
+    worst_root = _fold(0.0, *(abs(x_c - x_b) for x_c, x_b, _res, _sum in cells))
+    worst_res = _fold(0.0, *(cell[2] for cell in cells))
+    worst_sum = _fold(0.0, *(cell[3] for cell in cells))
     ok = worst_res <= 1e-9 and worst_root <= 1e-10 and worst_sum <= 1e-12
     note = (
-        f"{cells} admissible cells; max |F(x*)|/(h3 x*^3)={worst_res:.3e}, "
+        f"{len(cells)} admissible cells; max |F(x*)|/(h3 x*^3)={worst_res:.3e}, "
         f"max root disagreement={worst_root:.3e}, max coefficient-sum error={worst_sum:.3e}"
     )
     return _result(
@@ -128,13 +123,15 @@ def _dips(points, dip) -> list[tuple]:
     return [(k0, k1) for (k0, v0), (k1, v1) in pairwise(points) if dip(v0, v1)]
 
 
-def check_table_trends(grid: dict, cfg: RunConfig) -> CheckResult:
-    """Blank pattern against the fixture plus strict grid monotonicity."""
+def check_table_trends() -> CheckResult:
+    """Blank pattern of the default table against the fixture plus strict grid monotonicity."""
+    cfg = RunConfig()
+    grid = _default_table(cfg)
     blank_mismatch = [(beta, bt) for beta in cfg.beta_grid for bt in cfg.btilde_grid
-                      if (not grid[(beta, bt)].admissible) != fixture_is_blank(beta, bt)]
+                      if (grid[(beta, bt)] is None) != fixture_is_blank(beta, bt)]
 
     def line(cells):  # (key, J) of the admissible (key, cell) pairs
-        return [(key, grid[cell].J) for key, cell in cells if grid[cell].admissible]
+        return [(key, grid[cell][7]) for key, cell in cells if grid[cell] is not None]
 
     def no_rise(prev, cur):  # a NaN compares false and is no dip
         return cur <= prev
@@ -159,10 +156,10 @@ def check_table_trends(grid: dict, cfg: RunConfig) -> CheckResult:
                    0.0, note)
 
 
-def check_table_fixture_comparison(grid: dict) -> CheckResult:
-    """Absolute-value comparison against the stored fixture (non-gating)."""
-    diffs = [abs(rep.J - fix) for (beta, bt), rep in grid.items()
-             if rep.admissible and (fix := fixture_value(beta, bt)) is not None]
+def check_table_fixture_comparison() -> CheckResult:
+    """Absolute-value comparison of the default table against the stored fixture (non-gating)."""
+    diffs = [abs(cell[7] - fix) for (beta, bt), cell in _default_table(RunConfig()).items()
+             if cell is not None and (fix := fixture_value(beta, bt)) is not None]
     worst = max([0.0, *diffs])
     return CheckResult(
         "table_fixture_comparison", DOCUMENTED, worst, None,
@@ -271,10 +268,9 @@ def _scan_oracle_minus_branch(beta: float, t: float, gas: GasModel) -> float:
 def check_reflection_solve() -> CheckResult:
     """Random regular-reflection solves against the dense-scan oracle."""
     rng = random.Random(_SEED)
-    worst_cancel = worst_oracle = 0.0
-    n_ok = 0
+    cancels, devs = [], []
     attempts = 0
-    while n_ok < 200 and attempts < 2000:
+    while len(devs) < 200 and attempts < 2000:
         attempts += 1
         g = rng.uniform(1.1, 5.0 / 3.0)
         bt = rng.uniform(0.0, 0.7)
@@ -290,22 +286,19 @@ def check_reflection_solve() -> CheckResult:
         sol = solve_regular_reflection(inp, alpha, gas)
         t = math.tan(phi)
         tan_di = (beta - 1.0) * t / (1.0 + beta * t * t)
-        cancel = abs(tan_di + math.tan(sol.delta_r))
-        if cancel > worst_cancel or cancel != cancel:  # _fold, in place
-            worst_cancel = cancel
+        cancels.append(abs(tan_di + math.tan(sol.delta_r)))
         try:
             oracle = _scan_oracle_minus_branch(beta, t, gas)
         except InternalInconsistencyError as exc:
             return _result("reflection_solve", False, None, 1e-9,
                            f"{exc} at beta={beta}, phi={phi}, gas={gas}")
         closed = math.tan(sol.phi_r)
-        dev = abs(closed - oracle) / max(1.0, abs(closed))
-        if dev > worst_oracle or dev != dev:
-            worst_oracle = dev
-        n_ok += 1
-    ok = n_ok == 200 and worst_cancel <= 1e-10 and worst_oracle <= 1e-9
+        devs.append(abs(closed - oracle) / max(1.0, abs(closed)))
+    worst_cancel = _fold(0.0, *cancels)
+    worst_oracle = _fold(0.0, *devs)
+    ok = len(devs) == 200 and worst_cancel <= 1e-10 and worst_oracle <= 1e-9
     note = (
-        f"{n_ok} solves; max deflection-cancel residual {worst_cancel:.3e}, "
+        f"{len(devs)} solves; max deflection-cancel residual {worst_cancel:.3e}, "
         f"max closed-form vs scan-oracle deviation {worst_oracle:.3e}"
     )
     return _result("reflection_solve", ok, _fold(worst_cancel, worst_oracle), 1e-9, note)
@@ -423,7 +416,7 @@ def check_linear_field() -> CheckResult:
 def check_front_corrections() -> CheckResult:
     """Phase-root residual, covolume trends and front continuity."""
     rng = random.Random(_SEED + 2)
-    worst_phase = 0.0
+    phases = []
     for _ in range(200):
         g = rng.uniform(1.1, 5.0 / 3.0)
         bt = rng.uniform(0.0, 0.7)
@@ -438,9 +431,8 @@ def check_front_corrections() -> CheckResult:
         except DomainError:
             continue
         res = psi - phi - eps * c * (g + 1.0) * math.sqrt(psi * r) / (1.0 - bt)
-        phase = abs(res) / max(abs(psi), abs(phi), 1e-30)
-        if phase > worst_phase or phase != phase:  # _fold, in place
-            worst_phase = phase
+        phases.append(abs(res) / max(abs(psi), abs(phi), 1e-30))
+    worst_phase = _fold(0.0, *phases)
 
     alpha = math.radians(45.0)
     beta_sh = math.radians(67.5)
@@ -576,23 +568,27 @@ def _run(name: str, check, *args) -> CheckResult:
 
 
 def _default_table(cfg: RunConfig) -> dict:
-    """Each (beta_i, btilde) cell's _criterion report, the criterion command's path; cfg is valid."""
-    return {(b, bt): _criterion(b, cfg.gamma, bt) for b in cfg.beta_grid for bt in cfg.btilde_grid}
+    """Each (beta_i, btilde) cell's _threshold_row entry, built as the table command builds it.
+
+    One row-kernel call per beta_i over _threshold_columns(gamma, btilde_grid); an
+    entry is None (not admitted) or the kernel's cell, whose J is cell[7].  cfg is valid.
+    """
+    columns = _threshold_columns(cfg.gamma, cfg.btilde_grid)
+    return {(b, bt): cell for b in cfg.beta_grid
+            for bt, cell in zip(cfg.btilde_grid, _threshold_row(b, cfg.gamma, columns))}
 
 
 def run_all_checks() -> list[CheckResult]:
     """All release-gate checks in their criterion order.
 
-    _default_table is built once per call, for the two table checks.  A kernel
-    that raises or returns a NaN fails the check it runs in (both table checks
-    when the table build raises), and every other check still runs.
+    Each table check builds the default table itself, and nothing is cached
+    between runs.  A kernel that raises or returns a NaN fails the check it
+    runs in (both table checks when the table build raises), and every other
+    check still runs.
     """
-    cfg = RunConfig()
-    grid = _run("table_trends", _default_table, cfg)
-    built = not isinstance(grid, CheckResult)  # else grid is the failed build's entry
     results = [
         _run("cubic_self_consistency", check_cubic_self_consistency),
-        _run("table_trends", check_table_trends, grid, cfg) if built else grid,
+        _run("table_trends", check_table_trends),
         _run("branch_limits", check_branch_limits),
         _run("reflection_solve", check_reflection_solve),
         _run("geometry_incidence", check_geometry_incidence),
@@ -600,9 +596,8 @@ def run_all_checks() -> list[CheckResult]:
         _run("front_corrections", check_front_corrections),
         _run("inner_region", check_inner_region),
     ]
-    fixture = (_run("table_fixture_comparison", check_table_fixture_comparison, grid) if built
-               else grid._replace(name="table_fixture_comparison"))
-    return results + [_run("cli_determinism", check_cli_determinism, results, cfg), fixture]
+    return results + [_run("cli_determinism", check_cli_determinism, results, RunConfig()),
+                      _run("table_fixture_comparison", check_table_fixture_comparison)]
 
 
 def report_payload(results: list[CheckResult]) -> dict:

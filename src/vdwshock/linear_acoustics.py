@@ -174,13 +174,16 @@ def interior_density(s: float, beta: float, mu: float) -> float:
     """Diffraction density as a function of the Busemann coordinate alone.
 
     Even in the wall-relative angle beta, which is what enforces the Neumann
-    condition on the wedge face.  mu, a corner exponent, lies in [1/2, 1].
+    condition on the wedge face.  s, the Busemann radius, lies in [0, 1], the
+    disk that busemann_variable maps onto; mu, a corner exponent, lies in [1/2, 1].
     """
     check_finite("interior density", s=s, beta=beta, mu=mu)
     if s < 0.0:
         raise DomainError(f"interior density needs s >= 0, got {s}")
     if not 0.5 <= mu <= 1.0:
         raise DomainError(f"interior density needs mu in [1/2, 1], got {mu}")
+    if s > 1.0:
+        raise DomainError(f"interior density needs s <= 1, got {s}")
     return _interior_cells(s, mu, (math.cos(mu * beta),))[0]
 
 

@@ -9,12 +9,10 @@ the band test, cubic, closed-form root, certificate, residual test and J clamp
 out in place.  criterion, the table renderer and the gate read admission, the
 printed cubic and the root from it.  _coeffs and positive_root are the
 single-cubic API and the kernel's reference, pinned to it bit for bit by tests.
-positive_root accepts the closed-form root on an O(1) certificate (one sign
-change in the coefficients plus a sign bracket of width ROOT_AGREEMENT, or 16
-ulps of a large root, around it) and checks its residual; only when the
-certificate does not hold does it call the bracketing bisection,
-_bisection_root, as a cross-check.  That fallback and its messages live only
-there: the kernel hands positive_root each cell it cannot accept.
+The kernel is the one home of the O(1) root certificate; positive_root has one
+path, the closed-form root always cross-checked by the bracketing bisection
+_bisection_root, and the kernel hands it each cell the certificate cannot
+accept, so the messages of a failed root live only there.
 
 Public functions validate (gamma, btilde, beta_i) once and then call the
 unchecked private kernels, which take the validated scalars directly.  Each
@@ -247,17 +245,12 @@ def _bisection_root(cubic: tuple[float, ...]) -> float:
 
 
 def positive_root(cubic: tuple[float, ...]) -> float:
-    """Unique positive zero of the threshold cubic, certified or bisection-verified.
+    """Unique positive zero of the threshold cubic: closed form, always cross-checked by bisection.
 
     The closed-form root (radicals, or the cosine form when three roots are
-    real) is accepted in O(1) when a certificate proves it within the
-    agreement width tol of the unique positive root: one sign change in
-    (h3, h2, h1, h0), zeros skipped, means exactly one positive root
-    (Descartes), and with h3 > 0 the cubic is negative below it and positive
-    above it on X > 0, so a sign bracket [x - tol, x + tol] pins the root to
-    the rounding of the Horner value that the bisection relies on too.
-    Otherwise the root must agree with an independent bisection to tol.
-    Either way its residual must stay within 1e-9 of the cubic's scale.
+    real) must be finite, agree with the independent bisection _bisection_root
+    to ROOT_AGREEMENT (16 ulps of the root from |x| = 2**15 on), and leave a
+    residual within 1e-9 of the cubic's scale.
     """
     h0, h1, h2, h3, m, n = cubic
     disc = n * n / 4.0 + m ** 3 / 27.0
@@ -279,38 +272,19 @@ def positive_root(cubic: tuple[float, ...]) -> float:
     else:  # a NaN discriminant, which the clamp above would turn into a finite root
         raise OverflowError("threshold cubic or its root is not finite")
     x = y - h2 / (3.0 * h3)
-    # ROOT_AGREEMENT, or 16 ulps where that is wider: from about 5e5 on an
-    # absolute 1e-10 is less than one ulp of x (weak shocks in a dense gas
-    # reach x* ~ 7e6), so neither a sign bracket nor two root methods could
-    # meet it.  16 ulps exceed ROOT_AGREEMENT from |x| = 2**15 on, and stay
-    # below it for every smaller root (a NaN root gets a NaN width, which
-    # certifies nothing).
+    if not all(map(math.isfinite, (h0, h1, h2, h3, m, n, x))):
+        raise OverflowError("threshold cubic or its root is not finite")
+    # ROOT_AGREEMENT, or 16 ulps where that is wider (from |x| = 2**15 on): from about 5e5
+    # on, 1e-10 is below one ulp of x, and weak shocks in a dense gas reach x* ~ 7e6
     ax = abs(x)
     tol = ROOT_AGREEMENT if ax < 32768.0 else 16.0 * math.ulp(x)
-    lo = x - tol
-    hi = x + tol
-    # the certificate: h3 > 0, one sign change in (h2, h1, h0) after it (h0
-    # not positive, some coefficient negative, no negative h2 before a
-    # positive h1), and the sign bracket, which no NaN coefficient or root passes
-    if not (
-        h3 > 0.0
-        and not h0 > 0.0
-        and (h0 < 0.0 or h1 < 0.0 or h2 < 0.0)
-        and not (h2 < 0.0 and h1 > 0.0)
-        and (lo <= 0.0 or ((h3 * lo + h2) * lo + h1) * lo + h0 <= 0.0)
-        and hi > 0.0
-        and ((h3 * hi + h2) * hi + h1) * hi + h0 > 0.0
-    ):
-        # an infinite root never certifies, so only this path needs the test
-        if not all(map(math.isfinite, (h0, h1, h2, h3, m, n, x))):
-            raise OverflowError("threshold cubic or its root is not finite")
-        x_bisect = _bisection_root(cubic)
-        if abs(x - x_bisect) > tol:
-            raise InternalInconsistencyError(
-                f"cubic root methods disagree: closed-form {x} vs bisection {x_bisect}"
-            )
+    x_bisect = _bisection_root(cubic)
+    if abs(x - x_bisect) > tol:
+        raise InternalInconsistencyError(
+            f"cubic root methods disagree: closed-form {x} vs bisection {x_bisect}"
+        )
     residual = ((h3 * x + h2) * x + h1) * x + h0
-    scale = abs(h3) * (1.0 if ax < 1.0 else ax) ** 3  # max(ax, 1.0), NaN kept
+    scale = abs(h3) * (1.0 if ax < 1.0 else ax) ** 3  # max(ax, 1.0)
     if abs(residual) > 1e-9 * scale:
         raise InternalInconsistencyError(
             f"cubic root residual {residual} exceeds tolerance at x={x}"
@@ -337,13 +311,22 @@ def _threshold_row(b: float, g: float, columns: list[tuple[float, float, float, 
     from _threshold_columns(g, btildes) of a valid gas, and b is finite; a
     column admits b when BAND_LOW <= b <= its band top (the test of
     _within).  Each admissible cell writes out _coeffs' expressions,
-    positive_root's closed-form root, certificate and residual test, and the
-    clamp J = max(0, (x* - 1)/b) in their float order, and calls no other
-    vdwshock function when its root certifies.  A cell that fails the
-    certificate or the residual test hands its cubic to positive_root, looked
-    up as a module global, which keeps the bisection fallback and every
-    message.  A float overflow, or a covolume fraction btilde*b that rounds
-    to 1, is the DomainError of _cubic_error for the cell.
+    positive_root's closed-form root, agreement width tol and residual test,
+    and the clamp J = max(0, (x* - 1)/b) in their float order.
+
+    This is the one home of the O(1) root certificate, which accepts the
+    closed-form root x without a bisection.  One sign change in (h3, h2, h1,
+    h0), zeros skipped (h3 > 0, h0 not positive, some coefficient negative, no
+    negative h2 before a positive h1), means exactly one positive root
+    (Descartes' rule of signs), with the cubic negative below it and positive
+    above it on X > 0.  A sign bracket, the Horner value <= 0 at x - tol (or
+    x - tol <= 0) and > 0 at x + tol, then pins that root within tol of x, to
+    the rounding of the Horner value that the bisection relies on too; no NaN
+    coefficient or root passes.  A certified cell that passes the residual
+    test calls no other vdwshock function; any other cell goes to
+    positive_root, looked up as a module global, which cross-checks by
+    bisection and keeps every message.  A float overflow, or a covolume
+    fraction btilde*b that rounds to 1, is the DomainError of _cubic_error.
     """
     if not b >= BAND_LOW:
         return [None] * len(columns)

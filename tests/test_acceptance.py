@@ -66,20 +66,15 @@ def test_full_suite_runtime_budget(report):
         assert result.status in (checks.PASS, checks.FAIL, checks.DOCUMENTED)
 
 
-def test_each_run_builds_the_default_table_once(monkeypatch):
-    # the two table checks share one table per run, and no run reuses another's
-    calls = []
-    default_table = checks._default_table
-
-    def counting(*args):
-        calls.append(args)
-        return default_table(*args)
-
-    monkeypatch.setattr(checks, "_default_table", counting)
+def test_each_table_check_builds_its_own_default_table(count_calls):
+    # the two table checks build the table with the row kernel, as the table
+    # command does; the criterion path runs only for cli_determinism's two
+    # criterion renders, and no run reuses another's table
+    counts = count_calls(["_default_table", "_criterion"])
     checks.run_all_checks()
-    assert len(calls) == 1
+    assert counts == {"_default_table": 2, "_criterion": 2}
     checks.run_all_checks()
-    assert len(calls) == 2
+    assert counts == {"_default_table": 4, "_criterion": 4}
 
 
 def test_check_command_round_trip():

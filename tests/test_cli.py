@@ -31,6 +31,8 @@ from vdwshock.reports import DATA_COMMANDS, json_text
 from vdwshock.shock_relations import ENDPOINT_SLACK, beta_upper
 from vdwshock.table_fixture import fixture_is_blank
 
+from test_package import PUBLIC
+
 COMMANDS = ("criterion", "table", "field", "front", "inner", "check")
 SRC = str(Path(cli.__file__).resolve().parents[1])  # the package this test imports
 
@@ -634,7 +636,10 @@ class TestParserAndImports:
         records = [obj for obj in (getattr(vdwshock, name) for name in vdwshock.__all__)
                    if isinstance(obj, type) and not issubclass(obj, Exception)]
         records += [RunConfig, cli.checks.CheckResult]
-        assert len(records) == 17
+        # the record classes of the verbatim public surface (CamelCase, not errors), plus two
+        named = [name for module, group in PUBLIC.items() if module != "errors"
+                 for name in group.split() if name[0].isupper() and "_" not in name]
+        assert sorted(r.__name__ for r in records) == sorted(named + ["RunConfig", "CheckResult"])
         assert all(issubclass(r, tuple) and r._fields for r in records), records
         assert not hasattr(vdwshock, "WedgeConfig")
 

@@ -186,6 +186,13 @@ CASES = [
      DomainError, "interior density needs mu in [1/2, 1], got -0.5"),
     ("interior_density s**mu overflows", lambda: interior_density(1e10, 0.1, 1e300),
      DomainError, "interior density needs mu in [1/2, 1], got 1e+300"),
+    # s outside the Busemann disk [0, 1]: these returned 2.3556, 2.5 and nan
+    ("interior_density s > 1", lambda: interior_density(2.0, 0.1, 0.7),
+     DomainError, "interior density needs s <= 1, got 2.0"),
+    ("interior_density s huge", lambda: interior_density(1e200, 0.1, 1.0),
+     DomainError, "interior density needs s <= 1, got 1e+200"),
+    ("interior_density s near the float limit", lambda: interior_density(1e308, 0.1, 1.0),
+     DomainError, "interior density needs s <= 1, got 1e+308"),
 ]
 
 

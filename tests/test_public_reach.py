@@ -20,10 +20,11 @@ EXEMPT = {
     # perfbench/tracing.py names them, so they go only with a change to the benchmark
     "beta_r_from_angles": "traced by perfbench: the reflected density ratio of two shock angles",
     "criterion": "traced by perfbench: the checked detachment report; the criterion command "
-                 "and the gate's default table run its unchecked body _criterion",
+                 "runs its unchecked body _criterion",
     "cubic_coefficients": "traced by perfbench: the threshold cubic's coefficients h0..h3, m, n",
     "interior_density": "traced by perfbench: the diffracted density inside the subsonic disk",
-    "positive_root": "traced by perfbench; the single-cubic reference of _threshold_row",
+    "positive_root": "traced by perfbench; the single-cubic reference of _threshold_row and "
+                     "its fallback for a cell the certificate does not accept",
     # candidate gate oracles for the kernels that the gate does not yet see
     "admissible_beta_bounds": "oracle candidate for beta_upper and _within at the band's ends",
     "eigenvalues_and_type": "oracle candidate for the flow type on either side of each locus",

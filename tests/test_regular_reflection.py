@@ -26,6 +26,8 @@ from vdwshock.regular_reflection import (
     _bisection_root,
     _coeffs,
     _tan_delta_r,
+    _threshold_columns,
+    _threshold_row,
 )
 from vdwshock.shock_relations import IncidentShockInput, admissible_beta_bounds
 from vdwshock.table_fixture import FIXTURE_BETA, FIXTURE_BTILDE, fixture_is_blank
@@ -232,29 +234,45 @@ class TestPositiveRoot:
 
 class TestRootCertificate:
     def test_certified_on_dense_admissible_grid(self, monkeypatch):
-        # every admissible cell is accepted without the bisection fallback,
-        # and the certified root agrees with the bisection oracle
-        cubics = []
-        for i in range(12):
-            g = 1.05 + (3.0 - 1.05) * i / 11
-            for j in range(14):
-                bt = 0.98 * j / 14
-                upper = (g + 1.0) / (g - 1.0 + 2.0 * bt)
-                for k in range(1, 25):
-                    cubics.append(cubic_coefficients(1.0 + (upper - 1.0) * k / 24, GasModel(g, bt)))
-
+        # the certificate lives only in the row kernel: every admissible cell is
+        # accepted there without positive_root, and the certified root agrees
+        # with the bisection oracle
         def no_fallback(cubic):
             raise AssertionError(f"certificate failed for {cubic}")
 
+        cells = []
         with monkeypatch.context() as m:
-            m.setattr(regular_reflection, "_bisection_root", no_fallback)
-            roots = [positive_root(c) for c in cubics]
-        assert len(roots) == 12 * 14 * 24
-        for c, x in zip(cubics, roots):
+            m.setattr(regular_reflection, "positive_root", no_fallback)
+            for i in range(12):
+                g = 1.05 + (3.0 - 1.05) * i / 11
+                for j in range(14):
+                    bt = 0.98 * j / 14
+                    columns = _threshold_columns(g, (bt,))
+                    upper = (g + 1.0) / (g - 1.0 + 2.0 * bt)
+                    for k in range(1, 25):
+                        cells += _threshold_row(1.0 + (upper - 1.0) * k / 24, g, columns)
+        assert len(cells) == 12 * 14 * 24 and None not in cells
+        for cell in cells:
+            c, x = cell[:6], cell[6]
             assert x.hex() == closed_form_root(c).hex()
             x_bisect = _bisection_root(c)
             assert x_bisect.hex() == bisection_reference(c).hex()
             assert abs(x - x_bisect) <= ROOT_AGREEMENT
+
+    def test_positive_root_always_cross_checks(self, monkeypatch):
+        # positive_root has one path: a cubic the kernel certifies still gets
+        # exactly one bisection per call
+        calls = []
+
+        def spy(cubic):
+            calls.append(cubic)
+            return _bisection_root(cubic)
+
+        monkeypatch.setattr(regular_reflection, "_bisection_root", spy)
+        cubics = [cubic_coefficients(beta, GasModel(g, bt)) for beta, bt, g in admissible_cells()]
+        for c in cubics:
+            assert positive_root(c).hex() == closed_form_root(c).hex()
+        assert calls == cubics
 
     def test_three_sign_changes_take_the_fallback(self, monkeypatch):
         # (X-1)(X-2)(X-3) has three sign changes and (X+1)(X-1)(X-3) two, with

@@ -10,8 +10,10 @@ Exit codes: 0 success, 2 validation error, 3 internal-inconsistency detection
 One walk over argv (``_read``) reads the command line; a line outside the
 grammar ``<command> (--key value)*`` is a validation error.
 
-Importing this module runs config and reports and registers every other
-module a command may run, so that each command runs only its own modules.
+Importing this module runs config and the reports package (its shared
+formatting, not a renderer) and registers every other module a command may
+run, so that each command runs only its own modules; a data command's
+renderer module is imported on its first lookup in reports.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .errors import DomainError, InternalInconsistencyError
 # finds it, but its body runs on first use (the lazy loader takes no lock then, so
 # the library's own import path does not use it)
 for _name in ("checks", "geometry", "inner_singular", "linear_acoustics", "nonlinear_front",
-              "regular_reflection", "shock_relations"):
+              "regular_reflection", "shock_relations", "table_fixture"):
     _full = f"{__package__}.{_name}"
     if _full not in sys.modules:
         _spec = importlib.util.find_spec(_full)
@@ -37,7 +39,7 @@ for _name in ("checks", "geometry", "inner_singular", "linear_acoustics", "nonli
         _spec.loader.exec_module(sys.modules[_full])
         setattr(sys.modules[__package__], _name, sys.modules[_full])
 
-from . import checks, reports  # noqa: E402  (after the loop: reports binds the lazy modules)
+from . import checks, reports  # noqa: E402  (after the loop: checks is a lazy module)
 
 COMMANDS = (*reports.DATA_COMMANDS, "check")
 

@@ -7,7 +7,6 @@ import math
 from typing import NamedTuple
 
 from .errors import DomainError
-from .table_fixture import FIXTURE_BETA, FIXTURE_BTILDE
 from .thermo import GasModel, validate_gas
 
 
@@ -16,7 +15,9 @@ class RunConfig(NamedTuple):
 
     beta_i defaults to 1 + epsilon when left unset.  beta_deg is the front
     ray angle used by the ``front`` command; eta labels the boundary state
-    bordering the diffracted inner shock for the ``inner`` command.
+    bordering the diffracted inner shock for the ``inner`` command.  The
+    default beta_grid and btilde_grid are the axes of the stored fixture
+    table (table_fixture), which keys its rows and columns by them.
     """
 
     gamma: float = 1.4
@@ -30,8 +31,9 @@ class RunConfig(NamedTuple):
     eta: float = -1.0
     beta_deg: float = 67.5
     r: float = 1.0
-    beta_grid: tuple[float, ...] = FIXTURE_BETA
-    btilde_grid: tuple[float, ...] = FIXTURE_BTILDE
+    beta_grid: tuple[float, ...] = (1.2, 1.4, 1.6, 1.8, 2.0, 2.2, 2.4, 2.6, 2.8, 3.0, 3.2, 3.4,
+                                     3.6, 3.8, 4.0)
+    btilde_grid: tuple[float, ...] = (0.0, 0.02, 0.04, 0.06, 0.08, 0.1, 0.3, 0.5, 0.7)
     xi_min: float = 1e-6
     xi_count: int = 21
     theta_count: int = 25

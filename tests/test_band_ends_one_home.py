@@ -67,10 +67,11 @@ def test_the_check_sees_each_use():
 
 def test_band_ends_are_defined_once_and_the_slack_is_read_only_at_home():
     home, stray = [], {}
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in sorted(PACKAGE.glob("**/*.py")):  # the reports package's modules too
+        name = path.relative_to(PACKAGE).as_posix()
         assigned, read = band_uses(path.read_text(encoding="utf-8"))
-        if path.name == HOME:
+        if name == HOME:
             home = sorted(name for name, _line in assigned)
         elif assigned or read:
-            stray[path.name] = assigned + read
+            stray[name] = assigned + read
     assert (home, stray) == (sorted(CONSTANTS), {})

@@ -655,14 +655,16 @@ class TestParserAndImports:
         assert out == "[0, 0, 2] False\n"
 
     RUNS = {  # the modules whose body each command runs, beside cli, config, errors,
-              # geometry, reports, table_fixture and thermo
+              # geometry, reports and thermo; a data command other than criterion runs its
+              # own renderer module reports.<command>, and only table and check the fixture
         "criterion": "regular_reflection shock_relations",
-        "table": "regular_reflection shock_relations",
-        "field": "linear_acoustics",
-        "front": "linear_acoustics nonlinear_front",
-        "inner": "inner_singular linear_acoustics",
+        "table": "regular_reflection reports.table shock_relations table_fixture",
+        "field": "linear_acoustics reports.field",
+        "front": "linear_acoustics nonlinear_front reports.front",
+        "inner": "inner_singular linear_acoustics reports.inner",
         "check": "checks inner_singular linear_acoustics nonlinear_front regular_reflection "
-                 "shock_relations",
+                 "reports.field reports.front reports.inner reports.table shock_relations "
+                 "table_fixture",
     }
 
     @pytest.mark.parametrize("command", COMMANDS)
@@ -678,8 +680,39 @@ class TestParserAndImports:
             "                      if name.startswith('vdwshock.') and\n"
             "                      '__builtins__' in object.__getattribute__(m, '__dict__'))))\n"
         )
-        always = "cli config errors geometry reports table_fixture thermo".split()
+        always = "cli config errors geometry reports thermo".split()
         assert out.split() == sorted(always + self.RUNS[command].split())
+
+    def test_reports_finds_each_renderer_in_its_module(self):
+        # a bare import runs the shared formatting and config; each renderer module runs on
+        # the first lookup of its name, which binds the name in the package
+        out = _cold(
+            "import sys, vdwshock.reports as reports\n"
+            "def ran():\n"
+            "    return ' '.join(sorted(name.removeprefix('vdwshock.') for name in sys.modules\n"
+            "                           if name.startswith('vdwshock.')))\n"
+            "print(ran())\n"
+            "for command in ('table', 'field', 'front', 'inner'):\n"
+            "    name = f'render_{command}'\n"
+            "    bound = name in vars(reports)\n"
+            "    home = getattr(reports, name).__module__\n"
+            "    print(command, bound, home, getattr(reports, name) is\n"
+            "          getattr(sys.modules[home], name), name in vars(reports))\n"
+            "from vdwshock.reports import render_table\n"
+            "print(render_table is sys.modules['vdwshock.reports.table'].render_table)\n"
+            "try:\n"
+            "    reports.render_check\n"
+            "except AttributeError as exc:\n"
+            "    print(exc)\n"
+        )
+        assert out.split("\n") == [
+            "config errors reports thermo",
+            *(f"{c} False vdwshock.reports.{c} True True" for c in ("table", "field", "front",
+                                                                      "inner")),
+            "True",
+            "module 'vdwshock.reports' has no attribute 'render_check'",
+            "",
+        ]
 
     def test_main_usable_after_errors(self):
         # a rejected command line leaves cli.main usable for the next call

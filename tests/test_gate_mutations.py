@@ -38,9 +38,13 @@ from vdwshock.errors import DomainError, InternalInconsistencyError
 SCALE = 1.0 + 1e-7
 DELIBERATE = {"table_trends", "cli_determinism"}
 
+# every module of the package, subpackages included, with each renderer bound in reports
+# (a lookup there loads its module), so a patch reaches every binding of a name
+for _command in reports.DATA_COMMANDS:
+    getattr(reports, f"render_{_command}")
 MODULES = [vdwshock] + [
-    importlib.import_module(f"vdwshock.{info.name}")
-    for info in pkgutil.iter_modules(vdwshock.__path__)
+    importlib.import_module(info.name)
+    for info in pkgutil.walk_packages(vdwshock.__path__, "vdwshock.")
 ]
 
 

@@ -19,7 +19,8 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "vdwshock"
 KERNELS = {
     "regular_reflection.py": ("_coeffs", "positive_root", "_bisection_root", "_threshold_columns",
                               "_threshold_row"),
-    "reports.py": ("render_table", "render_field", "render_front", "render_inner"),
+    **{f"reports/{command}.py": (f"render_{command}",)
+       for command in ("table", "field", "front", "inner")},
     "linear_acoustics.py": ("busemann_variable", "_row", "_interior_cells", "density_rows"),
     "thermo.py": ("_a0_kappa0",),  # once per front sweep row
 }

@@ -1,8 +1,10 @@
 """No module-level import in the package's modules or in the tests goes unused.
 
-A name is used when the module's syntax tree loads it anywhere; an
-annotation counts.  ``__init__.py`` is checked too: the package re-exports
-its public names through a module ``__getattr__``, not by import.
+The package's modules include those of its subpackage ``reports``.  A name
+is used when the module's syntax tree loads it anywhere; an annotation
+counts.  Each ``__init__.py`` is checked too: the package re-exports its
+public names, and ``reports`` its renderers, through a module
+``__getattr__``, not by import.
 """
 
 import ast
@@ -11,7 +13,13 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = sorted([*(ROOT / "src" / "vdwshock").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+PACKAGE = ROOT / "src" / "vdwshock"
+MODULES = sorted([*PACKAGE.glob("**/*.py"), *(ROOT / "tests").glob("*.py")])
+
+
+def _module_id(path):
+    """The file name, or the path below the package for a module of a subpackage."""
+    return path.relative_to(PACKAGE).as_posix() if path.is_relative_to(PACKAGE) else path.name
 
 
 def unused_imports(source):
@@ -32,6 +40,6 @@ def test_the_check_sees_an_unused_import():
     assert unused_imports(source) == ["os", "pi", "sys"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=_module_id)
 def test_module_has_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []

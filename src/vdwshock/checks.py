@@ -53,11 +53,17 @@ class CheckResult(NamedTuple):
     note: str
 
 
-def _result(name, ok, residual, tolerance, note) -> CheckResult:
-    """The check's entry; a NaN or infinite residual fails it and is reported as null."""
-    if residual is not None and not math.isfinite(residual):
+def _result(name, residual, tolerance, note, *clauses) -> CheckResult:
+    """The check's entry: PASS exactly when residual <= tolerance and every clause holds.
+
+    The one home of a verdict, so no entry passes with a residual above its
+    printed tolerance.  A None, NaN or infinite residual fails the check and
+    is reported as null.
+    """
+    if residual is None or not math.isfinite(residual):
         return CheckResult(name, FAIL, None, tolerance, note)
-    return CheckResult(name, PASS if ok else FAIL, residual, tolerance, note)
+    status = PASS if residual <= tolerance and all(clauses) else FAIL
+    return CheckResult(name, status, residual, tolerance, note)
 
 
 def _fold(worst: float, *values: float) -> float:
@@ -108,14 +114,12 @@ def check_cubic_self_consistency() -> CheckResult:
     worst_root = _fold(0.0, *(abs(x_c - x_b) for x_c, x_b, _res, _sum in cells))
     worst_res = _fold(0.0, *(cell[2] for cell in cells))
     worst_sum = _fold(0.0, *(cell[3] for cell in cells))
-    ok = worst_res <= 1e-9 and worst_root <= 1e-10 and worst_sum <= 1e-12
     note = (
         f"{len(cells)} admissible cells; max |F(x*)|/(h3 x*^3)={worst_res:.3e}, "
         f"max root disagreement={worst_root:.3e}, max coefficient-sum error={worst_sum:.3e}"
     )
-    return _result(
-        "cubic_self_consistency", ok, _fold(worst_res, worst_root, worst_sum), 1e-9, note
-    )
+    return _result("cubic_self_consistency", _fold(worst_res, worst_root, worst_sum), 1e-9, note,
+                   worst_root <= 1e-10, worst_sum <= 1e-12)
 
 
 def _dips(points, dip) -> list[tuple]:
@@ -140,8 +144,8 @@ def check_table_trends() -> CheckResult:
                 _dips(line((b, (b, bt)) for b in cfg.beta_grid), no_rise)]
     row_viol = [(beta, bt0, bt1) for beta in cfg.beta_grid for bt0, bt1 in
                 _dips(line((bt, (beta, bt)) for bt in cfg.btilde_grid), no_rise)]
-    ok = not blank_mismatch and not col_viol and not row_viol
-    if ok:
+    violations = len(col_viol) + len(row_viol) + len(blank_mismatch)
+    if not violations:
         note = "blank pattern matches fixture; rows and columns strictly monotone"
     else:
         note = (
@@ -152,8 +156,7 @@ def check_table_trends() -> CheckResult:
             "of the printed cubic itself (the stored fixture dips at the same corner); "
             "it is reported, not patched."
         )
-    return _result("table_trends", ok, float(len(col_viol) + len(row_viol) + len(blank_mismatch)),
-                   0.0, note)
+    return _result("table_trends", float(violations), 0.0, note)
 
 
 def check_table_fixture_comparison() -> CheckResult:
@@ -178,9 +181,8 @@ def check_branch_limits() -> CheckResult:
             t = math.tan(math.radians(deg))
             minus, plus, _ = tan_phi_r_branches(beta, t, gas)
             worst = _fold(worst, abs(minus + t), abs(plus))
-    ok = worst <= 1e-6
     note = f"max branch-limit deviation {worst:.3e} at beta_i = 1 + 1e-8"
-    return _result("branch_limits", ok, worst, 1e-6, note)
+    return _result("branch_limits", worst, 1e-6, note)
 
 
 def _scan_oracle_minus_branch(beta: float, t: float, gas: GasModel) -> float:
@@ -290,18 +292,18 @@ def check_reflection_solve() -> CheckResult:
         try:
             oracle = _scan_oracle_minus_branch(beta, t, gas)
         except InternalInconsistencyError as exc:
-            return _result("reflection_solve", False, None, 1e-9,
+            return _result("reflection_solve", None, 1e-9,
                            f"{exc} at beta={beta}, phi={phi}, gas={gas}")
         closed = math.tan(sol.phi_r)
         devs.append(abs(closed - oracle) / max(1.0, abs(closed)))
     worst_cancel = _fold(0.0, *cancels)
     worst_oracle = _fold(0.0, *devs)
-    ok = len(devs) == 200 and worst_cancel <= 1e-10 and worst_oracle <= 1e-9
     note = (
         f"{len(devs)} solves; max deflection-cancel residual {worst_cancel:.3e}, "
         f"max closed-form vs scan-oracle deviation {worst_oracle:.3e}"
     )
-    return _result("reflection_solve", ok, _fold(worst_cancel, worst_oracle), 1e-9, note)
+    return _result("reflection_solve", _fold(worst_cancel, worst_oracle), 1e-9, note,
+                   len(devs) == 200, worst_cancel <= 1e-10)
 
 
 def check_geometry_incidence() -> CheckResult:
@@ -329,9 +331,8 @@ def check_geometry_incidence() -> CheckResult:
         z_lo = reflected_line(theta, alpha, reference_constants(1.0, 1.0, GasModel(g, bt - db)))
         if not (z_hi - z_lo) / (2.0 * db) > 0.0:  # a NaN slope is no rise
             mono_ok = False
-    ok = worst <= 1e-12 and mono_ok
     note = f"max endpoint deviation {worst:.3e}; d(zeta*)/d(btilde) > 0 {'held' if mono_ok else 'VIOLATED'}"
-    return _result("geometry_incidence", ok, worst, 1e-12, note)
+    return _result("geometry_incidence", worst, 1e-12, note, mono_ok)
 
 
 def _ideal_gas_density(sigma: float, theta: float, alpha: float) -> float:
@@ -355,7 +356,7 @@ def _ideal_gas_density(sigma: float, theta: float, alpha: float) -> float:
 def check_linear_field() -> CheckResult:
     """Center/arc limits, interior-equation convergence, and density_rows' ideal-gas reduction."""
     worst_center = worst_arc = worst_ideal = 0.0
-    min_order = math.inf
+    orders = []
     for alpha_deg in (30.0, 45.0, 60.0):
         alpha = math.radians(alpha_deg)
         gas = GasModel(1.4, 0.0)
@@ -389,9 +390,8 @@ def check_linear_field() -> CheckResult:
             ]
             for i in range(2):
                 ratio = res[i] / res[i + 1]
-                order = math.log2(ratio) if ratio else -math.inf  # a zero residual: order -inf
-                if order < min_order or order != order:  # min, with a NaN kept as _fold keeps it
-                    min_order = order
+                orders.append(math.log2(ratio) if ratio else -math.inf)  # a zero residual: -inf
+    min_order = -_fold(-math.inf, *(-o for o in orders))  # the least order, a NaN kept
 
     ref0 = reference_constants(1.0, 1.0, GasModel(1.4, 0.0))
     sigmas = [i / 10.0 for i in range(1, 10)]
@@ -400,17 +400,12 @@ def check_linear_field() -> CheckResult:
         worst_ideal = _fold(worst_ideal, *(abs(ours - _ideal_gas_density(sigma, theta, alpha))
                                            for theta, ours in zip(thetas, rhos)))
 
-    ok = (
-        worst_center <= 1e-6
-        and worst_arc <= 1e-3
-        and min_order >= 1.9
-        and worst_ideal <= 1e-14
-    )
     note = (
         f"center dev {worst_center:.3e} (tol 1e-6), arc dev {worst_arc:.3e} (tol 1e-3), "
         f"min FD order {min_order:.3f} (need >= 1.9), ideal-gas dev {worst_ideal:.3e}"
     )
-    return _result("linear_field", ok, worst_center, 1e-6, note)
+    return _result("linear_field", worst_center, 1e-6, note,
+                   worst_arc <= 1e-3, min_order >= 1.9, worst_ideal <= 1e-14)
 
 
 def check_front_corrections() -> CheckResult:
@@ -465,12 +460,11 @@ def check_front_corrections() -> CheckResult:
         )
         worst_cont = _fold(worst_cont, *(abs(a - b) for a, b in zip(inside, outside)))
 
-    ok = worst_phase <= 1e-12 and trends_ok and worst_cont <= 1e-10
     note = (
         f"max phase residual {worst_phase:.3e} (tol 1e-12); covolume trends "
         f"{'held' if trends_ok else 'VIOLATED'}; front continuity gap {worst_cont:.3e} (tol 1e-10)"
     )
-    return _result("front_corrections", ok, worst_phase, 1e-12, note)
+    return _result("front_corrections", worst_phase, 1e-12, note, trends_ok, worst_cont <= 1e-10)
 
 
 def check_inner_region() -> CheckResult:
@@ -524,15 +518,13 @@ def check_inner_region() -> CheckResult:
         )
         gap_expected = abs(tpg * math.sqrt(2.0 * geom_b.vartheta) - 2.0)
         worst_doc = _fold(worst_doc, abs(gap_measured - gap_expected))
-    doc_ok = worst_doc <= 1e-9
 
-    ok = gap_ok and asym_ok and recov_ok and vertex_ok and doc_ok
     note = (
         f"sonic gap exact: {gap_ok}; parabola asymptote dev {abs(asym - 1.0):.3e} (tol 1e-3); "
         f"boundary recovery dev {worst_recov:.3e} (tol 1e-6); vertex residual {abs(vertex):.3e} "
         f"(tol 1e-12); documented-residual identity dev {worst_doc:.3e} (tol 1e-9)"
     )
-    return _result("inner_region", ok, worst_doc, 1e-9, note)
+    return _result("inner_region", worst_doc, 1e-9, note, gap_ok, asym_ok, recov_ok, vertex_ok)
 
 
 def check_cli_determinism(other_results: list[CheckResult], cfg: RunConfig) -> CheckResult:
@@ -550,8 +542,7 @@ def check_cli_determinism(other_results: list[CheckResult], cfg: RunConfig) -> C
               else "all command outputs byte-identical across reruns")
     exits = (f"check cannot exit 0 while these checks fail: {fails}" if fails
              else "zero fail entries")
-    return _result("cli_determinism", not nondet and not fails, float(len(nondet) + len(fails)),
-                   0.0, f"{reruns}; {exits}")
+    return _result("cli_determinism", float(len(nondet) + len(fails)), 0.0, f"{reruns}; {exits}")
 
 
 def _run(name: str, check, *args) -> CheckResult:

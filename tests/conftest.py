@@ -1,11 +1,16 @@
+import functools
 import importlib
+import importlib.util
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import vdwshock
 from vdwshock import reports
 from vdwshock.thermo import GasModel, reference_constants
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # every module of the package, subpackages included, with each renderer bound in reports
 # (a lookup there loads its module), so a patch reaches every binding of a name
@@ -17,6 +22,20 @@ MODULES = [vdwshock] + [
 ]
 
 
+def bindings(name):
+    """The vdwshock modules that bind name, in MODULES order."""
+    return [m for m in MODULES if name in vars(m)]
+
+
+@functools.cache
+def perfbench(name):
+    """The benchmark's module perfbench/<name>.py, loaded once from its file."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 @pytest.fixture
 def count_calls(monkeypatch):
     """count(names) -> {name: calls since}, seen in every vdwshock module that binds the name."""
@@ -24,7 +43,7 @@ def count_calls(monkeypatch):
     def count(names):
         counts = dict.fromkeys(names, 0)
         for name in names:
-            bound = [m for m in MODULES if name in vars(m)]
+            bound = bindings(name)
             original = getattr(bound[0], name)
 
             def counted(*args, _name=name, _original=original, **kwargs):

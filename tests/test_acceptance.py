@@ -17,6 +17,7 @@ red deliberately rather than loosened:
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -60,10 +61,13 @@ def test_fixture_comparison_is_documented_not_gated(report):
 
 def test_full_suite_runtime_budget(report):
     # the report fixture ran the heavyweight checks once; this test simply
-    # pins that every criterion produced a status
+    # pins that every criterion produced a status, and that a PASS entry's
+    # residual is finite and no larger than its tolerance
     assert len(report) == 10
     for result in report.values():
         assert result.status in (checks.PASS, checks.FAIL, checks.DOCUMENTED)
+        if result.status == checks.PASS:
+            assert math.isfinite(result.residual) and result.residual <= result.tolerance, result
 
 
 def test_each_table_check_builds_its_own_default_table(count_calls):

@@ -8,7 +8,6 @@ tests (``_cold``).
 """
 
 import contextlib
-import importlib.util
 import io
 import json
 import math
@@ -31,22 +30,14 @@ from vdwshock.reports import DATA_COMMANDS, json_text
 from vdwshock.shock_relations import ENDPOINT_SLACK, beta_upper
 from vdwshock.table_fixture import fixture_is_blank
 
+from conftest import perfbench
 from test_package import PUBLIC
 
 COMMANDS = ("criterion", "table", "field", "front", "inner", "check")
 SRC = str(Path(cli.__file__).resolve().parents[1])  # the package this test imports
 
 
-def _workloads():
-    # the benchmark's output checks: what a correct run of each command prints
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-workloads = _workloads()
+workloads = perfbench("workloads")  # the benchmark's output checks: what a correct run prints
 
 
 def run_cli(*args):

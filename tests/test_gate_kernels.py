@@ -6,9 +6,10 @@ the flattening: it builds each cell's cubic with the public
 coefficient-sum reference from ``F_eval``, and keeps its maxima with
 ``max()``.  It visits the cells in the shipped check's row order (gamma,
 then beta, then btilde).  The shipped check must give the same floats, cell
-by cell, and the same result.  The field check reads its ideal-gas grid
-from the field command's row kernel, whose cells must be the pointwise
-field's to the bit.
+by cell, and the same result; ``reference_cubic_check`` writes its own
+verdict, so the reference does not run ``checks._result``.  The field check
+reads its ideal-gas grid from the field command's row kernel, whose cells
+must be the pointwise field's to the bit.
 """
 
 import math
@@ -55,9 +56,8 @@ def reference_cubic_check(cells):
         f"{len(cells)} admissible cells; max |F(x*)|/(h3 x*^3)={worst_res:.3e}, "
         f"max root disagreement={worst_root:.3e}, max coefficient-sum error={worst_sum:.3e}"
     )
-    return checks._result(
-        "cubic_self_consistency", ok, max(worst_res, worst_root, worst_sum), 1e-9, note
-    )
+    return checks.CheckResult("cubic_self_consistency", checks.PASS if ok else checks.FAIL,
+                              max(worst_res, worst_root, worst_sum), 1e-9, note)
 
 
 def _hex(cells):

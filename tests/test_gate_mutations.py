@@ -24,28 +24,18 @@ requires the mark to go.
 """
 
 import contextlib
-import importlib
 import json
 import math
-import pkgutil
 
 import pytest
 
-import vdwshock
 from vdwshock import checks, cli, reports
 from vdwshock.errors import DomainError, InternalInconsistencyError
 
+from conftest import bindings
+
 SCALE = 1.0 + 1e-7
 DELIBERATE = {"table_trends", "cli_determinism"}
-
-# every module of the package, subpackages included, with each renderer bound in reports
-# (a lookup there loads its module), so a patch reaches every binding of a name
-for _command in reports.DATA_COMMANDS:
-    getattr(reports, f"render_{_command}")
-MODULES = [vdwshock] + [
-    importlib.import_module(info.name)
-    for info in pkgutil.walk_packages(vdwshock.__path__, "vdwshock.")
-]
 
 
 def _scaled(value, factor=SCALE):
@@ -221,7 +211,7 @@ KILLS = {
 def mutated(name, wrap):
     """Every vdwshock module that binds the kernel name sees wrap(kernel) instead."""
     with pytest.MonkeyPatch.context() as mp:
-        bound = [m for m in MODULES if name in vars(m)]
+        bound = bindings(name)
         original = getattr(bound[0], name)
         mutant = wrap(original)
         for module in bound:
@@ -238,6 +228,8 @@ def _gate_under(name, wrap):
         except Exception as exc:  # a raise is a kill
             return type(exc).__name__
     assert json.loads(reports.json_text(checks.report_payload(results)))  # the report prints
+    assert all(math.isfinite(r.residual) and r.residual <= r.tolerance  # and agrees with itself
+               for r in results if r.status == checks.PASS), results
     return {r.name: r.status for r in results}
 
 

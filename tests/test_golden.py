@@ -11,27 +11,16 @@ as well.  The gate workload runs the default check, pinned above.
 
 import contextlib
 import hashlib
-import importlib.util
 import io
 import json
-from pathlib import Path
 
 import pytest
 
 from vdwshock import cli
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+from conftest import PERFBENCH, perfbench
 
-
-def _workloads():
-    # the benchmark's own input generator and output checks, read from perfbench/
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-workloads = _workloads()
+workloads = perfbench("workloads")  # the benchmark's own input generator and output checks
 
 
 def _record():

@@ -20,18 +20,13 @@ listed input that can reach it the replacement returns the builtin's float,
 bit for bit, NaN and -0.0 included.
 """
 
-import contextlib
-import importlib.util
 import json
 import math
-import pkgutil
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-import vdwshock
 from vdwshock import cli, regular_reflection, reports
 from vdwshock.config import RunConfig, parse_config
 from vdwshock.linear_acoustics import FRONT_RING, busemann_variable
@@ -39,15 +34,7 @@ from vdwshock.regular_reflection import (ROOT_AGREEMENT, CubicForm, _coeffs, _cu
                                          _threshold_columns, _threshold_row, positive_root)
 from vdwshock.shock_relations import ENDPOINT_SLACK, _within, beta_upper
 
-_WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-
-
-def _load_workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", _WORKLOADS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
+from conftest import perfbench
 
 def reference_coeffs(b, g, bt):
     c = (1.0 - bt * b) ** 2
@@ -77,9 +64,8 @@ def seeded_configs(workloads, seed):
 
 def table_configs():
     """The default table and the threshold_table inputs of seeds 0, 1 and 2."""
-    workloads = _load_workloads()
     return [("default", RunConfig())] + [
-        named for seed in range(3) for named in seeded_configs(workloads, seed)]
+        named for seed in range(3) for named in seeded_configs(perfbench("workloads"), seed)]
 
 
 def gate_configs():
@@ -212,7 +198,7 @@ def printed_cubic(beta, g, bt):
 def test_printed_m_n_are_the_depressed_form_of_the_printed_cubic():
     default = RunConfig()
     cells = [(beta, default.gamma, bt) for bt in default.btilde_grid for beta in default.beta_grid]
-    seeded = [cell for _name, cfg in seeded_configs(_load_workloads(), 0)
+    seeded = [cell for _name, cfg in seeded_configs(perfbench("workloads"), 0)
               for cell in admissible_cells(cfg)]
     cells += random.Random(0).sample(seeded, 1500)
     worst = [Fraction(0), Fraction(0)]
@@ -229,36 +215,14 @@ def test_printed_m_n_are_the_depressed_form_of_the_printed_cubic():
     assert max(worst) > 0  # some cell rounds, so the bound is exercised
 
 
-VDWSHOCK_MODULES = [vdwshock] + [importlib.import_module(f"vdwshock.{info.name}")
-                                 for info in pkgutil.iter_modules(vdwshock.__path__)]
-
-
-@contextlib.contextmanager
-def counted(names):
-    """{name: calls} of each function, counted in every vdwshock module that binds the name."""
-    calls = dict.fromkeys(names, 0)
-    with pytest.MonkeyPatch.context() as mp:
-        for name in names:
-            bound = [m for m in VDWSHOCK_MODULES if name in vars(m)]
-            original = getattr(bound[0], name)
-
-            def counter(*args, _name=name, _original=original):
-                calls[_name] += 1
-                return _original(*args)
-
-            for module in bound:
-                mp.setattr(module, name, counter)
-        yield calls
-
-
-def test_criterion_and_table_take_the_cubic_and_the_band_from_the_kernel(capsys):
+def test_criterion_and_table_take_the_cubic_and_the_band_from_the_kernel(capsys, count_calls):
     names = ("_coeffs", "_threshold_row", "_within")
-    with counted(names) as criterion_calls:
-        assert cli.main(["criterion"]) == 0
-    with counted(names) as table_calls:
-        assert cli.main(["table"]) == 0
-    capsys.readouterr()
+    criterion_calls = count_calls(names)
+    assert cli.main(["criterion"]) == 0
     assert criterion_calls == {"_coeffs": 0, "_threshold_row": 1, "_within": 0}
+    table_calls = count_calls(names)  # counts from here on
+    assert cli.main(["table"]) == 0
+    capsys.readouterr()
     assert table_calls == {"_coeffs": 0, "_threshold_row": len(RunConfig().beta_grid),
                            "_within": 0}
 

@@ -6,22 +6,12 @@ renamed or deleted function would break every traced benchmark run.
 """
 
 import importlib
-import importlib.util
-from pathlib import Path
 
 import pytest
 
-_TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+from conftest import perfbench
 
-
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", _TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-tracing = _load_tracing()
+tracing = perfbench("tracing")
 
 
 @pytest.mark.parametrize("qual", tracing.SPANS + tracing.COUNTED + tracing.CHECK_SPANS)

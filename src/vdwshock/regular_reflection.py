@@ -5,14 +5,14 @@ unique positive root fixes the threshold J = (x*-1)/beta_i that the squared
 tangent of the incidence angle must reach for a regular reflection to exist.
 The production path is the row kernel _threshold_row: one call per beta_i row
 gives each btilde column None or its cell (h0..h3, m, n, x*, J, phi*), writing
-the band test, cubic, closed-form root, certificate, residual test and J clamp
-out in place.  criterion, the table renderer and the gate read admission, the
-printed cubic and the root from it.  _coeffs and positive_root are the
-single-cubic API and the kernel's reference, pinned to it bit for bit by tests.
-The kernel is the one home of the O(1) root certificate; positive_root has one
-path, the closed-form root always cross-checked by the bracketing bisection
-_bisection_root, and the kernel hands it each cell the certificate cannot
-accept, so the messages of a failed root live only there.
+the band test, cubic, certificate, residual test and J clamp out in place.
+criterion, the table renderer and the gate read admission, the printed cubic
+and the root from it.  _coeffs and positive_root are the single-cubic API and
+the kernel's reference, pinned to it bit for bit by tests.  Both the kernel and
+positive_root take the closed-form root from its one home, _depressed_root.
+The kernel is the one home of the O(1) root certificate and hands each cell it
+cannot accept to positive_root, whose one path always cross-checks that root
+by the bisection _bisection_root, so a failed root's messages live only there.
 
 Public functions validate (gamma, btilde, beta_i) once and then call the
 unchecked private kernels, which take the validated scalars directly.  Each
@@ -244,23 +244,16 @@ def _bisection_root(cubic: tuple[float, ...]) -> float:
     return 0.5 * (lo + hi)
 
 
-def positive_root(cubic: tuple[float, ...]) -> float:
-    """Unique positive zero of the threshold cubic: closed form, always cross-checked by bisection.
-
-    The closed-form root (radicals, or the cosine form when three roots are
-    real) must be finite, agree with the independent bisection _bisection_root
-    to ROOT_AGREEMENT (16 ulps of the root from |x| = 2**15 on), and leave a
-    residual within 1e-9 of the cubic's scale.
-    """
-    h0, h1, h2, h3, m, n = cubic
+def _depressed_root(m: float, n: float) -> float:
+    """Largest real root of y^3 + m*y + n = 0; a NaN discriminant raises before any shift."""
     disc = n * n / 4.0 + m ** 3 / 27.0
     if disc >= 0.0:
         s = math.sqrt(disc)
         q = -n / 2.0
         u = q + s
         v = q - s
-        y = math.copysign(abs(u) ** (1.0 / 3.0), u) + math.copysign(abs(v) ** (1.0 / 3.0), v)
-    elif disc < 0.0:
+        return math.copysign(abs(u) ** (1.0 / 3.0), u) + math.copysign(abs(v) ** (1.0 / 3.0), v)
+    if disc < 0.0:
         # casus irreducibilis: three real roots, keep the largest
         rho = 2.0 * math.sqrt(-m / 3.0)
         arg = 3.0 * n / (m * rho)
@@ -268,10 +261,21 @@ def positive_root(cubic: tuple[float, ...]) -> float:
             arg = -1.0
         elif not arg < 1.0:
             arg = 1.0
-        y = rho * math.cos(math.acos(arg) / 3.0)
-    else:  # a NaN discriminant, which the clamp above would turn into a finite root
-        raise OverflowError("threshold cubic or its root is not finite")
-    x = y - h2 / (3.0 * h3)
+        return rho * math.cos(math.acos(arg) / 3.0)
+    # a NaN discriminant, which the clamp above would turn into a finite root
+    raise OverflowError("threshold cubic or its root is not finite")
+
+
+def positive_root(cubic: tuple[float, ...]) -> float:
+    """Unique positive zero of the threshold cubic: closed form, always cross-checked by bisection.
+
+    The closed-form root _depressed_root, shifted back to X, must be finite,
+    agree with the independent bisection _bisection_root to ROOT_AGREEMENT
+    (16 ulps of the root from |x| = 2**15 on), and leave a residual within
+    1e-9 of the cubic's scale.
+    """
+    h0, h1, h2, h3, m, n = cubic
+    x = _depressed_root(m, n) - h2 / (3.0 * h3)
     if not all(map(math.isfinite, (h0, h1, h2, h3, m, n, x))):
         raise OverflowError("threshold cubic or its root is not finite")
     # ROOT_AGREEMENT, or 16 ulps where that is wider (from |x| = 2**15 on): from about 5e5
@@ -307,12 +311,11 @@ def _threshold_row(b: float, g: float, columns: list[tuple[float, float, float, 
     """One entry per column: None where it does not admit the ratio b, else the cell.
 
     A cell is the 9-tuple (h0, h1, h2, h3, m, n, x*, J, phi*): the cubic it
-    solved, the root, the threshold and the critical angle.  columns comes
-    from _threshold_columns(g, btildes) of a valid gas, and b is finite; a
-    column admits b when BAND_LOW <= b <= its band top (the test of
-    _within).  Each admissible cell writes out _coeffs' expressions,
-    positive_root's closed-form root, agreement width tol and residual test,
-    and the clamp J = max(0, (x* - 1)/b) in their float order.
+    solved, the root, the threshold and the critical angle.  columns comes from
+    _threshold_columns(g, btildes) of a valid gas, and b is finite; a column
+    admits b when BAND_LOW <= b <= its band top (the test of _within).  Each
+    admissible cell writes out, in their float order, _coeffs' expressions,
+    positive_root's root x, width tol and residual test, and J = max(0, (x* - 1)/b).
 
     This is the one home of the O(1) root certificate, which accepts the
     closed-form root x without a bisection.  One sign change in (h3, h2, h1,
@@ -323,15 +326,15 @@ def _threshold_row(b: float, g: float, columns: list[tuple[float, float, float, 
     x - tol <= 0) and > 0 at x + tol, then pins that root within tol of x, to
     the rounding of the Horner value that the bisection relies on too; no NaN
     coefficient or root passes.  A certified cell that passes the residual
-    test calls no other vdwshock function; any other cell goes to
-    positive_root, looked up as a module global, which cross-checks by
-    bisection and keeps every message.  A float overflow, or a covolume
-    fraction btilde*b that rounds to 1, is the DomainError of _cubic_error.
+    test calls no vdwshock function but _depressed_root; any other cell goes
+    to positive_root, looked up as a module global, which cross-checks by
+    bisection and keeps every message.  A float overflow, a NaN discriminant
+    or a covolume fraction btilde*b that rounds to 1 is _cubic_error's error.
     """
     if not b >= BAND_LOW:
         return [None] * len(columns)
     out = []
-    sqrt, cos, acos, atan, ulp = math.sqrt, math.cos, math.acos, math.atan, math.ulp
+    sqrt, atan, ulp = math.sqrt, math.atan, math.ulp
     gm1 = g - 1.0
     bm1 = None
     try:
@@ -356,25 +359,7 @@ def _threshold_row(b: float, g: float, columns: list[tuple[float, float, float, 
             b1 = h1 / h3
             m = b1 - b2 * b2 / 3.0
             n = h0 / h3 - b1 * b2 / 3.0 + 2.0 * b2 ** 3 / 27.0
-            disc = n * n / 4.0 + m ** 3 / 27.0
-            if disc >= 0.0:
-                s = sqrt(disc)
-                q = -n / 2.0
-                u = q + s
-                v = q - s
-                y = (math.copysign(abs(u) ** (1.0 / 3.0), u)
-                     + math.copysign(abs(v) ** (1.0 / 3.0), v))
-            elif disc < 0.0:
-                rho = 2.0 * sqrt(-m / 3.0)
-                arg = 3.0 * n / (m * rho)
-                if not arg > -1.0:
-                    arg = -1.0
-                elif not arg < 1.0:
-                    arg = 1.0
-                y = rho * cos(acos(arg) / 3.0)
-            else:  # a NaN discriminant: the root is NaN, and positive_root raises for it
-                y = disc
-            x = y - h2 / (3.0 * h3)
+            x = _depressed_root(m, n) - h2 / (3.0 * h3)
             ax = abs(x)
             tol = ROOT_AGREEMENT if ax < 32768.0 else 16.0 * ulp(x)
             lo = x - tol

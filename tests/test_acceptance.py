@@ -72,13 +72,14 @@ def test_full_suite_runtime_budget(report):
 
 def test_each_table_check_builds_its_own_default_table(count_calls):
     # the two table checks build the table with the row kernel, as the table
-    # command does; the criterion path runs only for cli_determinism's two
-    # criterion renders, and no run reuses another's table
+    # command does; the criterion path runs only for reflection_solve's 200
+    # critical angles and cli_determinism's two criterion renders, and no run
+    # reuses another's table
     counts = count_calls(["_default_table", "_criterion"])
     checks.run_all_checks()
-    assert counts == {"_default_table": 2, "_criterion": 2}
+    assert counts == {"_default_table": 2, "_criterion": 202}
     checks.run_all_checks()
-    assert counts == {"_default_table": 4, "_criterion": 4}
+    assert counts == {"_default_table": 4, "_criterion": 404}
 
 
 def test_check_command_round_trip():

@@ -90,10 +90,11 @@ def test_cubic_check_validates_each_gas_once(count_calls):
                       "F_eval": 0, "criterion": 0}
 
 
-def test_reflection_check_builds_no_criterion_report(count_calls):
-    counts = count_calls(["criterion"])
+def test_reflection_check_reads_the_unchecked_criterion(count_calls):
+    # one _criterion entry per sample, and no validating criterion call
+    counts = count_calls(["criterion", "_criterion"])
     assert checks.check_reflection_solve().status == checks.PASS
-    assert counts == {"criterion": 0}
+    assert counts == {"criterion": 0, "_criterion": 200}
 
 
 

@@ -404,10 +404,12 @@ RAISING_MUTANTS = {
     # a negative squared Mach number reaches math.sqrt in solve_regular_reflection
     "sqrt of a negative": ("_jump", negate_item(2), "reflection_solve",
                            "raised ValueError: math domain error"),
-    # every band bound below 1: the one-column row of check_reflection_solve holds no cell
+    # every band bound below 1: _criterion's one-column row holds no cell, so the
+    # critical angle that check_reflection_solve compares is None
     "empty threshold row": ("beta_upper", lambda func: lambda *args: func(*args) * 0.1,
                             "reflection_solve",
-                            "raised TypeError: 'NoneType' object is not subscriptable"),
+                            "raised TypeError: '>=' not supported between instances of "
+                            "'NoneType' and 'float'"),
     # a formatter that returns a float breaks the string building of render_table
     "string building in reports": ("_fmt_float", lambda func: lambda value: value,
                                    "cli_determinism",

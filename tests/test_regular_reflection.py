@@ -214,15 +214,16 @@ class TestPositiveRoot:
         for frac in (1.15, 1.5, 2.0):
             assert cubic_value(c, frac * x) > 0.0
 
-    @pytest.mark.parametrize("m, n", [
-        (-12.0, math.nan),  # returned 2.0000000000000004: the clamp sent arg = NaN to -1
-        (math.nan, 0.0),
-        (-12.0, math.inf),
-    ])
-    def test_non_finite_depressed_constants_raise(self, m, n):
+    @pytest.mark.parametrize("m, n, h3", [
+        (-12.0, math.nan, 1.0),  # returned 2.0000000000000004: the clamp sent arg = NaN to -1
+        (math.nan, 0.0, 1.0),
+        (-12.0, math.inf, 1.0),
+        (math.nan, 0.0, 0.0),  # the NaN test comes before the shift h2/(3*h3) divides by 0
+    ], ids=["-12.0-nan", "nan-0.0", "-12.0-inf", "nan-0.0-h3_zero"])
+    def test_non_finite_depressed_constants_raise(self, m, n, h3):
         # X**3 - 2X - 4 has the root X = 2, which no NaN constant may certify
         with pytest.raises(OverflowError, match="threshold cubic or its root is not finite"):
-            positive_root(CubicForm(-4.0, -2.0, 0.0, 1.0, m, n))
+            positive_root(CubicForm(-4.0, -2.0, 0.0, h3, m, n))
 
     def test_method_disagreement_reported(self):
         # poisoned depressed constants must trip the cross-check, not pass

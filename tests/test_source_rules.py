@@ -9,8 +9,10 @@ self-test that plants a violation:
   ``min``, which costs about ten comparisons on Python 3.11;
 - only ``shock_relations`` assigns the band ends or reads ``ENDPOINT_SLACK``,
   so a change of the slack moves every band test at once;
-- the root certificate's sign rule is written only in ``_threshold_row``, and
-  the NaN-keeping fold test, with ``>`` or ``<``, only in ``checks._fold``;
+- the root certificate's sign rule is written only in ``_threshold_row``, the
+  closed-form root (a cube root ``** (1.0 / 3.0)`` or an ``acos`` call) only in
+  ``_depressed_root``, and the NaN-keeping fold test, with ``>`` or ``<``, only
+  in ``checks._fold``;
 - only ``config`` writes out the default grids, the fixture's axes;
 - no module binds a name of ``math`` but ``math`` itself, so a run that swaps a
   module's global ``math`` for higher-precision functions reaches every call.
@@ -70,8 +72,8 @@ def test_module_has_no_unused_import(tree):
 
 #: module -> the kernels in it that must not call max or min
 KERNELS = {
-    "regular_reflection.py": ("_coeffs", "positive_root", "_bisection_root", "_threshold_columns",
-                              "_threshold_row"),
+    "regular_reflection.py": ("_coeffs", "_depressed_root", "positive_root", "_bisection_root",
+                              "_threshold_columns", "_threshold_row"),
     **{f"reports/{command}.py": (f"render_{command}",)
        for command in ("table", "field", "front", "inner")},
     "linear_acoustics.py": ("busemann_variable", "_row", "_interior_cells", "density_rows"),
@@ -151,6 +153,14 @@ def test_band_ends_are_defined_once_and_the_slack_is_read_only_at_home():
 
 
 SIGN_RULE = ast.dump(ast.parse("not (h2 < 0.0 and h1 > 0.0)", mode="eval").body)
+ONE_THIRD = ast.dump(ast.parse("1.0 / 3.0", mode="eval").body)
+
+
+def _is_closed_form_root(node):
+    """A power whose exponent is 1.0 / 3.0, or a call of acos, bare or as an attribute."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+            and ast.dump(node.right) == ONE_THIRD
+            or isinstance(node, ast.Call) and _spelled(node.func) == "acos")
 
 
 def _is_nan_keeping_fold(node):
@@ -166,7 +176,7 @@ def _is_nan_keeping_fold(node):
 
 
 def occurrences(tree):
-    """[(clause, module-level function, line)] of the sign-rule clause and the fold test."""
+    """[(clause, module-level function, line)] of the sign rule, closed-form root and fold test."""
     found = []
     for statement in tree.body:
         where = getattr(statement, "name", "<module>")
@@ -175,6 +185,8 @@ def occurrences(tree):
                 found.append(("sign rule", where, node.lineno))
             elif _is_nan_keeping_fold(node):
                 found.append(("nan-keeping fold", where, node.lineno))
+            elif _is_closed_form_root(node):
+                found.append(("closed-form root", where, node.lineno))
     return found
 
 
@@ -187,17 +199,25 @@ def test_the_check_sees_each_clause():
               "    if order < least or order != order:\n"
               "        least = order\n"
               "    return not (h1 > 0.0 and h2 < 0.0), worst, least\n"
-              "SEEN = abs(x) > w or abs(x) != abs(x)\n")
+              "SEEN = abs(x) > w or abs(x) != abs(x)\n"
+              "def root(u, arg):\n"
+              "    y = abs(u) ** (1.0 / 3.0) + cos(acos(arg) / 3.0)\n"
+              "    return y + u ** (1 / 3) + math.acos(u)\n")
     assert occurrences(ast.parse(source)) == [
         ("sign rule", "kernel", 2), ("nan-keeping fold", "fold", 4),
-        ("nan-keeping fold", "fold", 6), ("nan-keeping fold", "<module>", 9)]
+        ("nan-keeping fold", "fold", 6), ("nan-keeping fold", "<module>", 9),
+        ("closed-form root", "root", 11), ("closed-form root", "root", 12),
+        ("closed-form root", "root", 11)]
 
 
 def test_certificate_and_fold_each_have_one_home():
-    # positive_root cross-checks by bisection; each check collects its values and folds once
+    # positive_root cross-checks by bisection; it and the kernel shift the root of
+    # _depressed_root (two cube roots, one acos); each check collects its values and folds once
     found = [(clause, name, where) for name, places in found_in_package(occurrences).items()
              for clause, where, _line in places]
-    assert sorted(found) == [("nan-keeping fold", "checks.py", "_fold"),
+    closed_form = ("closed-form root", "regular_reflection.py", "_depressed_root")
+    assert sorted(found) == [closed_form, closed_form, closed_form,
+                             ("nan-keeping fold", "checks.py", "_fold"),
                              ("sign rule", "regular_reflection.py", "_threshold_row")]
 
 

@@ -8,18 +8,16 @@ gives each btilde column None or its cell (h0..h3, m, n, x*, J, phi*), writing
 the band test, cubic, certificate, residual test and J clamp out in place.
 criterion, the table renderer and the gate read admission, the printed cubic
 and the root from it.  _coeffs and positive_root are the single-cubic API and
-the kernel's reference, pinned to it bit for bit by tests.  Both the kernel and
-positive_root take the closed-form root from its one home, _depressed_root.
-The kernel is the one home of the O(1) root certificate and hands each cell it
-cannot accept to positive_root, whose one path always cross-checks that root
-by the bisection _bisection_root, so a failed root's messages live only there.
+the kernel's reference.  Both the kernel and positive_root take the
+closed-form root from its one home, _depressed_root.  The kernel is the one
+home of the O(1) root certificate and hands each cell it cannot accept to
+positive_root, whose one path always cross-checks that root by the bisection
+_bisection_root, so a failed root's messages live only there.
 
 Public functions validate (gamma, btilde, beta_i) once and then call the
 unchecked private kernels, which take the validated scalars directly.  Each
 operation on one cubic has one function, which takes any 6-tuple (h0, h1, h2,
-h3, m, n): a CubicForm, or the plain tuple of _coeffs.  positive_root and
-_bisection_root write cubic_value's Horner expression out in place, so every
-value they test is the same float as cubic_value's.  The kernels that run
+h3, m, n): a CubicForm, or the plain tuple of _coeffs.  The kernels that run
 once per table cell clamp with a comparison, never the builtin max or min: on
 Python 3.11 (Intel Xeon) max on two floats takes about 170 ns, ten times a
 comparison, and the table would pay two such calls per admissible cell.
@@ -213,11 +211,6 @@ def cubic_coefficients(beta_i: float, gas: GasModel) -> CubicForm:
         return CubicForm._make(_coeffs(beta_i, gas.gamma, gas.btilde))
     except (OverflowError, ZeroDivisionError) as exc:
         raise _cubic_error(exc, gas.gamma, gas.btilde, beta_i) from exc
-
-
-def cubic_value(cubic: tuple[float, ...], x: float) -> float:
-    h0, h1, h2, h3, _m, _n = cubic
-    return ((h3 * x + h2) * x + h1) * x + h0
 
 
 def _bisection_root(cubic: tuple[float, ...]) -> float:

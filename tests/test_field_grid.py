@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from vdwshock import linear_acoustics
+from vdwshock import checks, linear_acoustics
 from vdwshock.config import parse_config
 from vdwshock.errors import DomainError, SingularityError
 from vdwshock.geometry import (
@@ -26,7 +26,6 @@ from vdwshock.geometry import (
 )
 from vdwshock.linear_acoustics import (
     TAG_NEAR_FRONT,
-    atan_zero_pi,
     density_rows,
     diffracted_density_xi,
 )
@@ -103,18 +102,6 @@ def test_grid_matches_pointwise_rebuild(seed):
     assert seen_ring and seen_arc_row
 
 
-def reference_interior_rho1(sigma, theta, alpha):
-    # the interior formula restated on the public atan_zero_pi, term for term
-    # in the library's order, so it must match the row kernel to the last bit
-    mu = 0.5 * math.pi / (math.pi - alpha)
-    s = sigma / (1.0 + math.sqrt(max(0.0, 1.0 - sigma * sigma)))
-    sm = s**mu
-    num = (1.0 - sm * sm) * math.cos(mu * math.pi)
-    den = (1.0 + sm * sm) * math.sin(mu * math.pi)
-    c = 2.0 * sm * math.cos(mu * (theta - alpha))
-    return 1.0 + (atan_zero_pi(num, -den + c) + atan_zero_pi(-num, den + c)) / math.pi
-
-
 def grid_rows(cfg):
     ref = reference_constants(cfg.rho0, cfg.p0, GasModel(cfg.gamma, cfg.btilde))
     sigmas = _linspace(cfg.xi_min, 1.0, cfg.xi_count)
@@ -165,7 +152,8 @@ def test_density_rows_bit_identical_to_pointwise(seed):
                     sample.formula_tag, sample.region.region, sample.rho1.hex()
                 )
                 if tag != TAG_NEAR_FRONT and row_sigma < 1.0:
-                    want = reference_interior_rho1(row_sigma, theta, cfg.alpha)
+                    # the gate's ideal-gas form, term for term in the kernel's order: equal to the bit
+                    want = checks._ideal_gas_density(row_sigma, theta, cfg.alpha)
                     assert rho1.hex() == want.hex(), (cfg, sigma, theta)
                     interior_cells += 1
     assert interior_cells

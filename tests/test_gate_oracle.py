@@ -3,15 +3,17 @@
 ``full_scan_oracle`` below is the oracle as it was before the early exit and
 the guided start: it scans the same 1,500-point grid from -bound, bisects
 every sign-change bracket and returns the least accepted root.  The shipped
-oracle must return the same float, or raise the same exception, on every
-input.
+oracle must return the same float, or raise the same exception, on seeded
+inputs that reach every way out of the scan: admissible and out-of-band
+ratios, angles around grazing and below it, and t < 0.  Planted poles and
+DomainError windows show which grid points each scan visits.  The gate must
+make few reflected-ratio calls, fail a shifted closed form, and report a
+grazing input whose scan finds no root.
 """
 
 import json
 import math
 import random
-
-import pytest
 
 from vdwshock import checks, cli
 from vdwshock.errors import DomainError, InternalInconsistencyError
@@ -95,30 +97,6 @@ def assert_same(args):
     else:
         assert got == want, args
     return want
-
-
-@pytest.fixture(scope="module")
-def gate_samples():
-    samples = []
-    real = checks._scan_oracle_minus_branch
-
-    def spy(beta, t, gas):
-        samples.append((beta, t, gas))
-        return real(beta, t, gas)
-
-    mp = pytest.MonkeyPatch()
-    mp.setattr(checks, "_scan_oracle_minus_branch", spy)
-    try:
-        checks.check_reflection_solve()
-    finally:
-        mp.undo()
-    return samples
-
-
-def test_gate_samples_match_the_full_scan(gate_samples):
-    assert len(gate_samples) == 200
-    for args in gate_samples:
-        assert assert_same(args)[0] == "value"
 
 
 def record_points(monkeypatch):

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -44,9 +45,33 @@ def admissible_cells():
     return cells
 
 
+#: the dense grid's gammas; each has 14 covolumes in [0, 0.98) and 24 ratios per column
+DENSE_GAMMAS = [1.05 + (3.0 - 1.05) * i / 11 for i in range(12)]
+
+
+def dense_cells(g):
+    """The row kernel's cells of the dense grid at gamma g."""
+    cells = []
+    for j in range(14):
+        bt = 0.98 * j / 14
+        columns = _threshold_columns(g, (bt,))
+        upper = (g + 1.0) / (g - 1.0 + 2.0 * bt)
+        for k in range(1, 25):
+            cells += _threshold_row(1.0 + (upper - 1.0) * k / 24, g, columns)
+    return cells
+
+
 def cubic_value(cubic, x):
     h0, h1, h2, h3, _m, _n = cubic
     return ((h3 * x + h2) * x + h1) * x + h0
+
+
+def within_ulps_of_the_exact_root(cubic, x, k):
+    """The cubic h0..h3, in exact arithmetic, changes sign from - to + within k ulps of x."""
+    h0, h1, h2, h3 = map(Fraction, cubic[:4])
+    w = k * Fraction(math.ulp(x))
+    lo, hi = Fraction(x) - w, Fraction(x) + w
+    return ((h3 * lo + h2) * lo + h1) * lo + h0 <= 0 <= ((h3 * hi + h2) * hi + h1) * hi + h0
 
 
 def bisect_cubic(cubic, lo, hi):
@@ -218,17 +243,24 @@ class TestRootCertificate:
         cells = []
         with monkeypatch.context() as m:
             m.setattr(regular_reflection, "positive_root", no_fallback)
-            for i in range(12):
-                g = 1.05 + (3.0 - 1.05) * i / 11
-                for j in range(14):
-                    bt = 0.98 * j / 14
-                    columns = _threshold_columns(g, (bt,))
-                    upper = (g + 1.0) / (g - 1.0 + 2.0 * bt)
-                    for k in range(1, 25):
-                        cells += _threshold_row(1.0 + (upper - 1.0) * k / 24, g, columns)
+            for g in DENSE_GAMMAS:
+                cells += dense_cells(g)
         assert len(cells) == 12 * 14 * 24 and None not in cells
         for cell in cells:
             assert abs(cell[6] - _bisection_root(cell[:6])) <= ROOT_AGREEMENT
+
+    @pytest.mark.parametrize("g", DENSE_GAMMAS, ids=[f"{g:.4f}" for g in DENSE_GAMMAS])
+    def test_kernel_root_is_within_4_ulps_of_the_exact_root(self, g):
+        # exact rational arithmetic on the printed h0..h3 brackets the true
+        # root, independent of radicals and bisection; the closed form lands
+        # within 3 ulps of it on this grid
+        for cell in dense_cells(g):
+            assert within_ulps_of_the_exact_root(cell[:6], cell[6], 4), (g, cell)
+
+    def test_positive_root_is_within_4_ulps_of_the_exact_root(self):
+        for beta, bt, g in admissible_cells():
+            c = cubic_coefficients(beta, GasModel(g, bt))
+            assert within_ulps_of_the_exact_root(c, positive_root(c), 4), (beta, bt, g)
 
     def test_positive_root_always_cross_checks(self, monkeypatch):
         # positive_root has one path: a cubic the kernel certifies still gets

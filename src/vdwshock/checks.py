@@ -26,7 +26,6 @@ from .regular_reflection import (
     _beta_r_of,
     _bisection_root,
     _coeffs,
-    _criterion,
     _f_terms,
     _threshold_columns,
     _threshold_row,
@@ -279,7 +278,7 @@ def check_reflection_solve() -> CheckResult:
         bt = rng.uniform(0.0, 0.7)
         gas = GasModel(g, bt)
         beta = rng.uniform(1.0 + 1e-3, min(beta_upper(g, bt) * 0.999, 4.0))
-        phi_star = _criterion(beta, g, bt).phi_star  # beta is admitted
+        phi_star = _threshold_row(beta, g, _threshold_columns(g, (bt,)))[0][8]  # beta is admitted
         phi_hi = math.pi / 2.0 - 0.02
         if phi_star >= phi_hi:
             continue

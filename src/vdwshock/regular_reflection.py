@@ -387,12 +387,8 @@ def criterion(beta_i: float, gas: GasModel) -> CriterionReport:
     validate_gas(gas)
     if not math.isfinite(beta_i):
         raise DomainError(f"criterion needs a finite beta_i, got {beta_i}")
-    return _criterion(beta_i, gas.gamma, gas.btilde)
-
-
-def _criterion(b: float, g: float, bt: float) -> CriterionReport:
-    """Unchecked criterion of a valid gas (g, bt) at a finite b: a one-column row's entry."""
-    cell = _threshold_row(b, g, _threshold_columns(g, (bt,)))[0]
+    g, bt = gas.gamma, gas.btilde
+    cell = _threshold_row(beta_i, g, _threshold_columns(g, (bt,)))[0]
     upper = beta_upper(g, bt)
     if cell is None:
         return CriterionReport(None, None, None, None, False, upper)

@@ -82,22 +82,16 @@ def _linspace(lo: float, hi: float, count: int) -> list[float]:
 
 def render_criterion(cfg: RunConfig) -> str:
     """Detachment-criterion report as JSON, for a cfg from parse_config or RunConfig()."""
-    from .. import regular_reflection  # here, so that importing this module runs no kernel
+    # imported here, so that importing this module runs no kernel
+    from ..regular_reflection import _threshold_columns, _threshold_row
+    from ..shock_relations import beta_upper
 
-    beta_i = cfg.resolved_beta_i()
-    rep = regular_reflection._criterion(beta_i, cfg.gamma, cfg.btilde)
-    cubic = rep.cubic._asdict() if rep.cubic else dict.fromkeys(regular_reflection.CubicForm._fields)
-    payload = {
-        "beta_i": beta_i,
-        "gamma": cfg.gamma,
-        "btilde": cfg.btilde,
-        "admissible": rep.admissible,
-        "upper_beta": rep.upper_beta,
-        **cubic,
-        "x_star": rep.x_star,
-        "J": rep.J,
-        "phi_star_rad": rep.phi_star,
-        "phi_star_deg": math.degrees(rep.phi_star) if rep.phi_star is not None else None,
-    }
+    beta_i, g, bt = cfg.resolved_beta_i(), cfg.gamma, cfg.btilde
+    cell = _threshold_row(beta_i, g, _threshold_columns(g, (bt,)))[0]
+    payload = dict(zip(("h0", "h1", "h2", "h3", "m", "n", "x_star", "J", "phi_star_rad"),
+                       cell or (None,) * 9))
+    payload.update(beta_i=beta_i, gamma=g, btilde=bt, admissible=cell is not None,
+                   upper_beta=beta_upper(g, bt),
+                   phi_star_deg=None if cell is None else math.degrees(cell[8]))
     return json_text(payload)
 

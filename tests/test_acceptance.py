@@ -72,14 +72,15 @@ def test_full_suite_runtime_budget(report):
 
 def test_each_table_check_builds_its_own_default_table(count_calls):
     # the two table checks build the table with the row kernel, as the table
-    # command does; the criterion path runs only for reflection_solve's 200
-    # critical angles and cli_determinism's two criterion renders, and no run
-    # reuses another's table
-    counts = count_calls(["_default_table", "_criterion"])
+    # command does, and no run reuses another's table; a run's row-kernel calls
+    # are the cubic check's 87 rows, 15 rows per default table, reflection_solve's
+    # 200 one-column rows and cli_determinism's two criterion and two table renders:
+    # 87 + 2 * 15 + 200 + 2 * (1 + 15) = 349
+    counts = count_calls(["_default_table", "_threshold_row"])
     checks.run_all_checks()
-    assert counts == {"_default_table": 2, "_criterion": 202}
+    assert counts == {"_default_table": 2, "_threshold_row": 349}
     checks.run_all_checks()
-    assert counts == {"_default_table": 4, "_criterion": 404}
+    assert counts == {"_default_table": 4, "_threshold_row": 698}
 
 
 def test_check_command_round_trip():

@@ -6,6 +6,7 @@ and formats it with the public fmt, so the two must agree byte for byte and
 fail with the same exception.
 """
 
+import functools
 import hashlib
 import math
 import random
@@ -453,34 +454,37 @@ def tiny_c0_ref():
     return ref
 
 
+#: the grid ids of differential_grids, known before any grid is built
+DIFFERENTIAL = ["alpha_deg=1e-300", "alpha_deg=89.99999999999999", "sigma=0",
+                "merge ray in the ring", "non-normal c0"]
+
+
+@functools.cache
 def differential_grids():
-    # (id, sigmas, thetas, alpha, ref, what the first bad cell raises or None)
+    # {id: (sigmas, thetas, alpha, ref, what the first bad cell raises or None)}
     rng = random.Random(400)
     ideal = reference_constants(1.0, 1.0, GasModel(1.4))
     covolume = reference_constants(0.7, 1.6, GasModel(2.2, 0.45))
     ring = [1.0 - k * 1e-15 for k in (9, 5, 2, 1)]
-    grids = []
+    grids = {}
     for alpha_deg in (1e-300, 89.99999999999999):  # the merge ray is a grid angle: no ring rows
         alpha = math.radians(alpha_deg)
         sigmas = sorted(rng.uniform(0.0, 1.0) for _ in range(20)) + [1.0 - 1e-13, 1.0]
-        grids.append((f"alpha_deg={alpha_deg!r}", sigmas, _linspace(alpha, math.pi, 23),
-                      alpha, covolume, None))
+        grids[f"alpha_deg={alpha_deg!r}"] = (sigmas, _linspace(alpha, math.pi, 23), alpha,
+                                             covolume, None)
     alpha = math.radians(33.0)
     thetas = _linspace(alpha, math.pi, 17)
-    grids.append(("sigma=0", [0.0, 0.25, 1.0], thetas, alpha, ideal, None))
+    grids["sigma=0"] = ([0.0, 0.25, 1.0], thetas, alpha, ideal, None)
     merge = sorted([*thetas, 2.0 * alpha])  # a grid angle on the merge ray
-    grids.append(("merge ray in the ring", [0.5, *ring, 1.0], merge, alpha, covolume,
-                  SingularityError))
-    grids.append(("non-normal c0", [0.0, 0.5, 1.0], thetas, alpha, tiny_c0_ref(), DomainError))
+    grids["merge ray in the ring"] = ([0.5, *ring, 1.0], merge, alpha, covolume, SingularityError)
+    grids["non-normal c0"] = ([0.0, 0.5, 1.0], thetas, alpha, tiny_c0_ref(), DomainError)
+    assert list(grids) == DIFFERENTIAL
     return grids
 
 
-DIFFERENTIAL = differential_grids()
-
-
-@pytest.mark.parametrize("sigmas, thetas, alpha, ref, raised", [g[1:] for g in DIFFERENTIAL],
-                         ids=[g[0] for g in DIFFERENTIAL])
-def test_rows_bit_identical_where_the_workload_never_goes(sigmas, thetas, alpha, ref, raised):
+@pytest.mark.parametrize("grid", DIFFERENTIAL)
+def test_rows_bit_identical_where_the_workload_never_goes(grid):
+    sigmas, thetas, alpha, ref, raised = differential_grids()[grid]
     got = rows_against_pointwise(sigmas, thetas, alpha, ref)
     if raised is None:
         assert len(got) == len(sigmas)

@@ -2,9 +2,9 @@
 
 The cubic check validates each of its 45 gases once and reaches no checked
 entry point from a cell; the reflection check reads each sample's critical
-angle from the unchecked ``_criterion``.  The field check reads its ideal-gas
-grid from the field command's row kernel, whose cells must be the pointwise
-field's to the bit.
+angle from a one-column row of the unchecked kernel ``_threshold_row``.  The
+field check reads its ideal-gas grid from the field command's row kernel,
+whose cells must be the pointwise field's to the bit.
 """
 
 import math
@@ -25,11 +25,14 @@ def test_cubic_check_validates_each_gas_once(count_calls):
                       "F_eval": 0, "criterion": 0}
 
 
-def test_reflection_check_reads_the_unchecked_criterion(count_calls):
-    # one _criterion entry per sample, and no validating criterion call
-    counts = count_calls(["criterion", "_criterion"])
+def test_reflection_check_reads_the_unchecked_criterion(count_calls, monkeypatch):
+    # one one-column row-kernel call per sample, and no validating criterion call
+    counts, widths, row = count_calls(["criterion"]), [], checks._threshold_row
+    monkeypatch.setattr(checks, "_threshold_row",
+                        lambda b, g, columns: widths.append(len(columns)) or row(b, g, columns))
     assert checks.check_reflection_solve().status == checks.PASS
-    assert counts == {"criterion": 0, "_criterion": 200}
+    assert counts == {"criterion": 0}
+    assert widths == [1] * 200
 
 
 def test_field_check_grid_is_the_pointwise_field():

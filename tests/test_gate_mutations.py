@@ -404,19 +404,17 @@ RAISING_MUTANTS = {
     # a negative squared Mach number reaches math.sqrt in solve_regular_reflection
     "sqrt of a negative": ("_jump", negate_item(2), "reflection_solve",
                            "raised ValueError: math domain error"),
-    # every band bound below 1: _criterion's one-column row holds no cell, so the
-    # critical angle that check_reflection_solve compares is None
+    # every band bound below 1: the one-column row that check_reflection_solve reads
+    # its critical angle from holds no cell, and indexing the None entry raises
     "empty threshold row": ("beta_upper", lambda func: lambda *args: func(*args) * 0.1,
                             "reflection_solve",
-                            "raised TypeError: '>=' not supported between instances of "
-                            "'NoneType' and 'float'"),
+                            "raised TypeError: 'NoneType' object is not subscriptable"),
     # a formatter that returns a float breaks the string building of render_table
     "string building in reports": ("_fmt_float", lambda func: lambda value: value,
                                    "cli_determinism",
                                    "raised TypeError: unsupported operand type(s) for +"),
-    # the kernel's band top moves below the band test: _criterion's own _within admitted
-    # cells the kernel left out, and unpacking the empty row raised; the kernel's entry is
-    # now the only admission, so the table reports the moved band as blank mismatches
+    # the kernel's band top moves below the band test: the kernel's entry is the only
+    # admission, so the table reports the moved band as blank mismatches
     "band top apart from the band test": ("_threshold_columns", band_top_at_one,
                                           "table_trends", "blank mismatches: [("),
 }

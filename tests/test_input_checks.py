@@ -5,6 +5,7 @@ the error type it must raise and the start of its message.  NaN must fail
 every range test, and infinity every test whose domain is finite.
 """
 
+import functools
 import inspect
 import math
 
@@ -24,14 +25,24 @@ from vdwshock.thermo import GasModel, ThermoState, reference_constants, sound_sp
 
 NAN, INF = math.nan, math.inf
 GAS = GasModel(1.4)
-REF = reference_constants(1.0, 1.0, GAS)
-GEOM = inner_geometry(GAS, REF)
-K0 = REF.kappa0
 BETA_SHOCK, ALPHA = math.radians(67.5), math.pi / 4.0  # a ray on the shock side
 BETA_FAN = math.radians(30.0)  # a ray on the rarefaction side
 STATE2 = (0.5, 0.2, 0.1)
-INSIDE = make_point(0.5 * REF.a0, ALPHA + 0.2, REF)  # in the subsonic disk
-OUTSIDE = make_point(1.05 * REF.a0, ALPHA + 0.2, REF)  # in Omega2
+
+
+# the library's own values, worked out when a test first runs, not on import
+@functools.cache
+def ref():
+    return reference_constants(1.0, 1.0, GAS)
+
+
+@functools.cache
+def geom():
+    return inner_geometry(GAS, ref())
+
+
+def outside():
+    return make_point(1.05 * ref().a0, ALPHA + 0.2, ref())  # in Omega2
 
 
 def _one(*_):
@@ -40,11 +51,11 @@ def _one(*_):
 
 CASES = [
     # (id, call, error type, message prefix)
-    ("make_point zeta < 0", lambda: make_point(-1.0, 1.0, REF),
+    ("make_point zeta < 0", lambda: make_point(-1.0, 1.0, ref()),
      DomainError, "similarity radius must be nonnegative"),
-    ("make_point zeta nan", lambda: make_point(NAN, 1.0, REF),
+    ("make_point zeta nan", lambda: make_point(NAN, 1.0, ref()),
      DomainError, "similarity radius must be nonnegative"),
-    ("make_point zeta inf", lambda: make_point(INF, 1.0, REF),
+    ("make_point zeta inf", lambda: make_point(INF, 1.0, ref()),
      DomainError, "similarity radius must be nonnegative and finite"),
     ("eigenvalues zeta <= 0",
      lambda: eigenvalues_and_type(SelfSimilarPoint(0.0, 1.0, 0.0), PseudoFlowState(0.5, 0.0, 1.0)),
@@ -52,30 +63,33 @@ CASES = [
     ("eigenvalues (U-zeta)^2 = a^2",
      lambda: eigenvalues_and_type(SelfSimilarPoint(1.0, 1.0, 1.0), PseudoFlowState(2.0, 0.5, 1.0)),
      DomainError, "acoustic eigenvalues undefined at (U-zeta)^2 = a^2"),
-    ("expansion_fan theta' = 0", lambda: expansion_fan(1.0, 0.0, GEOM),
+    ("expansion_fan theta' = 0", lambda: expansion_fan(1.0, 0.0, geom()),
      DomainError, "fan profile needs theta' != 0"),
-    ("expansion_fan x nan", lambda: expansion_fan(NAN, 1.0, GEOM),
+    ("expansion_fan x nan", lambda: expansion_fan(NAN, 1.0, geom()),
      DomainError, "fan profile needs finite x and theta'"),
-    ("expansion_fan theta' inf", lambda: expansion_fan(1.0, INF, GEOM),
+    ("expansion_fan theta' inf", lambda: expansion_fan(1.0, INF, geom()),
      DomainError, "fan profile needs finite x and theta'"),
-    ("similarity_residual x <= 0", lambda: similarity_residual(_one, _one, _one, 0.0, 1.3, GEOM),
+    ("similarity_residual x <= 0", lambda: similarity_residual(_one, _one, _one, 0.0, 1.3, geom()),
      DomainError, "similarity residual needs x > 0"),
-    ("similarity_residual theta' = 0", lambda: similarity_residual(_one, _one, _one, 1.0, 0.0, GEOM),
+    ("similarity_residual theta' = 0",
+     lambda: similarity_residual(_one, _one, _one, 1.0, 0.0, geom()),
      DomainError, "similarity residual needs theta' != 0"),
-    ("stretch epsilon nan", lambda: stretch(make_point(1.0, 1.0, REF), 0.5, NAN, REF),
+    ("stretch epsilon nan", lambda: stretch(make_point(1.0, 1.0, ref()), 0.5, NAN, ref()),
      DomainError, "stretching needs epsilon > 0"),
-    ("stretch epsilon inf", lambda: stretch(make_point(1.0, 1.0, REF), 0.5, INF, REF),
+    ("stretch epsilon inf", lambda: stretch(make_point(1.0, 1.0, ref()), 0.5, INF, ref()),
      DomainError, "stretching needs a finite epsilon"),
     # (xi - kappa0)/epsilon overflows: this returned r' = inf
-    ("stretch r' overflows", lambda: stretch(make_point(10.0, 1.0, REF), 0.5, 1e-320, REF),
+    ("stretch r' overflows", lambda: stretch(make_point(10.0, 1.0, ref()), 0.5, 1e-320, ref()),
      DomainError, "stretched point leaves the float range at epsilon=1e-320"),
     ("busemann_variable < 0", lambda: busemann_variable(-0.1),
      DomainError, "xi/kappa0 must lie in [0, 1]"),
     ("busemann_variable nan", lambda: busemann_variable(NAN),
      DomainError, "xi/kappa0 must lie in [0, 1]"),
-    ("density_pde_residual h <= 0", lambda: density_pde_residual(_one, 0.5 * K0, 1.0, 0.0, REF),
+    ("density_pde_residual h <= 0",
+     lambda: density_pde_residual(_one, 0.5 * ref().kappa0, 1.0, 0.0, ref()),
      DomainError, "step must be positive"),
-    ("density_pde_residual xi = kappa0", lambda: density_pde_residual(_one, K0, 1.0, 1e-3, REF),
+    ("density_pde_residual xi = kappa0",
+     lambda: density_pde_residual(_one, ref().kappa0, 1.0, 1e-3, ref()),
      DomainError, "residual stencil needs an interior radius"),
     ("transport_residual r <= 0", lambda: transport_residual(_one, 0.0, 0.0, 0.1, GAS),
      DomainError, "transport residual needs r > 0"),
@@ -108,26 +122,27 @@ CASES = [
      DomainError, "phase root leaves the float range"),
     # ahead of the front the profile never reaches psi_root: these returned a state
     ("rarefaction_profile epsilon < 0",
-     lambda: rarefaction_profile(5.0, 1.0, BETA_FAN, ALPHA, -1.0, GAS, REF, STATE2),
+     lambda: rarefaction_profile(5.0, 1.0, BETA_FAN, ALPHA, -1.0, GAS, ref(), STATE2),
      DomainError, "shock strength must be nonnegative and finite, got epsilon=-1.0"),
     ("rarefaction_profile epsilon inf",
-     lambda: rarefaction_profile(5.0, 1.0, BETA_FAN, ALPHA, INF, GAS, REF, STATE2),
+     lambda: rarefaction_profile(5.0, 1.0, BETA_FAN, ALPHA, INF, GAS, ref(), STATE2),
      DomainError, "shock strength must be nonnegative and finite, got epsilon=inf"),
     ("rarefaction_profile t < 0",
-     lambda: rarefaction_profile(5.0, -1.0, BETA_FAN, ALPHA, 0.1, GAS, REF, STATE2),
+     lambda: rarefaction_profile(5.0, -1.0, BETA_FAN, ALPHA, 0.1, GAS, ref(), STATE2),
      DomainError, "rarefaction profile needs t > 0"),
     ("rarefaction_profile t nan",
-     lambda: rarefaction_profile(5.0, NAN, BETA_FAN, ALPHA, 0.1, GAS, REF, STATE2),
+     lambda: rarefaction_profile(5.0, NAN, BETA_FAN, ALPHA, 0.1, GAS, ref(), STATE2),
      DomainError, "rarefaction profile needs t > 0"),
     ("rarefaction_profile r inf",
-     lambda: rarefaction_profile(INF, 1.0, BETA_FAN, ALPHA, 0.1, GAS, REF, STATE2),
+     lambda: rarefaction_profile(INF, 1.0, BETA_FAN, ALPHA, 0.1, GAS, ref(), STATE2),
      DomainError, "phase root needs a finite r, got inf"),
     # these returned the uniform state without looking at the gas
     ("rarefaction_profile gas ahead of the front",
-     lambda: rarefaction_profile(10.0, 1.0, BETA_FAN, ALPHA, 0.1, GasModel(0.5, 2.0), REF, STATE2),
+     lambda: rarefaction_profile(10.0, 1.0, BETA_FAN, ALPHA, 0.1, GasModel(0.5, 2.0), ref(),
+                                 STATE2),
      DomainError, "gamma must exceed 1, got 0.5"),
     ("rarefaction_profile gas at epsilon = 0",
-     lambda: rarefaction_profile(0.5, 1.0, BETA_FAN, ALPHA, 0.0, GasModel(NAN), REF, STATE2),
+     lambda: rarefaction_profile(0.5, 1.0, BETA_FAN, ALPHA, 0.0, GasModel(NAN), ref(), STATE2),
      DomainError, "gamma must exceed 1, got nan"),
     ("gradient_jump r <= 0", lambda: gradient_jump(0.0, GAS, 1.0),
      DomainError, "gradient jump needs r > 0"),
@@ -137,13 +152,13 @@ CASES = [
      DomainError, "gradient jump needs rho0 > 0"),
     ("gradient_jump rho0 inf", lambda: gradient_jump(1.0, GAS, INF),
      DomainError, "gradient jump needs a finite rho0"),
-    ("shock_locus t < 0", lambda: shock_locus(-1.0, BETA_SHOCK, ALPHA, 0.1, GAS, REF),
+    ("shock_locus t < 0", lambda: shock_locus(-1.0, BETA_SHOCK, ALPHA, 0.1, GAS, ref()),
      DomainError, "shock locus needs t > 0"),
-    ("shock_locus t nan", lambda: shock_locus(NAN, BETA_SHOCK, ALPHA, 0.1, GAS, REF),
+    ("shock_locus t nan", lambda: shock_locus(NAN, BETA_SHOCK, ALPHA, 0.1, GAS, ref()),
      DomainError, "shock locus needs t > 0"),
-    ("shock_locus epsilon < 0", lambda: shock_locus(1.0, BETA_SHOCK, ALPHA, -1.0, GAS, REF),
+    ("shock_locus epsilon < 0", lambda: shock_locus(1.0, BETA_SHOCK, ALPHA, -1.0, GAS, ref()),
      DomainError, "shock strength must be nonnegative and finite, got epsilon=-1.0"),
-    ("shock_locus epsilon inf", lambda: shock_locus(1.0, BETA_SHOCK, ALPHA, INF, GAS, REF),
+    ("shock_locus epsilon inf", lambda: shock_locus(1.0, BETA_SHOCK, ALPHA, INF, GAS, ref()),
      DomainError, "shock strength must be nonnegative and finite, got epsilon=inf"),
     ("shock_strength epsilon < 0", lambda: shock_strength(BETA_SHOCK, ALPHA, -1.0, GAS),
      DomainError, "shock strength must be nonnegative and finite, got epsilon=-1.0"),
@@ -160,6 +175,15 @@ CASES = [
      DomainError, "tan_sq_phi_i must be nonnegative"),
     ("F_eval tan^2 inf", lambda: F_eval(1.1, INF, GAS),
      DomainError, "tan_sq_phi_i must be nonnegative and finite"),
+    # check_reference's positivity test must reject a zero of either sign
+    ("reference_constants rho0 = 0", lambda: reference_constants(0.0, 1.0, GAS),
+     DomainError, "reference density and pressure must be positive"),
+    ("reference_constants rho0 = -0", lambda: reference_constants(-0.0, 1.0, GAS),
+     DomainError, "reference density and pressure must be positive"),
+    ("reference_constants p0 = 0", lambda: reference_constants(1.0, 0.0, GAS),
+     DomainError, "reference density and pressure must be positive"),
+    ("reference_constants p0 = -0", lambda: reference_constants(1.0, -0.0, GAS),
+     DomainError, "reference density and pressure must be positive"),
     ("sound_speed density <= 0", lambda: sound_speed(ThermoState(0.0, 1.0), GAS),
      DomainError, "density must be positive"),
     ("sound_speed density nan", lambda: sound_speed(ThermoState(NAN, 1.0), GAS),
@@ -169,7 +193,7 @@ CASES = [
     ("thermo_eval density nan", lambda: thermo_eval(ThermoState(NAN, 1.0), GAS),
      DomainError, "density must be positive"),
     # these returned a point with a NaN angle, nan or (beta = inf) raised a bare ValueError
-    ("make_point theta nan", lambda: make_point(1.0, NAN, REF),
+    ("make_point theta nan", lambda: make_point(1.0, NAN, ref()),
      DomainError, "a point needs a finite theta, got nan"),
     ("tan_phi_r_branches tan nan", lambda: tan_phi_r_branches(1.2, NAN, GAS),
      DomainError, "reflected angle needs a finite tan_phi_i, got nan"),
@@ -204,56 +228,56 @@ def test_public_input_check(call, error, prefix):
     assert str(info.value).startswith(prefix), str(info.value)
 
 
-# one valid call of every public function that takes a float: each float argument in turn
-# is replaced by NaN, inf and -inf, and each of these must raise a DomainError
+# the arguments of one valid call of every public function that takes a float: each float
+# argument in turn is replaced by NaN, inf and -inf, and each of these must raise a DomainError
 NON_FINITE_TARGETS = {
     # geometry
-    "incident_locus": (1.0, REF),
-    "make_point": (1.0, 1.0, REF),
-    "reflected_line": (1.0, ALPHA, REF),
-    "region_classify": (OUTSIDE, ALPHA, REF),
+    "incident_locus": lambda: (1.0, ref()),
+    "make_point": lambda: (1.0, 1.0, ref()),
+    "reflected_line": lambda: (1.0, ALPHA, ref()),
+    "region_classify": lambda: (outside(), ALPHA, ref()),
     # inner_singular
-    "expansion_fan": (-1.0, 1.0, GEOM),
-    "inner_geometry": (GAS, REF, 0.1),
-    "inner_rh_residual": (GEOM, 0.5, 1.0, 2.0, 0.1),
-    "reflected_shock_locus": (0.5, GEOM),
-    "shock_loci": (0.5, -1.0, GEOM),
-    "similarity_residual": (_one, _one, _one, 1.0, 1.3, GEOM),
-    "stretch": (OUTSIDE, 0.5, 0.1, REF),
+    "expansion_fan": lambda: (-1.0, 1.0, geom()),
+    "inner_geometry": lambda: (GAS, ref(), 0.1),
+    "inner_rh_residual": lambda: (geom(), 0.5, 1.0, 2.0, 0.1),
+    "reflected_shock_locus": lambda: (0.5, geom()),
+    "shock_loci": lambda: (0.5, -1.0, geom()),
+    "similarity_residual": lambda: (_one, _one, _one, 1.0, 1.3, geom()),
+    "stretch": lambda: (outside(), 0.5, 0.1, ref()),
     # linear_acoustics
-    "busemann_variable": (0.5,),
-    "corner_exponent": (ALPHA,),
-    "density_pde_residual": (_one, 0.5 * K0, 1.0, 1e-3, REF),
-    "diffracted_density": (INSIDE, ALPHA, REF),
-    "diffracted_density_xi": (0.5, 1.0, ALPHA, REF),
-    "first_order_piecewise": (OUTSIDE, ALPHA, REF),
-    "interior_density": (0.5, 0.3, 0.6),
-    "near_front_coefficient": (ALPHA + BETA_FAN, ALPHA),
-    "state1_expansion": (1.0, GAS, REF),
-    "state2_expansion": (1.0, ALPHA, REF),
+    "busemann_variable": lambda: (0.5,),
+    "corner_exponent": lambda: (ALPHA,),
+    "density_pde_residual": lambda: (_one, 0.5 * ref().kappa0, 1.0, 1e-3, ref()),
+    "diffracted_density": lambda: (make_point(0.5 * ref().a0, ALPHA + 0.2, ref()), ALPHA, ref()),
+    "diffracted_density_xi": lambda: (0.5, 1.0, ALPHA, ref()),
+    "first_order_piecewise": lambda: (outside(), ALPHA, ref()),
+    "interior_density": lambda: (0.5, 0.3, 0.6),
+    "near_front_coefficient": lambda: (ALPHA + BETA_FAN, ALPHA),
+    "state1_expansion": lambda: (1.0, GAS, ref()),
+    "state2_expansion": lambda: (1.0, ALPHA, ref()),
     # nonlinear_front; r = 0.5 lies behind the front at t = 1
-    "c_beta": (BETA_SHOCK, ALPHA),
-    "classify_front": (BETA_SHOCK, ALPHA),
-    "gradient_jump": (1.0, GAS, 1.0),
-    "psi_root": (1.0, 1.0, -0.5, 0.1, GAS),
-    "rarefaction_profile": (0.5, 1.0, BETA_FAN, ALPHA, 0.1, GAS, REF, STATE2),
-    "shock_locus": (1.0, BETA_SHOCK, ALPHA, 0.1, GAS, REF),
-    "shock_strength": (BETA_SHOCK, ALPHA, 0.1, GAS),
-    "transport_residual": (_one, 1.0, 0.0, 0.1, GAS),
+    "c_beta": lambda: (BETA_SHOCK, ALPHA),
+    "classify_front": lambda: (BETA_SHOCK, ALPHA),
+    "gradient_jump": lambda: (1.0, GAS, 1.0),
+    "psi_root": lambda: (1.0, 1.0, -0.5, 0.1, GAS),
+    "rarefaction_profile": lambda: (0.5, 1.0, BETA_FAN, ALPHA, 0.1, GAS, ref(), STATE2),
+    "shock_locus": lambda: (1.0, BETA_SHOCK, ALPHA, 0.1, GAS, ref()),
+    "shock_strength": lambda: (BETA_SHOCK, ALPHA, 0.1, GAS),
+    "transport_residual": lambda: (_one, 1.0, 0.0, 0.1, GAS),
     # regular_reflection; tan(phi_i) = 2 is above the detachment angle
-    "F_eval": (1.1, 0.5, GAS),
-    "beta_r_from_angles": (1.2, 2.0, -0.5, GAS),
-    "criterion": (1.2, GAS),
-    "cubic_coefficients": (1.2, GAS),
-    "solve_regular_reflection": (IncidentShockInput(1.2, 1.2), 0.3, GAS),
-    "tan_phi_r_branches": (1.2, 2.0, GAS),
+    "F_eval": lambda: (1.1, 0.5, GAS),
+    "beta_r_from_angles": lambda: (1.2, 2.0, -0.5, GAS),
+    "criterion": lambda: (1.2, GAS),
+    "cubic_coefficients": lambda: (1.2, GAS),
+    "solve_regular_reflection": lambda: (IncidentShockInput(1.2, 1.2), 0.3, GAS),
+    "tan_phi_r_branches": lambda: (1.2, 2.0, GAS),
     # shock_relations
-    "admissible_beta_bounds": (GAS, 1.2),
-    "normal_incident_state": (1.2, GAS, REF),
+    "admissible_beta_bounds": lambda: (GAS, 1.2),
+    "normal_incident_state": lambda: (1.2, GAS, ref()),
     # thermo
-    "reference_constants": (1.0, 1.0, GAS),
-    "sound_speed": (ThermoState(1.0, 1.0), GAS, 1.0),
-    "thermo_eval": (ThermoState(1.0, 1.0), GAS, 1.0),
+    "reference_constants": lambda: (1.0, 1.0, GAS),
+    "sound_speed": lambda: (ThermoState(1.0, 1.0), GAS, 1.0),
+    "thermo_eval": lambda: (ThermoState(1.0, 1.0), GAS, 1.0),
 }
 
 #: public float-taking functions without a row, each with the reason (none at present)
@@ -278,7 +302,7 @@ def test_every_public_float_function_has_a_row():
 def test_public_function_rejects_non_finite_floats(name):
     # before, a NaN ray gave C = nan and the kind "shock", a NaN theta made a point, and
     # tan_phi_r_branches, interior_density and reflected_shock_locus returned nan
-    function, args = getattr(vdwshock, name), NON_FINITE_TARGETS[name]
+    function, args = getattr(vdwshock, name), NON_FINITE_TARGETS[name]()
     bound = inspect.signature(function).bind(*args).arguments
     assert all(type(bound.get(p)) is float for p in _float_parameters(function))  # all swept
     function(*args)  # the valid call goes through
@@ -300,36 +324,39 @@ def test_public_function_rejects_non_finite_floats(name):
 
 # one valid call of each public function that reads float fields of a record: each field it
 # reads is replaced in turn by NaN, inf and -inf, and each must raise a DomainError naming it
-EIGEN = (SelfSimilarPoint(1.0, 1.0, 1.0), PseudoFlowState(0.5, 0.0, 1.0))
-LINEAR = (InnerPoint(-1.0, 0.5, None), REF)
-REFLECTED = (InnerPoint(-1.0, 0.5, -1.0), GEOM, "reflected")
-DIFFRACTED = (InnerPoint(-1.0, 0.5, -1.0), GEOM, "diffracted")
+RECORD_ARGS = {  # the arguments of each valid call below
+    "eigen": lambda: (SelfSimilarPoint(1.0, 1.0, 1.0), PseudoFlowState(0.5, 0.0, 1.0)),
+    "linear": lambda: (InnerPoint(-1.0, 0.5, None), ref()),
+    "reflected": lambda: (InnerPoint(-1.0, 0.5, -1.0), geom(), "reflected"),
+    "diffracted": lambda: (InnerPoint(-1.0, 0.5, -1.0), geom(), "diffracted"),
+}
 RECORD_FIELDS = {
-    # id: (function, args, position of the record, field, the message's first words)
-    "eigenvalues_and_type zeta": (eigenvalues_and_type, EIGEN, 0, "zeta", "eigenvalue analysis"),
-    "eigenvalues_and_type U": (eigenvalues_and_type, EIGEN, 1, "U", "eigenvalue analysis"),
-    "eigenvalues_and_type V": (eigenvalues_and_type, EIGEN, 1, "V", "eigenvalue analysis"),
-    "eigenvalues_and_type a": (eigenvalues_and_type, EIGEN, 1, "a", "eigenvalue analysis"),
-    "inner_linear r_prime": (inner_linear, LINEAR, 0, "r_prime", "inner linear field"),
-    "inner_linear theta_prime": (inner_linear, LINEAR, 0, "theta_prime", "inner linear field"),
+    # id: (function, its RECORD_ARGS, position of the record, field, the message's first words)
+    "eigenvalues_and_type zeta": (eigenvalues_and_type, "eigen", 0, "zeta", "eigenvalue analysis"),
+    "eigenvalues_and_type U": (eigenvalues_and_type, "eigen", 1, "U", "eigenvalue analysis"),
+    "eigenvalues_and_type V": (eigenvalues_and_type, "eigen", 1, "V", "eigenvalue analysis"),
+    "eigenvalues_and_type a": (eigenvalues_and_type, "eigen", 1, "a", "eigenvalue analysis"),
+    "inner_linear r_prime": (inner_linear, "linear", 0, "r_prime", "inner linear field"),
+    "inner_linear theta_prime": (inner_linear, "linear", 0, "theta_prime", "inner linear field"),
     "inner_weak_solution reflected r_prime":
-        (inner_weak_solution, REFLECTED, 0, "r_prime", "inner weak solution"),
+        (inner_weak_solution, "reflected", 0, "r_prime", "inner weak solution"),
     "inner_weak_solution reflected theta_prime":
-        (inner_weak_solution, REFLECTED, 0, "theta_prime", "inner weak solution"),
+        (inner_weak_solution, "reflected", 0, "theta_prime", "inner weak solution"),
     "inner_weak_solution diffracted r_prime":
-        (inner_weak_solution, DIFFRACTED, 0, "r_prime", "inner weak solution"),
+        (inner_weak_solution, "diffracted", 0, "r_prime", "inner weak solution"),
     "inner_weak_solution diffracted theta_prime":
-        (inner_weak_solution, DIFFRACTED, 0, "theta_prime", "inner weak solution"),
+        (inner_weak_solution, "diffracted", 0, "theta_prime", "inner weak solution"),
     "inner_weak_solution diffracted eta":
-        (inner_weak_solution, DIFFRACTED, 0, "eta", "inner weak solution"),
+        (inner_weak_solution, "diffracted", 0, "eta", "inner weak solution"),
 }
 
 
-@pytest.mark.parametrize("function, args, position, field, where", RECORD_FIELDS.values(),
+@pytest.mark.parametrize("function, kind, position, field, where", RECORD_FIELDS.values(),
                          ids=RECORD_FIELDS)
-def test_record_field_rejects_non_finite(function, args, position, field, where):
+def test_record_field_rejects_non_finite(function, kind, position, field, where):
     # before, eigenvalues_and_type with a NaN U returned (nan, None, None, "sonic"), inner_linear
     # with a NaN r' returned nan and inner_weak_solution with a NaN r' returned 2.0
+    args = RECORD_ARGS[kind]()
     function(*args)  # the valid call goes through
     wrong = []
     for bad in (NAN, INF, -INF):

@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vdwshock import checks
 from vdwshock.errors import DomainError, RegionError, SingularityError
 from vdwshock.geometry import make_point, reflected_line
 from vdwshock.linear_acoustics import (
@@ -168,23 +169,6 @@ class TestDiffractionFrame:
         assert 0.0 < busemann_variable(0.5) < 1.0
 
 
-def ideal_reference_density(sigma, theta, alpha):
-    # independent zero-covolume evaluation used for the reduction check
-    mu = 0.5 * math.pi / (math.pi - alpha)
-    s = sigma / (1.0 + math.sqrt(max(0.0, 1.0 - sigma * sigma)))
-    sm = s**mu
-    beta = theta - alpha
-    t1 = atan_zero_pi(
-        (1.0 - sm * sm) * math.cos(mu * math.pi),
-        -(1.0 + sm * sm) * math.sin(mu * math.pi) + 2.0 * sm * math.cos(mu * beta),
-    )
-    t2 = atan_zero_pi(
-        -(1.0 - sm * sm) * math.cos(mu * math.pi),
-        (1.0 + sm * sm) * math.sin(mu * math.pi) + 2.0 * sm * math.cos(mu * beta),
-    )
-    return 1.0 + (t1 + t2) / math.pi
-
-
 class TestDiffractedDensity:
     def test_center_limit(self, ideal_ref):
         s = 1e-8
@@ -267,7 +251,7 @@ class TestDiffractedDensity:
         for sigma in (0.1, 0.4, 0.8, 0.99):
             for theta in (ALPHA + 0.1, 1.5, 2.5, 3.0):
                 ours = diffracted_density_xi(sigma, theta, ALPHA, ideal_ref).rho1
-                assert ours == ideal_reference_density(sigma, theta, ALPHA)
+                assert ours == checks._ideal_gas_density(sigma, theta, ALPHA)  # the gate's oracle
 
     def test_matches_piecewise_on_arc_away_from_merge(self, covolume_ref):
         s = 1.0 - 1e-6

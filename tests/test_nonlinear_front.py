@@ -83,12 +83,13 @@ def test_range_error_comes_before_the_side(call, ray, ideal_gas):
 
 
 _GAS = GasModel(1.4, 0.3)
-_REF = reference_constants(1.0, 1.0, _GAS)
 RAY_CALLS = [
-    ("shock_locus", lambda: shock_locus(1.0, 1.5 * ALPHA, ALPHA, 0.1, _GAS, _REF)),
+    ("shock_locus",
+     lambda: shock_locus(1.0, 1.5 * ALPHA, ALPHA, 0.1, _GAS, reference_constants(1.0, 1.0, _GAS))),
     ("shock_strength", lambda: shock_strength(1.5 * ALPHA, ALPHA, 0.1, _GAS)),
     ("rarefaction_profile_behind_front",
-     lambda: rarefaction_profile(0.5, 1.0, ALPHA / 2.0, ALPHA, 0.1, _GAS, _REF, (0.5, 0.2, 0.1))),
+     lambda: rarefaction_profile(0.5, 1.0, ALPHA / 2.0, ALPHA, 0.1, _GAS,
+                                 reference_constants(1.0, 1.0, _GAS), (0.5, 0.2, 0.1))),
     ("render_front", lambda: render_front(RunConfig())),
 ]
 

@@ -20,7 +20,7 @@ EXEMPT = {
     # perfbench/tracing.py names them, so they go only with a change to the benchmark
     "beta_r_from_angles": "traced by perfbench: the reflected density ratio of two shock angles",
     "criterion": "traced by perfbench: the checked detachment report; the criterion command "
-                 "runs its unchecked body _criterion",
+                 "and the gate read the same one-column _threshold_row entry unchecked",
     "cubic_coefficients": "traced by perfbench: the threshold cubic's coefficients h0..h3, m, n",
     "interior_density": "traced by perfbench: the diffracted density inside the subsonic disk",
     "positive_root": "traced by perfbench; the single-cubic reference of _threshold_row and "

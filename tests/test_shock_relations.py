@@ -234,13 +234,15 @@ class TestSolveAgainstPrimitiveOracle:
 
 
 SLACK_GAS = GasModel(1.4, 0.1)
-SLACK_UPPER = admissible_beta_bounds(SLACK_GAS)[1]
-SLACK_UPPER_R = admissible_beta_bounds(SLACK_GAS, beta_i=1.5)[1]
 IN_SLACK = 1.0 + 1e-12
 # at exactly its bound this gas's pressure-ratio denominator rounds to a tiny
 # positive number instead of 0
 ROUNDING_GAS = GasModel(2.0, 0.2)
-ROUNDING_UPPER = admissible_beta_bounds(ROUNDING_GAS)[1]
+
+
+def upper(gas, beta_i=None):
+    """The band's upper bound, worked out when a test runs: an incident one, or a reflected one."""
+    return admissible_beta_bounds(gas, beta_i=beta_i)[1]
 
 
 class TestSlackBand:
@@ -248,27 +250,27 @@ class TestSlackBand:
     slackened admissibility check but have no positive pressure ratio."""
 
     def test_inside_the_slackened_band(self):
-        assert _within(SLACK_UPPER * IN_SLACK, SLACK_UPPER)
-        assert _within(SLACK_UPPER_R * IN_SLACK, SLACK_UPPER_R)
-        assert _within(ROUNDING_UPPER, ROUNDING_UPPER)
+        assert _within(upper(SLACK_GAS) * IN_SLACK, upper(SLACK_GAS))
+        assert _within(upper(SLACK_GAS, 1.5) * IN_SLACK, upper(SLACK_GAS, 1.5))
+        assert _within(upper(ROUNDING_GAS), upper(ROUNDING_GAS))
 
     @pytest.mark.parametrize(
         "call",
         [
-            lambda: _jump(SLACK_UPPER * IN_SLACK, math.tan(0.5), 1.4, 0.1),
-            lambda: _jump(SLACK_UPPER_R * IN_SLACK, math.tan(0.5), 1.4, 0.1 * 1.5),
-            lambda: _jump(ROUNDING_UPPER, math.tan(0.5), 2.0, 0.2),
+            lambda: _jump(upper(SLACK_GAS) * IN_SLACK, math.tan(0.5), 1.4, 0.1),
+            lambda: _jump(upper(SLACK_GAS, 1.5) * IN_SLACK, math.tan(0.5), 1.4, 0.1 * 1.5),
+            lambda: _jump(upper(ROUNDING_GAS), math.tan(0.5), 2.0, 0.2),
             lambda: normal_incident_state(
-                SLACK_UPPER * IN_SLACK, SLACK_GAS, reference_constants(1.0, 1.0, SLACK_GAS)
+                upper(SLACK_GAS) * IN_SLACK, SLACK_GAS, reference_constants(1.0, 1.0, SLACK_GAS)
             ),
             lambda: normal_incident_state(
-                ROUNDING_UPPER, ROUNDING_GAS, reference_constants(1.0, 1.0, ROUNDING_GAS)
+                upper(ROUNDING_GAS), ROUNDING_GAS, reference_constants(1.0, 1.0, ROUNDING_GAS)
             ),
             lambda: solve_regular_reflection(
-                IncidentShockInput(SLACK_UPPER, 1.2), 0.5, SLACK_GAS
+                IncidentShockInput(upper(SLACK_GAS), 1.2), 0.5, SLACK_GAS
             ),
             lambda: solve_regular_reflection(
-                IncidentShockInput(SLACK_UPPER * IN_SLACK, 1.2), 0.5, SLACK_GAS
+                IncidentShockInput(upper(SLACK_GAS) * IN_SLACK, 1.2), 0.5, SLACK_GAS
             ),
         ],
         ids=["incident", "reflected", "incident_at_bound", "normal", "normal_at_bound",

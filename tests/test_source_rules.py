@@ -15,15 +15,20 @@ self-test that plants a violation:
   in ``checks._fold``;
 - only ``config`` writes out the default grids, the fixture's axes;
 - no module binds a name of ``math`` but ``math`` itself, so a run that swaps a
-  module's global ``math`` for higher-precision functions reaches every call.
+  module's global ``math`` for higher-precision functions reaches every call;
+- no test module calls a ``vdwshock`` function while it is imported, so a fault
+  in the library fails its tests one by one instead of their collection.
 """
 
 import ast
+import functools
 import hashlib
+import inspect
 from pathlib import Path
 
 import pytest
 
+import vdwshock
 from vdwshock.config import RunConfig
 from vdwshock.table_fixture import FIXTURE_BETA, FIXTURE_BTILDE, fixture_value
 
@@ -286,3 +291,63 @@ def test_the_check_sees_a_math_import():
 @pytest.mark.parametrize("tree", SOURCES.values(), ids=list(SOURCES))
 def test_module_reaches_math_through_its_global(tree):
     assert math_imports(tree) == []
+
+
+def import_time_calls(tree):
+    """[(line, path)] of the vdwshock functions a module calls while it is imported.
+
+    What runs is its body (class bodies, decorators and defaults included) and the
+    body of each of its undecorated functions that this code calls.  Building a record,
+    or calling a method of a value such as ``cli.__doc__.split``, is no such call.
+    """
+    bound = {"vdwshock": "vdwshock"}  # name -> the vdwshock path it is bound to
+    bound.update((alias.asname or alias.name, f"{node.module}.{alias.name}") for node in tree.body
+                 if isinstance(node, ast.ImportFrom) and node.module.startswith("vdwshock")
+                 for alias in node.names)
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and not node.decorator_list}
+    calls, stack = [], list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):  # its body runs only when called
+            stack += [*getattr(node, "decorator_list", []), *node.args.defaults,
+                      *filter(None, node.args.kw_defaults)]
+            continue
+        stack += ast.iter_child_nodes(node)
+        if isinstance(node, ast.Call) and (path := _spelled_path(node.func, bound)):
+            obj = functools.reduce(getattr, path.split(".")[1:], vdwshock)
+            if inspect.isfunction(obj) and obj.__module__.startswith("vdwshock"):
+                calls.append((node.lineno, path))
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in functions:
+            stack += functions.pop(node.func.id).body
+    return sorted(calls)
+
+
+def _spelled_path(node, bound):
+    """The vdwshock path that a Name or an Attribute chain spells, else None."""
+    if isinstance(node, ast.Attribute):
+        base = _spelled_path(node.value, bound)
+        return base and f"{base}.{node.attr}"
+    return bound.get(node.id) if isinstance(node, ast.Name) else None
+
+
+def test_the_check_sees_an_import_time_call():
+    source = ("import pytest\nimport vdwshock\nfrom vdwshock import checks\n"
+              "from vdwshock.thermo import GasModel, reference_constants as rc\n"
+              "def grid(gas=vdwshock.GasModel(1.2)._replace(btilde=0.1)):\n"
+              "    return checks._ideal_gas_density(0.5, 1.0, 0.5), lambda: rc(1.0, 1.0, gas)\n"
+              "@pytest.fixture\ndef deferred():\n    return rc(2.0, 1.0, GasModel(1.4))\n"
+              "GRID, REF = [*grid(), grid()], rc(1.0, 1.0, GasModel(1.4))\n"
+              "class TestCase:\n"
+              "    @pytest.mark.parametrize('y', [vdwshock.corner_exponent(0.5)])\n"
+              "    def test(self, y, z=checks._fold(0.0, 1.0)):\n"
+              "        assert vdwshock.criterion(1.2, GasModel(1.4)) and deferred()\n")
+    assert import_time_calls(ast.parse(source)) == [
+        (6, "vdwshock.checks._ideal_gas_density"), (10, "vdwshock.thermo.reference_constants"),
+        (12, "vdwshock.corner_exponent"), (13, "vdwshock.checks._fold")]
+
+
+@pytest.mark.parametrize("tree", TESTS.values(), ids=list(TESTS))
+def test_module_calls_no_library_function_on_import(tree):
+    # a library fault would stop the module's collection, hiding which of its tests it breaks
+    assert import_time_calls(tree) == []

@@ -1,5 +1,4 @@
 import math
-import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,7 +8,6 @@ from vdwshock.regular_reflection import criterion
 from vdwshock.thermo import (
     GasModel,
     ThermoState,
-    _a0_kappa0,
     reference_constants,
     sound_speed,
     thermo_eval,
@@ -168,92 +166,3 @@ class TestReferenceConstants:
         ref = reference_constants(rho0, p0, GasModel(1.4, btilde))
         want = math.sqrt(1.4) * math.sqrt(p0) / math.sqrt(rho0) / math.sqrt(1.0 - btilde)
         assert ref.a0 == pytest.approx(want, rel=1e-12)
-
-
-def former_reference_constants(rho0, p0, gas):
-    """reference_constants as one function, before its (a0, kappa0) kernel was split out.
-
-    Returns (a0, kappa0, c0, fallback), fallback telling whether a0 came from
-    the root of each factor.
-    """
-    validate_gas(gas)
-    if rho0 <= 0.0 or p0 <= 0.0:
-        raise DomainError("reference density and pressure must be positive")
-    if not (math.isfinite(rho0) and math.isfinite(p0)):
-        raise DomainError(f"reference density and pressure must be finite, got {rho0}, {p0}")
-    den = rho0 * (1.0 - gas.btilde)
-    a0 = math.sqrt(gas.gamma * p0 / den) if den > 0.0 else 0.0
-    fallback = not 0.0 < a0 < math.inf
-    if fallback:
-        a0 = math.sqrt(gas.gamma) * (math.sqrt(p0) / math.sqrt(rho0)) / math.sqrt(1.0 - gas.btilde)
-    try:
-        kappa0 = (1.0 - gas.btilde) ** (-(gas.gamma + 1.0) / 2.0)
-    except OverflowError:
-        kappa0 = math.inf
-    if not (0.0 < a0 < math.inf and kappa0 < math.inf):
-        raise DomainError(
-            f"reference constants a0, kappa0 leave the float range at gamma={gas.gamma}, "
-            f"btilde={gas.btilde}, rho0={rho0}, p0={p0}"
-        )
-    return a0, kappa0, a0 / kappa0, fallback
-
-
-def outcome(fn, *args):
-    """The floats fn returns, in float.hex, or the type and text of what it raises."""
-    try:
-        return [x.hex() for x in fn(*args) if isinstance(x, float)]
-    except DomainError as exc:
-        return [type(exc).__name__, str(exc)]
-
-
-EXTREMES = (5e-324, 1e-310, 1e-300, 1.0, 1e300, 1.7976931348623157e308)
-
-
-def draw(rng):
-    """A seeded (gamma, btilde, rho0, p0), mostly valid, reaching every branch."""
-    gamma = 1.0 + 10.0 ** rng.uniform(-12.0, 4.0)
-    btilde = rng.random() if rng.random() < 0.5 else 1.0 - 10.0 ** rng.uniform(-16.0, -0.1)
-    rho0, p0 = (10.0 ** rng.uniform(-300.0, 300.0) if rng.random() < 0.8 else rng.choice(EXTREMES)
-                for _ in range(2))
-    if rng.random() < 0.05:  # an invalid value for reference_constants to reject
-        bad = rng.choice([1.0, 0.5, math.nan, math.inf, -1.0, 0.0])
-        values = [gamma, btilde, rho0, p0]
-        values[rng.randrange(4)] = bad
-        gamma, btilde, rho0, p0 = values
-    return gamma, btilde, rho0, p0
-
-
-class TestReferenceKernel:
-    # reference_constants validates and then calls _a0_kappa0, which the front
-    # sweep calls alone per row; both must give the former floats and texts
-    CORNERS = [
-        (1.4, 0.0, 1e300, 1e-300),  # the fallback root of each factor
-        (5000.0, 0.28571142857142856, 1.0, 1.0),  # kappa0 overflows in a late front row
-        (1.4, 0.0, 5e-324, 1.7976931348623157e308),  # a0 itself overflows
-    ]
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_kernel_matches_the_former_function(self, seed):
-        rng = random.Random(7100 + seed)
-        draws = [draw(rng) for _ in range(3000)] + self.CORNERS
-        seen = {"fallback": 0, "range": 0, "invalid": 0}
-        for g, bt, rho0, p0 in draws:
-            want = outcome(former_reference_constants, rho0, p0, GasModel(g, bt))
-            # the ReferenceState's a0, kappa0 and c0
-            got = outcome(lambda *a: reference_constants(*a)[2:], rho0, p0, GasModel(g, bt))
-            assert got == want
-            try:
-                validate_gas(GasModel(g, bt))
-                valid = 0.0 < rho0 < math.inf and 0.0 < p0 < math.inf
-            except DomainError:
-                valid = False
-            if not valid:
-                seen["invalid"] += 1
-                continue
-            if want[0] == "DomainError":
-                seen["range"] += 1
-                assert outcome(_a0_kappa0, g, bt, rho0, p0) == want
-            else:
-                seen["fallback"] += former_reference_constants(rho0, p0, GasModel(g, bt))[3]
-                assert outcome(_a0_kappa0, g, bt, rho0, p0) == want[:2]
-        assert min(seen.values()) >= 10, seen

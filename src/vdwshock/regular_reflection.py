@@ -11,8 +11,11 @@ and the root from it.  _coeffs and positive_root are the single-cubic API and
 the kernel's reference.  Both the kernel and positive_root take the
 closed-form root from its one home, _depressed_root.  The kernel is the one
 home of the O(1) root certificate and hands each cell it cannot accept to
-positive_root, whose one path always cross-checks that root by the bisection
+positive_root, whose one path always cross-checks that root by
 _bisection_root, so a failed root's messages live only there.
+_bisection_root closes a sign-change bracket to adjacent floats by guarded
+Newton, nextafter steps and halving; where the cubic's float sign changes
+once on the bracket, that is the float halving alone returns.
 
 Public functions validate (gamma, btilde, beta_i) once and then call the
 unchecked private kernels, which take the validated scalars directly.  Each
@@ -214,11 +217,18 @@ def cubic_coefficients(beta_i: float, gas: GasModel) -> CubicForm:
 
 
 def _bisection_root(cubic: tuple[float, ...]) -> float:
-    """Unique positive zero by sign-change bisection, independent of radicals."""
+    """Unique positive zero without radicals: 0.5*(lo + hi) of adjacent floats, p(lo) <= 0 < p(hi).
+
+    Doubling hi from 1, then halving lo = hi/2, brackets the Horner sign change.  Guarded
+    Newton from hi moves the bracket end of each iterate's sign (a zero or non-finite
+    derivative takes the midpoint) until an iterate leaves the open bracket; up to two
+    math.nextafter steps from the last iterate, then halving, close the bracket.  Where
+    p's float sign changes once on the bracket, the pair is unique: halving's own float.
+    """
     h0, h1, h2, h3, _m, _n = cubic
     hi = 1.0
     for _ in range(400):
-        if ((h3 * hi + h2) * hi + h1) * hi + h0 > 0.0:
+        if (p := ((h3 * hi + h2) * hi + h1) * hi + h0) > 0.0:
             break
         hi *= 2.0
     else:  # pragma: no cover - coefficients guarantee growth
@@ -226,6 +236,25 @@ def _bisection_root(cubic: tuple[float, ...]) -> float:
     lo = hi / 2.0
     while lo > 0.0 and ((h3 * lo + h2) * lo + h1) * lo + h0 > 0.0:
         lo /= 2.0
+    x = hi
+    for _ in range(100):
+        d = (3.0 * h3 * x + 2.0 * h2) * x + h1
+        x_new = x - p / d if 0.0 < abs(d) < math.inf else 0.5 * (lo + hi)
+        if not lo < x_new < hi:
+            break
+        x = x_new
+        if (p := ((h3 * x + h2) * x + h1) * x + h0) > 0.0:
+            hi = x
+        else:
+            lo = x
+    for _ in range(2):  # Newton can stall one ulp short of the sign change
+        x = math.nextafter(x, lo if x == hi else hi)
+        if not lo < x < hi:
+            break
+        if ((h3 * x + h2) * x + h1) * x + h0 > 0.0:
+            hi = x
+        else:
+            lo = x
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
@@ -260,12 +289,13 @@ def _depressed_root(m: float, n: float) -> float:
 
 
 def positive_root(cubic: tuple[float, ...]) -> float:
-    """Unique positive zero of the threshold cubic: closed form, always cross-checked by bisection.
+    """Unique positive zero of the threshold cubic: closed form, always cross-checked.
 
     The closed-form root _depressed_root, shifted back to X, must be finite,
-    agree with the independent bisection _bisection_root to ROOT_AGREEMENT
-    (16 ulps of the root from |x| = 2**15 on), and leave a residual within
-    1e-9 of the cubic's scale.
+    agree with the independent sign-change root _bisection_root (guarded
+    Newton, then halving, to adjacent floats: plain halving's float wherever
+    the Horner sign changes once) to ROOT_AGREEMENT (16 ulps of the root from
+    |x| = 2**15 on), and leave a residual within 1e-9 of the cubic's scale.
     """
     h0, h1, h2, h3, m, n = cubic
     x = _depressed_root(m, n) - h2 / (3.0 * h3)

@@ -146,7 +146,7 @@ def _a0_kappa0(g: float, bt: float, rho0: float, p0: float) -> tuple[float, floa
         kappa0 = (1.0 - bt) ** (-(g + 1.0) / 2.0)
     except OverflowError:
         kappa0 = math.inf
-    if not (0.0 < a0 < math.inf and kappa0 < math.inf):
+    if not (a0 < math.inf and kappa0 < math.inf):
         raise DomainError(f"reference constants a0, kappa0 leave the float range at gamma={g}, "
                           f"btilde={bt}, rho0={rho0}, p0={p0}")
     return a0, kappa0

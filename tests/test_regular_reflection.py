@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from vdwshock import regular_reflection
 from vdwshock.errors import (
@@ -29,9 +29,12 @@ from vdwshock.regular_reflection import (
     _threshold_columns,
     _threshold_row,
 )
-from vdwshock.shock_relations import IncidentShockInput, admissible_beta_bounds
+from vdwshock.config import RunConfig
+from vdwshock.shock_relations import IncidentShockInput, _within, admissible_beta_bounds, beta_upper
 from vdwshock.table_fixture import FIXTURE_BETA, FIXTURE_BTILDE, fixture_is_blank
 from vdwshock.thermo import GasModel
+
+from test_threshold_clamps import admissible_cells as config_cells, gate_configs
 
 
 def admissible_cells():
@@ -315,6 +318,79 @@ class TestRootCertificate:
         x = positive_root(c)
         assert x > 7e19 and len(calls) == 1
         assert ROOT_AGREEMENT < abs(x - _bisection_root(c)) <= 16.0 * math.ulp(x)
+
+
+def adjacent_sign_change(cubic, x):
+    """x is 0.5*(lo + hi) of adjacent floats lo < hi with Horner p(lo) <= 0 < p(hi)."""
+    for lo in (math.nextafter(x, -math.inf), x):
+        hi = math.nextafter(lo, math.inf)
+        if 0.5 * (lo + hi) == x and cubic_value(cubic, lo) <= 0.0 < cubic_value(cubic, hi):
+            return True
+    return False
+
+
+def config_cubics(configs):
+    """_coeffs of every admissible cell of the configs."""
+    return [_coeffs(b, g, bt) for cfg in configs for b, g, bt in config_cells(cfg)]
+
+
+def gate_cubics():
+    """The reference cubics of the gate's 648 cells."""
+    return config_cubics(cfg for _name, cfg in gate_configs())
+
+
+class CountedH0(float):
+    """An h0 that counts Horner values: each ends in `... + h0`, one __radd__ call."""
+
+    count = 0
+
+    def __radd__(self, other):
+        self.count += 1
+        return other + float(self)
+
+
+class TestSignChangeRoot:
+    # _bisection_root closes a sign-change bracket to adjacent floats by guarded
+    # Newton, nextafter steps and halving; the exact root of the printed
+    # cubic in Fraction arithmetic is the reference, independent of its path
+    def assert_exact(self, cubic):
+        x = _bisection_root(cubic)
+        assert adjacent_sign_change(cubic, x), (cubic, x)
+        assert within_ulps_of_the_exact_root(cubic, x, 4), (cubic, x)
+
+    def test_gate_and_default_table_roots_are_exact(self):
+        cubics = gate_cubics() + config_cubics([RunConfig()])
+        assert len(cubics) == 648 + 101
+        for cubic in cubics:
+            self.assert_exact(cubic)
+
+    @given(g=st.floats(1.0001, 10.0), bt=st.floats(0.0, 0.999), frac=st.floats(0.0, 1.0))
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_sampled_admissible_roots_are_exact(self, g, bt, frac):
+        upper = beta_upper(g, bt)
+        b = 1.0 + (upper - 1.0) * frac
+        assume(_within(b, upper))
+        self.assert_exact(_coeffs(b, g, bt))
+
+    @pytest.mark.parametrize("cubic", [(-12.0, 18.0, -7.5, 1.0, 0.0, 0.0),
+                                       (-1e308, 0.0, 0.0, 1e308, 0.0, 0.0)],
+                             ids=["vanishing", "overflowing"])
+    def test_bad_derivative_takes_a_halving_step(self, cubic):
+        # the bracket is [1, 2] and Newton starts at 2, where p'(2) = 0 exactly for
+        # x^3 - 7.5x^2 + 18x - 12 and 3*h3*x overflows for 1e308*(x^3 - 1); the
+        # midpoint replaces that step, with no exception and plain halving's float
+        x = _bisection_root(cubic)
+        assert x == bisect_cubic(cubic, 1.0, 2.0)
+        self.assert_exact(cubic)
+
+    def test_gate_roots_take_at_most_25_evaluations_on_average(self):
+        # plain halving to adjacent floats took 57.6 Horner values per gate root
+        counts = []
+        for cubic in gate_cubics():
+            h0 = CountedH0(cubic[0])
+            assert _bisection_root((h0, *cubic[1:])) == _bisection_root(cubic)
+            counts.append(h0.count)
+        assert len(counts) == 648 and sum(counts) / len(counts) <= 25.0
 
 
 class TestOneCubicType:

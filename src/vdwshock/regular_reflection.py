@@ -5,17 +5,16 @@ unique positive root fixes the threshold J = (x*-1)/beta_i that the squared
 tangent of the incidence angle must reach for a regular reflection to exist.
 The production path is the row kernel _threshold_row: one call per beta_i row
 gives each btilde column None or its cell (h0..h3, m, n, x*, J, phi*), writing
-the band test, cubic, certificate, residual test and J clamp out in place.
+the band test, cubic, closed-form root, certificate and J clamp out in place.
 criterion, the table renderer and the gate read admission, the printed cubic
-and the root from it.  _coeffs and positive_root are the single-cubic API and
-the kernel's reference.  Both the kernel and positive_root take the
-closed-form root from its one home, _depressed_root.  The kernel is the one
-home of the O(1) root certificate and hands each cell it cannot accept to
-positive_root, whose one path always cross-checks that root by
-_bisection_root, so a failed root's messages live only there.
-_bisection_root closes a sign-change bracket to adjacent floats by guarded
-Newton, nextafter steps and halving; where the cubic's float sign changes
-once on the bracket, that is the float halving alone returns.
+and the root from it.  _coeffs and positive_root are the single-cubic API.
+The kernel alone takes the closed-form root from its one home,
+_depressed_root, and is the one home of the O(1) root certificate; each cell
+it cannot certify goes to positive_root, the sign-change root _bisection_root
+of the finite cubic.  _bisection_root closes a sign-change bracket to
+adjacent floats by guarded Newton, nextafter steps and halving; where the
+cubic's float sign changes once on the bracket, that is the float halving
+alone returns.
 
 Public functions validate (gamma, btilde, beta_i) once and then call the
 unchecked private kernels, which take the validated scalars directly.  Each
@@ -45,7 +44,7 @@ from .shock_relations import (
 )
 from .thermo import GasModel, check_finite, validate_gas
 
-#: closed-form root vs bisection agreement required before a root is accepted
+#: half-width of the certificate's sign bracket about the closed-form root, below |x| = 2**15
 ROOT_AGREEMENT = 1e-10
 
 
@@ -217,25 +216,27 @@ def cubic_coefficients(beta_i: float, gas: GasModel) -> CubicForm:
 
 
 def _bisection_root(cubic: tuple[float, ...]) -> float:
-    """Unique positive zero without radicals: 0.5*(lo + hi) of adjacent floats, p(lo) <= 0 < p(hi).
+    """Positive zero without radicals: 0.5*(lo + hi) of adjacent floats, p(lo) <= 0 < p(hi).
 
-    Doubling hi from 1, then halving lo = hi/2, brackets the Horner sign change.  Guarded
-    Newton from hi moves the bracket end of each iterate's sign (a zero or non-finite
-    derivative takes the midpoint) until an iterate leaves the open bracket; up to two
-    math.nextafter steps from the last iterate, then halving, close the bracket.  Where
-    p's float sign changes once on the bracket, the pair is unique: halving's own float.
+    Doubling hi from 1, then halving lo = hi/2, brackets the Horner sign change; a cubic
+    that stays <= 0 up to hi = 2**1023, or > 0 down to the least subnormal, has no
+    positive float root (DomainError).  Guarded Newton from hi moves the bracket end of each iterate's
+    sign (a zero or non-finite derivative takes the midpoint) until an iterate leaves the
+    open bracket; up to two math.nextafter steps from the last iterate, then halving,
+    close the bracket.  Where p's float sign changes once on the bracket, the pair is
+    unique: halving's own float.
     """
     h0, h1, h2, h3, _m, _n = cubic
     hi = 1.0
-    for _ in range(400):
-        if (p := ((h3 * hi + h2) * hi + h1) * hi + h0) > 0.0:
-            break
+    while not (p := ((h3 * hi + h2) * hi + h1) * hi + h0) > 0.0:
         hi *= 2.0
-    else:  # pragma: no cover - coefficients guarantee growth
-        raise InternalInconsistencyError("cubic does not become positive")
+        if hi == math.inf:
+            raise DomainError("cubic has no positive root")
     lo = hi / 2.0
     while lo > 0.0 and ((h3 * lo + h2) * lo + h1) * lo + h0 > 0.0:
         lo /= 2.0
+    if lo == 0.0:
+        raise DomainError("cubic has no positive root")
     x = hi
     for _ in range(100):
         d = (3.0 * h3 * x + 2.0 * h2) * x + h1
@@ -289,34 +290,17 @@ def _depressed_root(m: float, n: float) -> float:
 
 
 def positive_root(cubic: tuple[float, ...]) -> float:
-    """Unique positive zero of the threshold cubic: closed form, always cross-checked.
+    """Positive zero of the threshold cubic by the sign-change root _bisection_root.
 
-    The closed-form root _depressed_root, shifted back to X, must be finite,
-    agree with the independent sign-change root _bisection_root (guarded
-    Newton, then halving, to adjacent floats: plain halving's float wherever
-    the Horner sign changes once) to ROOT_AGREEMENT (16 ulps of the root from
-    |x| = 2**15 on), and leave a residual within 1e-9 of the cubic's scale.
+    All six entries must be finite (m and n too, which criterion prints).  The
+    root is guarded Newton, then halving, to adjacent floats: plain halving's
+    float wherever the Horner sign changes once on the bracket.  Of several
+    positive roots it takes one in the bracket found, not always the largest;
+    a cubic with no positive root is a DomainError.
     """
-    h0, h1, h2, h3, m, n = cubic
-    x = _depressed_root(m, n) - h2 / (3.0 * h3)
-    if not all(map(math.isfinite, (h0, h1, h2, h3, m, n, x))):
+    if not all(map(math.isfinite, cubic)):
         raise OverflowError("threshold cubic or its root is not finite")
-    # ROOT_AGREEMENT, or 16 ulps where that is wider (from |x| = 2**15 on): from about 5e5
-    # on, 1e-10 is below one ulp of x, and weak shocks in a dense gas reach x* ~ 7e6
-    ax = abs(x)
-    tol = ROOT_AGREEMENT if ax < 32768.0 else 16.0 * math.ulp(x)
-    x_bisect = _bisection_root(cubic)
-    if abs(x - x_bisect) > tol:
-        raise InternalInconsistencyError(
-            f"cubic root methods disagree: closed-form {x} vs bisection {x_bisect}"
-        )
-    residual = ((h3 * x + h2) * x + h1) * x + h0
-    scale = abs(h3) * (1.0 if ax < 1.0 else ax) ** 3  # max(ax, 1.0)
-    if abs(residual) > 1e-9 * scale:
-        raise InternalInconsistencyError(
-            f"cubic root residual {residual} exceeds tolerance at x={x}"
-        )
-    return x
+    return _bisection_root(cubic)
 
 
 def _threshold_columns(g: float, btildes) -> list[tuple[float, float, float, float]]:
@@ -337,11 +321,12 @@ def _threshold_row(b: float, g: float, columns: list[tuple[float, float, float, 
     solved, the root, the threshold and the critical angle.  columns comes from
     _threshold_columns(g, btildes) of a valid gas, and b is finite; a column
     admits b when BAND_LOW <= b <= its band top (the test of _within).  Each
-    admissible cell writes out, in their float order, _coeffs' expressions,
-    positive_root's root x, width tol and residual test, and J = max(0, (x* - 1)/b).
+    admissible cell writes out, in their float order, _coeffs' expressions, the
+    closed-form root x = _depressed_root(m, n) - h2/(3*h3), and J = max(0, (x* - 1)/b).
 
-    This is the one home of the O(1) root certificate, which accepts the
-    closed-form root x without a bisection.  One sign change in (h3, h2, h1,
+    This is the one home of the closed-form root's O(1) certificate: the
+    bracket half-width tol (ROOT_AGREEMENT, or 16 ulps of x from |x| = 2**15
+    on), the sign bracket and a residual test.  One sign change in (h3, h2, h1,
     h0), zeros skipped (h3 > 0, h0 not positive, some coefficient negative, no
     negative h2 before a positive h1), means exactly one positive root
     (Descartes' rule of signs), with the cubic negative below it and positive
@@ -349,10 +334,10 @@ def _threshold_row(b: float, g: float, columns: list[tuple[float, float, float, 
     x - tol <= 0) and > 0 at x + tol, then pins that root within tol of x, to
     the rounding of the Horner value that the bisection relies on too; no NaN
     coefficient or root passes.  A certified cell that passes the residual
-    test calls no vdwshock function but _depressed_root; any other cell goes
-    to positive_root, looked up as a module global, which cross-checks by
-    bisection and keeps every message.  A float overflow, a NaN discriminant
-    or a covolume fraction btilde*b that rounds to 1 is _cubic_error's error.
+    test calls no vdwshock function but _depressed_root; any other cell takes
+    x* = positive_root(cubic), looked up as a module global, the sign-change
+    root.  A float overflow, a NaN discriminant or a covolume fraction
+    btilde*b that rounds to 1 is _cubic_error's error.
     """
     if not b >= BAND_LOW:
         return [None] * len(columns)

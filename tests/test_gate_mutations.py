@@ -283,19 +283,18 @@ def test_kill_matrix_is_pinned(matrix):
     assert {mutant for mutant, kill in KILLS.items() if not kill} == set(SURVIVORS)
 
 
-def disagreeing_roots(func):
-    # the threshold row kernel as it ends when a cell's two root methods disagree
+def inconsistent_rows(func):
+    # the threshold row kernel as it ends when a cell fails an internal consistency test
     def mutant(*args):
         func(*args)
-        raise InternalInconsistencyError("cubic root methods disagree: closed-form 2.0 vs "
-                                         "bisection 3.0")
+        raise InternalInconsistencyError("row kernel poisoned after its last cell")
     return mutant
 
 
 def test_check_command_reports_a_kernel_that_raises(capsys):
     # the threshold row kernel raises in the table build and in three checks; the
     # command still prints the whole report
-    with mutated("_threshold_row", disagreeing_roots):
+    with mutated("_threshold_row", inconsistent_rows):
         code = cli.main(["check"])
     out, err = capsys.readouterr()
     assert (code, err) == (3, "")
@@ -307,7 +306,7 @@ def test_check_command_reports_a_kernel_that_raises(capsys):
     for entry in raised.values():
         assert (entry["status"], entry["residual"], entry["tolerance"]) == (checks.FAIL, None, None)
         assert entry["note"].startswith(
-            "raised InternalInconsistencyError: cubic root methods disagree"), entry
+            "raised InternalInconsistencyError: row kernel poisoned"), entry
 
 
 def test_a_failed_table_build_fails_both_table_checks(monkeypatch, unmutated):

@@ -23,8 +23,8 @@ EXEMPT = {
                  "and the gate read the same one-column _threshold_row entry unchecked",
     "cubic_coefficients": "traced by perfbench: the threshold cubic's coefficients h0..h3, m, n",
     "interior_density": "traced by perfbench: the diffracted density inside the subsonic disk",
-    "positive_root": "traced by perfbench; the single-cubic reference of _threshold_row and "
-                     "its fallback for a cell the certificate does not accept",
+    "positive_root": "traced by perfbench: the sign-change root of one cubic, which "
+                     "_threshold_row takes for a cell its certificate does not accept",
     # candidate gate oracles for the kernels that the gate does not yet see
     "admissible_beta_bounds": "oracle candidate for beta_upper and _within at the band's ends",
     "eigenvalues_and_type": "oracle candidate for the flow type on either side of each locus",

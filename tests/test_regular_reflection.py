@@ -10,7 +10,6 @@ from vdwshock.errors import (
     AdmissibilityError,
     DetachmentError,
     DomainError,
-    InternalInconsistencyError,
 )
 from vdwshock.regular_reflection import (
     ROOT_AGREEMENT,
@@ -25,6 +24,7 @@ from vdwshock.regular_reflection import (
     _beta_r_of,
     _bisection_root,
     _coeffs,
+    _depressed_root,
     _tan_delta_r,
     _threshold_columns,
     _threshold_row,
@@ -62,6 +62,11 @@ def dense_cells(g):
         for k in range(1, 25):
             cells += _threshold_row(1.0 + (upper - 1.0) * k / 24, g, columns)
     return cells
+
+
+def closed_form_root(cubic):
+    """The kernel's closed-form root: _depressed_root(m, n) shifted back to X."""
+    return _depressed_root(cubic[4], cubic[5]) - cubic[2] / (3.0 * cubic[3])
 
 
 def cubic_value(cubic, x):
@@ -185,10 +190,11 @@ class TestPositiveRoot:
         assert x == pytest.approx(1.770482384099424, rel=1e-12)
 
     def test_three_real_root_regime_matches_bisection(self):
-        # interior cells fall in the negative-discriminant (cosine) regime
+        # interior cells fall in the negative-discriminant (cosine) regime of the
+        # kernel's closed form
         c = cubic_coefficients(3.0, GasModel(5.0 / 3.0, 0.1))
         assert c.n * c.n / 4.0 + c.m ** 3 / 27.0 < 0.0
-        assert positive_root(c) == pytest.approx(bisect_cubic(c, 1e-9, 64.0), abs=1e-10)
+        assert closed_form_root(c) == pytest.approx(bisect_cubic(c, 1e-9, 64.0), abs=1e-10)
 
     def test_radical_regime_matches_bisection(self):
         # synthetic coefficients with the admissible sign pattern but a
@@ -199,7 +205,7 @@ class TestPositiveRoot:
         n = b0 - b1 * b2 / 3.0 + 2.0 * b2 ** 3 / 27.0
         assert n * n / 4.0 + m ** 3 / 27.0 > 0.0
         c = CubicForm(h0, h1, h2, h3, m, n)
-        assert positive_root(c) == pytest.approx(bisect_cubic(c, 1e-9, 64.0), abs=1e-10)
+        assert closed_form_root(c) == pytest.approx(bisect_cubic(c, 1e-9, 64.0), abs=1e-10)
 
     def test_degenerate_factorized_root(self, covolume_gas):
         # at beta = 1 the constant and linear coefficients drop out and the
@@ -226,13 +232,6 @@ class TestPositiveRoot:
         # X**3 - 2X - 4 has the root X = 2, which no NaN constant may certify
         with pytest.raises(OverflowError, match="threshold cubic or its root is not finite"):
             positive_root(CubicForm(-4.0, -2.0, 0.0, h3, m, n))
-
-    def test_method_disagreement_reported(self):
-        # poisoned depressed constants must trip the cross-check, not pass
-        c = cubic_coefficients(1.2, GasModel(1.4, 0.0))
-        bad = CubicForm(c.h0, c.h1, c.h2, c.h3, c.m, c.n + 0.5)
-        with pytest.raises(InternalInconsistencyError):
-            positive_root(bad)
 
 
 class TestRootCertificate:
@@ -265,59 +264,41 @@ class TestRootCertificate:
             c = cubic_coefficients(beta, GasModel(g, bt))
             assert within_ulps_of_the_exact_root(c, positive_root(c), 4), (beta, bt, g)
 
-    def test_positive_root_always_cross_checks(self, monkeypatch):
-        # positive_root has one path: a cubic the kernel certifies still gets
-        # exactly one bisection per call
-        calls = []
+    def test_positive_root_is_the_sign_change_root(self):
+        for beta, bt, g in admissible_cells():
+            c = cubic_coefficients(beta, GasModel(g, bt))
+            assert positive_root(c).hex() == _bisection_root(c).hex(), (beta, bt, g)
 
-        def spy(cubic):
-            calls.append(cubic)
-            return _bisection_root(cubic)
-
-        monkeypatch.setattr(regular_reflection, "_bisection_root", spy)
-        cubics = [cubic_coefficients(beta, GasModel(g, bt)) for beta, bt, g in admissible_cells()]
-        for c in cubics:
-            positive_root(c)
-        assert calls == cubics
-
-    def test_three_sign_changes_take_the_fallback(self, monkeypatch):
+    def test_several_positive_roots_give_one_of_them(self):
         # (X-1)(X-2)(X-3) has three sign changes and (X+1)(X-1)(X-3) two, with
-        # h0 > 0; both have several positive roots, so Descartes' rule
-        # certifies nothing and the bisection cross-check must run
-        calls = []
-
-        def spy(cubic):
-            calls.append(cubic)
-            return _bisection_root(cubic)
-
-        monkeypatch.setattr(regular_reflection, "_bisection_root", spy)
+        # h0 > 0; Descartes' rule certifies nothing, and the bracket that
+        # doubling from 1 finds holds the root 3
         for h0, h1, h2, h3 in ((-6.0, 11.0, -6.0, 1.0), (3.0, -1.0, -3.0, 1.0)):
             m = h1 - h2 * h2 / 3.0
             n = h0 - h1 * h2 / 3.0 + 2.0 * h2 ** 3 / 27.0
             x = positive_root(CubicForm(h0, h1, h2, h3, m, n))
             assert x == pytest.approx(3.0, abs=1e-12)
-        assert len(calls) == 2
 
     def test_large_root_agreement_is_ulp_aware(self, monkeypatch):
-        # at x* ~ 7.3e6 an absolute 1e-10 is below one ulp; the methods agree
-        # to a few ulps and the certificate accepts that
-        c = cubic_coefficients(1.0000000000001, GasModel(2.0, 0.9999999999999))
-        x = positive_root(c)
-        assert x > 7e6
-        assert abs(x - _bisection_root(c)) <= 16.0 * math.ulp(x)
-        # at x* ~ 7.4e19 the sign bracket fails, and the fallback accepts a
-        # bisection root 16 ulps (about 1.3e5) away
-        c = cubic_coefficients(2.639596502525662, GasModel(1.0000000002338196, 0.378845781470042))
+        # at x* ~ 7.3e6 an absolute 1e-10 is below one ulp; the certificate's
+        # bracket is 16 ulps wide there and accepts the closed form, a few ulps
+        # from the sign-change root
         calls = []
 
         def spy(cubic):
             calls.append(cubic)
-            return _bisection_root(cubic)
+            return positive_root(cubic)
 
-        monkeypatch.setattr(regular_reflection, "_bisection_root", spy)
-        x = positive_root(c)
-        assert x > 7e19 and len(calls) == 1
-        assert ROOT_AGREEMENT < abs(x - _bisection_root(c)) <= 16.0 * math.ulp(x)
+        monkeypatch.setattr(regular_reflection, "positive_root", spy)
+        rep = criterion(1.0000000000001, GasModel(2.0, 0.9999999999999))
+        assert rep.x_star > 7e6 and calls == []
+        assert abs(rep.x_star - _bisection_root(rep.cubic)) <= 16.0 * math.ulp(rep.x_star)
+        # at x* ~ 7.4e19 the sign bracket fails, and the kernel prints the
+        # sign-change root, within 4 ulps of the printed cubic's exact root
+        rep = criterion(2.639596502525662, GasModel(1.0000000002338196, 0.378845781470042))
+        assert rep.x_star > 7e19 and calls == [tuple(rep.cubic)]
+        assert rep.x_star == _bisection_root(rep.cubic)
+        assert within_ulps_of_the_exact_root(rep.cubic, rep.x_star, 4)
 
 
 def adjacent_sign_change(cubic, x):
@@ -382,6 +363,16 @@ class TestSignChangeRoot:
         x = _bisection_root(cubic)
         assert x == bisect_cubic(cubic, 1.0, 2.0)
         self.assert_exact(cubic)
+
+    @pytest.mark.parametrize("cubic", [(1.0, 1.0, 1.0, 1.0, 0.0, 0.0),
+                                       (-1.0, 0.0, 0.0, -1.0, 0.0, 0.0)],
+                             ids=["positive-down-to-zero", "never-positive"])
+    def test_no_positive_root_is_a_domain_error(self, cubic):
+        # X^3 + X^2 + X + 1 stays > 0 as lo halves down to 0; -X^3 - 1 stays < 0
+        # as hi doubles up to 2**1023
+        for root in (_bisection_root, positive_root):
+            with pytest.raises(DomainError, match="^cubic has no positive root$"):
+                root(cubic)
 
     def test_gate_roots_take_at_most_25_evaluations_on_average(self):
         # plain halving to adjacent floats took 57.6 Horner values per gate root

@@ -11,8 +11,8 @@ self-test that plants a violation:
   so a change of the slack moves every band test at once;
 - the root certificate's sign rule is written only in ``_threshold_row``, the
   closed-form root (a cube root ``** (1.0 / 3.0)`` or an ``acos`` call) only in
-  ``_depressed_root``, and the NaN-keeping fold test, with ``>`` or ``<``, only
-  in ``checks._fold``;
+  ``_depressed_root``, which only ``_threshold_row`` calls, and the NaN-keeping
+  fold test, with ``>`` or ``<``, only in ``checks._fold``;
 - only ``config`` writes out the default grids, the fixture's axes;
 - no module binds a name of ``math`` but ``math`` itself, so a run that swaps a
   module's global ``math`` for higher-precision functions reaches every call;
@@ -181,7 +181,10 @@ def _is_nan_keeping_fold(node):
 
 
 def occurrences(tree):
-    """[(clause, module-level function, line)] of the sign rule, closed-form root and fold test."""
+    """[(clause, module-level function, line)] of the sign rule, closed-form root and fold test.
+
+    A call of _depressed_root, bare or as an attribute, is a "closed-form call".
+    """
     found = []
     for statement in tree.body:
         where = getattr(statement, "name", "<module>")
@@ -192,6 +195,8 @@ def occurrences(tree):
                 found.append(("nan-keeping fold", where, node.lineno))
             elif _is_closed_form_root(node):
                 found.append(("closed-form root", where, node.lineno))
+            elif isinstance(node, ast.Call) and _spelled(node.func) == "_depressed_root":
+                found.append(("closed-form call", where, node.lineno))
     return found
 
 
@@ -207,21 +212,25 @@ def test_the_check_sees_each_clause():
               "SEEN = abs(x) > w or abs(x) != abs(x)\n"
               "def root(u, arg):\n"
               "    y = abs(u) ** (1.0 / 3.0) + cos(acos(arg) / 3.0)\n"
-              "    return y + u ** (1 / 3) + math.acos(u)\n")
+              "    return y + u ** (1 / 3) + math.acos(u)\n"
+              "X = _depressed_root(m, n) - rr._depressed_root(m, n) + depressed_root(m)\n")
     assert occurrences(ast.parse(source)) == [
         ("sign rule", "kernel", 2), ("nan-keeping fold", "fold", 4),
         ("nan-keeping fold", "fold", 6), ("nan-keeping fold", "<module>", 9),
         ("closed-form root", "root", 11), ("closed-form root", "root", 12),
-        ("closed-form root", "root", 11)]
+        ("closed-form root", "root", 11), ("closed-form call", "<module>", 13),
+        ("closed-form call", "<module>", 13)]
 
 
 def test_certificate_and_fold_each_have_one_home():
-    # positive_root cross-checks by bisection; it and the kernel shift the root of
-    # _depressed_root (two cube roots, one acos); each check collects its values and folds once
+    # only the kernel takes the closed-form root, _depressed_root (two cube roots, one
+    # acos); positive_root is the sign-change root; each check collects its values and
+    # folds once
     found = [(clause, name, where) for name, places in found_in_package(occurrences).items()
              for clause, where, _line in places]
     closed_form = ("closed-form root", "regular_reflection.py", "_depressed_root")
-    assert sorted(found) == [closed_form, closed_form, closed_form,
+    assert sorted(found) == [("closed-form call", "regular_reflection.py", "_threshold_row"),
+                             closed_form, closed_form, closed_form,
                              ("nan-keeping fold", "checks.py", "_fold"),
                              ("sign rule", "regular_reflection.py", "_threshold_row")]
 

@@ -102,9 +102,9 @@ def test_band_edges_reach_both_sides():
 
 def test_bisection_fallback_keeps_the_bytes(monkeypatch):
     # the admissible cells with beta_i <= 1 (the band's low end) have h1 > 0,
-    # so Descartes' rule certifies nothing and bisection cross-checks them;
-    # they must still print the closed-form root's bytes, and every admissible
-    # cell's bisection root lies within the agreement width of its root
+    # so Descartes' rule certifies nothing and they take the sign-change root;
+    # the grid prints the pointwise bytes, and every admissible cell's
+    # sign-change root lies within the certificate's width of its root
     cfgs = [parse_config(None, random_grids(random.Random(100 + s))) for s in range(4)]
     calls = []
 
@@ -130,18 +130,20 @@ def test_bisection_fallback_keeps_the_bytes(monkeypatch):
 
 
 def test_poisoned_kernel_raises_like_pointwise(monkeypatch, capsys):
-    # a bisection one unit off must trip the root cross-check of the cell that falls back
-    # (beta_i just below 1 has h1 > 0, so the certificate refuses it) in the grid exactly
+    # a sign-change root that raises must fail the cell that falls back (beta_i
+    # just below 1 has h1 > 0, so the certificate refuses it) in the grid exactly
     # as it does in criterion() and on the command line
-    bisection = regular_reflection._bisection_root
-    monkeypatch.setattr(regular_reflection, "_bisection_root", lambda cubic: bisection(cubic) + 1.0)
+    def poisoned(cubic):
+        raise InternalInconsistencyError(f"poisoned sign-change root of {cubic}")
+
+    monkeypatch.setattr(regular_reflection, "_bisection_root", poisoned)
     grid = {"gamma": 1.4, "beta_grid": [1.5, 1.0 - 1e-13], "btilde_grid": [0.0, 0.3]}
     cfg = parse_config(None, grid)
     with pytest.raises(InternalInconsistencyError) as grid_exc:
         render_table(cfg)
     with pytest.raises(InternalInconsistencyError) as point_exc:
         pointwise_lines(cfg)
-    assert "cubic root methods disagree" in str(grid_exc.value)
+    assert "poisoned sign-change root" in str(grid_exc.value)
     assert str(grid_exc.value) == str(point_exc.value)
     argv = ["table"]
     for key, value in grid.items():

@@ -1,19 +1,23 @@
 """The threshold row kernel gives the single-cubic API's floats; busemann_variable the builtins'.
 
 ``reference_threshold`` below is one cell through the single-cubic API:
-``positive_root(_coeffs(...))``, the one mapping of an overflow to a
+``_coeffs(...)``, its root, the one mapping of an overflow to a
 ``DomainError`` and the clamp ``max(0, (x* - 1)/beta)``, laid out as the
-kernel's cell ``(*_coeffs(...), x*, J, phi*)``; ``reference_row`` is ``None``
-where ``shock_relations._within`` rejects the column and that cell elsewhere.
-``_threshold_row`` must give its entries, the printed cubic included, bit for
-bit on every admissible cell of the default table, of the benchmark's
-``threshold_table`` inputs (seeds 0-2) and of the gate's 648, and raise its
-exception, first in row order, on a sweep of fallback and error cells.  The
-printed m and n must be the depressed form of the printed h0..h3 to within
-their rounding, and ``criterion`` and ``table`` must print the kernel's cubic
-and band without building another.  ``busemann_variable`` must return the
-float of its former builtin ``min``/``max`` form on every input it accepts,
--0.0 included.
+kernel's cell ``(*_coeffs(...), x*, J, phi*)``.  The root is
+``positive_root(cubic)`` on a cell that a spy sees the kernel hand to its
+fallback, and the closed form ``_depressed_root(m, n) - h2/(3*h3)`` on every
+other.  ``reference_row`` is ``None`` where ``shock_relations._within``
+rejects the column and that cell elsewhere.  ``_threshold_row`` must give its
+entries, the printed cubic included, bit for bit on every admissible cell of
+the default table, of the benchmark's ``threshold_table`` inputs (seeds 0-2)
+and of the gate's 648, and raise its exception, first in row order, on a
+sweep of fallback and error cells.  On every fallback cell of that sweep the
+root must be the printed cubic's largest real root, within 4 ulps, in exact
+arithmetic.  The printed m and n must be the depressed form of the printed
+h0..h3 to within their rounding, and ``criterion`` and ``table`` must print
+the kernel's cubic and band without building another.  ``busemann_variable``
+must return the float of its former builtin ``min``/``max`` form on every
+input it accepts, -0.0 included.
 """
 
 import json
@@ -26,8 +30,8 @@ import pytest
 from vdwshock import cli, regular_reflection, reports
 from vdwshock.config import RunConfig, parse_config
 from vdwshock.linear_acoustics import busemann_variable
-from vdwshock.regular_reflection import (CubicForm, _coeffs, _cubic_error, _threshold_columns,
-                                         _threshold_row, positive_root)
+from vdwshock.regular_reflection import (CubicForm, _coeffs, _cubic_error, _depressed_root,
+                                         _threshold_columns, _threshold_row, positive_root)
 from vdwshock.shock_relations import ENDPOINT_SLACK, _within, beta_upper
 
 from conftest import perfbench
@@ -70,21 +74,40 @@ def hexes(values):
     return [float.hex(v) for v in values]
 
 
-def reference_threshold(b, g, bt):
-    """The cell (h0, h1, h2, h3, m, n, x*, J, phi*) of one admissible cell, single-cubic API."""
+def reference_threshold(b, g, bt, fallback):
+    """The cell (h0, h1, h2, h3, m, n, x*, J, phi*) of one admissible cell, single-cubic API.
+
+    x* is positive_root's for a cubic in fallback, else the closed form.
+    """
     try:
         cubic = _coeffs(b, g, bt)
-        x_star = positive_root(cubic)
+        h0, h1, h2, h3, m, n = cubic
+        if cubic in fallback:
+            x_star = positive_root(cubic)
+        else:
+            x_star = _depressed_root(m, n) - h2 / (3.0 * h3)
     except (OverflowError, ZeroDivisionError) as exc:
         raise _cubic_error(exc, g, bt, b) from exc
     j = max(0.0, (x_star - 1.0) / b)
     return (*cubic, x_star, j, math.atan(math.sqrt(j)))
 
 
-def reference_row(b, g, btildes):
+def reference_row(b, g, btildes, fallback):
     """One entry per column: None where _within rejects b, else the reference cell."""
-    return [reference_threshold(b, g, bt) if _within(b, beta_upper(g, bt)) else None
+    return [reference_threshold(b, g, bt, fallback) if _within(b, beta_upper(g, bt)) else None
             for bt in btildes]
+
+
+def spy_on_the_fallback(monkeypatch):
+    """The list of the cubics that the kernel hands to positive_root from here on."""
+    calls = []
+
+    def spy(cubic):
+        calls.append(cubic)
+        return positive_root(cubic)
+
+    monkeypatch.setattr(regular_reflection, "positive_root", spy)  # the kernel's fallback only
+    return calls
 
 
 def row_hexes(row):
@@ -99,24 +122,30 @@ def outcome(call):
         return type(exc).__name__, str(exc)
 
 
-def checked_cells(configs):
-    """Admissible cells of the configs, each row's kernel entries checked against the reference."""
+def checked_cells(configs, calls):
+    """Admissible cells of the configs, each row's kernel entries checked against the reference.
+
+    calls is the list of spy_on_the_fallback.
+    """
     cells = 0
     for name, cfg in configs:
         g = cfg.gamma
         columns = _threshold_columns(g, cfg.btilde_grid)
         for beta in cfg.beta_grid:
-            want = reference_row(beta, g, cfg.btilde_grid)
-            assert row_hexes(_threshold_row(beta, g, columns)) == row_hexes(want), (name, beta)
+            calls.clear()
+            got = row_hexes(_threshold_row(beta, g, columns))
+            want = reference_row(beta, g, cfg.btilde_grid, calls)
+            assert got == row_hexes(want), (name, beta)
             cells += sum(cell is not None for cell in want)
     return cells
 
 
-def test_row_kernel_matches_the_single_cubic_api_on_every_table_cell():
+def test_row_kernel_matches_the_single_cubic_api_on_every_table_cell(monkeypatch):
+    calls = spy_on_the_fallback(monkeypatch)
     default, *seeded = table_configs()
-    assert checked_cells([default]) == 101
-    assert checked_cells(seeded) > 100_000
-    assert checked_cells(gate_configs()) == 648
+    assert checked_cells([default], calls) == 101
+    assert checked_cells(seeded, calls) > 100_000
+    assert checked_cells(gate_configs(), calls) == 648
 
 
 #: unit roundoff of a float: each correctly rounded +, -, *, / errs by at most U relatively
@@ -200,31 +229,55 @@ def sweep_grid(rng):
 
 
 def test_row_kernel_raises_like_pointwise_on_fallback_and_error_cells(monkeypatch):
-    calls = []
-
-    def spy(cubic):
-        calls.append(cubic)
-        return positive_root(cubic)
-
-    monkeypatch.setattr(regular_reflection, "positive_root", spy)  # the kernel's fallback only
+    calls = spy_on_the_fallback(monkeypatch)
     kinds = set()
     fallback_rows = 0
     for seed in range(200):
         g, betas, btildes = sweep_grid(random.Random(seed))
         columns = _threshold_columns(g, btildes)
         for beta in betas:
+            calls.clear()
             got = outcome(lambda: _threshold_row(beta, g, columns))
             fallback_rows += bool(calls)
-            calls.clear()
-            assert got == outcome(lambda: reference_row(beta, g, btildes)), (seed, beta)
+            assert got == outcome(lambda: reference_row(beta, g, btildes, calls)), (seed, beta)
             if isinstance(got, tuple):
                 kinds.add((got[0], got[1].split(":")[0].split(" at ")[0]))
     assert fallback_rows > 300
     assert kinds == {
         ("DomainError", "threshold cubic overflows a float"),
         ("DomainError", "covolume fraction btilde*beta_i of state 1 reaches 1"),
-        ("InternalInconsistencyError", "cubic root methods disagree"),
     }
+
+
+def is_the_largest_root_within_ulps(cubic, x, k):
+    """In exact arithmetic, the cubic's largest real root lies within k ulps of x.
+
+    The cubic h0..h3 of the printed floats changes sign from - to + on
+    [x - k ulps, x + k ulps], and no coefficient of p(x + k ulps + y) in y is
+    negative, so by Descartes' rule of signs p has no root above that bracket.
+    """
+    h0, h1, h2, h3 = map(Fraction, cubic[:4])
+    width = k * Fraction(math.ulp(x))
+    lo, hi = Fraction(x) - width, Fraction(x) + width
+
+    def p(t):
+        return ((h3 * t + h2) * t + h1) * t + h0
+
+    return p(lo) <= 0 and min(p(hi), (3 * h3 * hi + 2 * h2) * hi + h1, 3 * h3 * hi + h2, h3) >= 0
+
+
+def test_fallback_roots_are_the_largest_exact_root(monkeypatch):
+    # the certificate refuses these cells, and the kernel prints positive_root's
+    # sign-change root (bit for bit, as above), measured within 2 ulps here
+    calls = spy_on_the_fallback(monkeypatch)
+    for seed in range(200):
+        g, betas, btildes = sweep_grid(random.Random(seed))
+        columns = _threshold_columns(g, btildes)
+        for beta in betas:
+            outcome(lambda: _threshold_row(beta, g, columns))
+    assert len(calls) > 800
+    for cubic in calls:
+        assert is_the_largest_root_within_ulps(cubic, positive_root(cubic), 4), cubic
 
 
 #: busemann_variable takes 0 <= sigma <= 1 + 1e-12: both zeros, the least subnormal,

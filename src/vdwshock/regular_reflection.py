@@ -38,6 +38,7 @@ from .shock_relations import (
     BAND_TOP,
     IncidentShockInput,
     _jump,
+    _jump_factors,
     _within,
     beta_upper,
     check_incident_beta,
@@ -89,9 +90,9 @@ class ReflectionSolution(NamedTuple):
 
 
 def _f_terms(b: float, t2: float, g: float, bt: float) -> tuple[float, float]:
-    a_coef = (g + 1.0 - 2.0 * bt) * b - (g - 1.0)
-    term1 = t2 * (1.0 + b * b * t2) ** 2 * (1.0 - bt * b) ** 2
-    term2 = (b - 1.0) * (1.0 + b * t2) * a_coef * ((g - 1.0 + 2.0 * bt * b) * b * t2 + (g + 1.0))
+    cov, a_coef, g_coef = _jump_factors(b, g, bt)
+    term1 = t2 * (1.0 + b * b * t2) ** 2 * cov ** 2
+    term2 = (b - 1.0) * (1.0 + b * t2) * a_coef * (g_coef * b * t2 + (g + 1.0))
     return term1, term2
 
 
@@ -107,13 +108,13 @@ def F_eval(beta_i: float, tan_sq_phi_i: float, gas: GasModel) -> float:
 def _beta_r_of(b: float, tan_phi_i: float, g: float, bt: float) -> Callable[[float], float]:
     """Unchecked reflected density ratio as a function of tan(phi_r).
 
-    The factors that depend only on the incident state are evaluated once.
-    Each is a subexpression that the one-piece formula evaluates first, in
-    the same order, so the result is bit-identical to it.
+    The factors that depend only on the incident state are evaluated once, g_c
+    read from _jump_factors; each is a subexpression that the one-piece formula
+    evaluates first, in the same order, so the result is bit-identical to it.
     """
     t2 = tan_phi_i * tan_phi_i
     gb = (g + 1.0) * b
-    g_coef = g - 1.0 + 2.0 * bt * b
+    g_coef = _jump_factors(b, g, bt)[2]
     bbt2 = b * b * t2
     num = (g + 1.0) * (1.0 + bbt2)
 
@@ -138,7 +139,7 @@ def _tan_delta_r(b: float, t: float, r: float, g: float, bt: float) -> float:
     t2 = t * t
     r2 = r * r
     sec2 = 1.0 + r2
-    two_cov = 2.0 * (1.0 - bt * b)
+    two_cov = 2.0 * _jump_factors(b, g, bt)[0]
     num = r * (two_cov * (b * b * t2 - r2) - (g + 1.0) * (b - 1.0) * sec2)
     den = b * (g + 1.0) * (1.0 + b * t2) * sec2 - two_cov * (b * b * t2 - r2)
     if den == 0.0:
@@ -158,9 +159,9 @@ def _branches(b: float, t: float, g: float, bt: float) -> tuple[float, float, fl
                 f"tan_phi_i={t}"
             )
     t2 = t * t
-    a_coef = (g + 1.0 - 2.0 * bt) * b - (g - 1.0)
+    cov, a_coef = _jump_factors(b, g, bt)[:2]
     den = (1.0 + b * t2) * a_coef
-    lead = -t * (1.0 + b * b * t2) * (1.0 - bt * b)
+    lead = -t * (1.0 + b * b * t2) * cov
     root = math.sqrt(f_value)
     return (lead - root) / den, (lead + root) / den, f_value
 
@@ -181,11 +182,9 @@ def tan_phi_r_branches(
 
 def _coeffs(b: float, g: float, bt: float) -> tuple[float, float, float, float, float, float]:
     """Unchecked threshold cubic as the tuple (h0, h1, h2, h3, m, n)."""
-    cov = 1.0 - bt * b
+    cov, a_coef, g_coef = _jump_factors(b, g, bt)
     bm1 = b - 1.0
     c = cov ** 2
-    a_coef = (g + 1.0 - 2.0 * bt) * b - (g - 1.0)
-    g_coef = g - 1.0 + 2.0 * bt * b
     h0 = -c * bm1 ** 2 / b
     h1 = c * bm1 * (3.0 - 1.0 / b) - 2.0 * bm1 * cov * a_coef
     h2 = -((3.0 * b - 2.0) * c + bm1 * a_coef * g_coef)
@@ -294,13 +293,20 @@ def positive_root(cubic: tuple[float, ...]) -> float:
 
     All six entries must be finite (m and n too, which criterion prints).  The
     root is guarded Newton, then halving, to adjacent floats: plain halving's
-    float wherever the Horner sign changes once on the bracket.  Of several
-    positive roots it takes one in the bracket found, not always the largest;
-    a cubic with no positive root is a DomainError.
+    float wherever the Horner sign changes once on the bracket.  A cubic with
+    no positive root is a DomainError, and so is one with a root above the one
+    found: where h3 > 0, p <= 0 at p's larger critical point c, above the root.
     """
     if not all(map(math.isfinite, cubic)):
         raise OverflowError("threshold cubic or its root is not finite")
-    return _bisection_root(cubic)
+    x = _bisection_root(cubic)
+    h0, h1, h2, h3 = cubic[:4]
+    disc = h2 * h2 - 3.0 * h3 * h1  # a quarter of the discriminant of p'(X)
+    if h3 > 0.0 and disc > 0.0:
+        c = (math.sqrt(disc) - h2) / (3.0 * h3)
+        if c > x and ((h3 * c + h2) * c + h1) * c + h0 <= 0.0:
+            raise DomainError(f"cubic has a positive root above its root {x}")
+    return x
 
 
 def _threshold_columns(g: float, btildes) -> list[tuple[float, float, float, float]]:
@@ -323,6 +329,8 @@ def _threshold_row(b: float, g: float, columns: list[tuple[float, float, float, 
     admits b when BAND_LOW <= b <= its band top (the test of _within).  Each
     admissible cell writes out, in their float order, _coeffs' expressions, the
     closed-form root x = _depressed_root(m, n) - h2/(3*h3), and J = max(0, (x* - 1)/b).
+    It splits _jump_factors' floats per column (1 - bt*b, gp*b - gm1, gm1 + two_bt*b)
+    instead of calling it, which per admissible cell would cost the table about 5%.
 
     This is the one home of the closed-form root's O(1) certificate: the
     bracket half-width tol (ROOT_AGREEMENT, or 16 ulps of x from |x| = 2**15

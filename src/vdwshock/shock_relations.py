@@ -44,6 +44,11 @@ def beta_upper(g: float, bb: float) -> float:
     return (g + 1.0) / (g - 1.0 + 2.0 * bb)
 
 
+def _jump_factors(beta: float, g: float, bb: float) -> tuple[float, float, float]:
+    """The one home of the jump's factors: 1 - bb*beta, (g+1-2*bb)*beta - (g-1), g-1 + 2*bb*beta."""
+    return 1.0 - bb * beta, (g + 1.0 - 2.0 * bb) * beta - (g - 1.0), g - 1.0 + 2.0 * bb * beta
+
+
 def _jump(beta: float, t: float, g: float, bb: float) -> tuple[float, float, float, float]:
     """Unchecked jump across a shock of density ratio beta with tan(phi) = t.
 
@@ -56,12 +61,12 @@ def _jump(beta: float, t: float, g: float, bb: float) -> tuple[float, float, flo
     den_p = (g + 1.0) - (g - 1.0 + 2.0 * bb) * beta
     if den_p <= 0.0 or not beta < beta_upper(g, bb):
         raise DomainError("pressure-ratio denominator vanishes at the admissibility bound")
+    cov, a, gc = _jump_factors(beta, g, bb)
     return (
-        ((g + 1.0 - 2.0 * bb) * beta - (g - 1.0)) / den_p,
+        a / den_p,
         (beta - 1.0) * t / (1.0 + beta * t2),
         2.0 * beta * (1.0 - bb) * (1.0 + t2) / den_p,
-        2.0 * (1.0 - bb * beta) * (1.0 + beta * beta * t2)
-        / ((g + 1.0) * beta - (g - 1.0 + 2.0 * bb * beta)),
+        2.0 * cov * (1.0 + beta * beta * t2) / ((g + 1.0) * beta - gc),
     )
 
 

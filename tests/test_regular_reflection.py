@@ -279,6 +279,15 @@ class TestRootCertificate:
             x = positive_root(CubicForm(h0, h1, h2, h3, m, n))
             assert x == pytest.approx(3.0, abs=1e-12)
 
+    def test_a_root_below_a_larger_one_is_a_domain_error(self):
+        # (X - 0.5)(X - 1.5)(X - 3): doubling from 1 stops at p(1) > 0 and brackets
+        # 0.5; p < 0 at the larger critical point (5 + sqrt(7))/3 shows the root 3
+        h0, h1, h2, h3 = -2.25, 6.75, -5.0, 1.0
+        m = h1 - h2 * h2 / 3.0
+        n = h0 - h1 * h2 / 3.0 + 2.0 * h2 ** 3 / 27.0
+        with pytest.raises(DomainError, match=r"^cubic has a positive root above its root 0\.5$"):
+            positive_root(CubicForm(h0, h1, h2, h3, m, n))
+
     def test_large_root_agreement_is_ulp_aware(self, monkeypatch):
         # at x* ~ 7.3e6 an absolute 1e-10 is below one ulp; the certificate's
         # bracket is 16 ulps wide there and accepts the closed form, a few ulps

@@ -13,6 +13,9 @@ self-test that plants a violation:
   closed-form root (a cube root ``** (1.0 / 3.0)`` or an ``acos`` call) only in
   ``_depressed_root``, which only ``_threshold_row`` calls, and the NaN-keeping
   fold test, with ``>`` or ``<``, only in ``checks._fold``;
+- within ``shock_relations`` and ``regular_reflection``, each of the jump's three
+  covolume factors is written only in its home ``_jump_factors``, but for two
+  named exceptions;
 - only ``config`` writes out the default grids, the fixture's axes;
 - no module binds a name of ``math`` but ``math`` itself, so a run that swaps a
   module's global ``math`` for higher-precision functions reaches every call;
@@ -233,6 +236,63 @@ def test_certificate_and_fold_each_have_one_home():
                              closed_form, closed_form, closed_form,
                              ("nan-keeping fold", "checks.py", "_fold"),
                              ("sign rule", "regular_reflection.py", "_threshold_row")]
+
+
+#: the jump's factors, each name ``_`` standing for any expression
+JUMP_FACTORS = {name: ast.parse(shape, mode="eval").body for name, shape in {
+    "cov": "1.0 - _ * _", "a": "(_ + 1.0 - 2.0 * _) * _ - (_ - 1.0)",
+    "g_c": "_ - 1.0 + 2.0 * _ * _"}.items()}
+
+
+def _has_shape(shape, node):
+    """node is the shape's syntax tree, with any expression where the shape names ``_``."""
+    if isinstance(shape, ast.Name) and shape.id == "_":
+        return isinstance(node, ast.expr)
+    if type(shape) is not type(node):
+        return False
+    for field in shape._fields:
+        want, got = getattr(shape, field), getattr(node, field)
+        if isinstance(want, list):
+            if len(want) != len(got) or not all(map(_has_shape, want, got)):
+                return False
+        elif not (_has_shape(want, got) if isinstance(want, ast.AST) else want == got):
+            return False
+    return True
+
+
+def factor_writings(tree):
+    """Sorted [(module-level function, factor, line)] of each writing of a jump factor."""
+    return sorted((getattr(statement, "name", "<module>"), name, node.lineno)
+                  for statement in tree.body for node in ast.walk(statement)
+                  for name, shape in JUMP_FACTORS.items() if _has_shape(shape, node))
+
+
+def test_the_check_sees_each_factor():
+    source = ("def home(beta, g, bb):\n"
+              "    return (1.0 - bb * beta, (g + 1.0 - 2.0 * bb) * beta - (g - 1.0),\n"
+              "            g - 1.0 + 2.0 * bb * beta)\n"
+              "def copy(b, g, bt, s):\n"
+              "    cov = 1.0 - bt * s.rho\n"
+              "    a = (g + 1.0 - 2.0 * bt) * b - (g - 1.0) + (g + 1.0 - 2.0 * bt) * b - g - 1.0\n"
+              "    return a * (g - 1.0 + 2.0 * (bt * b)) / (g - 1.0 + 2.0 * bt) * (1.0 - bt / b)\n"
+              "TOP = (g - 1.0 + 2.0 * bt * b) * cov\n")
+    assert factor_writings(ast.parse(source)) == [
+        ("<module>", "g_c", 8), ("copy", "a", 6), ("copy", "cov", 5),
+        ("home", "a", 2), ("home", "cov", 2), ("home", "g_c", 3)]
+
+
+def test_each_jump_factor_is_written_only_at_home():
+    found = [(module, name, factor) for module in ("regular_reflection.py", "shock_relations.py")
+             for name, factor, _line in factor_writings(SOURCES[module])]
+    assert found == [
+        # the row kernel splits each factor per column (its docstring says why), and the
+        # bit-for-bit kernel-vs-_coeffs test pins the split to the home
+        ("regular_reflection.py", "_threshold_row", "cov"),
+        # state 2's sound speed: the gas law's 1 - btilde*rho, as in thermo.sound_speed
+        ("regular_reflection.py", "solve_regular_reflection", "cov"),
+        ("shock_relations.py", "_jump_factors", "a"),
+        ("shock_relations.py", "_jump_factors", "cov"),
+        ("shock_relations.py", "_jump_factors", "g_c")]
 
 
 DEFAULT = RunConfig()

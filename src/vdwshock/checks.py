@@ -31,7 +31,7 @@ from .regular_reflection import (
     _threshold_row,
 )
 from .shock_relations import IncidentShockInput, beta_upper, check_incident_beta
-from .table_fixture import fixture_is_blank, fixture_value
+from .table_fixture import fixture_value
 from .thermo import GasModel, reference_constants, validate_gas
 
 PASS = "pass"
@@ -132,7 +132,7 @@ def check_table_trends() -> CheckResult:
     cfg = RunConfig()
     grid = _default_table(cfg)
     blank_mismatch = [(beta, bt) for beta in cfg.beta_grid for bt in cfg.btilde_grid
-                      if (grid[(beta, bt)] is None) != fixture_is_blank(beta, bt)]
+                      if (grid[(beta, bt)] is None) != (fixture_value(beta, bt) is None)]
 
     def line(cells):  # (key, J) of the admissible (key, cell) pairs
         return [(key, grid[cell][7]) for key, cell in cells if grid[cell] is not None]

@@ -43,7 +43,7 @@ from .shock_relations import (
     beta_upper,
     check_incident_beta,
 )
-from .thermo import GasModel, check_finite, validate_gas
+from .thermo import GasModel, _sound_speed, check_finite, validate_gas
 
 #: half-width of the certificate's sign bracket about the closed-form root, below |x| = 2**15
 ROOT_AGREEMENT = 1e-10
@@ -296,11 +296,14 @@ def positive_root(cubic: tuple[float, ...]) -> float:
     float wherever the Horner sign changes once on the bracket.  A cubic with
     no positive root is a DomainError, and so is one with a root above the one
     found: where h3 > 0, p <= 0 at p's larger critical point c, above the root.
+    A cubic with h3 < 0 is solved as its negation, which has the same roots.
     """
     if not all(map(math.isfinite, cubic)):
         raise OverflowError("threshold cubic or its root is not finite")
-    x = _bisection_root(cubic)
     h0, h1, h2, h3 = cubic[:4]
+    if h3 < 0.0:
+        h0, h1, h2, h3 = -h0, -h1, -h2, -h3
+    x = _bisection_root((h0, h1, h2, h3, *cubic[4:]))
     disc = h2 * h2 - 3.0 * h3 * h1  # a quarter of the discriminant of p'(X)
     if h3 > 0.0 and disc > 0.0:
         c = (math.sqrt(disc) - h2) / (3.0 * h3)
@@ -451,8 +454,8 @@ def solve_regular_reflection(
     p21, _, _, m2_sq = _jump(beta_r, minus, g, bt * b)  # state 1 has covolume bt*b
     p2 = p1 * p21
     rho2 = b * beta_r
-    a0 = math.sqrt(g / (1.0 - bt))
-    a2 = math.sqrt(g * p2 / (rho2 * (1.0 - bt * rho2)))
+    a0 = _sound_speed(g, 1.0, 1.0, bt)
+    a2 = _sound_speed(g, p2, rho2, bt * rho2)
     # flow behind the reflected shock runs along the wall; its lab speed is the
     # wall-point speed minus the pseudo-speed M2*a2
     u2 = (math.sqrt(m0_sq) * a0 - math.sqrt(m2_sq) * a2) * math.cos(alpha)

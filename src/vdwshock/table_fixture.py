@@ -56,7 +56,3 @@ def fixture_value(beta_i: float, btilde: float) -> float | None:
     if row is None or col is None:
         return None
     return row[col]
-
-
-def fixture_is_blank(beta_i: float, btilde: float) -> bool:
-    return fixture_value(beta_i, btilde) is None

@@ -84,7 +84,12 @@ def sound_speed(state: ThermoState, gas: GasModel, rho0: float = 1.0) -> float:
     check_positive(rho0, "rho0", "sound speed")
     b = gas.btilde / rho0
     _check_state(state, b)
-    return math.sqrt(gas.gamma * state.p / (state.rho * (1.0 - b * state.rho)))
+    return _sound_speed(gas.gamma, state.p, state.rho, b * state.rho)
+
+
+def _sound_speed(g: float, p: float, rho: float, chi: float) -> float:
+    """Unchecked sqrt(g*p / (rho*(1 - chi))), with chi = b*rho the covolume fraction."""
+    return math.sqrt(g * p / (rho * (1.0 - chi)))
 
 
 def thermo_eval(
@@ -138,8 +143,7 @@ def check_reference(rho0: float, p0: float) -> None:
 
 def _a0_kappa0(g: float, bt: float, rho0: float, p0: float) -> tuple[float, float]:
     """Unchecked (a0, kappa0) of a valid gas (g, bt) at a valid (rho0, p0)."""
-    den = rho0 * (1.0 - bt)
-    a0 = math.sqrt(g * p0 / den) if den > 0.0 else 0.0
+    a0 = _sound_speed(g, p0, rho0, bt) if rho0 * (1.0 - bt) > 0.0 else 0.0
     if not 0.0 < a0 < math.inf:  # the quotient left the float range: root each factor
         a0 = math.sqrt(g) * (math.sqrt(p0) / math.sqrt(rho0)) / math.sqrt(1.0 - bt)
     try:

@@ -29,7 +29,7 @@ from vdwshock.config import MAX_COUNT, RunConfig, parse_config
 from vdwshock.errors import DomainError, InternalInconsistencyError
 from vdwshock.reports import DATA_COMMANDS, json_text
 from vdwshock.shock_relations import ENDPOINT_SLACK, beta_upper
-from vdwshock.table_fixture import fixture_is_blank
+from vdwshock.table_fixture import fixture_value
 
 from conftest import perfbench
 from test_package import PUBLIC
@@ -1097,7 +1097,7 @@ class TestTableCommand:
     def test_blank_pattern(self):
         for line in _stdout(["table"]).splitlines()[1:]:
             beta_s, bt_s, admissible, j, _, fixture, _ = line.split(",")
-            blank = fixture_is_blank(float(beta_s), float(bt_s))
+            blank = fixture_value(float(beta_s), float(bt_s)) is None
             assert (j == "") == blank
             assert (fixture == "") == blank
             assert admissible == ("false" if blank else "true")

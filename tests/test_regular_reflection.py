@@ -31,7 +31,7 @@ from vdwshock.regular_reflection import (
 )
 from vdwshock.config import RunConfig
 from vdwshock.shock_relations import IncidentShockInput, _within, admissible_beta_bounds, beta_upper
-from vdwshock.table_fixture import FIXTURE_BETA, FIXTURE_BTILDE, fixture_is_blank
+from vdwshock.table_fixture import FIXTURE_BETA, FIXTURE_BTILDE, fixture_value
 from vdwshock.thermo import GasModel
 
 from test_threshold_clamps import admissible_cells as config_cells, gate_configs
@@ -278,6 +278,11 @@ class TestRootCertificate:
             n = h0 - h1 * h2 / 3.0 + 2.0 * h2 ** 3 / 27.0
             x = positive_root(CubicForm(h0, h1, h2, h3, m, n))
             assert x == pytest.approx(3.0, abs=1e-12)
+
+    def test_a_negative_leading_coefficient_gives_the_roots_of_the_negation(self):
+        # -(X-1)(X-2)(X-3): doubling from 1 meets p = 0 at 1 and 2 and p < 0 from 4
+        # on, so without the negation it never sees p > 0 on (2, 3); m, n: y^3 - y
+        assert positive_root(CubicForm(6.0, -11.0, 6.0, -1.0, -1.0, 0.0)) == 3.0
 
     def test_a_root_below_a_larger_one_is_a_domain_error(self):
         # (X - 0.5)(X - 1.5)(X - 3): doubling from 1 stops at p(1) > 0 and brackets
@@ -628,7 +633,7 @@ class TestTableGenerate:
         grid = criterion_grid(FIXTURE_BETA, FIXTURE_BTILDE, 1.4)
         for beta in FIXTURE_BETA:
             for bt in FIXTURE_BTILDE:
-                assert (not grid[(beta, bt)].admissible) == fixture_is_blank(beta, bt)
+                assert (not grid[(beta, bt)].admissible) == (fixture_value(beta, bt) is None)
 
     def test_rows_increase_with_btilde(self):
         grid = criterion_grid(FIXTURE_BETA, FIXTURE_BTILDE, 1.4)

@@ -14,8 +14,9 @@ self-test that plants a violation:
   ``_depressed_root``, which only ``_threshold_row`` calls, and the NaN-keeping
   fold test, with ``>`` or ``<``, only in ``checks._fold``;
 - within ``shock_relations`` and ``regular_reflection``, each of the jump's three
-  covolume factors is written only in its home ``_jump_factors``, but for two
-  named exceptions;
+  covolume factors is written only in its home ``_jump_factors``, but for the
+  row kernel's named split;
+- the covolume sound speed is written only in its home ``thermo._sound_speed``;
 - only ``config`` writes out the default grids, the fixture's axes;
 - no module binds a name of ``math`` but ``math`` itself, so a run that swaps a
   module's global ``math`` for higher-precision functions reaches every call;
@@ -85,7 +86,7 @@ KERNELS = {
     **{f"reports/{command}.py": (f"render_{command}",)
        for command in ("table", "field", "front", "inner")},
     "linear_acoustics.py": ("busemann_variable", "_row", "_interior_cells", "density_rows"),
-    "thermo.py": ("_a0_kappa0",),  # once per front sweep row
+    "thermo.py": ("_a0_kappa0", "_sound_speed"),  # once per front sweep row
 }
 
 
@@ -260,11 +261,16 @@ def _has_shape(shape, node):
     return True
 
 
-def factor_writings(tree):
-    """Sorted [(module-level function, factor, line)] of each writing of a jump factor."""
-    return sorted((getattr(statement, "name", "<module>"), name, node.lineno)
-                  for statement in tree.body for node in ast.walk(statement)
-                  for name, shape in JUMP_FACTORS.items() if _has_shape(shape, node))
+def shape_writings(shapes):
+    """The rule: sorted [(module-level function, shape name, line)] of each writing of a shape."""
+    def writings(tree):
+        return sorted((getattr(statement, "name", "<module>"), name, node.lineno)
+                      for statement in tree.body for node in ast.walk(statement)
+                      for name, shape in shapes.items() if _has_shape(shape, node))
+    return writings
+
+
+factor_writings = shape_writings(JUMP_FACTORS)
 
 
 def test_the_check_sees_each_factor():
@@ -288,11 +294,34 @@ def test_each_jump_factor_is_written_only_at_home():
         # the row kernel splits each factor per column (its docstring says why), and the
         # bit-for-bit kernel-vs-_coeffs test pins the split to the home
         ("regular_reflection.py", "_threshold_row", "cov"),
-        # state 2's sound speed: the gas law's 1 - btilde*rho, as in thermo.sound_speed
-        ("regular_reflection.py", "solve_regular_reflection", "cov"),
         ("shock_relations.py", "_jump_factors", "a"),
         ("shock_relations.py", "_jump_factors", "cov"),
         ("shock_relations.py", "_jump_factors", "g_c")]
+
+
+#: the sound speed sqrt(gamma*p / (rho*(1 - b*rho))), and its form at p = rho = 1
+SOUND_SPEED = {name: ast.parse(shape, mode="eval").body for name, shape in {
+    "quotient": "math.sqrt(_ * _ / (_ * (1.0 - _)))",
+    "unit state": "math.sqrt(_ / (1.0 - _))"}.items()}
+sound_speed_writings = shape_writings(SOUND_SPEED)
+
+
+def test_the_check_sees_each_sound_speed():
+    source = ("def home(g, p, rho, chi):\n    return math.sqrt(g * p / (rho * (1.0 - chi)))\n"
+              "def copy(g, bt, s):\n    a0 = math.sqrt(g / (1.0 - bt))\n"
+              "    a = math.sqrt(g * s.p / (s.rho * (1.0 - bt * s.rho)))\n"
+              "    return a0 + a + math.sqrt(g / (1.0 + bt)) + sqrt(g / (1.0 - bt))\n"
+              "A0 = math.sqrt(1.4 / (1.0 - 0.1))\n")
+    assert sound_speed_writings(ast.parse(source)) == [
+        ("<module>", "unit state", 7), ("copy", "quotient", 5), ("copy", "unit state", 4),
+        ("home", "quotient", 2)]
+
+
+def test_the_sound_speed_is_written_only_at_home():
+    # sound_speed, _a0_kappa0 and the reflection solve's a0 and a2 call the home
+    found = {name: [place[:2] for place in places]
+             for name, places in found_in_package(sound_speed_writings).items()}
+    assert found == {"thermo.py": [("_sound_speed", "quotient")]}
 
 
 DEFAULT = RunConfig()

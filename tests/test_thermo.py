@@ -1,5 +1,7 @@
 import math
+import random
 
+import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,6 +10,7 @@ from vdwshock.regular_reflection import criterion
 from vdwshock.thermo import (
     GasModel,
     ThermoState,
+    _sound_speed,
     reference_constants,
     sound_speed,
     thermo_eval,
@@ -76,6 +79,23 @@ class TestSoundSpeed:
         state = ThermoState(1.0, 1.0)
         speeds = [sound_speed(state, GasModel(1.4, bt)) for bt in (0.0, 0.2, 0.4, 0.6, 0.8)]
         assert all(b > a for a, b in zip(speeds, speeds[1:]))
+
+    def test_kernel_is_within_2_ulps_of_the_50_digit_value(self):
+        # four roundings of the radicand cost under 1 ulp after the root, and the root 0.5
+        rng = random.Random(0)
+        worst = 0.0
+        for _ in range(2000):
+            g = 1.0 + 10.0 ** rng.uniform(-12.0, 3.0)
+            p, rho = 10.0 ** rng.uniform(-100.0, 100.0), 10.0 ** rng.uniform(-100.0, 100.0)
+            # chi = 0, a log-spread chi up to 1/2, or a log-spread 1 - chi down to 1e-12
+            chi = rng.choice((0.0, 10.0 ** rng.uniform(-16.0, -0.3),
+                              1.0 - 10.0 ** rng.uniform(-12.0, -0.3)))
+            a = _sound_speed(g, p, rho, chi)
+            assert math.isfinite(a), (g, p, rho, chi)
+            with mpmath.workdps(50):
+                exact = mpmath.sqrt(mpmath.mpf(g) * p / (mpmath.mpf(rho) * (1 - mpmath.mpf(chi))))
+                worst = max(worst, float(abs(a - exact) / math.ulp(a)))
+        assert worst <= 2.0
 
 
 class TestThermoEval:

@@ -2,16 +2,22 @@
 
 perfbench/tracing.py names its spans as "<module>.<function>" inside the
 vdwshock package and looks each one up with getattr when it installs, so a
-renamed or deleted function would break every traced benchmark run.
+renamed or deleted function would break every traced benchmark run.  It
+reads each module from sys.modules, so a module must be there once
+vdwshock.cli is imported, as perfbench/run.py builds its tracer then.
 """
 
 import importlib
+import os
+import subprocess
+import sys
 
 import pytest
 
-from conftest import perfbench
+from conftest import PERFBENCH, perfbench
 
 tracing = perfbench("tracing")
+SRC = str(PERFBENCH.parent / "src")
 
 
 @pytest.mark.parametrize("qual", tracing.SPANS + tracing.COUNTED + tracing.CHECK_SPANS)
@@ -19,6 +25,29 @@ def test_traced_function_resolves(qual):
     mod_name, func = qual.split(".")
     module = importlib.import_module(f"{tracing.PACKAGE}.{mod_name}")
     assert callable(getattr(module, func, None)), qual
+
+
+def test_tracer_builds_right_after_a_cold_cli_import():
+    # perfbench/run.py builds its tracer right after importing cli, so the tracer
+    # finds each module it patches only where cli has registered it; against a
+    # tracer built once every module is imported, it lacks only the renderer
+    # modules' own bindings, which cli.main never calls (it calls reports.render_*)
+    code = (f"import sys\nimport vdwshock.cli\nsys.path.insert(0, {str(PERFBENCH)!r})\n"
+            "import importlib, pkgutil, tracing, vdwshock\n"
+            "def sites():\n"
+            "    spans = tracing.SPANS + tracing.CHECK_SPANS\n"
+            "    print(*tracing.Tracer(spans, tracing.COUNTED).sites())\n"
+            "sites()\n"
+            "for info in pkgutil.walk_packages(vdwshock.__path__, 'vdwshock.'):\n"
+            "    importlib.import_module(info.name)\n"
+            "sites()\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.returncode == 0, proc.stderr
+    cold, warm = (set(line.split()) for line in proc.stdout.splitlines())
+    assert sorted(warm - cold) == [
+        f"reports.{command}.render_{command}" for command in ("field", "front", "inner", "table")]
+    assert cold < warm
 
 
 class _ParseConfigReached(Exception):
